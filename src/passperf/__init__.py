@@ -4,17 +4,14 @@ pinching-antenna systems under per-waveguide (WDMA) and power-domain
 
 from .config import (
     ConfigError,
-    DerivedConstants,
     SystemConfig,
     db_to_linear,
     dbm_to_watts,
     derive_constants,
-    linear_to_db,
     load_config,
     noise_w,
     power_w_to_snr_db,
     snr_db_to_power_w,
-    watts_to_dbm,
 )
 from .geometry import (
     DiffDistribution,
@@ -34,7 +31,6 @@ from .geometry import (
 from .montecarlo import McSpec, MetricEstimate, mc_outage, mc_rate, sinr_trials
 from .noma import (
     NomaBreakpoints,
-    NomaInstant,
     noma_breakpoints,
     noma_outage_far,
     noma_outage_near,
@@ -70,7 +66,6 @@ from .sweep import (
     write_csv,
 )
 from .wdma import (
-    WdmaInstant,
     wdma_avg_rate,
     wdma_outage,
     wdma_outage_floor,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -40,6 +41,12 @@ class SystemConfig:
     noma_alpha_far: float = 0.95
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         for name in ("carrier_freq_hz", "pa_height_m", "region_x_m", "region_y_m"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
@@ -85,12 +92,6 @@ def dbm_to_watts(value_dbm: float) -> float:
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(value_w: float) -> float:
-    if value_w <= 0.0:
-        raise ValueError(f"cannot express non-positive power {value_w!r} in dBm")
-    return 10.0 * math.log10(value_w) + 30.0
-
-
 def derive_constants(cfg: SystemConfig) -> DerivedConstants:
     """Path-gain factor c^2 / (16 pi^2 f^2) and linear noise powers."""
     eta = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * cfg.carrier_freq_hz**2)
@@ -131,6 +132,8 @@ def config_from_dict(data: dict) -> SystemConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     values = {}
     for key, raw in data.items():
+        if isinstance(raw, bool):
+            raise ConfigError(f"{key} must be a number, got {raw!r}")
         try:
             values[key] = float(raw)
         except (TypeError, ValueError):

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-
-
-def _maybe_scalar(arr):
-    arr = np.asarray(arr)
-    return arr.item() if arr.ndim == 0 else arr
+from .quadrature import _log1p_moments, _maybe_scalar
 
 
 @dataclass
@@ -159,6 +155,23 @@ def sq_diff_cdf(y, dist: DiffDistribution):
     r = np.sqrt(np.clip(y, 0.0, None))
     out = np.where(y <= 0.0, 0.0, diff_cdf(r, dist))
     return _maybe_scalar(out)
+
+
+def expected_log_excess(a, b, dist: DiffDistribution):
+    """E[ln(a + b U^2)] - ln(a) for the y-separation U ~ ``dist``; a > 0, b >= 0.
+
+    The triangular density is linear on each half of its support, so the
+    mean is the second difference (T(lo) - 2 T(lo + w) + T(lo + 2w)) / w^2
+    of T(p) = int_0^p (p - t) ln(1 + (b/a) t^2) dt; with zero offset this is
+    the adjacent-region closed form. ln(a) is left out because it dwarfs the
+    rest at high SNR. ``a`` and ``b`` broadcast against each other.
+    """
+    lo, w = dist.support_lo, dist.half_width
+    ratio = np.asarray(b, dtype=float) / np.asarray(a, dtype=float)
+    points = np.array([lo, lo + w, lo + 2.0 * w])
+    m0, m1 = _log1p_moments(points, ratio[..., None])
+    t = points * m0 - m1
+    return _maybe_scalar((t[..., 0] - 2.0 * t[..., 1] + t[..., 2]) / w**2)
 
 
 def near_coord_cdf_g(g, cfg: SystemConfig):

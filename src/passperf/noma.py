@@ -3,7 +3,9 @@
 One antenna, pinned above the near user, serves both users through
 superposition coding. The near user cancels the far user's signal before
 decoding; the far user decodes under the near user's interference, which
-caps its SINR at alpha_far / alpha_near.
+caps its SINR at alpha_far / alpha_near. The far user's outage and its
+average over the y-separation are closed forms for adjacent and offset
+sub-regions alike.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig, derive_constants
-from .geometry import NomaPlacement, diff_cdf, diff_distribution, diff_pdf
+from .geometry import NomaPlacement, diff_distribution, expected_log_excess
 from .quadrature import j0, j1, refined_interval
 
 _LN2 = math.log(2.0)
@@ -67,10 +69,6 @@ def noma_sinr(placement: NomaPlacement, power_w: float, cfg: SystemConfig) -> No
     )
 
 
-def _max_y_sep(cfg: SystemConfig) -> float:
-    return 2.0 * cfg.region_y_offset_m + 2.0 * cfg.region_y_m
-
-
 def noma_zero_outage_thresholds(cfg: SystemConfig):
     """Powers beyond which each user's outage is exactly zero.
 
@@ -87,7 +85,8 @@ def noma_zero_outage_thresholds(cfg: SystemConfig):
     margin = cfg.noma_alpha_far - gth * cfg.noma_alpha_near
     if margin <= 0.0:
         return near, None
-    far = gth * dc.noise_w_ue2 * (m4 + _max_y_sep(cfg) ** 2 + h_sq) / (dc.eta_m2 * margin)
+    max_sep = diff_distribution(cfg).support_hi
+    far = gth * dc.noise_w_ue2 * (m4 + max_sep**2 + h_sq) / (dc.eta_m2 * margin)
     return near, far
 
 
@@ -109,20 +108,22 @@ def _c2(cfg: SystemConfig, power_w: float) -> float:
 
 
 def noma_breakpoints(cfg: SystemConfig, power_w: float) -> NomaBreakpoints:
+    """Squared x-offsets where the far user's outage radius sqrt(c2 - m)
+    crosses the top, the peak and the bottom of the separation's support."""
     if power_w <= 0.0:
         raise ValueError(f"power_w must be > 0, got {power_w!r}")
     c2 = _c2(cfg, power_w)
     m4 = (0.5 * cfg.region_x_m) ** 2
-    dy_sq = cfg.region_y_m**2
+    dist = diff_distribution(cfg)
 
     def clamp(z):
         return min(max(z, 0.0), m4)
 
     return NomaBreakpoints(
         c2=c2,
-        m1=clamp(c2 - 4.0 * dy_sq),
-        m2=clamp(c2 - dy_sq),
-        m3=clamp(c2),
+        m1=clamp(c2 - dist.support_hi**2),
+        m2=clamp(c2 - dist.peak**2),
+        m3=clamp(c2 - dist.support_lo**2),
         m4=m4,
     )
 
@@ -148,60 +149,42 @@ def noma_outage_near(cfg: SystemConfig, power_w: float) -> float:
 def noma_outage_far(cfg: SystemConfig, power_w: float, n_nodes: int = 64) -> float:
     """Outage probability of the far user.
 
-    Closed-form segment integrals over the far user's squared x-offset when
-    the sub-regions are adjacent; quadrature against the translated
-    separation CDF otherwise. Both the no-coverage (outage radius <= 0) and
-    full-coverage (radius beyond the farthest region point) cases short
-    circuit exactly.
+    Closed-form segment integrals over the far user's squared x-offset m,
+    split where the outage radius sqrt(c2 - m) crosses the top, the peak and
+    the bottom of the separation's support. The no-coverage (radius below
+    the smallest separation) and full-coverage (radius beyond the farthest
+    region point) cases short circuit exactly. ``n_nodes`` is unused; it
+    keeps the signature of the other analytic metrics.
     """
     if power_w <= 0.0:
         raise ValueError(f"power_w must be > 0, got {power_w!r}")
+    dist = diff_distribution(cfg)
     c2 = _c2(cfg, power_w)
-    if c2 <= 0.0:
+    if c2 <= dist.support_lo**2:
         return 1.0
     _, far_threshold = noma_zero_outage_thresholds(cfg)
     m4 = (0.5 * cfg.region_x_m) ** 2
     if power_w >= (far_threshold if far_threshold is not None else math.inf):
         return 0.0
-    if c2 >= m4 + _max_y_sep(cfg) ** 2:
+    if c2 >= m4 + dist.support_hi**2:
         return 0.0
-    if cfg.region_y_offset_m > 0.0:
-        return _outage_far_quadrature(cfg, power_w, n_nodes)
 
     bp = noma_breakpoints(cfg, power_w)
-    dy = cfg.region_y_m
+    lo, hi, w = dist.support_lo, dist.support_hi, dist.half_width
 
-    def phi1(m):
-        return (
-            2.0 * m
-            + 4.0 / (3.0 * dy) * (c2 - m) ** 1.5
-            + (c2 * m - 0.5 * m**2) / (2.0 * dy**2)
-        )
+    def radial(m, centre):
+        # antiderivative in m of (sqrt(c2 - m) - centre)^2
+        return c2 * m - 0.5 * m**2 + 4.0 * centre / 3.0 * (c2 - m) ** 1.5 + centre**2 * m
 
-    def phi2(m):
-        return m - c2 * m / (2.0 * dy**2) + m**2 / (4.0 * dy**2)
-
+    # outage given m: P(U > r) = (hi - r)^2 / (2 w^2) above the peak,
+    # 1 - (r - lo)^2 / (2 w^2) below it, 1 below the support
     total = (
-        (phi1(bp.m2) - phi1(bp.m1))
-        + (phi2(bp.m3) - phi2(bp.m2))
+        (radial(bp.m2, hi) - radial(bp.m1, hi)) / (2.0 * w**2)
+        + (bp.m3 - bp.m2)
+        - (radial(bp.m3, lo) - radial(bp.m2, lo)) / (2.0 * w**2)
         + (bp.m4 - bp.m3)
     )
     value = 4.0 / cfg.region_x_m**2 * total
-    return min(max(value, 0.0), 1.0)
-
-
-def _outage_far_quadrature(cfg: SystemConfig, power_w: float, n_nodes: int) -> float:
-    """Far-user outage by integrating the conditional tail over the x-offset."""
-    c2 = _c2(cfg, power_w)
-    dist = diff_distribution(cfg)
-    m4 = (0.5 * cfg.region_x_m) ** 2
-
-    def conditional(m):
-        m = np.asarray(m)
-        radius = np.sqrt(np.clip(c2 - m, 0.0, None))
-        return 1.0 - diff_cdf(radius, dist)
-
-    value = 4.0 / cfg.region_x_m**2 * refined_interval(conditional, 0.0, m4, n_nodes)
     return min(max(value, 0.0), 1.0)
 
 
@@ -215,18 +198,16 @@ def noma_rate_near(cfg: SystemConfig, power_w: float) -> float:
     centre = 0.5 * dx
     h_sq = cfg.pa_height_m**2
     term0 = j0(centre, h_sq + k, 1.0) - j0(centre, h_sq, 1.0)
-    term1 = (j1(centre, h_sq + k, 1.0) - j1(0.0, h_sq + k, 1.0)) - (
-        j1(centre, h_sq, 1.0) - j1(0.0, h_sq, 1.0)
-    )
+    term1 = j1(centre, h_sq + k, 1.0) - j1(centre, h_sq, 1.0)
     return (4.0 / dx * term0 - 8.0 / dx**2 * term1) / _LN2
 
 
 def noma_rate_far(cfg: SystemConfig, power_w: float, n_nodes: int = 64) -> float:
     """Average rate of the far user in bits/s/Hz (below log2(1 + a2/a1)).
 
-    The average over the y-separation is closed-form for adjacent
-    sub-regions and quadrature against the translated density otherwise;
-    the outer average over the squared x-offset uses the Chebyshev rule.
+    The average over the y-separation is closed-form for both region
+    layouts; the outer average over the squared x-offset uses the Chebyshev
+    rule.
     """
     if power_w <= 0.0:
         raise ValueError(f"power_w must be > 0, got {power_w!r}")
@@ -236,39 +217,13 @@ def noma_rate_far(cfg: SystemConfig, power_w: float, n_nodes: int = 64) -> float
     n2 = dc.noise_w_ue2
     h_sq = cfg.pa_height_m**2
     dx = cfg.region_x_m
-    m4 = (0.5 * dx) ** 2
     dist = diff_distribution(cfg)
 
-    if cfg.region_y_offset_m > 0.0:
+    def delta(m):
+        # E[ln(beta + k2 + n2 U^2) - ln(beta + n2 U^2)] given the x-offset m
+        beta = k1 + n2 * (h_sq + np.asarray(m))
+        excess = expected_log_excess(np.stack([beta + k2, beta]), n2, dist)
+        return np.log1p(k2 / beta) + excess[0] - excess[1]
 
-        def expected_log(beta):
-            def f(a):
-                a = np.asarray(a)
-                return np.log(beta + n2 * a**2) * diff_pdf(a, dist)
-
-            return refined_interval(f, dist.support_lo, dist.peak, n_nodes) + refined_interval(
-                f, dist.peak, dist.support_hi, n_nodes
-            )
-
-        def delta(m):
-            m = np.atleast_1d(np.asarray(m, dtype=float))
-            beta1 = k1 + n2 * (h_sq + m)
-            return np.asarray(
-                [expected_log(b1 + k2) - expected_log(b1) for b1 in beta1]
-            )
-
-    else:
-        dy = cfg.region_y_m
-
-        def expected_log(beta):
-            t_mid = (j1(dy, beta, n2) - j1(0.0, beta, n2)) / dy**2
-            t_hi0 = 2.0 * (j0(2.0 * dy, beta, n2) - j0(dy, beta, n2)) / dy
-            t_hi1 = (j1(2.0 * dy, beta, n2) - j1(dy, beta, n2)) / dy**2
-            return t_mid + t_hi0 - t_hi1
-
-        def delta(m):
-            beta1 = k1 + n2 * (h_sq + np.asarray(m))
-            return expected_log(beta1 + k2) - expected_log(beta1)
-
-    integral = refined_interval(delta, 0.0, m4, n_nodes)
+    integral = refined_interval(delta, 0.0, (0.5 * dx) ** 2, n_nodes)
     return 4.0 / (dx**2 * _LN2) * integral

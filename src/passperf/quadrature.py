@@ -1,4 +1,4 @@
-"""Gauss-Chebyshev quadrature (first kind) and logarithmic antiderivatives.
+"""Gauss-Chebyshev quadrature (first kind) and logarithmic integrals.
 
 The N-node rule approximates int_{-1}^{1} f(t) dt by
 (pi/N) * sum_k sqrt(1 - t_k^2) f(t_k) with t_k = cos((2k - 1) pi / (2N)).
@@ -6,6 +6,10 @@ Its plain form carries an O(1/N^2) endpoint error; the ``refined_*``
 variants apply one Richardson step (N and 2N evaluations), reducing the
 error to O(1/N^4) so that doubling N moves smooth integrals by less than
 1e-6 relative at N = 64.
+
+``j0``/``j1`` integrate ln(a + b t^2) and t ln(a + b t^2) from 0 in a form
+without cancellation, so that they stay accurate when b/a is tiny (high
+SNR) as well as large.
 """
 
 from __future__ import annotations
@@ -45,10 +49,7 @@ def chebyshev_rule(n_nodes: int) -> QuadratureRule:
 
 
 def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(nodes), dtype=float)
-    except (TypeError, ValueError):
-        vals = np.asarray([float(f(t)) for t in nodes])
+    vals = np.asarray(f(nodes), dtype=float)
     if vals.ndim == 0:
         vals = np.full(nodes.shape, vals.item())
     bad = ~np.isfinite(vals)
@@ -96,44 +97,72 @@ def _check_log_args(a, b, u) -> None:
         raise ValueError("j0/j1 require u >= 0")
 
 
-def j0(u, a, b):
-    """Antiderivative of ln(a + b u^2).
+# For s = b u^2 / a under _SERIES_S the closed forms of phi0 and phi1 lose
+# digits to cancellation (1 - arctan(r)/r and (1 + s) ln(1 + s) - s); short
+# alternating series are used there instead, truncated where the next term
+# falls under 1e-17 relative.
+_SERIES_S = 1e-2
+_SERIES_TERMS = 8
+# Series coefficients of phi0 and phi1 (below), highest power first:
+# (-1)^(n+1) / (n (2n + 1)) and (-1)^(n+1) / (n (n + 1)).
+_SERIES = np.array(
+    [
+        [(-1.0) ** (n + 1) / (n * (2 * n + 1)), (-1.0) ** (n + 1) / (n * (n + 1))]
+        for n in range(_SERIES_TERMS, 0, -1)
+    ]
+)
 
-    u ln(a + b u^2) - 2u + 2 sqrt(a/b) arctan(u sqrt(b/a)); the exact b -> 0
-    limit u ln(a) is used on the b == 0 branch.
+
+def _log1p_moments(u, r):
+    """int_0^u ln(1 + r t^2) dt and int_0^u t ln(1 + r t^2) dt for u, r >= 0.
+
+    With s = r u^2 these are u phi0(s) and (u^2 / 2) phi1(s), where
+    phi0(s) = ln(1 + s) - 2 (1 - arctan(sqrt(s)) / sqrt(s)) and
+    phi1(s) = ((1 + s) ln(1 + s) - s) / s; both vanish at s = 0. Arguments
+    broadcast against each other.
+    """
+    u = np.asarray(u, dtype=float)
+    s = np.asarray(r, dtype=float) * u**2
+    small = s < _SERIES_S
+    s_big = np.where(small, 1.0, s)
+    log = np.log1p(s_big)
+    root = np.sqrt(s_big)
+    phi0 = log - 2.0 * (1.0 - np.arctan(root) / root)
+    phi1 = ((1.0 + s_big) * log - s_big) / s_big
+    if np.any(small):
+        s_small = np.where(small, s, 0.0)[..., None]
+        series = 0.0
+        for coef in _SERIES:
+            series = s_small * (coef + series)
+        phi0 = np.where(small, series[..., 0], phi0)
+        phi1 = np.where(small, series[..., 1], phi1)
+    return u * phi0, 0.5 * u**2 * phi1
+
+
+def _maybe_scalar(arr):
+    arr = np.asarray(arr)
+    return arr.item() if arr.ndim == 0 else arr
+
+
+def j0(u, a, b):
+    """Integral of ln(a + b t^2) over [0, u].
+
+    u (ln a + ln(1 + s) - 2 (1 - arctan(sqrt(s)) / sqrt(s))) with
+    s = b u^2 / a, written so that no large terms cancel; continuous down
+    to b = 0, where it is u ln(a).
     """
     _check_log_args(a, b, u)
-    u, a, b = np.broadcast_arrays(
-        np.asarray(u, float), np.asarray(a, float), np.asarray(b, float)
-    )
-    zero_b = b == 0.0
-    b_safe = np.where(zero_b, 1.0, b)
-    q = a + b * u**2
-    general = (
-        u * np.log(q)
-        - 2.0 * u
-        + 2.0 * np.sqrt(a / b_safe) * np.arctan(u * np.sqrt(b_safe / a))
-    )
-    out = np.where(zero_b, u * np.log(a), general)
-    out = np.asarray(out)
-    return out.item() if out.ndim == 0 else out
+    m0, _ = _log1p_moments(u, np.asarray(b, float) / np.asarray(a, float))
+    return _maybe_scalar(m0 + np.asarray(u, float) * np.log(a))
 
 
 def j1(u, a, b):
-    """Antiderivative of u ln(a + b u^2).
+    """Integral of t ln(a + b t^2) over [0, u].
 
-    ((a + b u^2) ln(a + b u^2) - (a + b u^2)) / (2 b); the exact b -> 0
-    limit (u^2 / 2) ln(a) is used on the b == 0 branch (its additive
-    constant is dropped, harmless in the definite differences callers form).
+    (u^2 / 2) (ln a + ((1 + s) ln(1 + s) - s) / s) with s = b u^2 / a,
+    written so that no large terms cancel; continuous down to b = 0, where
+    it is (u^2 / 2) ln(a).
     """
     _check_log_args(a, b, u)
-    u, a, b = np.broadcast_arrays(
-        np.asarray(u, float), np.asarray(a, float), np.asarray(b, float)
-    )
-    zero_b = b == 0.0
-    b_safe = np.where(zero_b, 1.0, b)
-    q = a + b * u**2
-    general = (q * np.log(q) - q) / (2.0 * b_safe)
-    out = np.where(zero_b, 0.5 * u**2 * np.log(a), general)
-    out = np.asarray(out)
-    return out.item() if out.ndim == 0 else out
+    _, m1 = _log1p_moments(u, np.asarray(b, float) / np.asarray(a, float))
+    return _maybe_scalar(m1 + 0.5 * np.asarray(u, float) ** 2 * np.log(a))

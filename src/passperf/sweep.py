@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .config import ConfigError, SystemConfig, noise_w, snr_db_to_power_w
-from .montecarlo import McSpec, mc_outage, mc_rate
+from .montecarlo import SCHEMES, McSpec, mc_outage, mc_rate
 from .noma import (
     noma_outage_far,
     noma_outage_near,
@@ -23,7 +23,6 @@ from .noma import (
 )
 from .wdma import wdma_avg_rate, wdma_outage, wdma_outage_floor, wdma_rate_ceiling
 
-SCHEMES = ("wdma", "noma")
 METRICS = ("outage", "rate")
 CSV_HEADER = ("snr_db", "scheme", "user", "metric", "analytic", "asymptote", "mc_value", "mc_std_error")
 

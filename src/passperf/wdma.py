@@ -3,8 +3,9 @@
 Each user is served by a dedicated waveguide antenna pinned above it; the
 other user's antenna interferes across waveguides. Outage and rate reduce
 to one-dimensional integrals over the user's x-coordinate evaluated with
-the Chebyshev rule; high-SNR limits give an interference-only outage floor
-and rate ceiling.
+the Chebyshev rule; the rate's inner average over the y-separation is one
+closed form for adjacent and offset sub-regions alike. High-SNR limits give
+an interference-only outage floor and rate ceiling.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ from .config import SystemConfig, derive_constants, noise_w
 from .geometry import (
     WdmaPlacement,
     diff_distribution,
-    diff_pdf,
+    expected_log_excess,
     g_axis,
     sq_diff_cdf,
 )
-from .quadrature import j0, j1, refined_interval, refined_unit
+from .quadrature import refined_unit
 
 _LN2 = math.log(2.0)
 
-# Relative slack under which 1/gamma_th - B*G(x) is treated as zero: the
+# Relative slack under which 1 - gamma_th*B*G(x) is treated as zero: the
 # threshold on the y-separation diverges there and the CDF saturates anyway.
 _SINGULAR_SLACK = 1e-12
 
@@ -66,43 +67,41 @@ def wdma_sinr(placement: WdmaPlacement, power_w: float, cfg: SystemConfig) -> Wd
     )
 
 
-def wdma_outage(cfg: SystemConfig, power_w: float, n_nodes: int = 64, user: int = 1) -> float:
-    """Outage probability of ``user`` at transmit power ``power_w``.
+def _outage_given_x(t, cfg: SystemConfig, b_noise: float):
+    """Conditional outage at the unit-interval nodes t of the x-coordinate.
 
-    Averages the conditional outage over the user's x-coordinate: given x,
-    the outage event caps the squared y-separation at a threshold; the cap
-    is pushed through the separation CDF. Where the noise term alone drives
-    the SINR below threshold the conditional outage is 1 regardless of y.
+    Given x, the outage event caps the squared y-separation at
+    g (gamma_th - 1 + e) / (1 - e) with e = gamma_th b_noise g; the cap is
+    pushed through the separation CDF. Where 1 - e vanishes the noise term
+    alone drives the SINR below threshold and the conditional outage is 1
+    regardless of y. b_noise = 0 gives the interference-only integrand of
+    the outage floor, which this never falls below.
     """
+    g = g_axis(0.5 * cfg.region_x_m * (np.asarray(t) + 1.0), cfg)
+    e = cfg.outage_threshold * b_noise * g
+    saturated = 1.0 - e <= _SINGULAR_SLACK * e
+    cap = g * (cfg.outage_threshold - 1.0 + e) / np.where(saturated, 1.0, 1.0 - e)
+    return np.where(saturated, 1.0, sq_diff_cdf(cap, diff_distribution(cfg)))
+
+
+def _average_outage(cfg: SystemConfig, b_noise: float, n_nodes: int) -> float:
+    # The conditional outage grows with the axis distance, whose minimum
+    # (height squared, at t = 0) is reached inside the region, so saturation
+    # there means the integrand is 1 everywhere and the integral is exactly 1.
+    if _outage_given_x(0.0, cfg, b_noise) >= 1.0:
+        return 1.0
+    value = 0.5 * refined_unit(lambda t: _outage_given_x(t, cfg, b_noise), n_nodes)
+    return min(max(value, 0.0), 1.0)
+
+
+def wdma_outage(cfg: SystemConfig, power_w: float, n_nodes: int = 64, user: int = 1) -> float:
+    """Outage probability of ``user`` at transmit power ``power_w``: the
+    conditional outage averaged over the user's x-coordinate."""
     if power_w <= 0.0:
         raise ValueError(f"power_w must be > 0, got {power_w!r}")
     dc = derive_constants(cfg)
-    sigma2 = noise_w(cfg, user)
-    b_noise = 2.0 * sigma2 / (dc.eta_m2 * power_w)
-    q = 1.0 / cfg.outage_threshold
-    dist = diff_distribution(cfg)
-    half = 0.5 * cfg.region_x_m
-
-    # The conditional outage grows with the axis distance, whose minimum
-    # (height squared) is reached inside the region, so saturation there
-    # means the integrand is 1 everywhere and the integral is exactly 1.
-    g_min = cfg.pa_height_m**2
-    den_min = q - b_noise * g_min
-    if den_min <= _SINGULAR_SLACK * b_noise * g_min:
-        return 1.0
-    if cfg.outage_threshold >= 1.0 and sq_diff_cdf(g_min / den_min - g_min, dist) >= 1.0:
-        return 1.0
-
-    def conditional(t):
-        g = g_axis(half * (np.asarray(t) + 1.0), cfg)
-        den = q - b_noise * g
-        saturated = den <= _SINGULAR_SLACK * b_noise * g
-        den_safe = np.where(saturated, 1.0, den)
-        cap = g / den_safe - g
-        return np.where(saturated, 1.0, sq_diff_cdf(cap, dist))
-
-    value = 0.5 * refined_unit(conditional, n_nodes)
-    return min(max(value, 0.0), 1.0)
+    b_noise = 2.0 * noise_w(cfg, user) / (dc.eta_m2 * power_w)
+    return _average_outage(cfg, b_noise, n_nodes)
 
 
 def _log_rate_coeffs(g, b_noise):
@@ -118,122 +117,40 @@ def _log_rate_coeffs(g, b_noise):
     return a, b, c, d
 
 
+def _rate_nats(t, cfg: SystemConfig, b_noise: float):
+    """Mean of ln(1 + sinr) over the y-separation at the unit-interval nodes t.
+
+    ln(a/c) is taken as ln(1 + g/c), since a - c = g. With b_noise = 0 this
+    is the interference-only integrand of the rate ceiling.
+    """
+    g = g_axis(0.5 * cfg.region_x_m * (np.asarray(t) + 1.0), cfg)
+    a, b, c, d = _log_rate_coeffs(g, b_noise)
+    excess = expected_log_excess(np.stack([a, c]), np.stack([b, d]), diff_distribution(cfg))
+    return np.log1p(g / c) + excess[0] - excess[1]
+
+
 def wdma_avg_rate(cfg: SystemConfig, power_w: float, n_nodes: int = 64, user: int = 1) -> float:
     """Average achievable rate of ``user`` in bits/s/Hz.
 
-    With adjacent sub-regions the inner average over the y-separation is
-    closed-form via the logarithmic antiderivatives; with an offset it is
-    integrated against the translated triangular density. The outer
-    x-average always uses the Chebyshev rule.
+    The inner average over the y-separation is closed-form for both region
+    layouts; the outer x-average uses the Chebyshev rule. Where the rate
+    meets its ceiling, rounding in the two averages can leave it a few ulps
+    above; the value is capped at the ceiling there.
     """
     if power_w <= 0.0:
         raise ValueError(f"power_w must be > 0, got {power_w!r}")
-    if cfg.region_y_offset_m > 0.0:
-        return _avg_rate_quadrature(cfg, power_w, n_nodes, user)
     dc = derive_constants(cfg)
-    sigma2 = noise_w(cfg, user)
-    b_noise = 2.0 * sigma2 / (dc.eta_m2 * power_w)
-    dy = cfg.region_y_m
-    half = 0.5 * cfg.region_x_m
-
-    def phi(t):
-        g = g_axis(half * (np.asarray(t) + 1.0), cfg)
-        a, b, c, d = _log_rate_coeffs(g, b_noise)
-
-        def p0(y):
-            return j0(y, a, b) - j0(y, c, d)
-
-        def p1(y):
-            return (j1(y, a, b) - j1(0.0, a, b)) - (j1(y, c, d) - j1(0.0, c, d))
-
-        return 2.0 * p1(dy) - p1(2.0 * dy) + 2.0 * dy * (p0(2.0 * dy) - p0(dy))
-
-    return refined_unit(phi, n_nodes) / (2.0 * dy**2 * _LN2)
-
-
-def _avg_rate_quadrature(cfg: SystemConfig, power_w: float, n_nodes: int, user: int = 1) -> float:
-    """Rate via nested quadrature over the translated separation density."""
-    dc = derive_constants(cfg)
-    sigma2 = noise_w(cfg, user)
-    b_noise = 2.0 * sigma2 / (dc.eta_m2 * power_w)
-    dist = diff_distribution(cfg)
-    half = 0.5 * cfg.region_x_m
-
-    def inner(x):
-        g = g_axis(x, cfg)
-        a, b, c, d = _log_rate_coeffs(g, b_noise)
-
-        def f(u):
-            u = np.asarray(u)
-            return np.log((a + b * u**2) / (c + d * u**2)) * diff_pdf(u, dist)
-
-        # split at the density peak where the triangular kink sits
-        return refined_interval(f, dist.support_lo, dist.peak, n_nodes) + refined_interval(
-            f, dist.peak, dist.support_hi, n_nodes
-        )
-
-    def outer(t):
-        x = half * (np.asarray(t) + 1.0)
-        return np.asarray([inner(xi) for xi in np.atleast_1d(x)])
-
-    return 0.5 * refined_unit(outer, n_nodes) / _LN2
+    b_noise = 2.0 * noise_w(cfg, user) / (dc.eta_m2 * power_w)
+    rate = 0.5 * refined_unit(lambda t: _rate_nats(t, cfg, b_noise), n_nodes) / _LN2
+    return min(rate, wdma_rate_ceiling(cfg, n_nodes))
 
 
 def wdma_outage_floor(cfg: SystemConfig, n_nodes: int = 64) -> float:
     """High-SNR outage limit: interference-only outage averaged over x."""
-    gth = cfg.outage_threshold
-    dist = diff_distribution(cfg)
-    half = 0.5 * cfg.region_x_m
-
-    # saturation at the minimal axis distance implies saturation everywhere
-    if gth > 1.0 and sq_diff_cdf((gth - 1.0) * cfg.pa_height_m**2, dist) >= 1.0:
-        return 1.0
-
-    def conditional(t):
-        g = g_axis(half * (np.asarray(t) + 1.0), cfg)
-        return sq_diff_cdf((gth - 1.0) * g, dist)
-
-    value = 0.5 * refined_unit(conditional, n_nodes)
-    return min(max(value, 0.0), 1.0)
+    return _average_outage(cfg, 0.0, n_nodes)
 
 
 def wdma_rate_ceiling(cfg: SystemConfig, n_nodes: int = 64) -> float:
     """High-SNR rate limit in bits/s/Hz (at least 1: the interference-only
     SINR never falls below one)."""
-    dy = cfg.region_y_m
-    half = 0.5 * cfg.region_x_m
-    dist = diff_distribution(cfg)
-
-    if cfg.region_y_offset_m > 0.0:
-
-        def inner(x):
-            g = g_axis(x, cfg)
-
-            def f(u):
-                u = np.asarray(u)
-                return np.log(2.0 + u**2 / g) * diff_pdf(u, dist)
-
-            return refined_interval(f, dist.support_lo, dist.peak, n_nodes) + refined_interval(
-                f, dist.peak, dist.support_hi, n_nodes
-            )
-
-        def outer(t):
-            x = half * (np.asarray(t) + 1.0)
-            return np.asarray([inner(xi) for xi in np.atleast_1d(x)])
-
-        return 0.5 * refined_unit(outer, n_nodes) / _LN2
-
-    def phi_bar(t):
-        g = g_axis(half * (np.asarray(t) + 1.0), cfg)
-        log_g = np.log(g)
-
-        # ln(2 + u^2/g) = ln(2g + u^2) - ln(g)
-        def p0(y):
-            return j0(y, 2.0 * g, 1.0) - y * log_g
-
-        def p1(y):
-            return j1(y, 2.0 * g, 1.0) - j1(0.0, 2.0 * g, 1.0) - 0.5 * y**2 * log_g
-
-        return 2.0 * p1(dy) - p1(2.0 * dy) + 2.0 * dy * (p0(2.0 * dy) - p0(dy))
-
-    return refined_unit(phi_bar, n_nodes) / (2.0 * dy**2 * _LN2)
+    return 0.5 * refined_unit(lambda t: _rate_nats(t, cfg, 0.0), n_nodes) / _LN2

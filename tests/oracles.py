@@ -1,19 +1,32 @@
 """Independent numerical oracles shared across test modules.
 
-These deliberately avoid the package's quadrature and antiderivative code:
-brute-force trapezoid grids and adaptive scipy quadrature recompute every
-quantity from raw definitions so closed forms are checked against a second
-route.
+Most of these deliberately avoid the package's quadrature and antiderivative
+code: brute-force trapezoid grids and adaptive scipy quadrature recompute
+every quantity from raw definitions so closed forms are checked against a
+second route. The nested Chebyshev routes at the end instead integrate the
+separation density numerically with the package's own rule, a route that
+shares no formula with the closed forms they check.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
 
-from passperf import SystemConfig, derive_constants
+from passperf import (
+    SystemConfig,
+    derive_constants,
+    diff_cdf,
+    diff_distribution,
+    diff_pdf,
+    g_axis,
+    noise_w,
+    refined_interval,
+    refined_unit,
+)
 from passperf.noma import _c2
 
 
@@ -31,34 +44,46 @@ def random_config(rng: np.random.Generator) -> SystemConfig:
     )
 
 
+def random_offset_config(rng: np.random.Generator) -> SystemConfig:
+    """A random configuration with sub-regions dispersed 0.5-15 m off the axis."""
+    return replace(random_config(rng), region_y_offset_m=rng.uniform(0.5, 15.0))
+
+
+def _triangular_density(u: float, lo: float, w: float) -> float:
+    v = u - lo
+    return v / w**2 if v <= w else (2.0 * w - v) / w**2
+
+
 def far_outage_trapezoid(cfg: SystemConfig, power_w: float, n_m: int = 4001, n_a: int = 4001) -> float:
     """Far-user outage by dense trapezoid integration over (x-offset, y-separation).
 
-    Valid for adjacent sub-regions (zero offset). The inner tail probability
-    integrates the triangular separation density on a grid containing its
-    kink, the outer integral runs over the squared x-offset with the
-    analytical breakpoints added to the grid.
+    The inner tail probability integrates the triangular separation density,
+    supported on [lo, lo + 2w] with lo twice the sub-region offset, on a grid
+    containing its kink; the outer integral runs over the squared x-offset
+    with the analytical breakpoints added to the grid.
     """
     c2 = _c2(cfg, power_w)
     m4 = (0.5 * cfg.region_x_m) ** 2
-    dy = cfg.region_y_m
-    if c2 <= 0.0:
+    w = cfg.region_y_m
+    lo = 2.0 * cfg.region_y_offset_m
+    hi = lo + 2.0 * w
+    if c2 <= lo**2:
         return 1.0
-    if c2 >= m4 + (2.0 * dy) ** 2:
+    if c2 >= m4 + hi**2:
         return 0.0
-    breakpoints = [v for v in (c2 - 4.0 * dy**2, c2 - dy**2, c2) if 0.0 < v < m4]
+    breakpoints = [v for v in (c2 - hi**2, c2 - (lo + w) ** 2, c2 - lo**2) if 0.0 < v < m4]
     m_grid = np.unique(np.concatenate([np.linspace(0.0, m4, n_m), np.asarray(breakpoints)]))
 
     def tail(m: float) -> float:
         r_sq = c2 - m
-        if r_sq <= 0.0:
+        if r_sq <= lo**2:
             return 1.0
         r = math.sqrt(r_sq)
-        if r >= 2.0 * dy:
+        if r >= hi:
             return 0.0
-        extra = [dy] if r < dy else []
-        pts = np.unique(np.concatenate([np.linspace(r, 2.0 * dy, n_a), np.asarray(extra)]))
-        density = np.where(pts <= dy, pts / dy**2, (2.0 * dy - pts) / dy**2)
+        extra = [lo + w] if r < lo + w else []
+        pts = np.unique(np.concatenate([np.linspace(r, hi, n_a), np.asarray(extra)]))
+        density = np.where(pts <= lo + w, (pts - lo) / w**2, (hi - pts) / w**2)
         return float(np.trapezoid(density, pts))
 
     values = np.asarray([tail(m) for m in m_grid])
@@ -66,14 +91,12 @@ def far_outage_trapezoid(cfg: SystemConfig, power_w: float, n_m: int = 4001, n_a
 
 
 def wdma_rate_quad2d(cfg: SystemConfig, power_w: float, user: int = 1) -> float:
-    """WDMA average rate by nested adaptive quadrature from the SINR definition.
-
-    Valid for adjacent sub-regions (zero offset).
-    """
+    """WDMA average rate by nested adaptive quadrature from the SINR definition."""
     dc = derive_constants(cfg)
     sigma2 = dc.noise_w_ue1 if user == 1 else dc.noise_w_ue2
     b_noise = 2.0 * sigma2 / (dc.eta_m2 * power_w)
-    dy = cfg.region_y_m
+    w = cfg.region_y_m
+    lo = 2.0 * cfg.region_y_offset_m
     dx = cfg.region_x_m
     h_sq = cfg.pa_height_m**2
 
@@ -81,11 +104,10 @@ def wdma_rate_quad2d(cfg: SystemConfig, power_w: float, user: int = 1) -> float:
         g = (x - 0.5 * dx) ** 2 + h_sq
 
         def f(u: float) -> float:
-            density = u / dy**2 if u <= dy else (2.0 * dy - u) / dy**2
             sinr = (1.0 / g) / (1.0 / (g + u * u) + b_noise)
-            return math.log2(1.0 + sinr) * density
+            return math.log2(1.0 + sinr) * _triangular_density(u, lo, w)
 
-        value, _ = quad(f, 0.0, 2.0 * dy, points=[dy], limit=200, epsabs=1e-13, epsrel=1e-12)
+        value, _ = quad(f, lo, lo + 2.0 * w, points=[lo + w], limit=200, epsabs=1e-13, epsrel=1e-12)
         return value
 
     value, _ = quad(inner, 0.0, dx, limit=200, epsabs=1e-12, epsrel=1e-11)
@@ -93,27 +115,69 @@ def wdma_rate_quad2d(cfg: SystemConfig, power_w: float, user: int = 1) -> float:
 
 
 def noma_rate_far_quad2d(cfg: SystemConfig, power_w: float) -> float:
-    """Far-user rate by nested adaptive quadrature from the SINR definition.
-
-    Valid for adjacent sub-regions (zero offset).
-    """
+    """Far-user rate by nested adaptive quadrature from the SINR definition."""
     dc = derive_constants(cfg)
     k1 = dc.eta_m2 * cfg.noma_alpha_near * power_w
     k2 = dc.eta_m2 * cfg.noma_alpha_far * power_w
     n2 = dc.noise_w_ue2
-    dy = cfg.region_y_m
+    w = cfg.region_y_m
+    lo = 2.0 * cfg.region_y_offset_m
     dx = cfg.region_x_m
     h_sq = cfg.pa_height_m**2
     m4 = (0.5 * dx) ** 2
 
     def inner(m: float) -> float:
         def f(a: float) -> float:
-            density = a / dy**2 if a <= dy else (2.0 * dy - a) / dy**2
             sinr = k2 / (k1 + n2 * (h_sq + m + a * a))
-            return math.log2(1.0 + sinr) * density
+            return math.log2(1.0 + sinr) * _triangular_density(a, lo, w)
 
-        value, _ = quad(f, 0.0, 2.0 * dy, points=[dy], limit=200, epsabs=1e-13, epsrel=1e-12)
+        value, _ = quad(f, lo, lo + 2.0 * w, points=[lo + w], limit=200, epsabs=1e-13, epsrel=1e-12)
         return value
 
     value, _ = quad(inner, 0.0, m4, limit=200, epsabs=1e-12, epsrel=1e-11)
     return 4.0 / dx**2 * value
+
+
+def wdma_rate_nested(cfg: SystemConfig, power_w: float, n_nodes: int, user: int = 1) -> float:
+    """WDMA rate by nested Chebyshev quadrature over the translated separation density."""
+    dc = derive_constants(cfg)
+    b_noise = 2.0 * noise_w(cfg, user) / (dc.eta_m2 * power_w)
+    dist = diff_distribution(cfg)
+    half = 0.5 * cfg.region_x_m
+
+    def inner(x):
+        g = g_axis(x, cfg)
+        a = 2.0 * g + b_noise * g**2
+        b = 1.0 + b_noise * g
+        c = g + b_noise * g**2
+        d = b_noise * g
+
+        def f(u):
+            u = np.asarray(u)
+            return np.log((a + b * u**2) / (c + d * u**2)) * diff_pdf(u, dist)
+
+        # split at the density peak where the triangular kink sits
+        return refined_interval(f, dist.support_lo, dist.peak, n_nodes) + refined_interval(
+            f, dist.peak, dist.support_hi, n_nodes
+        )
+
+    def outer(t):
+        x = half * (np.asarray(t) + 1.0)
+        return np.asarray([inner(xi) for xi in np.atleast_1d(x)])
+
+    return 0.5 * refined_unit(outer, n_nodes) / math.log(2.0)
+
+
+def noma_outage_far_nested(cfg: SystemConfig, power_w: float, n_nodes: int) -> float:
+    """Far-user outage by integrating the conditional tail over the squared x-offset."""
+    c2 = _c2(cfg, power_w)
+    dist = diff_distribution(cfg)
+    m4 = (0.5 * cfg.region_x_m) ** 2
+
+    def conditional(m):
+        m = np.asarray(m)
+        radius = np.sqrt(np.clip(c2 - m, 0.0, None))
+        return 1.0 - diff_cdf(radius, dist)
+
+    value = 4.0 / cfg.region_x_m**2 * refined_interval(conditional, 0.0, m4, n_nodes)
+    return min(max(value, 0.0), 1.0)

@@ -65,6 +65,14 @@ def test_eta_quadratic_in_frequency(freq):
         ({"outage_threshold": 0.0}, "outage_threshold"),
         ({"noma_alpha_near": 0.3, "noma_alpha_far": 0.8}, "noma_alpha"),
         ({"noma_alpha_near": 0.6, "noma_alpha_far": 0.4}, "noma_alpha_near"),
+        ({"noise_power_dbm_ue1": math.nan}, "noise_power_dbm_ue1"),
+        ({"noise_power_dbm_ue2": math.inf}, "noise_power_dbm_ue2"),
+        ({"noise_power_dbm_ue1": -math.inf}, "noise_power_dbm_ue1"),
+        ({"carrier_freq_hz": math.inf}, "carrier_freq_hz"),
+        ({"region_x_m": math.inf}, "region_x_m"),
+        ({"outage_threshold": math.inf}, "outage_threshold"),
+        ({"region_y_offset_m": math.nan}, "region_y_offset_m"),
+        ({"pa_height_m": True}, "pa_height_m"),
     ],
 )
 def test_invariant_violations_name_the_field(kwargs, needle):
@@ -118,3 +126,8 @@ def test_json_unknown_keys_rejected():
 def test_json_non_numeric_rejected():
     with pytest.raises(ConfigError, match="pa_height_m"):
         config_from_dict({"pa_height_m": "tall"})
+
+
+def test_json_booleans_rejected():
+    with pytest.raises(ConfigError, match="pa_height_m"):
+        config_from_dict({"pa_height_m": True})

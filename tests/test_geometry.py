@@ -20,6 +20,7 @@ from passperf import (
     sample_wdma,
     sq_diff_cdf,
 )
+from passperf.geometry import DiffDistribution, expected_log_excess
 
 CFG = SystemConfig()
 N_SAMPLES = 100_000
@@ -182,3 +183,22 @@ def test_ordered_coordinate_densities():
         mass, _ = quad(lambda x: pdf(x, CFG), 0.0, dx, points=[centre], limit=100)
         assert mass == pytest.approx(1.0, abs=1e-10)
         assert np.all(pdf(np.linspace(0, dx, 500), CFG) >= 0.0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3, 10.0])
+def test_expected_log_excess_matches_numeric_integration(offset):
+    dist = DiffDistribution(half_width=7.0, offset=offset)
+    lo, peak, hi = dist.support_lo, dist.peak, dist.support_hi
+    a = 3.0
+    for ratio in (1e-30, 1e-12, 1e-5, 1e-2, 0.7, 1e4):
+        b = ratio * a
+
+        def f(u):
+            return math.log1p(ratio * u * u) * diff_pdf(u, dist)
+
+        oracle = quad(f, lo, peak, epsabs=0, epsrel=1e-13, limit=200)[0]
+        oracle += quad(f, peak, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
+        assert expected_log_excess(a, b, dist) == pytest.approx(oracle, rel=1e-11, abs=0)
+    out = expected_log_excess(np.array([1.0, 2.0]), 0.5, dist)
+    assert out.shape == (2,)
+    assert out[1] == expected_log_excess(2.0, 0.5, dist)

@@ -22,10 +22,16 @@ from passperf import (
     noma_zero_outage_thresholds,
     snr_db_to_power_w,
 )
-from passperf.noma import _c1, _c2, _outage_far_quadrature
+from passperf.noma import _c1, _c2
 from passperf.sweep import omega_two
 
-from oracles import far_outage_trapezoid, noma_rate_far_quad2d, random_config
+from oracles import (
+    far_outage_trapezoid,
+    noma_outage_far_nested,
+    noma_rate_far_quad2d,
+    random_config,
+    random_offset_config,
+)
 
 CFG = SystemConfig()
 
@@ -143,6 +149,32 @@ def test_far_outage_matches_dense_trapezoid():
         )
 
 
+def test_offset_layout_far_user_matches_oracles():
+    rng = np.random.default_rng(43)
+    for _ in range(6):
+        cfg = random_offset_config(rng)
+        power = snr_db_to_power_w(rng.uniform(85.0, 160.0), 1e-12)
+        assert noma_rate_far(cfg, power) == pytest.approx(
+            noma_rate_far_quad2d(cfg, power), rel=5e-9, abs=1e-12
+        )
+        # place the outage radius inside the range where the outage moves
+        lo = 2.0 * cfg.region_y_offset_m
+        hi = lo + 2.0 * cfg.region_y_m
+        c2 = rng.uniform(lo**2, (0.5 * cfg.region_x_m) ** 2 + hi**2)
+        dc = derive_constants(cfg)
+        kappa = (
+            dc.eta_m2
+            * (cfg.noma_alpha_far / cfg.outage_threshold - cfg.noma_alpha_near)
+            / dc.noise_w_ue2
+        )
+        if kappa <= 0.0:
+            continue
+        power = (c2 + cfg.pa_height_m**2) / kappa
+        assert noma_outage_far(cfg, power) == pytest.approx(
+            far_outage_trapezoid(cfg, power), abs=1e-6
+        )
+
+
 def test_far_outage_closed_form_equals_quadrature_path():
     rng = np.random.default_rng(32)
     for _ in range(10):
@@ -150,7 +182,7 @@ def test_far_outage_closed_form_equals_quadrature_path():
         _, far_w = noma_zero_outage_thresholds(cfg)
         power = rng.uniform(0.1, 0.95) * far_w
         closed = noma_outage_far(cfg, power)
-        assert _outage_far_quadrature(cfg, power, 64) == pytest.approx(closed, abs=2e-7)
+        assert noma_outage_far_nested(cfg, power, 64) == pytest.approx(closed, abs=2e-7)
 
 
 def test_far_outage_continuous_across_breakpoint_activations():
@@ -194,6 +226,25 @@ def test_near_rate_matches_numeric_integration():
 
         oracle, _ = quad(integrand, 0.0, CFG.region_x_m, points=[centre], limit=200, epsrel=1e-12)
         assert noma_rate_near(CFG, power) == pytest.approx(oracle, abs=1e-8)
+
+
+def test_near_rate_keeps_full_precision_at_high_snr():
+    # the closed form must not lose the rate to cancelling ln(h^2 + k) terms
+    cfg = SystemConfig(noma_alpha_near=0.2, noma_alpha_far=0.8)
+    dc = derive_constants(cfg)
+    centre = cfg.region_x_m / 2
+    for snr_db in (150.0, 250.0, 400.0):
+        power = power_at(snr_db, cfg)
+        k = dc.eta_m2 * cfg.noma_alpha_near * power / dc.noise_w_ue1
+
+        def integrand(x):
+            g = (x - centre) ** 2 + cfg.pa_height_m**2
+            return math.log2(1.0 + k / g) * near_pdf(x, cfg)
+
+        oracle, _ = quad(
+            integrand, 0.0, cfg.region_x_m, points=[centre], limit=200, epsabs=0, epsrel=1e-13
+        )
+        assert noma_rate_near(cfg, power) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_near_rate_full_multiplexing_gain():

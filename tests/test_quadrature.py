@@ -76,9 +76,21 @@ def test_non_finite_integrand_reports_node():
         integrate_unit(lambda t: np.where(t > 0, 1.0, np.inf), 16)
 
 
-def test_j1_at_zero_keeps_antiderivative_constant():
-    a, b = 3.0, 0.7
-    assert j1(0.0, a, b) == pytest.approx((a * math.log(a) - a) / (2 * b), rel=1e-14)
+def test_j_vanish_at_zero_and_are_continuous_as_b_vanishes():
+    for a in (3.0, 1.0):
+        for b in (0.0, 1e-9, 0.7, 1e6):
+            assert j0(0.0, a, b) == 0.0
+            assert j1(0.0, a, b) == 0.0
+    # With a = 1 the ln(a) terms vanish, so the leading terms of the b -> 0+
+    # expansion can be checked down to b = 1e-300 and on both sides of the
+    # switch from the closed form to its series (s = b u^2 / a = 1e-2).
+    u = 2.5
+    assert j0(u, 1.0, 0.0) == 0.0
+    assert j1(u, 1.0, 0.0) == 0.0
+    for s in (0.5, 1.01e-2, 0.99e-2, 1e-4, 1e-12, 1e-300):
+        b = s / u**2
+        assert j0(u, 1.0, b) == pytest.approx(b * u**3 / 3 * (1 - 3 * s / 10), rel=2 * s**2 + 1e-13, abs=0)
+        assert j1(u, 1.0, b) == pytest.approx(b * u**4 / 4 * (1 - s / 3), rel=2 * s**2 + 1e-13, abs=0)
 
 
 def test_j0_zero_curvature_limit():

@@ -20,9 +20,9 @@ from passperf import (
     wdma_sinr,
 )
 from passperf.sweep import omega_one, omega_two
-from passperf.wdma import _avg_rate_quadrature, _log_rate_coeffs
+from passperf.wdma import _log_rate_coeffs
 
-from oracles import random_config
+from oracles import random_config, random_offset_config, wdma_rate_nested, wdma_rate_quad2d
 
 CFG = SystemConfig()
 NOISE = derive_constants(CFG).noise_w_ue1
@@ -183,8 +183,19 @@ def test_closed_form_equals_quadrature_path_at_zero_offset():
         cfg = random_config(rng)
         power = snr_db_to_power_w(rng.uniform(85.0, 135.0), 1e-12)
         closed = wdma_avg_rate(cfg, power)
-        quadrature = _avg_rate_quadrature(cfg, power, 64)
+        quadrature = wdma_rate_nested(cfg, power, 64)
         assert closed == pytest.approx(quadrature, rel=1e-6)
+
+
+def test_offset_layout_rate_matches_scipy_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        cfg = random_offset_config(rng)
+        power = snr_db_to_power_w(rng.uniform(85.0, 160.0), 1e-12)
+        for user in (1, 2):
+            assert wdma_avg_rate(cfg, power, user=user) == pytest.approx(
+                wdma_rate_quad2d(cfg, power, user), rel=5e-9, abs=1e-12
+            )
 
 
 def test_offset_region_metrics_match_monte_carlo():
