@@ -19,8 +19,7 @@ from passperf import SystemConfig, SweepSpec, find_crossover, run_sweep, write_c
 from passperf.sweep import omega_one, omega_two
 
 
-def sweep_to_file(tag, cfg, spec, outdir, n_nodes):
-    result = run_sweep(spec, cfg, n_nodes=n_nodes)
+def write_result(tag, result, outdir):
     path = outdir / f"{tag}.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_csv(result, fh)
@@ -50,17 +49,22 @@ def main():
         mc_seed=args.seed,
     )
 
-    baseline = SystemConfig()
-    sweep_to_file("height_3m", baseline, spec, outdir, args.nodes)
-    sweep_to_file("height_6m", replace(baseline, pa_height_m=6.0), spec, outdir, args.nodes)
+    def sweep(cfg):
+        return run_sweep(spec, cfg, n_nodes=args.nodes)
 
-    sweep_to_file("regions_compact", omega_one(), spec, outdir, args.nodes)
-    sweep_to_file("regions_dispersed", omega_two(), spec, outdir, args.nodes)
+    # the baseline is both the 3 m height and the (0.05, 0.95) power split
+    baseline = SystemConfig()
+    baseline_result = sweep(baseline)
+    write_result("height_3m", baseline_result, outdir)
+    write_result("height_6m", sweep(replace(baseline, pa_height_m=6.0)), outdir)
+
+    write_result("regions_compact", sweep(omega_one()), outdir)
+    write_result("regions_dispersed", sweep(omega_two()), outdir)
 
     split_low = baseline
     split_high = replace(baseline, noma_alpha_near=0.2, noma_alpha_far=0.8)
-    sweep_to_file("alpha_near_0.05", split_low, spec, outdir, args.nodes)
-    sweep_to_file("alpha_near_0.2", split_high, spec, outdir, args.nodes)
+    write_result("alpha_near_0.05", baseline_result, outdir)
+    write_result("alpha_near_0.2", sweep(split_high), outdir)
 
     rate_bracket = (60.0, 160.0)
     outage_bracket = (90.0, 160.0)  # below ~85 dB both outage curves saturate at 1

@@ -28,7 +28,7 @@ from .geometry import (
     sample_wdma,
     sq_diff_cdf,
 )
-from .montecarlo import McSpec, MetricEstimate, mc_outage, mc_rate, sinr_trials
+from .montecarlo import McSpec, MetricEstimate, mc_estimates, sinr, sinr_trials
 from .noma import (
     NomaBreakpoints,
     noma_breakpoints,
@@ -36,7 +36,6 @@ from .noma import (
     noma_outage_near,
     noma_rate_far,
     noma_rate_near,
-    noma_sinr,
     noma_zero_outage_thresholds,
 )
 from .quadrature import (
@@ -65,12 +64,6 @@ from .sweep import (
     validate,
     write_csv,
 )
-from .wdma import (
-    wdma_avg_rate,
-    wdma_outage,
-    wdma_outage_floor,
-    wdma_rate_ceiling,
-    wdma_sinr,
-)
+from .wdma import wdma_avg_rate, wdma_outage, wdma_outage_floor, wdma_rate_ceiling
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .config import (
     power_w_to_snr_db,
     snr_db_to_power_w,
 )
-from .montecarlo import McSpec, mc_outage, mc_rate
+from .montecarlo import McSpec, mc_estimates
 from .noma import noma_zero_outage_thresholds
 from .sweep import (
     CROSSOVER_METRICS,
@@ -198,7 +198,7 @@ def _cmd_mc(args) -> int:
     cfg = _load(args)
     power_w = snr_db_to_power_w(args.snr_db, noise_w(cfg, 1))
     spec = McSpec(args.trials, args.seed, args.scheme, args.user)
-    est = (mc_outage if args.metric == "outage" else mc_rate)(spec, cfg, power_w)
+    est = mc_estimates(spec, cfg, [power_w])[args.metric][0]
     out, close = _open_out(args)
     try:
         print("value,std_error,trials", file=out)

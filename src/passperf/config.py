@@ -92,16 +92,6 @@ def dbm_to_watts(value_dbm: float) -> float:
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
 
 
-def derive_constants(cfg: SystemConfig) -> DerivedConstants:
-    """Path-gain factor c^2 / (16 pi^2 f^2) and linear noise powers."""
-    eta = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * cfg.carrier_freq_hz**2)
-    return DerivedConstants(
-        eta_m2=eta,
-        noise_w_ue1=dbm_to_watts(cfg.noise_power_dbm_ue1),
-        noise_w_ue2=dbm_to_watts(cfg.noise_power_dbm_ue2),
-    )
-
-
 def noise_w(cfg: SystemConfig, user: int) -> float:
     """Linear noise power of ``user`` (1 or 2) in watts."""
     if user == 1:
@@ -109,6 +99,12 @@ def noise_w(cfg: SystemConfig, user: int) -> float:
     if user == 2:
         return dbm_to_watts(cfg.noise_power_dbm_ue2)
     raise ValueError(f"user must be 1 or 2, got {user!r}")
+
+
+def derive_constants(cfg: SystemConfig) -> DerivedConstants:
+    """Path-gain factor c^2 / (16 pi^2 f^2) and linear noise powers."""
+    eta = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * cfg.carrier_freq_hz**2)
+    return DerivedConstants(eta_m2=eta, noise_w_ue1=noise_w(cfg, 1), noise_w_ue2=noise_w(cfg, 2))
 
 
 def snr_db_to_power_w(snr_db: float, noise_w: float) -> float:

@@ -1,4 +1,4 @@
-"""Single-antenna power-domain access: SINRs, outage, rates, high-SNR limits.
+"""Single-antenna power-domain access: outage, rates and high-SNR limits.
 
 One antenna, pinned above the near user, serves both users through
 superposition coding. The near user cancels the far user's signal before
@@ -16,20 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig, derive_constants
-from .geometry import NomaPlacement, diff_distribution, expected_log_excess
+from .geometry import diff_distribution, expected_log_excess
 from .quadrature import j0, j1, refined_interval
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class NomaInstant:
-    """Instantaneous SINRs and propagation distances for one placement."""
-
-    sinr_near: float
-    sinr_far: float
-    d_near: float
-    d_far: float
 
 
 @dataclass(frozen=True)
@@ -41,32 +31,6 @@ class NomaBreakpoints:
     m2: float
     m3: float
     m4: float
-
-
-def noma_sinr(placement: NomaPlacement, power_w: float, cfg: SystemConfig) -> NomaInstant:
-    if power_w <= 0.0:
-        raise ValueError(f"power_w must be > 0, got {power_w!r}")
-    dc = derive_constants(cfg)
-    centre = 0.5 * cfg.region_x_m
-    h_sq = cfg.pa_height_m**2
-    g_near = (placement.x_near - centre) ** 2
-    g_far = (placement.x_far - centre) ** 2
-    y_sep = abs(placement.y_far - placement.y_near)
-    d_near_sq = g_near + h_sq
-    d_far_sq = g_far + y_sep**2 + h_sq
-    sinr_near = dc.eta_m2 * cfg.noma_alpha_near * power_w / (dc.noise_w_ue1 * d_near_sq)
-    sinr_far = (
-        dc.eta_m2
-        * cfg.noma_alpha_far
-        * power_w
-        / (dc.eta_m2 * cfg.noma_alpha_near * power_w + dc.noise_w_ue2 * d_far_sq)
-    )
-    return NomaInstant(
-        sinr_near=sinr_near,
-        sinr_far=sinr_far,
-        d_near=math.sqrt(d_near_sq),
-        d_far=math.sqrt(d_far_sq),
-    )
 
 
 def noma_zero_outage_thresholds(cfg: SystemConfig):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .config import ConfigError, SystemConfig, noise_w, snr_db_to_power_w
-from .montecarlo import SCHEMES, McSpec, mc_outage, mc_rate
+from .montecarlo import SCHEMES, McSpec, mc_estimates
 from .noma import (
     noma_outage_far,
     noma_outage_near,
@@ -123,45 +123,60 @@ def _sweep_users(scheme: str) -> tuple:
     return (1,) if scheme == "wdma" else (1, 2)
 
 
+def _cells(cfg, grid_db, pairs, metrics, n_nodes, mc_trials=None, mc_seed=None):
+    """Yield (snr_db, scheme, user, metric, analytic, estimate) per cell, SNR outermost.
+
+    Transmit SNR is referenced to the user-1 noise power. With ``mc_trials``
+    each (scheme, user) pair gets one ``mc_estimates`` call over the whole
+    grid; otherwise ``estimate`` is None.
+    """
+    reference_noise = noise_w(cfg, 1)
+    grid = [float(snr_db) for snr_db in grid_db]
+    powers = [snr_db_to_power_w(snr_db, reference_noise) for snr_db in grid]
+    estimates = {}
+    if mc_trials is not None:
+        for scheme, user in pairs:
+            spec = McSpec(mc_trials, mc_seed, scheme, user)
+            estimates[(scheme, user)] = mc_estimates(spec, cfg, powers)
+    for i, (snr_db, power_w) in enumerate(zip(grid, powers)):
+        for scheme, user in pairs:
+            for metric in metrics:
+                analytic = analytic_metric(scheme, user, metric, cfg, power_w, n_nodes)
+                est = estimates[(scheme, user)][metric][i] if estimates else None
+                yield snr_db, scheme, user, metric, analytic, est
+
+
 def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> SweepResult:
     """Fill every requested cell of the SNR grid.
 
     Transmit SNR is referenced to the user-1 noise power. Rows come out
     sorted by (snr_db, scheme, user, metric).
     """
-    reference_noise = noise_w(cfg, 1)
+    pairs = [(scheme, user) for scheme in spec.schemes for user in _sweep_users(scheme)]
     asymptotes = {}
     if spec.include_asymptotes:
-        for scheme in spec.schemes:
-            for user in _sweep_users(scheme):
-                for metric in spec.metrics:
-                    asymptotes[(scheme, user, metric)] = asymptote_value(
-                        scheme, user, metric, cfg, n_nodes
-                    )
+        for scheme, user in pairs:
+            for metric in spec.metrics:
+                asymptotes[(scheme, user, metric)] = asymptote_value(
+                    scheme, user, metric, cfg, n_nodes
+                )
+    mc_trials = spec.mc_trials if spec.include_mc else None
     rows = []
-    for snr_db in snr_grid(spec):
-        power_w = snr_db_to_power_w(snr_db, reference_noise)
-        for scheme in spec.schemes:
-            for user in _sweep_users(scheme):
-                for metric in spec.metrics:
-                    analytic = analytic_metric(scheme, user, metric, cfg, power_w, n_nodes)
-                    mc_value = mc_std_error = None
-                    if spec.include_mc:
-                        mc_spec = McSpec(spec.mc_trials, spec.mc_seed, scheme, user)
-                        est = (mc_outage if metric == "outage" else mc_rate)(mc_spec, cfg, power_w)
-                        mc_value, mc_std_error = est.value, est.std_error
-                    rows.append(
-                        SweepRow(
-                            snr_db=snr_db,
-                            scheme=scheme,
-                            user=user,
-                            metric=metric,
-                            analytic=analytic,
-                            asymptote=asymptotes.get((scheme, user, metric)),
-                            mc_value=mc_value,
-                            mc_std_error=mc_std_error,
-                        )
-                    )
+    for snr_db, scheme, user, metric, analytic, est in _cells(
+        cfg, snr_grid(spec), pairs, spec.metrics, n_nodes, mc_trials, spec.mc_seed
+    ):
+        rows.append(
+            SweepRow(
+                snr_db=snr_db,
+                scheme=scheme,
+                user=user,
+                metric=metric,
+                analytic=analytic,
+                asymptote=asymptotes.get((scheme, user, metric)),
+                mc_value=None if est is None else est.value,
+                mc_std_error=None if est is None else est.std_error,
+            )
+        )
     rows.sort(key=lambda r: (r.snr_db, r.scheme, r.user, r.metric))
     return SweepResult(rows=rows)
 
@@ -334,30 +349,25 @@ def validate(
     """Check every analytic cell against its simulation estimate."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials!r}")
-    reference_noise = noise_w(cfg, 1)
+    pairs = [(scheme, user) for scheme in SCHEMES for user in (1, 2)]
     cells = []
-    for snr_db in grid_db:
-        power_w = snr_db_to_power_w(float(snr_db), reference_noise)
-        for scheme in SCHEMES:
-            for user in (1, 2):
-                for metric in METRICS:
-                    analytic = analytic_metric(scheme, user, metric, cfg, power_w, n_nodes)
-                    spec = McSpec(trials, seed, scheme, user)
-                    est = (mc_outage if metric == "outage" else mc_rate)(spec, cfg, power_w)
-                    tolerance = cell_tolerance(metric, analytic, est.std_error, sigma_tol)
-                    cells.append(
-                        ValidationCell(
-                            scheme=scheme,
-                            user=user,
-                            metric=metric,
-                            snr_db=float(snr_db),
-                            analytic=analytic,
-                            mc_value=est.value,
-                            mc_std_error=est.std_error,
-                            tolerance=tolerance,
-                            passed=abs(analytic - est.value) <= tolerance,
-                        )
-                    )
+    for snr_db, scheme, user, metric, analytic, est in _cells(
+        cfg, grid_db, pairs, METRICS, n_nodes, trials, seed
+    ):
+        tolerance = cell_tolerance(metric, analytic, est.std_error, sigma_tol)
+        cells.append(
+            ValidationCell(
+                scheme=scheme,
+                user=user,
+                metric=metric,
+                snr_db=snr_db,
+                analytic=analytic,
+                mc_value=est.value,
+                mc_std_error=est.std_error,
+                tolerance=tolerance,
+                passed=abs(analytic - est.value) <= tolerance,
+            )
+        )
     return ValidationReport(cells=cells, sigma_tol=sigma_tol)
 
 

@@ -1,4 +1,4 @@
-"""Per-waveguide access: instantaneous SINR, outage, average rate, limits.
+"""Per-waveguide access: outage, average rate and their high-SNR limits.
 
 Each user is served by a dedicated waveguide antenna pinned above it; the
 other user's antenna interferes across waveguides. Outage and rate reduce
@@ -11,18 +11,12 @@ an interference-only outage floor and rate ceiling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .config import SystemConfig, derive_constants, noise_w
-from .geometry import (
-    WdmaPlacement,
-    diff_distribution,
-    expected_log_excess,
-    g_axis,
-    sq_diff_cdf,
-)
+from .geometry import diff_distribution, expected_log_excess, g_axis, sq_diff_cdf
 from .quadrature import refined_unit
 
 _LN2 = math.log(2.0)
@@ -30,41 +24,6 @@ _LN2 = math.log(2.0)
 # Relative slack under which 1 - gamma_th*B*G(x) is treated as zero: the
 # threshold on the y-separation diverges there and the CDF saturates anyway.
 _SINGULAR_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class WdmaInstant:
-    """Instantaneous SINRs and channel power gains for one placement.
-
-    ``signal_gain`` / ``interference_gain`` hold the (user 1, user 2) pairs.
-    """
-
-    sinr_ue1: float
-    sinr_ue2: float
-    signal_gain: tuple
-    interference_gain: tuple
-
-
-def wdma_sinr(placement: WdmaPlacement, power_w: float, cfg: SystemConfig) -> WdmaInstant:
-    """SINRs of both users under an equal split of ``power_w`` across waveguides."""
-    if power_w <= 0.0:
-        raise ValueError(f"power_w must be > 0, got {power_w!r}")
-    dc = derive_constants(cfg)
-    g1 = g_axis(placement.x_ue1, cfg)
-    g2 = g_axis(placement.x_ue2, cfg)
-    ysep_sq = (placement.y_ue1 - placement.y_ue2) ** 2
-    sig1 = dc.eta_m2 / g1
-    sig2 = dc.eta_m2 / g2
-    int1 = dc.eta_m2 / (g1 + ysep_sq)
-    int2 = dc.eta_m2 / (g2 + ysep_sq)
-    sinr1 = sig1 / (int1 + 2.0 * dc.noise_w_ue1 / power_w)
-    sinr2 = sig2 / (int2 + 2.0 * dc.noise_w_ue2 / power_w)
-    return WdmaInstant(
-        sinr_ue1=sinr1,
-        sinr_ue2=sinr2,
-        signal_gain=(sig1, sig2),
-        interference_gain=(int1, int2),
-    )
 
 
 def _outage_given_x(t, cfg: SystemConfig, b_noise: float):
@@ -150,7 +109,12 @@ def wdma_outage_floor(cfg: SystemConfig, n_nodes: int = 64) -> float:
     return _average_outage(cfg, 0.0, n_nodes)
 
 
+@lru_cache(maxsize=128)
 def wdma_rate_ceiling(cfg: SystemConfig, n_nodes: int = 64) -> float:
     """High-SNR rate limit in bits/s/Hz (at least 1: the interference-only
-    SINR never falls below one)."""
+    SINR never falls below one).
+
+    Cached per (config, order): it does not depend on power, and every
+    ``wdma_avg_rate`` call caps its value at it.
+    """
     return 0.5 * refined_unit(lambda t: _rate_nats(t, cfg, 0.0), n_nodes) / _LN2

@@ -6,13 +6,16 @@ import pytest
 from passperf import (
     McSpec,
     MetricEstimate,
+    SweepSpec,
     SystemConfig,
-    mc_outage,
-    mc_rate,
+    mc_estimates,
+    run_sweep,
     sinr_trials,
     snr_db_to_power_w,
 )
+from passperf import montecarlo
 from passperf.montecarlo import TRIAL_BLOCK
+from passperf.sweep import snr_grid
 
 CFG = SystemConfig()
 POWER = snr_db_to_power_w(100.0, 1e-12)
@@ -29,33 +32,33 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="user"):
         McSpec(10, 1, "noma", 3)
     with pytest.raises(ValueError, match="std_error"):
-        MetricEstimate(0.5, -1.0, 10, "monte-carlo")
+        MetricEstimate(0.5, -1.0, 10)
 
 
 def test_impossible_outage_event_is_exactly_zero():
     # SINR is strictly positive, so a vanishing threshold is never hit
     cfg = SystemConfig(outage_threshold=1e-300)
-    est = mc_outage(McSpec(20_000, 5, "wdma", 1), cfg, POWER)
+    est = mc_estimates(McSpec(20_000, 5, "wdma", 1), cfg, [POWER])["outage"][0]
     assert est.value == 0.0
     assert est.std_error == 0.0
 
 
 def test_certain_outage_at_vanishing_power():
-    est = mc_outage(McSpec(20_000, 5, "wdma", 1), CFG, 1e-300)
+    est = mc_estimates(McSpec(20_000, 5, "wdma", 1), CFG, [1e-300])["outage"][0]
     assert est.value == 1.0
 
 
 def test_rate_vanishes_with_power():
-    est = mc_rate(McSpec(20_000, 5, "noma", 1), CFG, 1e-300)
+    est = mc_estimates(McSpec(20_000, 5, "noma", 1), CFG, [1e-300])["rate"][0]
     assert est.value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_same_seed_is_bitwise_identical():
-    a = mc_outage(McSpec(50_000, 123, "noma", 2), CFG, POWER)
-    b = mc_outage(McSpec(50_000, 123, "noma", 2), CFG, POWER)
+    a = mc_estimates(McSpec(50_000, 123, "noma", 2), CFG, [POWER])["outage"][0]
+    b = mc_estimates(McSpec(50_000, 123, "noma", 2), CFG, [POWER])["outage"][0]
     assert a == b
-    c = mc_rate(McSpec(50_000, 123, "wdma", 2), CFG, POWER)
-    d = mc_rate(McSpec(50_000, 123, "wdma", 2), CFG, POWER)
+    c = mc_estimates(McSpec(50_000, 123, "wdma", 2), CFG, [POWER])["rate"][0]
+    d = mc_estimates(McSpec(50_000, 123, "wdma", 2), CFG, [POWER])["rate"][0]
     assert c == d
 
 
@@ -88,7 +91,7 @@ def test_partitioned_reduction_matches_sequential():
         total_sq += s2
     mean = total / trials
     variance = max(0.0, (total_sq - trials * mean**2) / (trials - 1))
-    reference = mc_rate(McSpec(trials, 42, "wdma", 1), CFG, POWER)
+    reference = mc_estimates(McSpec(trials, 42, "wdma", 1), CFG, [POWER])["rate"][0]
     assert mean == reference.value
     assert math.sqrt(variance / trials) == reference.std_error
 
@@ -96,14 +99,14 @@ def test_partitioned_reduction_matches_sequential():
     for start, count in blocks:
         gamma = sinr_trials("wdma", 1, CFG, POWER, 42, start, count)
         counts += int(np.count_nonzero(gamma <= CFG.outage_threshold))
-    assert counts / trials == mc_outage(McSpec(trials, 42, "wdma", 1), CFG, POWER).value
+    assert counts / trials == mc_estimates(McSpec(trials, 42, "wdma", 1), CFG, [POWER])["outage"][0].value
 
 
 @pytest.mark.parametrize("power", [1e-300, 1e-12, 1.0, 1e30])
 def test_estimates_finite_over_extreme_powers(power):
     for scheme, user in (("wdma", 1), ("wdma", 2), ("noma", 1), ("noma", 2)):
-        out = mc_outage(McSpec(5_000, 9, scheme, user), CFG, power)
-        rate = mc_rate(McSpec(5_000, 9, scheme, user), CFG, power)
+        out = mc_estimates(McSpec(5_000, 9, scheme, user), CFG, [power])["outage"][0]
+        rate = mc_estimates(McSpec(5_000, 9, scheme, user), CFG, [power])["rate"][0]
         assert math.isfinite(out.value) and math.isfinite(out.std_error)
         assert math.isfinite(rate.value) and math.isfinite(rate.std_error)
         assert 0.0 <= out.value <= 1.0
@@ -113,18 +116,17 @@ def test_std_error_scales_with_trials():
     # doubling the trial count shrinks the standard error by about sqrt(2)
     ratios = []
     for seed in range(10):
-        small = mc_rate(McSpec(20_000, seed, "wdma", 1), CFG, POWER)
-        large = mc_rate(McSpec(40_000, seed, "wdma", 1), CFG, POWER)
+        small = mc_estimates(McSpec(20_000, seed, "wdma", 1), CFG, [POWER])["rate"][0]
+        large = mc_estimates(McSpec(40_000, seed, "wdma", 1), CFG, [POWER])["rate"][0]
         ratios.append(large.std_error / small.std_error)
     assert np.mean(ratios) == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
 
 
 def test_outage_std_error_is_binomial():
-    est = mc_outage(McSpec(50_000, 3, "noma", 2), CFG, POWER)
+    est = mc_estimates(McSpec(50_000, 3, "noma", 2), CFG, [POWER])["outage"][0]
     assert est.std_error == pytest.approx(
         math.sqrt(est.value * (1 - est.value) / est.trials), rel=1e-12
     )
-    assert est.provenance == "monte-carlo"
     assert est.trials == 50_000
 
 
@@ -135,3 +137,45 @@ def test_noma_mc_respects_ordering_every_trial():
     gamma_far = sinr_trials("noma", 2, CFG, POWER, 11, 0, 10_000)
     cap = CFG.noma_alpha_far / CFG.noma_alpha_near
     assert np.all(gamma_far < cap)
+
+
+PAIRS = (("wdma", 1), ("wdma", 2), ("noma", 1), ("noma", 2))
+
+
+@pytest.mark.parametrize("scheme,user", PAIRS)
+def test_grid_estimates_equal_one_power_calls(scheme, user):
+    # each power's sums are folded in block order whatever powers share the call
+    grid = snr_grid(SweepSpec(snr_db_start=90.0, snr_db_stop=150.0, snr_db_step=2.0))
+    powers = [1e-300, 1e-12, 1.0, 1e30] + [snr_db_to_power_w(s, 1e-12) for s in grid]
+    spec = McSpec(37_777, 2024, scheme, user)
+    together = mc_estimates(spec, CFG, powers)
+    for i, power in enumerate(powers):
+        alone = mc_estimates(spec, CFG, [power])
+        assert together["outage"][i] == alone["outage"][0]
+        assert together["rate"][i] == alone["rate"][0]
+
+
+def test_sweep_draws_each_block_once_per_scheme_and_user(monkeypatch):
+    draws = []
+
+    def counting(sample):
+        def wrapper(*args, **kwargs):
+            draws.append(sample.__name__)
+            return sample(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(montecarlo, "sample_wdma", counting(montecarlo.sample_wdma))
+    monkeypatch.setattr(montecarlo, "sample_noma", counting(montecarlo.sample_noma))
+    trials = 2 * TRIAL_BLOCK + 1  # three blocks
+    spec = SweepSpec(include_mc=True, mc_trials=trials, mc_seed=7)
+    assert len(snr_grid(spec)) > 1
+    run_sweep(spec, CFG)
+    # one wdma pair (user 1) and two noma pairs, with no factor for grid points
+    assert draws.count("sample_wdma") == 3
+    assert draws.count("sample_noma") == 2 * 3
+
+
+def test_estimates_reject_non_positive_power():
+    with pytest.raises(ValueError, match="power_w"):
+        mc_estimates(McSpec(10, 1, "wdma", 1), CFG, [1.0, 0.0])

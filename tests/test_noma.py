@@ -10,16 +10,15 @@ from passperf import (
     NomaPlacement,
     SystemConfig,
     derive_constants,
-    mc_outage,
-    mc_rate,
+    mc_estimates,
     near_pdf,
     noma_breakpoints,
     noma_outage_far,
     noma_outage_near,
     noma_rate_far,
     noma_rate_near,
-    noma_sinr,
     noma_zero_outage_thresholds,
+    sinr,
     snr_db_to_power_w,
 )
 from passperf.noma import _c1, _c2
@@ -42,29 +41,29 @@ def power_at(snr_db, cfg=CFG):
 
 def test_far_sinr_interference_limited():
     p = NomaPlacement(x_near=5.0, x_far=1.0, y_near=2.0, y_far=-3.0)
-    inst = noma_sinr(p, 1e6, CFG)
+    sinr_far = sinr("noma", 2, CFG, 1e6, p)
     cap = CFG.noma_alpha_far / CFG.noma_alpha_near
-    assert inst.sinr_far == pytest.approx(cap, rel=1e-3)
-    assert inst.sinr_far < cap
+    assert sinr_far == pytest.approx(cap, rel=1e-3)
+    assert sinr_far < cap
 
 
 def test_near_sinr_at_centre():
     dc = derive_constants(CFG)
     p = NomaPlacement(x_near=5.0, x_far=0.0, y_near=4.0, y_far=-6.0)
     power = 1e-3
-    inst = noma_sinr(p, power, CFG)
-    assert inst.sinr_near == pytest.approx(
+    assert sinr("noma", 1, CFG, power, p) == pytest.approx(
         dc.eta_m2 * CFG.noma_alpha_near * power / (dc.noise_w_ue1 * 9.0), rel=1e-12
     )
-    assert inst.d_near == pytest.approx(3.0, rel=1e-12)
 
 
 def test_sinr_depends_on_y_only_through_separation():
     power = power_at(100.0)
-    a = noma_sinr(NomaPlacement(4.0, 8.0, y_near=1.0, y_far=-4.0), power, CFG)
-    b = noma_sinr(NomaPlacement(4.0, 8.0, y_near=3.0, y_far=-2.0), power, CFG)
-    assert a.sinr_far == pytest.approx(b.sinr_far, rel=1e-14)
-    assert a.sinr_near == pytest.approx(b.sinr_near, rel=1e-14)
+    a = NomaPlacement(4.0, 8.0, y_near=1.0, y_far=-4.0)
+    b = NomaPlacement(4.0, 8.0, y_near=3.0, y_far=-2.0)
+    for user in (2, 1):
+        assert sinr("noma", user, CFG, power, a) == pytest.approx(
+            sinr("noma", user, CFG, power, b), rel=1e-14
+        )
 
 
 def test_near_outage_quarter_point():
@@ -109,7 +108,7 @@ def test_near_outage_continuity_at_branch_edges():
 def test_near_outage_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = noma_outage_near(CFG, power)
-    est = mc_outage(McSpec(100_000, 12345, "noma", 1), CFG, power)
+    est = mc_estimates(McSpec(100_000, 12345, "noma", 1), CFG, [power])["outage"][0]
     assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-9
 
 
@@ -133,7 +132,7 @@ def test_far_outage_threshold_bracketing():
 def test_far_outage_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = noma_outage_far(CFG, power)
-    est = mc_outage(McSpec(100_000, 12345, "noma", 2), CFG, power)
+    est = mc_estimates(McSpec(100_000, 12345, "noma", 2), CFG, [power])["outage"][0]
     assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-9
 
 
@@ -274,7 +273,7 @@ def test_far_rate_zero_power_limit():
 def test_far_rate_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = noma_rate_far(CFG, power)
-    est = mc_rate(McSpec(100_000, 12345, "noma", 2), CFG, power)
+    est = mc_estimates(McSpec(100_000, 12345, "noma", 2), CFG, [power])["rate"][0]
     assert abs(analytic - est.value) <= max(3 * est.std_error, 0.01 * analytic)
 
 
@@ -337,10 +336,10 @@ def test_offset_region_far_user_against_monte_carlo():
     for snr_db in (98.0, 100.5):
         power = power_at(snr_db, cfg)
         analytic = noma_outage_far(cfg, power)
-        est = mc_outage(McSpec(100_000, 17, "noma", 2), cfg, power)
+        est = mc_estimates(McSpec(100_000, 17, "noma", 2), cfg, [power])["outage"][0]
         assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-4
         rate = noma_rate_far(cfg, power)
-        rate_est = mc_rate(McSpec(100_000, 17, "noma", 2), cfg, power)
+        rate_est = mc_estimates(McSpec(100_000, 17, "noma", 2), cfg, [power])["rate"][0]
         assert abs(rate - rate_est.value) <= max(3 * rate_est.std_error, 0.01 * rate)
 
 

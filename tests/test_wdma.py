@@ -9,15 +9,14 @@ from passperf import (
     WdmaPlacement,
     derive_constants,
     g_axis,
-    mc_outage,
-    mc_rate,
+    mc_estimates,
     sample_wdma,
+    sinr,
     snr_db_to_power_w,
     wdma_avg_rate,
     wdma_outage,
     wdma_outage_floor,
     wdma_rate_ceiling,
-    wdma_sinr,
 )
 from passperf.sweep import omega_one, omega_two
 from passperf.wdma import _log_rate_coeffs
@@ -37,18 +36,17 @@ def test_sinr_noise_limited_when_users_far_apart():
     dc = derive_constants(cfg)
     p = WdmaPlacement(x_ue1=5.0, x_ue2=5.0, y_ue1=1e9, y_ue2=-1e9)
     power = 1e-3
-    inst = wdma_sinr(p, power, cfg)
+    sinr_ue1 = sinr("wdma", 1, cfg, power, p)
     expected = (dc.eta_m2 / 9.0) * power / (2 * dc.noise_w_ue1)
-    assert inst.sinr_ue1 == pytest.approx(expected, rel=1e-3)
+    assert sinr_ue1 == pytest.approx(expected, rel=1e-3)
 
 
 def test_sinr_colocated_y_is_below_one():
     p = WdmaPlacement(x_ue1=3.0, x_ue2=3.0, y_ue1=0.0, y_ue2=0.0)
-    inst = wdma_sinr(p, 1e-3, CFG)
-    g = inst.signal_gain[0]
-    assert inst.interference_gain[0] == pytest.approx(g, rel=1e-15)
-    assert inst.sinr_ue1 == pytest.approx(g / (g + 2e-12 / 1e-3), rel=1e-12)
-    assert inst.sinr_ue1 < 1.0
+    sinr_ue1 = sinr("wdma", 1, CFG, 1e-3, p)
+    g = derive_constants(CFG).eta_m2 / g_axis(p.x_ue1, CFG)
+    assert sinr_ue1 == pytest.approx(g / (g + 2e-12 / 1e-3), rel=1e-12)
+    assert sinr_ue1 < 1.0
 
 
 def test_sinr_matches_symbolic_rederivation():
@@ -57,11 +55,11 @@ def test_sinr_matches_symbolic_rederivation():
     power = power_at(100.0)
     for _ in range(100):
         p = sample_wdma(CFG, rng)
-        inst = wdma_sinr(p, power, CFG)
+        sinr_ue1 = sinr("wdma", 1, CFG, power, p)
         g = g_axis(p.x_ue1, CFG)
         y_sq = (p.y_ue1 - p.y_ue2) ** 2
         expected = (1.0 / g) / (1.0 / (g + y_sq) + 2 * dc.noise_w_ue1 / (dc.eta_m2 * power))
-        assert inst.sinr_ue1 == pytest.approx(expected, rel=1e-12)
+        assert sinr_ue1 == pytest.approx(expected, rel=1e-12)
 
 
 def test_sinr_never_exceeds_interference_free_bound():
@@ -69,9 +67,9 @@ def test_sinr_never_exceeds_interference_free_bound():
     power = power_at(120.0)
     for _ in range(100):
         p = sample_wdma(CFG, rng)
-        inst = wdma_sinr(p, power, CFG)
-        bound = inst.signal_gain[0] * power / (2 * 1e-12)
-        assert inst.sinr_ue1 < bound
+        signal_gain = derive_constants(CFG).eta_m2 / g_axis(p.x_ue1, CFG)
+        bound = signal_gain * power / (2 * 1e-12)
+        assert sinr("wdma", 1, CFG, power, p) < bound
 
 
 def test_instantaneous_rate_log_form_identity():
@@ -81,11 +79,11 @@ def test_instantaneous_rate_log_form_identity():
     b_noise = 2 * dc.noise_w_ue1 / (dc.eta_m2 * power)
     for _ in range(100):
         p = sample_wdma(CFG, rng)
-        inst = wdma_sinr(p, power, CFG)
+        sinr_ue1 = sinr("wdma", 1, CFG, power, p)
         u = abs(p.y_ue1 - p.y_ue2)
         a, b, c, d = _log_rate_coeffs(g_axis(p.x_ue1, CFG), b_noise)
         log_form = math.log((a + b * u**2) / (c + d * u**2)) / math.log(2)
-        assert log_form == pytest.approx(math.log2(1 + inst.sinr_ue1), abs=1e-10)
+        assert log_form == pytest.approx(math.log2(1 + sinr_ue1), abs=1e-10)
 
 
 def test_outage_saturates_to_one_at_vanishing_power():
@@ -105,7 +103,7 @@ def test_outage_limits_in_threshold():
 def test_outage_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = wdma_outage(CFG, power)
-    est = mc_outage(McSpec(100_000, 12345, "wdma", 1), CFG, power)
+    est = mc_estimates(McSpec(100_000, 12345, "wdma", 1), CFG, [power])["outage"][0]
     assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12)
 
 
@@ -113,7 +111,7 @@ def test_outage_matches_monte_carlo(snr_db):
 def test_rate_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = wdma_avg_rate(CFG, power)
-    est = mc_rate(McSpec(100_000, 12345, "wdma", 1), CFG, power)
+    est = mc_estimates(McSpec(100_000, 12345, "wdma", 1), CFG, [power])["rate"][0]
     assert abs(analytic - est.value) <= max(3 * est.std_error, 0.01 * analytic)
 
 
@@ -206,12 +204,12 @@ def test_offset_region_metrics_match_monte_carlo():
     for snr_db in (84.0, 86.0, 88.0):
         power = power_at(snr_db, cfg)
         analytic = wdma_outage(cfg, power)
-        est = mc_outage(McSpec(100_000, 99, "wdma", 1), cfg, power)
+        est = mc_estimates(McSpec(100_000, 99, "wdma", 1), cfg, [power])["outage"][0]
         assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-3
     for snr_db in (90.0, 105.0, 120.0):
         power = power_at(snr_db, cfg)
         rate = wdma_avg_rate(cfg, power)
-        rate_est = mc_rate(McSpec(100_000, 99, "wdma", 1), cfg, power)
+        rate_est = mc_estimates(McSpec(100_000, 99, "wdma", 1), cfg, [power])["rate"][0]
         assert abs(rate - rate_est.value) <= max(3 * rate_est.std_error, 0.01 * rate)
 
 
@@ -220,3 +218,17 @@ def test_rejects_non_positive_power():
         wdma_outage(CFG, 0.0)
     with pytest.raises(ValueError):
         wdma_avg_rate(CFG, -1.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the x-integral of the outage is not split at the kinks "
+    "of its conditional outage, so N=64 is 1.6e-3 relative off at 83 dB on omega_two",
+)
+def test_doubling_nodes_moves_outage_less_than_1e_6_across_kinks():
+    # the README's promise for doubling --nodes, at a point where it fails
+    cfg = omega_two()
+    power = power_at(83.0, cfg)
+    coarse = wdma_outage(cfg, power, n_nodes=64)
+    fine = wdma_outage(cfg, power, n_nodes=128)
+    assert abs(fine - coarse) <= 1e-6 * abs(fine)
