@@ -5,7 +5,6 @@ pinching-antenna systems under per-waveguide (WDMA) and power-domain
 from .config import (
     ConfigError,
     SystemConfig,
-    db_to_linear,
     dbm_to_watts,
     derive_constants,
     load_config,
@@ -30,7 +29,6 @@ from .geometry import (
 )
 from .montecarlo import McSpec, MetricEstimate, mc_estimates, sinr, sinr_trials
 from .noma import (
-    NomaBreakpoints,
     noma_breakpoints,
     noma_outage_far,
     noma_outage_near,
@@ -40,7 +38,6 @@ from .noma import (
 )
 from .quadrature import (
     IntegrationError,
-    QuadratureRule,
     chebyshev_rule,
     integrate_interval,
     integrate_unit,
@@ -50,10 +47,7 @@ from .quadrature import (
     refined_unit,
 )
 from .sweep import (
-    SweepResult,
-    SweepRow,
     SweepSpec,
-    ValidationReport,
     find_crossover,
     omega_one,
     omega_two,

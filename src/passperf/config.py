@@ -1,11 +1,15 @@
-"""System configuration, dB/dBm unit conversions, and derived constants."""
+"""System configuration, dB/dBm unit conversions, derived constants, and the
+transmit-power checks shared by every analytic and simulated metric."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -108,10 +112,54 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
 
 
 def snr_db_to_power_w(snr_db: float, noise_w: float) -> float:
-    """Transmit power realising a transmit SNR of ``snr_db`` over ``noise_w``."""
+    """Transmit power realising a transmit SNR of ``snr_db`` over ``noise_w``.
+
+    Raises ValueError naming ``snr_db`` unless the power is finite and > 0
+    (NaN, or an SNR so high or low that the power overflows or underflows).
+    """
     if noise_w <= 0.0:
         raise ValueError(f"noise_w must be > 0, got {noise_w!r}")
-    return db_to_linear(snr_db) * noise_w
+    try:
+        power_w = db_to_linear(snr_db) * noise_w
+    except OverflowError:
+        power_w = math.inf
+    if not (math.isfinite(power_w) and power_w > 0.0):
+        raise ValueError(
+            f"snr_db={snr_db!r} gives transmit power {power_w!r} W; it must be finite and > 0"
+        )
+    return power_w
+
+
+def check_powers(power_w) -> np.ndarray:
+    """``power_w`` as a float array of at most one dimension.
+
+    Raises ValueError naming ``power_w`` unless every entry is finite and > 0.
+    """
+    powers = np.asarray(power_w, dtype=float)
+    if powers.ndim > 1:
+        raise ValueError(f"power_w must be a scalar or a 1-D array, got shape {powers.shape}")
+    bad = ~(np.isfinite(powers) & (powers > 0.0))
+    if bad.any():
+        raise ValueError(f"power_w must be finite and > 0, got {powers[bad][0].item()!r}")
+    return powers
+
+
+def over_powers(metric):
+    """Let ``metric(cfg, powers, ...)``, written for a 1-D array of transmit
+    powers, take a scalar power or a 1-D array of them.
+
+    Every power is checked with :func:`check_powers`. A scalar power gives a
+    Python float (CSV cells are written with ``repr``), an array gives one
+    value per power.
+    """
+
+    @functools.wraps(metric)
+    def evaluate(cfg, power_w, *args, **kwargs):
+        powers = check_powers(power_w)
+        values = metric(cfg, np.atleast_1d(powers), *args, **kwargs)
+        return float(values[0]) if powers.ndim == 0 else values
+
+    return evaluate
 
 
 def power_w_to_snr_db(power_w: float, noise_w: float) -> float:

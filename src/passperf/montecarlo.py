@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, derive_constants
+from .config import SystemConfig, check_powers, derive_constants
 from .geometry import NomaPlacement, WdmaPlacement, sample_noma, sample_wdma
 
 TRIAL_BLOCK = 1 << 14  # reduction granularity; partition only at multiples
@@ -68,11 +68,6 @@ def _trial_rng(seed: int, start: int) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
-def _check_power(power_w: float) -> None:
-    if power_w <= 0.0:
-        raise ValueError(f"power_w must be > 0, got {power_w!r}")
-
-
 def _draw(scheme: str, cfg: SystemConfig, seed: int, start: int, count: int):
     """Placements of trials [start, start + count) of ``scheme``."""
     rng = _trial_rng(seed, start)
@@ -96,7 +91,7 @@ def sinr(
     interfere across them; the NOMA near user decodes after cancelling the
     far user's signal, and the far user decodes under the near user's.
     """
-    _check_power(power_w)
+    check_powers(power_w)
     dc = derive_constants(cfg)
     centre = 0.5 * cfg.region_x_m
     h_sq = cfg.pa_height_m**2
@@ -161,9 +156,7 @@ def mc_estimates(spec: McSpec, cfg: SystemConfig, powers) -> dict:
     that the SINR falls at or below the threshold; the rate is the sample
     mean of log2(1 + SINR).
     """
-    powers = list(powers)
-    for power_w in powers:
-        _check_power(power_w)
+    powers = check_powers(list(powers)).tolist()
     gth = cfg.outage_threshold
     hits = [0] * len(powers)
     total = [0.0] * len(powers)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, derive_constants
+from .config import SystemConfig, check_powers, derive_constants, over_powers
 from .geometry import diff_distribution, expected_log_excess
 from .quadrature import j0, j1, refined_interval
 
@@ -74,8 +74,7 @@ def _c2(cfg: SystemConfig, power_w: float) -> float:
 def noma_breakpoints(cfg: SystemConfig, power_w: float) -> NomaBreakpoints:
     """Squared x-offsets where the far user's outage radius sqrt(c2 - m)
     crosses the top, the peak and the bottom of the separation's support."""
-    if power_w <= 0.0:
-        raise ValueError(f"power_w must be > 0, got {power_w!r}")
+    check_powers(power_w)
     c2 = _c2(cfg, power_w)
     m4 = (0.5 * cfg.region_x_m) ** 2
     dist = diff_distribution(cfg)
@@ -92,11 +91,7 @@ def noma_breakpoints(cfg: SystemConfig, power_w: float) -> NomaBreakpoints:
     )
 
 
-def noma_outage_near(cfg: SystemConfig, power_w: float) -> float:
-    """Closed-form outage probability of the near user."""
-    if power_w <= 0.0:
-        raise ValueError(f"power_w must be > 0, got {power_w!r}")
-    near_threshold, _ = noma_zero_outage_thresholds(cfg)
+def _outage_near(cfg: SystemConfig, power_w: float, near_threshold: float) -> float:
     if power_w >= near_threshold:
         return 0.0
     c1 = _c1(cfg, power_w)
@@ -110,23 +105,22 @@ def noma_outage_near(cfg: SystemConfig, power_w: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def noma_outage_far(cfg: SystemConfig, power_w: float, n_nodes: int = 64) -> float:
-    """Outage probability of the far user.
+@over_powers
+def noma_outage_near(cfg: SystemConfig, power_w):
+    """Closed-form outage probability of the near user at transmit power
+    ``power_w`` (a scalar or a 1-D array).
 
-    Closed-form segment integrals over the far user's squared x-offset m,
-    split where the outage radius sqrt(c2 - m) crosses the top, the peak and
-    the bottom of the separation's support. The no-coverage (radius below
-    the smallest separation) and full-coverage (radius beyond the farthest
-    region point) cases short circuit exactly. ``n_nodes`` is unused; it
-    keeps the signature of the other analytic metrics.
+    The closed form is evaluated on Python floats, one power at a time.
     """
-    if power_w <= 0.0:
-        raise ValueError(f"power_w must be > 0, got {power_w!r}")
+    near_threshold, _ = noma_zero_outage_thresholds(cfg)
+    return np.array([_outage_near(cfg, p, near_threshold) for p in power_w.tolist()])
+
+
+def _outage_far(cfg: SystemConfig, power_w: float, far_threshold) -> float:
     dist = diff_distribution(cfg)
     c2 = _c2(cfg, power_w)
     if c2 <= dist.support_lo**2:
         return 1.0
-    _, far_threshold = noma_zero_outage_thresholds(cfg)
     m4 = (0.5 * cfg.region_x_m) ** 2
     if power_w >= (far_threshold if far_threshold is not None else math.inf):
         return 0.0
@@ -152,10 +146,27 @@ def noma_outage_far(cfg: SystemConfig, power_w: float, n_nodes: int = 64) -> flo
     return min(max(value, 0.0), 1.0)
 
 
-def noma_rate_near(cfg: SystemConfig, power_w: float) -> float:
-    """Closed-form average rate of the near user in bits/s/Hz."""
-    if power_w <= 0.0:
-        raise ValueError(f"power_w must be > 0, got {power_w!r}")
+@over_powers
+def noma_outage_far(cfg: SystemConfig, power_w, n_nodes: int = 64):
+    """Outage probability of the far user at transmit power ``power_w`` (a
+    scalar or a 1-D array).
+
+    Closed-form segment integrals over the far user's squared x-offset m,
+    split where the outage radius sqrt(c2 - m) crosses the top, the peak and
+    the bottom of the separation's support. The no-coverage (radius below
+    the smallest separation) and full-coverage (radius beyond the farthest
+    region point) cases short circuit exactly. The closed form is evaluated
+    on Python floats, one power at a time. ``n_nodes`` is unused; it keeps
+    the signature of the other analytic metrics.
+    """
+    _, far_threshold = noma_zero_outage_thresholds(cfg)
+    return np.array([_outage_far(cfg, p, far_threshold) for p in power_w.tolist()])
+
+
+@over_powers
+def noma_rate_near(cfg: SystemConfig, power_w):
+    """Closed-form average rate of the near user in bits/s/Hz at transmit
+    power ``power_w`` (a scalar or a 1-D array)."""
     dc = derive_constants(cfg)
     k = dc.eta_m2 * cfg.noma_alpha_near * power_w / dc.noise_w_ue1
     dx = cfg.region_x_m
@@ -166,18 +177,18 @@ def noma_rate_near(cfg: SystemConfig, power_w: float) -> float:
     return (4.0 / dx * term0 - 8.0 / dx**2 * term1) / _LN2
 
 
-def noma_rate_far(cfg: SystemConfig, power_w: float, n_nodes: int = 64) -> float:
-    """Average rate of the far user in bits/s/Hz (below log2(1 + a2/a1)).
+@over_powers
+def noma_rate_far(cfg: SystemConfig, power_w, n_nodes: int = 64):
+    """Average rate of the far user in bits/s/Hz (below log2(1 + a2/a1)) at
+    transmit power ``power_w`` (a scalar or a 1-D array).
 
     The average over the y-separation is closed-form for both region
     layouts; the outer average over the squared x-offset uses the Chebyshev
-    rule.
+    rule, with powers on the leading axis and nodes on the last.
     """
-    if power_w <= 0.0:
-        raise ValueError(f"power_w must be > 0, got {power_w!r}")
     dc = derive_constants(cfg)
-    k1 = dc.eta_m2 * cfg.noma_alpha_near * power_w
-    k2 = dc.eta_m2 * cfg.noma_alpha_far * power_w
+    k1 = (dc.eta_m2 * cfg.noma_alpha_near * power_w)[:, None]
+    k2 = (dc.eta_m2 * cfg.noma_alpha_far * power_w)[:, None]
     n2 = dc.noise_w_ue2
     h_sq = cfg.pa_height_m**2
     dx = cfg.region_x_m

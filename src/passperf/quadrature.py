@@ -54,18 +54,29 @@ def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
         vals = np.full(nodes.shape, vals.item())
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        t = nodes[bad][0]
+        t = np.broadcast_to(nodes, vals.shape)[bad][0]
         raise IntegrationError(f"integrand not finite at node t={t!r}")
     return vals
 
 
-def integrate_unit(f, n_nodes: int) -> float:
-    """Approximate int_{-1}^{1} f(t) dt with the plain N-node rule."""
+def integrate_unit(f, n_nodes: int):
+    """Approximate int_{-1}^{1} f(t) dt with the plain N-node rule.
+
+    ``f`` maps the nodes to values of shape (..., N), nodes on the last
+    axis; the result holds one integral per leading index, and is a float
+    when there is none.
+    """
     rule = chebyshev_rule(n_nodes)
-    return float(rule.weights @ _evaluate(f, rule.nodes))
+    vals = _evaluate(f, rule.nodes)
+    if vals.ndim == 1:
+        return float(rule.weights @ vals)
+    # one 1-D dot per row: a 2-D matrix-vector product rounds differently
+    return np.array([rule.weights @ row for row in vals.reshape(-1, n_nodes)]).reshape(
+        vals.shape[:-1]
+    )
 
 
-def integrate_interval(f, a: float, b: float, n_nodes: int) -> float:
+def integrate_interval(f, a: float, b: float, n_nodes: int):
     """Approximate int_a^b f(x) dx via the affine map onto [-1, 1]."""
     if a == b:
         return 0.0
@@ -74,12 +85,12 @@ def integrate_interval(f, a: float, b: float, n_nodes: int) -> float:
     return half * integrate_unit(lambda t: f(half * np.asarray(t) + mid), n_nodes)
 
 
-def refined_unit(f, n_nodes: int) -> float:
+def refined_unit(f, n_nodes: int):
     """Richardson-corrected unit integral: (4 I_{2N} - I_N) / 3."""
     return (4.0 * integrate_unit(f, 2 * n_nodes) - integrate_unit(f, n_nodes)) / 3.0
 
 
-def refined_interval(f, a: float, b: float, n_nodes: int) -> float:
+def refined_interval(f, a: float, b: float, n_nodes: int):
     if a == b:
         return 0.0
     return (
@@ -105,12 +116,22 @@ _SERIES_S = 1e-2
 _SERIES_TERMS = 8
 # Series coefficients of phi0 and phi1 (below), highest power first:
 # (-1)^(n+1) / (n (2n + 1)) and (-1)^(n+1) / (n (n + 1)).
-_SERIES = np.array(
-    [
-        [(-1.0) ** (n + 1) / (n * (2 * n + 1)), (-1.0) ** (n + 1) / (n * (n + 1))]
-        for n in range(_SERIES_TERMS, 0, -1)
-    ]
-)
+_PHI0_SERIES = tuple((-1.0) ** (n + 1) / (n * (2 * n + 1)) for n in range(_SERIES_TERMS, 0, -1))
+_PHI1_SERIES = tuple((-1.0) ** (n + 1) / (n * (n + 1)) for n in range(_SERIES_TERMS, 0, -1))
+
+
+def _phi_closed(s):
+    log = np.log1p(s)
+    root = np.sqrt(s)
+    return log - 2.0 * (1.0 - np.arctan(root) / root), ((1.0 + s) * log - s) / s
+
+
+def _phi_series(s):
+    phi0 = phi1 = 0.0
+    for c0, c1 in zip(_PHI0_SERIES, _PHI1_SERIES):
+        phi0 = s * (c0 + phi0)
+        phi1 = s * (c1 + phi1)
+    return phi0, phi1
 
 
 def _log1p_moments(u, r):
@@ -119,23 +140,20 @@ def _log1p_moments(u, r):
     With s = r u^2 these are u phi0(s) and (u^2 / 2) phi1(s), where
     phi0(s) = ln(1 + s) - 2 (1 - arctan(sqrt(s)) / sqrt(s)) and
     phi1(s) = ((1 + s) ln(1 + s) - s) / s; both vanish at s = 0. Arguments
-    broadcast against each other.
+    broadcast against each other. Each element goes through only the form
+    its s needs: the closed form at s >= _SERIES_S, the series below.
     """
     u = np.asarray(u, dtype=float)
     s = np.asarray(r, dtype=float) * u**2
     small = s < _SERIES_S
-    s_big = np.where(small, 1.0, s)
-    log = np.log1p(s_big)
-    root = np.sqrt(s_big)
-    phi0 = log - 2.0 * (1.0 - np.arctan(root) / root)
-    phi1 = ((1.0 + s_big) * log - s_big) / s_big
-    if np.any(small):
-        s_small = np.where(small, s, 0.0)[..., None]
-        series = 0.0
-        for coef in _SERIES:
-            series = s_small * (coef + series)
-        phi0 = np.where(small, series[..., 0], phi0)
-        phi1 = np.where(small, series[..., 1], phi1)
+    if not small.any():
+        phi0, phi1 = _phi_closed(s)
+    elif small.all():
+        phi0, phi1 = _phi_series(s)
+    else:
+        phi0, phi1 = np.empty_like(s), np.empty_like(s)
+        phi0[~small], phi1[~small] = _phi_closed(s[~small])
+        phi0[small], phi1[small] = _phi_series(s[small])
     return u * phi0, 0.5 * u**2 * phi1
 
 

@@ -12,6 +12,8 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .config import ConfigError, SystemConfig, noise_w, snr_db_to_power_w
 from .montecarlo import SCHEMES, McSpec, mc_estimates
 from .noma import (
@@ -24,6 +26,10 @@ from .noma import (
 from .wdma import wdma_avg_rate, wdma_outage, wdma_outage_floor, wdma_rate_ceiling
 
 METRICS = ("outage", "rate")
+# Powers per analytic call in a sweep: each (scheme, user, metric) cell is
+# evaluated over blocks of this many grid powers at once, which keeps the
+# (powers x nodes) arrays of one call small.
+POWER_BLOCK = 16
 CSV_HEADER = ("snr_db", "scheme", "user", "metric", "analytic", "asymptote", "mc_value", "mc_std_error")
 
 
@@ -46,6 +52,9 @@ class SweepSpec:
     mc_seed: int = 12345
 
     def __post_init__(self):
+        for name in ("snr_db_start", "snr_db_stop", "snr_db_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.snr_db_step > 0.0:
             raise ConfigError(f"snr_db_step must be > 0, got {self.snr_db_step!r}")
         if self.snr_db_start > self.snr_db_stop:
@@ -87,9 +96,13 @@ def snr_grid(spec: SweepSpec) -> list:
 
 
 def analytic_metric(
-    scheme: str, user: int, metric: str, cfg: SystemConfig, power_w: float, n_nodes: int = 64
-) -> float:
-    """Dispatch one (scheme, user, metric) cell to its analytic operation."""
+    scheme: str, user: int, metric: str, cfg: SystemConfig, power_w, n_nodes: int = 64
+):
+    """Dispatch one (scheme, user, metric) cell to its analytic operation.
+
+    ``power_w`` is a scalar (a float comes back) or a 1-D array of powers
+    (an array comes back, one value per power).
+    """
     if scheme == "wdma":
         if metric == "outage":
             return wdma_outage(cfg, power_w, n_nodes, user=user)
@@ -126,9 +139,11 @@ def _sweep_users(scheme: str) -> tuple:
 def _cells(cfg, grid_db, pairs, metrics, n_nodes, mc_trials=None, mc_seed=None):
     """Yield (snr_db, scheme, user, metric, analytic, estimate) per cell, SNR outermost.
 
-    Transmit SNR is referenced to the user-1 noise power. With ``mc_trials``
-    each (scheme, user) pair gets one ``mc_estimates`` call over the whole
-    grid; otherwise ``estimate`` is None.
+    Transmit SNR is referenced to the user-1 noise power. Each
+    (scheme, user, metric) gets one ``analytic_metric`` call per block of
+    ``POWER_BLOCK`` grid powers. With ``mc_trials`` each (scheme, user) pair
+    gets one ``mc_estimates`` call over the whole grid; otherwise
+    ``estimate`` is None.
     """
     reference_noise = noise_w(cfg, 1)
     grid = [float(snr_db) for snr_db in grid_db]
@@ -138,12 +153,15 @@ def _cells(cfg, grid_db, pairs, metrics, n_nodes, mc_trials=None, mc_seed=None):
         for scheme, user in pairs:
             spec = McSpec(mc_trials, mc_seed, scheme, user)
             estimates[(scheme, user)] = mc_estimates(spec, cfg, powers)
-    for i, (snr_db, power_w) in enumerate(zip(grid, powers)):
-        for scheme, user in pairs:
-            for metric in metrics:
-                analytic = analytic_metric(scheme, user, metric, cfg, power_w, n_nodes)
-                est = estimates[(scheme, user)][metric][i] if estimates else None
-                yield snr_db, scheme, user, metric, analytic, est
+    keys = [(scheme, user, metric) for scheme, user in pairs for metric in metrics]
+    for first in range(0, len(grid), POWER_BLOCK):
+        block = np.array(powers[first : first + POWER_BLOCK])
+        analytic = {key: analytic_metric(*key, cfg, block, n_nodes).tolist() for key in keys}
+        for j, snr_db in enumerate(grid[first : first + POWER_BLOCK]):
+            for key in keys:
+                scheme, user, metric = key
+                est = estimates[(scheme, user)][metric][first + j] if estimates else None
+                yield snr_db, scheme, user, metric, analytic[key][j], est
 
 
 def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> SweepResult:

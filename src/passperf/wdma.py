@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import SystemConfig, derive_constants, noise_w
+from .config import SystemConfig, derive_constants, noise_w, over_powers
 from .geometry import diff_distribution, expected_log_excess, g_axis, sq_diff_cdf
 from .quadrature import refined_unit
 
@@ -26,8 +26,9 @@ _LN2 = math.log(2.0)
 _SINGULAR_SLACK = 1e-12
 
 
-def _outage_given_x(t, cfg: SystemConfig, b_noise: float):
-    """Conditional outage at the unit-interval nodes t of the x-coordinate.
+def _outage_given_x(t, cfg: SystemConfig, b_noise: np.ndarray):
+    """Conditional outage at the unit-interval nodes t of the x-coordinate,
+    one row per entry of the 1-D noise coefficients ``b_noise``.
 
     Given x, the outage event caps the squared y-separation at
     g (gamma_th - 1 + e) / (1 - e) with e = gamma_th b_noise g; the cap is
@@ -37,27 +38,30 @@ def _outage_given_x(t, cfg: SystemConfig, b_noise: float):
     the outage floor, which this never falls below.
     """
     g = g_axis(0.5 * cfg.region_x_m * (np.asarray(t) + 1.0), cfg)
-    e = cfg.outage_threshold * b_noise * g
+    e = cfg.outage_threshold * b_noise[:, None] * g
     saturated = 1.0 - e <= _SINGULAR_SLACK * e
     cap = g * (cfg.outage_threshold - 1.0 + e) / np.where(saturated, 1.0, 1.0 - e)
     return np.where(saturated, 1.0, sq_diff_cdf(cap, diff_distribution(cfg)))
 
 
-def _average_outage(cfg: SystemConfig, b_noise: float, n_nodes: int) -> float:
+def _average_outage(cfg: SystemConfig, b_noise: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Conditional outage averaged over x, per entry of the 1-D ``b_noise``."""
     # The conditional outage grows with the axis distance, whose minimum
     # (height squared, at t = 0) is reached inside the region, so saturation
     # there means the integrand is 1 everywhere and the integral is exactly 1.
-    if _outage_given_x(0.0, cfg, b_noise) >= 1.0:
-        return 1.0
-    value = 0.5 * refined_unit(lambda t: _outage_given_x(t, cfg, b_noise), n_nodes)
-    return min(max(value, 0.0), 1.0)
+    outage = np.ones_like(b_noise)
+    live = _outage_given_x(0.0, cfg, b_noise)[:, 0] < 1.0
+    if live.any():
+        value = 0.5 * refined_unit(lambda t: _outage_given_x(t, cfg, b_noise[live]), n_nodes)
+        outage[live] = np.minimum(np.maximum(value, 0.0), 1.0)
+    return outage
 
 
-def wdma_outage(cfg: SystemConfig, power_w: float, n_nodes: int = 64, user: int = 1) -> float:
-    """Outage probability of ``user`` at transmit power ``power_w``: the
-    conditional outage averaged over the user's x-coordinate."""
-    if power_w <= 0.0:
-        raise ValueError(f"power_w must be > 0, got {power_w!r}")
+@over_powers
+def wdma_outage(cfg: SystemConfig, power_w, n_nodes: int = 64, user: int = 1):
+    """Outage probability of ``user`` at transmit power ``power_w`` (a scalar
+    or a 1-D array): the conditional outage averaged over the user's
+    x-coordinate."""
     dc = derive_constants(cfg)
     b_noise = 2.0 * noise_w(cfg, user) / (dc.eta_m2 * power_w)
     return _average_outage(cfg, b_noise, n_nodes)
@@ -76,37 +80,38 @@ def _log_rate_coeffs(g, b_noise):
     return a, b, c, d
 
 
-def _rate_nats(t, cfg: SystemConfig, b_noise: float):
-    """Mean of ln(1 + sinr) over the y-separation at the unit-interval nodes t.
+def _rate_nats(t, cfg: SystemConfig, b_noise: np.ndarray):
+    """Mean of ln(1 + sinr) over the y-separation at the unit-interval nodes t,
+    one row per entry of the 1-D noise coefficients ``b_noise``.
 
     ln(a/c) is taken as ln(1 + g/c), since a - c = g. With b_noise = 0 this
     is the interference-only integrand of the rate ceiling.
     """
     g = g_axis(0.5 * cfg.region_x_m * (np.asarray(t) + 1.0), cfg)
-    a, b, c, d = _log_rate_coeffs(g, b_noise)
+    a, b, c, d = _log_rate_coeffs(g, b_noise[:, None])
     excess = expected_log_excess(np.stack([a, c]), np.stack([b, d]), diff_distribution(cfg))
     return np.log1p(g / c) + excess[0] - excess[1]
 
 
-def wdma_avg_rate(cfg: SystemConfig, power_w: float, n_nodes: int = 64, user: int = 1) -> float:
-    """Average achievable rate of ``user`` in bits/s/Hz.
+@over_powers
+def wdma_avg_rate(cfg: SystemConfig, power_w, n_nodes: int = 64, user: int = 1):
+    """Average achievable rate of ``user`` in bits/s/Hz at transmit power
+    ``power_w`` (a scalar or a 1-D array).
 
     The inner average over the y-separation is closed-form for both region
     layouts; the outer x-average uses the Chebyshev rule. Where the rate
     meets its ceiling, rounding in the two averages can leave it a few ulps
     above; the value is capped at the ceiling there.
     """
-    if power_w <= 0.0:
-        raise ValueError(f"power_w must be > 0, got {power_w!r}")
     dc = derive_constants(cfg)
     b_noise = 2.0 * noise_w(cfg, user) / (dc.eta_m2 * power_w)
     rate = 0.5 * refined_unit(lambda t: _rate_nats(t, cfg, b_noise), n_nodes) / _LN2
-    return min(rate, wdma_rate_ceiling(cfg, n_nodes))
+    return np.minimum(rate, wdma_rate_ceiling(cfg, n_nodes))
 
 
 def wdma_outage_floor(cfg: SystemConfig, n_nodes: int = 64) -> float:
     """High-SNR outage limit: interference-only outage averaged over x."""
-    return _average_outage(cfg, 0.0, n_nodes)
+    return _average_outage(cfg, np.zeros(1), n_nodes).item()
 
 
 @lru_cache(maxsize=128)
@@ -117,4 +122,4 @@ def wdma_rate_ceiling(cfg: SystemConfig, n_nodes: int = 64) -> float:
     Cached per (config, order): it does not depend on power, and every
     ``wdma_avg_rate`` call caps its value at it.
     """
-    return 0.5 * refined_unit(lambda t: _rate_nats(t, cfg, 0.0), n_nodes) / _LN2
+    return (0.5 * refined_unit(lambda t: _rate_nats(t, cfg, np.zeros(1)), n_nodes) / _LN2).item()

@@ -28,6 +28,7 @@ from passperf import (
     refined_unit,
 )
 from passperf.noma import _c2
+from passperf.quadrature import _SERIES_S, _SERIES_TERMS
 
 
 def random_config(rng: np.random.Generator) -> SystemConfig:
@@ -181,3 +182,37 @@ def noma_outage_far_nested(cfg: SystemConfig, power_w: float, n_nodes: int) -> f
 
     value = 4.0 / cfg.region_x_m**2 * refined_interval(conditional, 0.0, m4, n_nodes)
     return min(max(value, 0.0), 1.0)
+
+
+# Series coefficients of phi0 and phi1 side by side, highest power first.
+_SERIES_PAIRS = np.array(
+    [
+        [(-1.0) ** (n + 1) / (n * (2 * n + 1)), (-1.0) ** (n + 1) / (n * (n + 1))]
+        for n in range(_SERIES_TERMS, 0, -1)
+    ]
+)
+
+
+def log1p_moments_both_forms(u, r):
+    """The package's earlier log-moment kernel, kept as a bitwise reference.
+
+    Evaluates the closed forms of phi0 and phi1 at every element (with s
+    replaced by 1 where it is small) and the series for both at once over a
+    trailing axis of two coefficients, then selects per element.
+    """
+    u = np.asarray(u, dtype=float)
+    s = np.asarray(r, dtype=float) * u**2
+    small = s < _SERIES_S
+    s_big = np.where(small, 1.0, s)
+    log = np.log1p(s_big)
+    root = np.sqrt(s_big)
+    phi0 = log - 2.0 * (1.0 - np.arctan(root) / root)
+    phi1 = ((1.0 + s_big) * log - s_big) / s_big
+    if np.any(small):
+        s_small = np.where(small, s, 0.0)[..., None]
+        series = 0.0
+        for coef in _SERIES_PAIRS:
+            series = s_small * (coef + series)
+        phi0 = np.where(small, series[..., 0], phi0)
+        phi1 = np.where(small, series[..., 1], phi1)
+    return u * phi0, 0.5 * u**2 * phi1

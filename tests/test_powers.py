@@ -1,0 +1,128 @@
+"""Analytic metrics over arrays of transmit powers, and rejection of bad powers
+and SNRs at every entry point."""
+
+import math
+
+import numpy as np
+import pytest
+
+from passperf import (
+    ConfigError,
+    McSpec,
+    SystemConfig,
+    SweepSpec,
+    mc_estimates,
+    noise_w,
+    noma_breakpoints,
+    run_sweep,
+    snr_db_to_power_w,
+    snr_grid,
+    wdma_outage,
+)
+from passperf.cli import main
+from passperf.sweep import POWER_BLOCK, analytic_metric, omega_two
+
+CFG = SystemConfig()
+SPLIT = SystemConfig(noma_alpha_near=0.2, noma_alpha_far=0.8)
+CELLS = (
+    ("wdma", 1, "outage"),
+    ("wdma", 1, "rate"),
+    ("noma", 1, "outage"),
+    ("noma", 1, "rate"),
+    ("noma", 2, "outage"),
+    ("noma", 2, "rate"),
+)
+CELL_IDS = ["-".join(map(str, cell)) for cell in CELLS]
+
+
+def grid_powers(cfg, start, stop, step):
+    grid = snr_grid(SweepSpec(snr_db_start=start, snr_db_stop=stop, snr_db_step=step))
+    return [snr_db_to_power_w(snr_db, noise_w(cfg, 1)) for snr_db in grid]
+
+
+@pytest.mark.parametrize("cfg", [CFG, omega_two(), SPLIT], ids=["default", "omega_two", "split"])
+@pytest.mark.parametrize("cell", CELLS, ids=CELL_IDS)
+def test_grid_call_equals_scalar_calls(cfg, cell):
+    # -50:400 dB spans saturated, short-circuit and high-SNR cells
+    powers = grid_powers(cfg, -50.0, 400.0, 1.0)
+    grid = analytic_metric(*cell, cfg, np.array(powers))
+    assert isinstance(grid, np.ndarray) and grid.shape == (len(powers),)
+    scalar = [analytic_metric(*cell, cfg, p) for p in powers]
+    assert all(type(v) is float for v in scalar)
+    assert grid.tolist() == scalar
+
+
+@pytest.mark.parametrize("start, stop", [(90.0, 150.0), (100.0, 100.0)], ids=["31", "1"])
+def test_sweep_blocks_equal_scalar_calls(start, stop):
+    spec = SweepSpec(snr_db_start=start, snr_db_stop=stop, snr_db_step=2.0)
+    powers = grid_powers(CFG, start, stop, 2.0)
+    assert len(powers) == 1 or len(powers) % POWER_BLOCK != 0
+    rows = run_sweep(spec, CFG).rows
+    assert len(rows) == len(powers) * len(CELLS)
+    by_snr = {snr_db: p for snr_db, p in zip(snr_grid(spec), powers)}
+    for row in rows:
+        assert type(row.analytic) is float
+        cell = (row.scheme, row.user, row.metric)
+        assert row.analytic == analytic_metric(*cell, CFG, by_snr[row.snr_db])
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=CELL_IDS)
+def test_scalar_power_gives_float_and_length_one_array_gives_array(cell):
+    assert type(analytic_metric(*cell, CFG, 1.0)) is float
+    one = analytic_metric(*cell, CFG, np.array([1.0]))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert one[0] == analytic_metric(*cell, CFG, 1.0)
+
+
+BAD_POWERS = [0.0, -1.0, math.nan, math.inf, np.array([1.0, math.nan]), np.array([1.0, 0.0])]
+BAD_IDS = ["zero", "negative", "nan", "inf", "nan-in-array", "zero-in-array"]
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=CELL_IDS)
+@pytest.mark.parametrize("power", BAD_POWERS, ids=BAD_IDS)
+def test_analytic_metrics_reject_bad_powers(cell, power):
+    with pytest.raises(ValueError, match="power_w"):
+        analytic_metric(*cell, CFG, power)
+
+
+def test_analytic_metrics_reject_two_dimensional_powers():
+    with pytest.raises(ValueError, match="power_w"):
+        wdma_outage(CFG, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf, 0.0])
+def test_breakpoints_and_estimates_reject_bad_powers(power):
+    with pytest.raises(ValueError, match="power_w"):
+        noma_breakpoints(CFG, power)
+    with pytest.raises(ValueError, match="power_w"):
+        mc_estimates(McSpec(10, 1, "noma", 2), CFG, [1.0, power])
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 4000.0, -4000.0])
+def test_snr_conversion_rejects_non_finite_or_zero_power(snr_db):
+    with pytest.raises(ValueError, match="snr_db"):
+        snr_db_to_power_w(snr_db, 1e-12)
+
+
+@pytest.mark.parametrize("field", ["snr_db_start", "snr_db_stop", "snr_db_step"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sweep_spec_rejects_non_finite_grid(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SweepSpec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["mc", "--scheme", "wdma", "--user", "1", "--metric", "outage", "--snr-db", "nan"], "snr_db"),
+        (["mc", "--scheme", "noma", "--user", "2", "--metric", "rate", "--snr-db", "4000"], "snr_db"),
+        (["sweep", "--start", "90", "--stop", "4000", "--step", "1000"], "snr_db"),
+        (["sweep", "--start", "nan"], "snr_db_start"),
+        (["validate", "--stop", "inf"], "snr_db_stop"),
+    ],
+)
+def test_cli_rejects_bad_snr_as_input_error(argv, needle, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in captured.err

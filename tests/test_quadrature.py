@@ -16,6 +16,9 @@ from passperf import (
     refined_interval,
     refined_unit,
 )
+from passperf.quadrature import _SERIES_S, _log1p_moments
+
+from oracles import log1p_moments_both_forms
 
 
 def test_single_node_rule():
@@ -145,3 +148,50 @@ def test_j_functions_broadcast_over_arrays():
     mixed = j1(np.array([0.5, 1.0]), 2.0, np.array([0.0, 1.0]))
     assert mixed[0] == pytest.approx(j1(0.5, 2.0, 0.0))
     assert mixed[1] == pytest.approx(j1(1.0, 2.0, 1.0))
+
+
+def _assert_kernel_matches_reference(u, r):
+    new = _log1p_moments(u, r)
+    old = log1p_moments_both_forms(u, r)
+    for got, want in zip(new, old):
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "u, r",
+    [
+        (0.0, 0.3),  # u = 0
+        (2.0, 0.0),  # s = 0
+        (1.0, _SERIES_S),  # s exactly at the switch
+        (1.0, np.nextafter(_SERIES_S, 0.0)),  # just below: series
+        (1.0, np.nextafter(_SERIES_S, 1.0)),  # just above: closed form
+        (3.0, 1e-14),
+        (3.0, 40.0),
+    ],
+)
+def test_log_moment_kernel_equals_reference_on_scalars(u, r):
+    _assert_kernel_matches_reference(u, r)
+
+
+def test_log_moment_kernel_equals_reference_on_arrays():
+    below, above = np.nextafter(_SERIES_S, 0.0), np.nextafter(_SERIES_S, 1.0)
+    edge = np.array([0.0, below, _SERIES_S, above, 1.0])
+    _assert_kernel_matches_reference(1.0, edge)  # 1-d, mixed forms
+    _assert_kernel_matches_reference(np.array([0.0, 0.5, 1.0]), edge[:, None])  # (5, 3)
+    _assert_kernel_matches_reference(1.0, np.full(4, 1e-6))  # 1-d, series only
+    _assert_kernel_matches_reference(1.0, np.full(4, 5.0))  # 1-d, closed form only
+    rng = np.random.default_rng(7)
+    s = 10.0 ** rng.uniform(-12.0, 2.0, 10_000)
+    points = np.array([0.0, 1.0, 3.0])
+    _assert_kernel_matches_reference(points, (s / 9.0)[:, None])  # broadcast (..., 3)
+    _assert_kernel_matches_reference(points, (s / 9.0).reshape(2, 50, 100, 1))
+
+
+def test_integrate_unit_gives_one_integral_per_leading_index():
+    scales = np.array([[0.5], [1.0], [3.0]])
+    rows = integrate_unit(lambda t: np.exp(scales * t), 64)
+    assert rows.shape == (3,)
+    for scale, value in zip(scales[:, 0], rows):
+        assert value == integrate_unit(lambda t, s=scale: np.exp(s * t), 64)
+    assert type(integrate_unit(np.cos, 64)) is float
