@@ -33,6 +33,7 @@ from .noma import (
     noma_outage_far,
     noma_outage_near,
     noma_rate_far,
+    noma_rate_far_ceiling,
     noma_rate_near,
     noma_zero_outage_thresholds,
 )
@@ -43,8 +44,6 @@ from .quadrature import (
     integrate_unit,
     j0,
     j1,
-    refined_interval,
-    refined_unit,
 )
 from .sweep import (
     SweepSpec,

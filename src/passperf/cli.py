@@ -9,12 +9,10 @@ success, 1 when validation failures are present, 2 on input errors.
 from __future__ import annotations
 
 import argparse
-import json
-import math
+import contextlib
 import sys
 
 from .config import (
-    ConfigError,
     SystemConfig,
     load_config,
     noise_w,
@@ -22,7 +20,7 @@ from .config import (
     snr_db_to_power_w,
 )
 from .montecarlo import McSpec, mc_estimates
-from .noma import noma_zero_outage_thresholds
+from .noma import noma_rate_far_ceiling, noma_zero_outage_thresholds
 from .sweep import (
     CROSSOVER_METRICS,
     METRICS,
@@ -45,7 +43,13 @@ EXIT_INPUT_ERROR = 2
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON system configuration")
     parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
+
+
+def _nodes_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=64, help="quadrature order (default 64)")
+
+
+def _simulation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=12345, help="simulation seed")
     parser.add_argument("--trials", type=int, default=100_000, help="simulation trials")
 
@@ -59,6 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="evaluate metrics over an SNR grid, emit CSV")
     _common_flags(p_sweep)
+    _nodes_flag(p_sweep)
+    _simulation_flags(p_sweep)
     p_sweep.add_argument("--start", type=float, default=90.0, help="grid start, dB")
     p_sweep.add_argument("--stop", type=float, default=150.0, help="grid stop, dB")
     p_sweep.add_argument("--step", type=float, default=2.0, help="grid step, dB")
@@ -69,6 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check analytic values against simulation")
     _common_flags(p_val)
+    _nodes_flag(p_val)
+    _simulation_flags(p_val)
     p_val.add_argument("--start", type=float, default=90.0)
     p_val.add_argument("--stop", type=float, default=150.0)
     p_val.add_argument("--step", type=float, default=10.0)
@@ -76,15 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cross = sub.add_parser("crossover", help="bisect for a scheme crossover SNR")
     _common_flags(p_cross)
+    _nodes_flag(p_cross)
     p_cross.add_argument("--metric", choices=CROSSOVER_METRICS, default="rate_sum")
     p_cross.add_argument("--lo", type=float, default=90.0, help="bracket low end, dB")
     p_cross.add_argument("--hi", type=float, default=150.0, help="bracket high end, dB")
 
     p_asym = sub.add_parser("asymptote", help="print floors, ceilings, and thresholds")
     _common_flags(p_asym)
+    _nodes_flag(p_asym)
 
     p_mc = sub.add_parser("mc", help="one simulation estimate")
     _common_flags(p_mc)
+    _simulation_flags(p_mc)
     p_mc.add_argument("--scheme", choices=SCHEMES, required=True)
     p_mc.add_argument("--user", type=int, choices=(1, 2), required=True)
     p_mc.add_argument("--metric", choices=METRICS, required=True)
@@ -99,10 +110,14 @@ def _load(args) -> SystemConfig:
     return load_config(args.config)
 
 
-def _open_out(args):
+@contextlib.contextmanager
+def _output(args):
+    """The ``--out`` file, closed on exit, or stdout, left open."""
     if args.out is None:
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8", newline="") as out:
+        yield out
 
 
 def _cmd_sweep(args) -> int:
@@ -119,12 +134,8 @@ def _cmd_sweep(args) -> int:
         mc_seed=args.seed,
     )
     result = run_sweep(spec, cfg, n_nodes=args.nodes)
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         write_csv(result, out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -134,8 +145,7 @@ def _cmd_validate(args) -> int:
     report = validate(
         cfg, snr_grid(spec), args.trials, args.seed, sigma_tol=args.sigma_tol, n_nodes=args.nodes
     )
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         for cell in report.cells:
             status = "PASS" if cell.passed else "FAIL"
             print(
@@ -145,22 +155,15 @@ def _cmd_validate(args) -> int:
                 file=out,
             )
         print(report.summary(), file=out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED
 
 
 def _cmd_crossover(args) -> int:
     cfg = _load(args)
     snr = find_crossover(cfg, args.metric, (args.lo, args.hi), n_nodes=args.nodes)
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         print(f"metric,{args.metric}", file=out)
         print(f"crossover_snr_db,{'' if snr is None else repr(snr)}", file=out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -178,19 +181,12 @@ def _cmd_asymptote(args) -> int:
             "noma_far_zero_outage_snr_db",
             "" if far_w is None else repr(power_w_to_snr_db(far_w, reference_noise)),
         ),
-        (
-            "noma_far_rate_ceiling_bits",
-            repr(math.log2(1.0 + cfg.noma_alpha_far / cfg.noma_alpha_near)),
-        ),
+        ("noma_far_rate_ceiling_bits", repr(noma_rate_far_ceiling(cfg))),
     ]
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         print("quantity,value", file=out)
         for key, value in lines:
             print(f"{key},{value}", file=out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -199,13 +195,9 @@ def _cmd_mc(args) -> int:
     power_w = snr_db_to_power_w(args.snr_db, noise_w(cfg, 1))
     spec = McSpec(args.trials, args.seed, args.scheme, args.user)
     est = mc_estimates(spec, cfg, [power_w])[args.metric][0]
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         print("value,std_error,trials", file=out)
         print(f"{est.value!r},{est.std_error!r},{est.trials}", file=out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -226,10 +218,8 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT_ERROR
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, ValueError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (OSError, json.JSONDecodeError) as exc:
+    # ConfigError and json.JSONDecodeError are ValueErrors
+    except (ValueError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

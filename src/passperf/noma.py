@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import SystemConfig, check_powers, derive_constants, over_powers
 from .geometry import diff_distribution, expected_log_excess
-from .quadrature import j0, j1, refined_interval
+from .quadrature import integrate_interval, j0, j1
 
 _LN2 = math.log(2.0)
 
@@ -177,14 +177,24 @@ def noma_rate_near(cfg: SystemConfig, power_w):
     return (4.0 / dx * term0 - 8.0 / dx**2 * term1) / _LN2
 
 
+def noma_rate_far_ceiling(cfg: SystemConfig) -> float:
+    """High-SNR limit of the far user's rate, log2(1 + alpha_far /
+    alpha_near) in bits/s/Hz: the near user's signal caps the far user's
+    SINR at the power split."""
+    return math.log2(1.0 + cfg.noma_alpha_far / cfg.noma_alpha_near)
+
+
 @over_powers
 def noma_rate_far(cfg: SystemConfig, power_w, n_nodes: int = 64):
-    """Average rate of the far user in bits/s/Hz (below log2(1 + a2/a1)) at
-    transmit power ``power_w`` (a scalar or a 1-D array).
+    """Average rate of the far user in bits/s/Hz (at most
+    ``noma_rate_far_ceiling``) at transmit power ``power_w`` (a scalar or a
+    1-D array).
 
     The average over the y-separation is closed-form for both region
     layouts; the outer average over the squared x-offset uses the Chebyshev
-    rule, with powers on the leading axis and nodes on the last.
+    rule, with powers on the leading axis and nodes on the last. Where the
+    rate meets its ceiling, rounding can leave it an ulp above; the value is
+    capped at the ceiling there.
     """
     dc = derive_constants(cfg)
     k1 = (dc.eta_m2 * cfg.noma_alpha_near * power_w)[:, None]
@@ -200,5 +210,5 @@ def noma_rate_far(cfg: SystemConfig, power_w, n_nodes: int = 64):
         excess = expected_log_excess(np.stack([beta + k2, beta]), n2, dist)
         return np.log1p(k2 / beta) + excess[0] - excess[1]
 
-    integral = refined_interval(delta, 0.0, (0.5 * dx) ** 2, n_nodes)
-    return 4.0 / (dx**2 * _LN2) * integral
+    integral = integrate_interval(delta, 0.0, (0.5 * dx) ** 2, n_nodes)
+    return np.minimum(4.0 / (dx**2 * _LN2) * integral, noma_rate_far_ceiling(cfg))

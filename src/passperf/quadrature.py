@@ -1,11 +1,13 @@
-"""Gauss-Chebyshev quadrature (first kind) and logarithmic integrals.
+"""Chebyshev-node quadrature (Fejer's first rule) and logarithmic integrals.
 
-The N-node rule approximates int_{-1}^{1} f(t) dt by
-(pi/N) * sum_k sqrt(1 - t_k^2) f(t_k) with t_k = cos((2k - 1) pi / (2N)).
-Its plain form carries an O(1/N^2) endpoint error; the ``refined_*``
-variants apply one Richardson step (N and 2N evaluations), reducing the
-error to O(1/N^4) so that doubling N moves smooth integrals by less than
-1e-6 relative at N = 64.
+The N-node rule approximates int_{-1}^{1} f(t) dt by sum_k w_k f(t_k) at the
+first-kind Chebyshev nodes t_k = cos(theta_k), theta_k = (2k - 1) pi / (2N),
+with Fejer's weights
+w_k = (2/N) (1 - 2 sum_{j=1}^{floor(N/2)} cos(2 j theta_k) / (4 j^2 - 1)).
+The weights are positive and the rule integrates every polynomial of degree
+below N exactly, so smooth integrands converge as fast as their Chebyshev
+coefficients decay (Waldvogel, BIT 46, 2006); positive weights also carry
+pointwise bounds between integrands over to their integrals.
 
 ``j0``/``j1`` integrate ln(a + b t^2) and t ln(a + b t^2) from 0 in a form
 without cancellation, so that they stay accurate when b/a is tiny (high
@@ -26,26 +28,30 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    order: int
     nodes: np.ndarray  # strictly decreasing, in (-1, 1)
-    weights: np.ndarray  # (pi/N) * sqrt(1 - t_k^2)
+    weights: np.ndarray  # Fejer's first-rule weights, all positive
 
 
 @lru_cache(maxsize=128)
 def chebyshev_rule(n_nodes: int) -> QuadratureRule:
-    """First-kind Chebyshev nodes and weights of the given order."""
+    """First-kind Chebyshev nodes and Fejer's weights of the given order."""
     if n_nodes < 1:
         raise ValueError(f"quadrature order must be >= 1, got {n_nodes!r}")
     k = np.arange(1, n_nodes + 1)
     theta = (2.0 * k - 1.0) * np.pi / (2.0 * n_nodes)
     nodes = np.cos(theta)
-    weights = (np.pi / n_nodes) * np.sin(theta)
+    # one node vector per term, so memory stays O(N) at any order; smallest
+    # terms first
+    series = np.zeros(n_nodes)
+    for j in range(n_nodes // 2, 0, -1):
+        series += np.cos(2.0 * j * theta) / (4.0 * j * j - 1.0)
+    weights = (2.0 / n_nodes) * (1.0 - 2.0 * series)
     # Symmetrise so that t_k == -t_{N+1-k} holds exactly in floating point.
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(order=n_nodes, nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
@@ -60,7 +66,7 @@ def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
 
 
 def integrate_unit(f, n_nodes: int):
-    """Approximate int_{-1}^{1} f(t) dt with the plain N-node rule.
+    """Approximate int_{-1}^{1} f(t) dt with the N-node rule.
 
     ``f`` maps the nodes to values of shape (..., N), nodes on the last
     axis; the result holds one integral per leading index, and is a float
@@ -83,20 +89,6 @@ def integrate_interval(f, a: float, b: float, n_nodes: int):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     return half * integrate_unit(lambda t: f(half * np.asarray(t) + mid), n_nodes)
-
-
-def refined_unit(f, n_nodes: int):
-    """Richardson-corrected unit integral: (4 I_{2N} - I_N) / 3."""
-    return (4.0 * integrate_unit(f, 2 * n_nodes) - integrate_unit(f, n_nodes)) / 3.0
-
-
-def refined_interval(f, a: float, b: float, n_nodes: int):
-    if a == b:
-        return 0.0
-    return (
-        4.0 * integrate_interval(f, a, b, 2 * n_nodes)
-        - integrate_interval(f, a, b, n_nodes)
-    ) / 3.0
 
 
 def _check_log_args(a, b, u) -> None:

@@ -20,6 +20,7 @@ from .noma import (
     noma_outage_far,
     noma_outage_near,
     noma_rate_far,
+    noma_rate_far_ceiling,
     noma_rate_near,
     noma_zero_outage_thresholds,
 )
@@ -127,7 +128,7 @@ def asymptote_value(
         return 0.0 if far_threshold is not None else 1.0
     if user == 1:
         return None  # near-user rate grows without bound
-    return math.log2(1.0 + cfg.noma_alpha_far / cfg.noma_alpha_near)
+    return noma_rate_far_ceiling(cfg)
 
 
 def _sweep_users(scheme: str) -> tuple:
@@ -367,6 +368,8 @@ def validate(
     """Check every analytic cell against its simulation estimate."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials!r}")
+    if not (math.isfinite(sigma_tol) and sigma_tol > 0.0):
+        raise ConfigError(f"sigma_tol must be finite and > 0, got {sigma_tol!r}")
     pairs = [(scheme, user) for scheme in SCHEMES for user in (1, 2)]
     cells = []
     for snr_db, scheme, user, metric, analytic, est in _cells(

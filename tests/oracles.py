@@ -23,9 +23,9 @@ from passperf import (
     diff_distribution,
     diff_pdf,
     g_axis,
+    integrate_interval,
+    integrate_unit,
     noise_w,
-    refined_interval,
-    refined_unit,
 )
 from passperf.noma import _c2
 from passperf.quadrature import _SERIES_S, _SERIES_TERMS
@@ -158,7 +158,7 @@ def wdma_rate_nested(cfg: SystemConfig, power_w: float, n_nodes: int, user: int 
             return np.log((a + b * u**2) / (c + d * u**2)) * diff_pdf(u, dist)
 
         # split at the density peak where the triangular kink sits
-        return refined_interval(f, dist.support_lo, dist.peak, n_nodes) + refined_interval(
+        return integrate_interval(f, dist.support_lo, dist.peak, n_nodes) + integrate_interval(
             f, dist.peak, dist.support_hi, n_nodes
         )
 
@@ -166,7 +166,7 @@ def wdma_rate_nested(cfg: SystemConfig, power_w: float, n_nodes: int, user: int 
         x = half * (np.asarray(t) + 1.0)
         return np.asarray([inner(xi) for xi in np.atleast_1d(x)])
 
-    return 0.5 * refined_unit(outer, n_nodes) / math.log(2.0)
+    return 0.5 * integrate_unit(outer, n_nodes) / math.log(2.0)
 
 
 def noma_outage_far_nested(cfg: SystemConfig, power_w: float, n_nodes: int) -> float:
@@ -180,7 +180,7 @@ def noma_outage_far_nested(cfg: SystemConfig, power_w: float, n_nodes: int) -> f
         radius = np.sqrt(np.clip(c2 - m, 0.0, None))
         return 1.0 - diff_cdf(radius, dist)
 
-    value = 4.0 / cfg.region_x_m**2 * refined_interval(conditional, 0.0, m4, n_nodes)
+    value = 4.0 / cfg.region_x_m**2 * integrate_interval(conditional, 0.0, m4, n_nodes)
     return min(max(value, 0.0), 1.0)
 
 

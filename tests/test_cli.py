@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from passperf.cli import main
 from passperf.sweep import CSV_HEADER, read_csv
 
@@ -150,3 +152,34 @@ def test_mc_subcommand(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     value = float(lines[1].split(",")[0])
     assert 0.0 <= value <= 1.0
+
+
+@pytest.mark.parametrize("sigma_tol", ["nan", "-1"])
+def test_validate_rejects_non_positive_or_non_finite_sigma_tol(sigma_tol, capsys):
+    argv = ["validate", "--sigma-tol", sigma_tol, "--start", "100", "--stop", "100", "--trials", "1000"]
+    assert main(argv) == 2
+    assert "sigma_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asymptote", "--seed", "1"],
+        ["asymptote", "--trials", "10"],
+        ["crossover", "--seed", "1"],
+        ["crossover", "--trials", "10"],
+        ["mc", "--scheme", "wdma", "--user", "1", "--metric", "rate", "--snr-db", "100", "--nodes", "32"],
+    ],
+)
+def test_flags_a_subcommand_ignores_are_input_errors(argv):
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [["asymptote"], ["crossover", "--lo", "60", "--hi", "160"]])
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == printed
+    assert capsys.readouterr().out == ""

@@ -16,6 +16,7 @@ from passperf import (
     noma_outage_far,
     noma_outage_near,
     noma_rate_far,
+    noma_rate_far_ceiling,
     noma_rate_near,
     noma_zero_outage_thresholds,
     sinr,
@@ -254,7 +255,7 @@ def test_near_rate_full_multiplexing_gain():
 
 
 def test_far_rate_below_power_split_ceiling_on_grid():
-    ceiling = math.log2(1.0 + CFG.noma_alpha_far / CFG.noma_alpha_near)
+    ceiling = noma_rate_far_ceiling(CFG)
     assert ceiling == pytest.approx(math.log2(20.0), rel=1e-15)
     for snr_db in np.linspace(90.0, 150.0, 13):
         assert noma_rate_far(CFG, power_at(snr_db)) < ceiling
@@ -263,6 +264,9 @@ def test_far_rate_below_power_split_ceiling_on_grid():
 def test_far_rate_approaches_ceiling():
     power = 1e20 * derive_constants(CFG).noise_w_ue2
     assert noma_rate_far(CFG, power) == pytest.approx(math.log2(20.0), abs=1e-3)
+    assert noma_rate_far(CFG, power_at(400.0)) == pytest.approx(
+        noma_rate_far_ceiling(CFG), rel=1e-14
+    )
 
 
 def test_far_rate_zero_power_limit():

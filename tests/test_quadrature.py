@@ -8,15 +8,21 @@ from scipy.integrate import quad
 
 from passperf import (
     IntegrationError,
+    SystemConfig,
     chebyshev_rule,
     integrate_interval,
     integrate_unit,
     j0,
     j1,
-    refined_interval,
-    refined_unit,
+    noise_w,
+    noma_rate_far,
+    snr_db_to_power_w,
+    wdma_avg_rate,
+    wdma_outage_floor,
+    wdma_rate_ceiling,
 )
 from passperf.quadrature import _SERIES_S, _log1p_moments
+from passperf.sweep import omega_two
 
 from oracles import log1p_moments_both_forms
 
@@ -62,16 +68,48 @@ def test_sine_integral():
 
 
 def test_empty_interval_is_exactly_zero():
-    assert integrate_interval(np.exp, 1.3, 1.3, 64) == 0.0
-    assert refined_interval(np.exp, 1.3, 1.3, 64) == 0.0
+    for n in (1, 64, 128):
+        assert integrate_interval(np.exp, 1.3, 1.3, n) == 0.0
 
 
-def test_refined_rule_is_much_tighter():
-    assert refined_unit(lambda t: np.ones_like(t), 64) == pytest.approx(2.0, abs=1e-7)
-    assert refined_interval(np.sin, 0.0, math.pi, 64) == pytest.approx(2.0, abs=1e-7)
-    # doubling the order moves a smooth integral by well under 1e-6 relative
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 128])
+def test_weights_are_positive_and_exact_below_the_order(n):
+    rule = chebyshev_rule(n)
+    assert np.all(rule.weights > 0.0)
+    assert abs(rule.weights.sum() - 2.0) <= 4 * np.spacing(2.0)
+    for k in range(n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert rule.weights @ rule.nodes**k == pytest.approx(exact, abs=1e-14)
+
+
+def test_rule_is_exact_to_rounding_on_smooth_integrals():
+    assert integrate_unit(lambda t: np.ones_like(t), 64) == pytest.approx(2.0, abs=1e-14)
+    assert integrate_interval(np.sin, 0.0, math.pi, 64) == pytest.approx(2.0, abs=1e-14)
+    # doubling the order moves an analytic integrand's integral by rounding only
     f = lambda t: 1.0 / (2.0 + t)
-    assert refined_unit(f, 64) == pytest.approx(refined_unit(f, 128), rel=1e-7)
+    assert integrate_unit(f, 64) == pytest.approx(integrate_unit(f, 128), rel=1e-14)
+    assert integrate_unit(f, 64) == pytest.approx(math.log(3.0), rel=1e-14)
+
+
+DOUBLING_CONFIGS = {
+    "default": SystemConfig(),
+    "omega_two": omega_two(),
+    "split": SystemConfig(noma_alpha_near=0.2, noma_alpha_far=0.8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLING_CONFIGS))
+def test_doubling_nodes_moves_smooth_metrics_by_rounding_only(name):
+    # the README's promise for doubling --nodes, on the integrals whose
+    # integrands are smooth in the integration variable
+    cfg = DOUBLING_CONFIGS[name]
+    grid = np.arange(90.0, 151.0, 1.0)
+    powers = np.array([snr_db_to_power_w(s, noise_w(cfg, 1)) for s in grid])
+    for metric in (wdma_avg_rate, noma_rate_far):
+        coarse, fine = metric(cfg, powers, 64), metric(cfg, powers, 128)
+        assert np.allclose(coarse, fine, rtol=1e-12, atol=0.0), metric.__name__
+    for limit in (wdma_rate_ceiling, wdma_outage_floor):
+        assert limit(cfg, 64) == pytest.approx(limit(cfg, 128), rel=1e-12, abs=0.0)
 
 
 def test_non_finite_integrand_reports_node():
