@@ -27,7 +27,7 @@ from .geometry import (
     sample_wdma,
     sq_diff_cdf,
 )
-from .montecarlo import McSpec, MetricEstimate, mc_estimates, sinr, sinr_trials
+from .montecarlo import McSpec, MetricEstimate, mc_estimates, sinr
 from .noma import (
     noma_breakpoints,
     noma_outage_far,

@@ -9,13 +9,18 @@ single sequential run as long as workers are assigned whole blocks.
 
 ``sinr`` is the package's one SINR formula. It recomputes SINRs from the
 raw distance expressions on purpose, so the estimator stays independent of
-the analytic modules it validates. ``mc_estimates`` draws each trial block
-once and evaluates it at every requested power.
+the analytic modules it validates. It runs in two steps: a placement step
+computes the power-independent distance and noise terms, and a power step
+finishes the SINR from them with a few divisions. ``mc_scheme_estimates``
+draws each trial block once per scheme, runs the placement step once per
+block and user, and the power step at every requested power;
+``mc_estimates`` is its one-user case.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +44,10 @@ class McSpec:
     user: int
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if not 0 <= self.seed < 2**64:
@@ -78,6 +87,55 @@ def _draw(scheme: str, cfg: SystemConfig, seed: int, start: int, count: int):
     raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 
 
+def _placement_terms(scheme: str, user: int, cfg: SystemConfig, dc, placement):
+    """The power-independent terms of ``user``'s SINR on each placement.
+
+    WDMA: the squared signal and interference distances and the user's noise
+    power. NOMA: the noise power times the user's squared distance.
+    """
+    centre = 0.5 * cfg.region_x_m
+    h_sq = cfg.pa_height_m**2
+    p = placement
+
+    if scheme == "wdma":
+        if user == 1:
+            x_own, y_own, y_other, sigma2 = p.x_ue1, p.y_ue1, p.y_ue2, dc.noise_w_ue1
+        else:
+            x_own, y_own, y_other, sigma2 = p.x_ue2, p.y_ue2, p.y_ue1, dc.noise_w_ue2
+        dx_sq = (x_own - centre) ** 2
+        return dx_sq + h_sq, dx_sq + (y_own - y_other) ** 2 + h_sq, sigma2
+
+    if scheme == "noma":
+        if user == 1:
+            return dc.noise_w_ue1 * ((p.x_near - centre) ** 2 + h_sq)
+        return dc.noise_w_ue2 * ((p.x_far - centre) ** 2 + (p.y_near - p.y_far) ** 2 + h_sq)
+
+    raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+
+
+def _sinr_at(scheme: str, user: int, cfg: SystemConfig, dc, power_w, terms):
+    """``user``'s SINR at ``power_w`` from its :func:`_placement_terms`.
+
+    Returns a new array (or float); ``terms`` are left as they are.
+    """
+    if scheme == "wdma":
+        d_sig_sq, d_int_sq, sigma2 = terms
+        gain = 0.5 * power_w * dc.eta_m2
+        interference = gain / d_int_sq
+        interference += sigma2
+        signal = gain / d_sig_sq
+        signal /= interference
+        return signal
+    if user == 1:
+        return dc.eta_m2 * cfg.noma_alpha_near * power_w / terms
+    return (
+        dc.eta_m2
+        * cfg.noma_alpha_far
+        * power_w
+        / (dc.eta_m2 * cfg.noma_alpha_near * power_w + terms)
+    )
+
+
 def sinr(
     scheme: str,
     user: int,
@@ -93,51 +151,8 @@ def sinr(
     """
     check_powers(power_w)
     dc = derive_constants(cfg)
-    centre = 0.5 * cfg.region_x_m
-    h_sq = cfg.pa_height_m**2
-    p = placement
-
-    if scheme == "wdma":
-        if user == 1:
-            x_own, y_own, y_other, sigma2 = p.x_ue1, p.y_ue1, p.y_ue2, dc.noise_w_ue1
-        else:
-            x_own, y_own, y_other, sigma2 = p.x_ue2, p.y_ue2, p.y_ue1, dc.noise_w_ue2
-        d_sig_sq = (x_own - centre) ** 2 + h_sq
-        d_int_sq = (x_own - centre) ** 2 + (y_own - y_other) ** 2 + h_sq
-        signal = 0.5 * power_w * dc.eta_m2 / d_sig_sq
-        interference = 0.5 * power_w * dc.eta_m2 / d_int_sq
-        return signal / (interference + sigma2)
-
-    if scheme == "noma":
-        if user == 1:
-            d_sq = (p.x_near - centre) ** 2 + h_sq
-            return dc.eta_m2 * cfg.noma_alpha_near * power_w / (dc.noise_w_ue1 * d_sq)
-        d_sq = (p.x_far - centre) ** 2 + (p.y_near - p.y_far) ** 2 + h_sq
-        return (
-            dc.eta_m2
-            * cfg.noma_alpha_far
-            * power_w
-            / (dc.eta_m2 * cfg.noma_alpha_near * power_w + dc.noise_w_ue2 * d_sq)
-        )
-
-    raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-
-
-def sinr_trials(
-    scheme: str,
-    user: int,
-    cfg: SystemConfig,
-    power_w: float,
-    seed: int,
-    start: int,
-    count: int,
-) -> np.ndarray:
-    """Instantaneous SINRs of trials [start, start + count).
-
-    Deterministic in (seed, trial index): any contiguous range reproduces
-    the same per-trial values as a slice of a longer run.
-    """
-    return sinr(scheme, user, cfg, power_w, _draw(scheme, cfg, seed, start, count))
+    terms = _placement_terms(scheme, user, cfg, dc, placement)
+    return _sinr_at(scheme, user, cfg, dc, power_w, terms)
 
 
 def _blocks(trials: int):
@@ -145,34 +160,47 @@ def _blocks(trials: int):
         yield start, min(TRIAL_BLOCK, trials - start)
 
 
-def mc_estimates(spec: McSpec, cfg: SystemConfig, powers) -> dict:
-    """Outage and rate estimates of ``spec`` at every transmit power.
+def mc_scheme_estimates(
+    trials: int, seed: int, scheme: str, users, cfg: SystemConfig, powers
+) -> dict:
+    """Outage and rate estimates of each of ``users`` of ``scheme`` at every power.
 
-    Returns ``{"outage": [...], "rate": [...]}`` with one
-    :class:`MetricEstimate` per power. Each trial block is drawn once and
-    evaluated at every power (common random numbers), and each power's sums
-    are folded in block order, so an estimate does not depend on which
-    other powers share the call. The outage is the empirical probability
-    that the SINR falls at or below the threshold; the rate is the sample
-    mean of log2(1 + SINR).
+    Returns ``{user: {"outage": [...], "rate": [...]}}`` with one
+    :class:`MetricEstimate` per power. Each trial block is drawn once for
+    all users and powers (common random numbers); each user's
+    power-independent SINR terms are computed once per block, and each
+    (user, power)'s sums are folded in block order, so an estimate does not
+    depend on which other users or powers share the call. The outage is the
+    empirical probability that the SINR falls at or below the threshold;
+    the rate is the sample mean of log2(1 + SINR).
     """
+    if not users:
+        raise ValueError("users must name at least one user")
+    for user in users:
+        McSpec(trials, seed, scheme, user)
     powers = check_powers(list(powers)).tolist()
+    dc = derive_constants(cfg)
     gth = cfg.outage_threshold
-    hits = [0] * len(powers)
-    total = [0.0] * len(powers)
-    total_sq = [0.0] * len(powers)
-    for start, count in _blocks(spec.trials):
-        placement = _draw(spec.scheme, cfg, spec.seed, start, count)
-        for i, power_w in enumerate(powers):
-            gamma = sinr(spec.scheme, spec.user, cfg, power_w, placement)
-            hits[i] += int(np.count_nonzero(gamma <= gth))
-            rate = np.log1p(gamma) / _LN2
-            total[i] += float(np.sum(rate))
-            total_sq[i] += float(np.sum(rate * rate))
+    # per user: outage hits, rate sum and rate sum of squares, one per power
+    sums = {user: ([0] * len(powers), [0.0] * len(powers), [0.0] * len(powers)) for user in users}
+    for start, count in _blocks(trials):
+        placement = _draw(scheme, cfg, seed, start, count)
+        for user, (hits, total, total_sq) in sums.items():
+            terms = _placement_terms(scheme, user, cfg, dc, placement)
+            for i, power_w in enumerate(powers):
+                gamma = _sinr_at(scheme, user, cfg, dc, power_w, terms)
+                hits[i] += int(np.count_nonzero(gamma <= gth))
+                rate = np.log1p(gamma, out=gamma)
+                rate /= _LN2
+                total[i] += float(rate.sum())
+                rate *= rate
+                total_sq[i] += float(rate.sum())
+    return {user: _summarise(trials, *sums[user]) for user in sums}
 
-    n = spec.trials
+
+def _summarise(n: int, hits: list, total: list, total_sq: list) -> dict:
     outage, rate = [], []
-    for i in range(len(powers)):
+    for i in range(len(hits)):
         p_hat = hits[i] / n
         outage.append(MetricEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n), n))
         mean = total[i] / n
@@ -182,3 +210,14 @@ def mc_estimates(spec: McSpec, cfg: SystemConfig, powers) -> dict:
             variance = 0.0
         rate.append(MetricEstimate(mean, math.sqrt(variance / n), n))
     return {"outage": outage, "rate": rate}
+
+
+def mc_estimates(spec: McSpec, cfg: SystemConfig, powers) -> dict:
+    """Outage and rate estimates of ``spec`` at every transmit power.
+
+    Returns ``{"outage": [...], "rate": [...]}`` with one
+    :class:`MetricEstimate` per power: the one-user case of
+    :func:`mc_scheme_estimates`.
+    """
+    by_user = mc_scheme_estimates(spec.trials, spec.seed, spec.scheme, (spec.user,), cfg, powers)
+    return by_user[spec.user]

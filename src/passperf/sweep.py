@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import ConfigError, SystemConfig, noise_w, snr_db_to_power_w
-from .montecarlo import SCHEMES, McSpec, mc_estimates
+from .montecarlo import SCHEMES, mc_scheme_estimates
 from .noma import (
     noma_outage_far,
     noma_outage_near,
@@ -69,8 +70,14 @@ class SweepSpec:
         unknown = sorted(set(self.metrics) - set(METRICS))
         if unknown:
             raise ConfigError(f"metrics contains unknown entries: {unknown}")
+        for name in ("mc_trials", "mc_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.mc_trials < 1:
             raise ConfigError(f"mc_trials must be >= 1, got {self.mc_trials!r}")
+        if not 0 <= self.mc_seed < 2**64:
+            raise ConfigError(f"mc_seed must be an unsigned 64-bit integer, got {self.mc_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -142,18 +149,20 @@ def _cells(cfg, grid_db, pairs, metrics, n_nodes, mc_trials=None, mc_seed=None):
 
     Transmit SNR is referenced to the user-1 noise power. Each
     (scheme, user, metric) gets one ``analytic_metric`` call per block of
-    ``POWER_BLOCK`` grid powers. With ``mc_trials`` each (scheme, user) pair
-    gets one ``mc_estimates`` call over the whole grid; otherwise
-    ``estimate`` is None.
+    ``POWER_BLOCK`` grid powers. With ``mc_trials`` each scheme gets one
+    ``mc_scheme_estimates`` call over the whole grid for all its users;
+    otherwise ``estimate`` is None.
     """
     reference_noise = noise_w(cfg, 1)
     grid = [float(snr_db) for snr_db in grid_db]
     powers = [snr_db_to_power_w(snr_db, reference_noise) for snr_db in grid]
     estimates = {}
     if mc_trials is not None:
-        for scheme, user in pairs:
-            spec = McSpec(mc_trials, mc_seed, scheme, user)
-            estimates[(scheme, user)] = mc_estimates(spec, cfg, powers)
+        for scheme in dict.fromkeys(scheme for scheme, _ in pairs):
+            users = [user for s, user in pairs if s == scheme]
+            by_user = mc_scheme_estimates(mc_trials, mc_seed, scheme, users, cfg, powers)
+            for user, est in by_user.items():
+                estimates[(scheme, user)] = est
     keys = [(scheme, user, metric) for scheme, user in pairs for metric in metrics]
     for first in range(0, len(grid), POWER_BLOCK):
         block = np.array(powers[first : first + POWER_BLOCK])

@@ -3,9 +3,10 @@
 Most of these deliberately avoid the package's quadrature and antiderivative
 code: brute-force trapezoid grids and adaptive scipy quadrature recompute
 every quantity from raw definitions so closed forms are checked against a
-second route. The nested Chebyshev routes at the end instead integrate the
-separation density numerically with the package's own rule, a route that
-shares no formula with the closed forms they check.
+second route. The nested Chebyshev routes instead integrate the separation
+density numerically with the package's own rule, a route that shares no
+formula with the closed forms they check. ``sinr_trials`` addresses the
+simulator's per-trial SINRs by trial index.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from passperf import (
     integrate_interval,
     integrate_unit,
     noise_w,
+    sinr,
 )
+from passperf.montecarlo import _draw
 from passperf.noma import _c2
 from passperf.quadrature import _SERIES_S, _SERIES_TERMS
 
@@ -216,3 +219,14 @@ def log1p_moments_both_forms(u, r):
         phi0 = np.where(small, series[..., 0], phi0)
         phi1 = np.where(small, series[..., 1], phi1)
     return u * phi0, 0.5 * u**2 * phi1
+
+
+def sinr_trials(
+    scheme: str, user: int, cfg: SystemConfig, power_w: float, seed: int, start: int, count: int
+) -> np.ndarray:
+    """Instantaneous SINRs of trials [start, start + count): the simulator's draw plus ``sinr``.
+
+    Deterministic in (seed, trial index): any contiguous range reproduces
+    the same per-trial values as a slice of a longer run.
+    """
+    return sinr(scheme, user, cfg, power_w, _draw(scheme, cfg, seed, start, count))

@@ -3,8 +3,12 @@
 The files under tests/data were written by ``passperf sweep --asymptotes``.
 A change that moves values on purpose re-records them and says so in
 CHANGES.md.
+
+The Monte Carlo checks compare only the key and simulation columns, so a
+re-recording of the analytic columns leaves them alone.
 """
 
+import csv
 import json
 from pathlib import Path
 
@@ -13,10 +17,12 @@ import pytest
 from passperf.cli import main
 
 DATA = Path(__file__).parent / "data"
+BENCH_REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference"
+OMEGA_TWO = {"region_y_m": 10.0, "region_y_offset_m": 10.0}
 
 GOLDEN = {
     "sweep_default.csv": ({}, ("-50", "400", "10")),
-    "sweep_omega_two.csv": ({"region_y_m": 10.0, "region_y_offset_m": 10.0}, ("90", "150", "2")),
+    "sweep_omega_two.csv": (OMEGA_TWO, ("90", "150", "2")),
     "sweep_split.csv": ({"noma_alpha_near": 0.2, "noma_alpha_far": 0.8}, ("60", "160", "5")),
 }
 
@@ -24,9 +30,40 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_sweep_reproduces_recorded_csv(name, tmp_path):
     overrides, (start, stop, step) = GOLDEN[name]
+    out = _sweep(tmp_path, overrides, ["--asymptotes", "--start", start, "--stop", stop, "--step", step])
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+# recorded file -> (config overrides, sweep flags after ``--mc``)
+GOLDEN_MC = {
+    DATA / "sweep_mc_default.csv": (
+        {},
+        ("--asymptotes", "--trials", "40000", "--seed", "12345",
+         "--start", "90", "--stop", "150", "--step", "10"),
+    ),
+    BENCH_REFERENCE / "sweep_dispersed_mc.csv": (
+        OMEGA_TWO,
+        ("--trials", "100000", "--seed", "12345", "--start", "90", "--stop", "150", "--step", "2"),
+    ),
+}
+
+
+def _sweep(tmp_path, overrides, flags):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(overrides), encoding="utf-8")
-    out = tmp_path / name
-    argv = ["sweep", "--asymptotes", "--start", start, "--stop", stop, "--step", step]
-    assert main(argv + ["--config", str(config), "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / name).read_bytes()
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+def _mc_columns(path):
+    """(snr_db, scheme, user, metric, mc_value, mc_std_error) text of each row."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [tuple(row[:4] + row[6:8]) for row in csv.reader(fh)]
+
+
+@pytest.mark.parametrize("recorded", sorted(GOLDEN_MC), ids=lambda path: path.name)
+def test_sweep_reproduces_recorded_mc_columns(recorded, tmp_path):
+    overrides, flags = GOLDEN_MC[recorded]
+    out = _sweep(tmp_path, overrides, ["--mc", *flags])
+    assert _mc_columns(out) == _mc_columns(recorded)

@@ -10,12 +10,13 @@ from passperf import (
     SystemConfig,
     mc_estimates,
     run_sweep,
-    sinr_trials,
     snr_db_to_power_w,
 )
 from passperf import montecarlo
 from passperf.montecarlo import TRIAL_BLOCK
-from passperf.sweep import snr_grid
+from passperf.sweep import snr_grid, validate
+
+from oracles import sinr_trials
 
 CFG = SystemConfig()
 POWER = snr_db_to_power_w(100.0, 1e-12)
@@ -31,6 +32,13 @@ def test_spec_validation():
         McSpec(10, 1, "tdma", 1)
     with pytest.raises(ValueError, match="user"):
         McSpec(10, 1, "noma", 3)
+    for trials in (True, 2.5, 10.0):
+        with pytest.raises(ValueError, match="trials"):
+            McSpec(trials, 1, "wdma", 1)
+    for seed in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="seed"):
+            McSpec(10, seed, "wdma", 1)
+    assert McSpec(np.int64(10), np.uint64(2**63), "wdma", 1).trials == 10
     with pytest.raises(ValueError, match="std_error"):
         MetricEstimate(0.5, -1.0, 10)
 
@@ -155,25 +163,57 @@ def test_grid_estimates_equal_one_power_calls(scheme, user):
         assert together["rate"][i] == alone["rate"][0]
 
 
-def test_sweep_draws_each_block_once_per_scheme_and_user(monkeypatch):
-    draws = []
+THREE_BLOCKS = 2 * TRIAL_BLOCK + 1
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Names of the placement samplers the simulator calls, one per draw."""
+    names = []
 
     def counting(sample):
         def wrapper(*args, **kwargs):
-            draws.append(sample.__name__)
+            names.append(sample.__name__)
             return sample(*args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(montecarlo, "sample_wdma", counting(montecarlo.sample_wdma))
     monkeypatch.setattr(montecarlo, "sample_noma", counting(montecarlo.sample_noma))
-    trials = 2 * TRIAL_BLOCK + 1  # three blocks
-    spec = SweepSpec(include_mc=True, mc_trials=trials, mc_seed=7)
+    return names
+
+
+def test_sweep_draws_each_block_once_per_scheme(draws):
+    spec = SweepSpec(include_mc=True, mc_trials=THREE_BLOCKS, mc_seed=7)
     assert len(snr_grid(spec)) > 1
     run_sweep(spec, CFG)
-    # one wdma pair (user 1) and two noma pairs, with no factor for grid points
+    # both noma users share each draw, with no factor for grid points
     assert draws.count("sample_wdma") == 3
-    assert draws.count("sample_noma") == 2 * 3
+    assert draws.count("sample_noma") == 3
+
+
+def test_validate_draws_each_block_once_per_scheme(draws):
+    # validate checks both users of both schemes
+    validate(CFG, [100.0, 120.0], THREE_BLOCKS, 7)
+    assert draws.count("sample_wdma") == 3
+    assert draws.count("sample_noma") == 3
+
+
+def test_users_sharing_a_draw_match_one_user_calls():
+    powers = [snr_db_to_power_w(s, 1e-12) for s in (90.0, 110.0, 130.0)]
+    for scheme in ("wdma", "noma"):
+        together = montecarlo.mc_scheme_estimates(THREE_BLOCKS, 11, scheme, (1, 2), CFG, powers)
+        for user in (1, 2):
+            assert together[user] == mc_estimates(McSpec(THREE_BLOCKS, 11, scheme, user), CFG, powers)
+
+
+def test_scheme_estimates_validate_through_spec():
+    with pytest.raises(ValueError, match="trials"):
+        montecarlo.mc_scheme_estimates(2.5, 1, "noma", (1, 2), CFG, [POWER])
+    with pytest.raises(ValueError, match="user"):
+        montecarlo.mc_scheme_estimates(10, 1, "noma", (1, 3), CFG, [POWER])
+    with pytest.raises(ValueError, match="users"):
+        montecarlo.mc_scheme_estimates(10, 1, "noma", (), CFG, [POWER])
 
 
 def test_estimates_reject_non_positive_power():

@@ -36,6 +36,12 @@ def test_spec_validation_names_fields():
         SweepSpec(metrics=("outage", "goodput"))
     with pytest.raises(ConfigError, match="mc_trials"):
         SweepSpec(mc_trials=0)
+    for trials in (2.5, True, 100_000.0):
+        with pytest.raises(ConfigError, match="mc_trials"):
+            SweepSpec(include_mc=True, mc_trials=trials)
+    for seed in (1.5, False, "12345", -1, 2**64):
+        with pytest.raises(ConfigError, match="mc_seed"):
+            SweepSpec(include_mc=True, mc_seed=seed)
 
 
 def test_grid_is_inclusive():
