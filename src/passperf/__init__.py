@@ -18,11 +18,7 @@ from .geometry import (
     WdmaPlacement,
     diff_cdf,
     diff_distribution,
-    diff_pdf,
-    far_pdf,
     g_axis,
-    near_coord_cdf_g,
-    near_pdf,
     sample_noma,
     sample_wdma,
     sq_diff_cdf,

@@ -133,9 +133,9 @@ def _cmd_sweep(args) -> int:
         mc_trials=args.trials,
         mc_seed=args.seed,
     )
-    result = run_sweep(spec, cfg, n_nodes=args.nodes)
+    rows = run_sweep(spec, cfg, n_nodes=args.nodes)
     with _output(args) as out:
-        write_csv(result, out)
+        write_csv(rows, out)
     return EXIT_OK
 
 

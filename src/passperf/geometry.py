@@ -3,8 +3,8 @@
 Both access schemes share the same geometry: user x-coordinates are uniform
 along the service region, y-coordinates are uniform in two disjoint
 sub-regions on either side of the waveguide axis. The y-separation of the
-two users follows a triangular distribution; its square and the ordered
-x-offsets have the closed-form CDFs implemented here.
+two users follows a triangular distribution; its CDF, the CDF of its square
+and the closed-form log-expectation over it are implemented here.
 """
 
 from __future__ import annotations
@@ -122,18 +122,6 @@ def sample_noma(cfg: SystemConfig, rng: np.random.Generator, size=None) -> NomaP
     return NomaPlacement(x_near, x_far, y_near, y_far)
 
 
-def diff_pdf(u, dist: DiffDistribution):
-    """Density of the y-separation (triangular)."""
-    w = dist.half_width
-    v = np.asarray(u, dtype=float) - dist.support_lo
-    rising = (v > 0.0) & (v <= w)
-    falling = (v > w) & (v < 2.0 * w)
-    out = np.zeros_like(v)
-    out = np.where(rising, v / w**2, out)
-    out = np.where(falling, (2.0 * w - v) / w**2, out)
-    return _maybe_scalar(out)
-
-
 def diff_cdf(u, dist: DiffDistribution):
     """CDF of the y-separation (triangular)."""
     w = dist.half_width
@@ -172,32 +160,3 @@ def expected_log_excess(a, b, dist: DiffDistribution):
     m0, m1 = _log1p_moments(points, ratio[..., None])
     t = points * m0 - m1
     return _maybe_scalar((t[..., 0] - 2.0 * t[..., 1] + t[..., 2]) / w**2)
-
-
-def near_coord_cdf_g(g, cfg: SystemConfig):
-    """CDF of the squared x-offset of the near (ordered) user."""
-    dx = cfg.region_x_m
-    m4 = (0.5 * dx) ** 2
-    g = np.asarray(g, dtype=float)
-    gc = np.clip(g, 0.0, m4)
-    root = np.sqrt(gc)
-    out = np.where(g <= 0.0, 0.0, np.where(g >= m4, 1.0, 4.0 * root / dx - 4.0 * gc / dx**2))
-    return _maybe_scalar(out)
-
-
-def near_pdf(x, cfg: SystemConfig):
-    """Density of the near user's x-coordinate: 2/D - 4|x - D/2|/D^2 on [0, D]."""
-    dx = cfg.region_x_m
-    x = np.asarray(x, dtype=float)
-    inside = (x >= 0.0) & (x <= dx)
-    val = 2.0 / dx - 4.0 * np.abs(x - 0.5 * dx) / dx**2
-    return _maybe_scalar(np.where(inside, val, 0.0))
-
-
-def far_pdf(x, cfg: SystemConfig):
-    """Density of the far user's x-coordinate: 4|x - D/2|/D^2 on [0, D]."""
-    dx = cfg.region_x_m
-    x = np.asarray(x, dtype=float)
-    inside = (x >= 0.0) & (x <= dx)
-    val = 4.0 * np.abs(x - 0.5 * dx) / dx**2
-    return _maybe_scalar(np.where(inside, val, 0.0))

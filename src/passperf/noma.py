@@ -147,7 +147,7 @@ def _outage_far(cfg: SystemConfig, power_w: float, far_threshold) -> float:
 
 
 @over_powers
-def noma_outage_far(cfg: SystemConfig, power_w, n_nodes: int = 64):
+def noma_outage_far(cfg: SystemConfig, power_w):
     """Outage probability of the far user at transmit power ``power_w`` (a
     scalar or a 1-D array).
 
@@ -156,8 +156,7 @@ def noma_outage_far(cfg: SystemConfig, power_w, n_nodes: int = 64):
     the bottom of the separation's support. The no-coverage (radius below
     the smallest separation) and full-coverage (radius beyond the farthest
     region point) cases short circuit exactly. The closed form is evaluated
-    on Python floats, one power at a time. ``n_nodes`` is unused; it keeps
-    the signature of the other analytic metrics.
+    on Python floats, one power at a time.
     """
     _, far_threshold = noma_zero_outage_thresholds(cfg)
     return np.array([_outage_far(cfg, p, far_threshold) for p in power_w.tolist()])

@@ -11,7 +11,8 @@ import csv
 import io
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,46 @@ METRICS = ("outage", "rate")
 # (powers x nodes) arrays of one call small.
 POWER_BLOCK = 16
 CSV_HEADER = ("snr_db", "scheme", "user", "metric", "analytic", "asymptote", "mc_value", "mc_std_error")
+
+
+class Cell(NamedTuple):
+    """One (scheme, user, metric) cell: its value over transmit powers and
+    its high-SNR limit (None where the metric grows without bound)."""
+
+    value: Callable  # (cfg, power_w, n_nodes) -> float or array
+    limit: Callable | None  # (cfg, n_nodes) -> float
+
+
+# Every analytic cell, in validation order. The entries look each metric up
+# by its module-level name at call time, so a name rebound after import
+# (a wrapper, a patch) is the one called.
+CELLS = {
+    ("wdma", 1, "outage"): Cell(
+        lambda c, p, n: wdma_outage(c, p, n, user=1), lambda c, n: wdma_outage_floor(c, n)
+    ),
+    ("wdma", 1, "rate"): Cell(
+        lambda c, p, n: wdma_avg_rate(c, p, n, user=1), lambda c, n: wdma_rate_ceiling(c, n)
+    ),
+    ("wdma", 2, "outage"): Cell(
+        lambda c, p, n: wdma_outage(c, p, n, user=2), lambda c, n: wdma_outage_floor(c, n)
+    ),
+    ("wdma", 2, "rate"): Cell(
+        lambda c, p, n: wdma_avg_rate(c, p, n, user=2), lambda c, n: wdma_rate_ceiling(c, n)
+    ),
+    ("noma", 1, "outage"): Cell(lambda c, p, n: noma_outage_near(c, p), lambda c, n: 0.0),
+    ("noma", 1, "rate"): Cell(lambda c, p, n: noma_rate_near(c, p), None),
+    ("noma", 2, "outage"): Cell(
+        lambda c, p, n: noma_outage_far(c, p),
+        # zero beyond the far user's threshold, one where no power reaches it
+        lambda c, n: 1.0 if noma_zero_outage_thresholds(c)[1] is None else 0.0,
+    ),
+    ("noma", 2, "rate"): Cell(
+        lambda c, p, n: noma_rate_far(c, p, n), lambda c, n: noma_rate_far_ceiling(c)
+    ),
+}
+# The two per-waveguide users are symmetric (indices swapped), so sweeps
+# report user 1 for wdma; the noma users are genuinely distinct.
+SWEEP_USERS = {"wdma": (1,), "noma": (1, 2)}
 
 
 class NumericalError(RuntimeError):
@@ -64,12 +105,15 @@ class SweepSpec:
                 f"snr_db_start must be <= snr_db_stop, got "
                 f"({self.snr_db_start!r}, {self.snr_db_stop!r})"
             )
-        unknown = sorted(set(self.schemes) - set(SCHEMES))
-        if unknown:
-            raise ConfigError(f"schemes contains unknown entries: {unknown}")
-        unknown = sorted(set(self.metrics) - set(METRICS))
-        if unknown:
-            raise ConfigError(f"metrics contains unknown entries: {unknown}")
+        for name, known in (("schemes", SCHEMES), ("metrics", METRICS)):
+            entries = getattr(self, name)
+            if not entries:
+                raise ConfigError(f"{name} must name at least one entry")
+            unknown = sorted(set(entries) - set(known))
+            if unknown:
+                raise ConfigError(f"{name} contains unknown entries: {unknown}")
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"{name} contains duplicate entries: {list(entries)}")
         for name in ("mc_trials", "mc_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -92,63 +136,17 @@ class SweepRow:
     mc_std_error: float | None = None
 
 
-@dataclass
-class SweepResult:
-    rows: list = field(default_factory=list)
-
-
 def snr_grid(spec: SweepSpec) -> list:
     """Inclusive dB grid start, start + step, ... up to stop."""
     count = int(math.floor((spec.snr_db_stop - spec.snr_db_start) / spec.snr_db_step + 1e-9)) + 1
     return [spec.snr_db_start + i * spec.snr_db_step for i in range(count)]
 
 
-def analytic_metric(
-    scheme: str, user: int, metric: str, cfg: SystemConfig, power_w, n_nodes: int = 64
-):
-    """Dispatch one (scheme, user, metric) cell to its analytic operation.
-
-    ``power_w`` is a scalar (a float comes back) or a 1-D array of powers
-    (an array comes back, one value per power).
-    """
-    if scheme == "wdma":
-        if metric == "outage":
-            return wdma_outage(cfg, power_w, n_nodes, user=user)
-        return wdma_avg_rate(cfg, power_w, n_nodes, user=user)
-    if metric == "outage":
-        return noma_outage_near(cfg, power_w) if user == 1 else noma_outage_far(cfg, power_w, n_nodes)
-    return noma_rate_near(cfg, power_w) if user == 1 else noma_rate_far(cfg, power_w, n_nodes)
-
-
-def asymptote_value(
-    scheme: str, user: int, metric: str, cfg: SystemConfig, n_nodes: int = 64
-) -> float | None:
-    """High-SNR limit of one cell; None where the metric grows unbounded."""
-    if scheme == "wdma":
-        if metric == "outage":
-            return wdma_outage_floor(cfg, n_nodes)
-        return wdma_rate_ceiling(cfg, n_nodes)
-    if metric == "outage":
-        if user == 1:
-            return 0.0
-        _, far_threshold = noma_zero_outage_thresholds(cfg)
-        return 0.0 if far_threshold is not None else 1.0
-    if user == 1:
-        return None  # near-user rate grows without bound
-    return noma_rate_far_ceiling(cfg)
-
-
-def _sweep_users(scheme: str) -> tuple:
-    # the two per-waveguide users are symmetric (indices swapped), so sweeps
-    # report user 1 for wdma; the noma users are genuinely distinct
-    return (1,) if scheme == "wdma" else (1, 2)
-
-
-def _cells(cfg, grid_db, pairs, metrics, n_nodes, mc_trials=None, mc_seed=None):
+def _cells(cfg, grid_db, keys, n_nodes, mc_trials=None, mc_seed=None):
     """Yield (snr_db, scheme, user, metric, analytic, estimate) per cell, SNR outermost.
 
     Transmit SNR is referenced to the user-1 noise power. Each
-    (scheme, user, metric) gets one ``analytic_metric`` call per block of
+    (scheme, user, metric) key of ``CELLS`` gets one call per block of
     ``POWER_BLOCK`` grid powers. With ``mc_trials`` each scheme gets one
     ``mc_scheme_estimates`` call over the whole grid for all its users;
     otherwise ``estimate`` is None.
@@ -158,15 +156,14 @@ def _cells(cfg, grid_db, pairs, metrics, n_nodes, mc_trials=None, mc_seed=None):
     powers = [snr_db_to_power_w(snr_db, reference_noise) for snr_db in grid]
     estimates = {}
     if mc_trials is not None:
-        for scheme in dict.fromkeys(scheme for scheme, _ in pairs):
-            users = [user for s, user in pairs if s == scheme]
+        for scheme in dict.fromkeys(scheme for scheme, _, _ in keys):
+            users = list(dict.fromkeys(user for s, user, _ in keys if s == scheme))
             by_user = mc_scheme_estimates(mc_trials, mc_seed, scheme, users, cfg, powers)
             for user, est in by_user.items():
                 estimates[(scheme, user)] = est
-    keys = [(scheme, user, metric) for scheme, user in pairs for metric in metrics]
     for first in range(0, len(grid), POWER_BLOCK):
         block = np.array(powers[first : first + POWER_BLOCK])
-        analytic = {key: analytic_metric(*key, cfg, block, n_nodes).tolist() for key in keys}
+        analytic = {key: CELLS[key].value(cfg, block, n_nodes).tolist() for key in keys}
         for j, snr_db in enumerate(grid[first : first + POWER_BLOCK]):
             for key in keys:
                 scheme, user, metric = key
@@ -174,24 +171,27 @@ def _cells(cfg, grid_db, pairs, metrics, n_nodes, mc_trials=None, mc_seed=None):
                 yield snr_db, scheme, user, metric, analytic[key][j], est
 
 
-def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> SweepResult:
-    """Fill every requested cell of the SNR grid.
+def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> list:
+    """Fill every requested cell of the SNR grid: a list of :class:`SweepRow`.
 
     Transmit SNR is referenced to the user-1 noise power. Rows come out
     sorted by (snr_db, scheme, user, metric).
     """
-    pairs = [(scheme, user) for scheme in spec.schemes for user in _sweep_users(scheme)]
+    keys = [
+        (scheme, user, metric)
+        for scheme in spec.schemes
+        for user in SWEEP_USERS[scheme]
+        for metric in spec.metrics
+    ]
     asymptotes = {}
     if spec.include_asymptotes:
-        for scheme, user in pairs:
-            for metric in spec.metrics:
-                asymptotes[(scheme, user, metric)] = asymptote_value(
-                    scheme, user, metric, cfg, n_nodes
-                )
+        for key in keys:
+            limit = CELLS[key].limit
+            asymptotes[key] = None if limit is None else limit(cfg, n_nodes)
     mc_trials = spec.mc_trials if spec.include_mc else None
     rows = []
     for snr_db, scheme, user, metric, analytic, est in _cells(
-        cfg, snr_grid(spec), pairs, spec.metrics, n_nodes, mc_trials, spec.mc_seed
+        cfg, snr_grid(spec), keys, n_nodes, mc_trials, spec.mc_seed
     ):
         rows.append(
             SweepRow(
@@ -206,7 +206,7 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> SweepRes
             )
         )
     rows.sort(key=lambda r: (r.snr_db, r.scheme, r.user, r.metric))
-    return SweepResult(rows=rows)
+    return rows
 
 
 def _format_cell(value) -> str:
@@ -217,10 +217,10 @@ def _parse_cell(text: str) -> float | None:
     return None if text == "" else float(text)
 
 
-def write_csv(result: SweepResult, fileobj) -> None:
+def write_csv(rows: list, fileobj) -> None:
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in result.rows:
+    for row in rows:
         writer.writerow(
             [
                 repr(row.snr_db),
@@ -235,13 +235,13 @@ def write_csv(result: SweepResult, fileobj) -> None:
         )
 
 
-def to_csv_text(result: SweepResult) -> str:
+def to_csv_text(rows: list) -> str:
     buf = io.StringIO()
-    write_csv(result, buf)
+    write_csv(rows, buf)
     return buf.getvalue()
 
 
-def read_csv(fileobj) -> SweepResult:
+def read_csv(fileobj) -> list:
     reader = csv.reader(fileobj)
     header = next(reader)
     if tuple(header) != CSV_HEADER:
@@ -260,10 +260,17 @@ def read_csv(fileobj) -> SweepResult:
                 mc_std_error=_parse_cell(record[7]),
             )
         )
-    return SweepResult(rows=rows)
+    return rows
 
 
-CROSSOVER_METRICS = ("rate_sum", "outage_ue")
+# Crossover metric -> (cells added, cells subtracted), summed in this order.
+CROSSOVER_METRICS = {
+    "rate_sum": (
+        (("noma", 1, "rate"), ("noma", 2, "rate")),
+        (("wdma", 1, "rate"), ("wdma", 2, "rate")),
+    ),
+    "outage_ue": ((("noma", 2, "outage"),), (("wdma", 1, "outage"),)),
+}
 
 
 def find_crossover(
@@ -281,25 +288,20 @@ def find_crossover(
     the whole bracket.
     """
     if metric not in CROSSOVER_METRICS:
-        raise ConfigError(f"metric must be one of {CROSSOVER_METRICS}, got {metric!r}")
+        raise ConfigError(f"metric must be one of {tuple(CROSSOVER_METRICS)}, got {metric!r}")
     lo, hi = float(bracket_db[0]), float(bracket_db[1])
     if not hi > lo:
         raise ConfigError(f"bracket width must be > 0, got {bracket_db!r}")
     reference_noise = noise_w(cfg, 1)
+    added, subtracted = CROSSOVER_METRICS[metric]
 
     def difference(snr_db: float) -> float:
         power_w = snr_db_to_power_w(snr_db, reference_noise)
-        if metric == "rate_sum":
-            value = (
-                noma_rate_near(cfg, power_w)
-                + noma_rate_far(cfg, power_w, n_nodes)
-                - wdma_avg_rate(cfg, power_w, n_nodes, user=1)
-                - wdma_avg_rate(cfg, power_w, n_nodes, user=2)
-            )
-        else:
-            value = noma_outage_far(cfg, power_w, n_nodes) - wdma_outage(
-                cfg, power_w, n_nodes, user=1
-            )
+        value = 0.0
+        for key in added:
+            value += CELLS[key].value(cfg, power_w, n_nodes)
+        for key in subtracted:
+            value -= CELLS[key].value(cfg, power_w, n_nodes)
         if not math.isfinite(value):
             raise NumericalError(f"{metric} difference not finite at {snr_db} dB")
         return value
@@ -379,10 +381,9 @@ def validate(
         raise ConfigError(f"trials must be >= 1, got {trials!r}")
     if not (math.isfinite(sigma_tol) and sigma_tol > 0.0):
         raise ConfigError(f"sigma_tol must be finite and > 0, got {sigma_tol!r}")
-    pairs = [(scheme, user) for scheme in SCHEMES for user in (1, 2)]
     cells = []
     for snr_db, scheme, user, metric, analytic, est in _cells(
-        cfg, grid_db, pairs, METRICS, n_nodes, trials, seed
+        cfg, grid_db, tuple(CELLS), n_nodes, trials, seed
     ):
         tolerance = cell_tolerance(metric, analytic, est.std_error, sigma_tol)
         cells.append(

@@ -5,8 +5,11 @@ code: brute-force trapezoid grids and adaptive scipy quadrature recompute
 every quantity from raw definitions so closed forms are checked against a
 second route. The nested Chebyshev routes instead integrate the separation
 density numerically with the package's own rule, a route that shares no
-formula with the closed forms they check. ``sinr_trials`` addresses the
-simulator's per-trial SINRs by trial index.
+formula with the closed forms they check. The densities of the separation
+and of the near and far users' x-coordinates, and the CDF of the near
+user's squared x-offset, are the reference laws those routes and the
+sampling tests use. ``sinr_trials`` addresses the simulator's per-trial
+SINRs by trial index.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from passperf import (
+    DiffDistribution,
     SystemConfig,
     derive_constants,
     diff_cdf,
     diff_distribution,
-    diff_pdf,
     g_axis,
     integrate_interval,
     integrate_unit,
@@ -31,7 +34,7 @@ from passperf import (
 )
 from passperf.montecarlo import _draw
 from passperf.noma import _c2
-from passperf.quadrature import _SERIES_S, _SERIES_TERMS
+from passperf.quadrature import _SERIES_S, _SERIES_TERMS, _maybe_scalar
 
 
 def random_config(rng: np.random.Generator) -> SystemConfig:
@@ -51,6 +54,47 @@ def random_config(rng: np.random.Generator) -> SystemConfig:
 def random_offset_config(rng: np.random.Generator) -> SystemConfig:
     """A random configuration with sub-regions dispersed 0.5-15 m off the axis."""
     return replace(random_config(rng), region_y_offset_m=rng.uniform(0.5, 15.0))
+
+
+def diff_pdf(u, dist: DiffDistribution):
+    """Density of the y-separation (triangular)."""
+    w = dist.half_width
+    v = np.asarray(u, dtype=float) - dist.support_lo
+    rising = (v > 0.0) & (v <= w)
+    falling = (v > w) & (v < 2.0 * w)
+    out = np.zeros_like(v)
+    out = np.where(rising, v / w**2, out)
+    out = np.where(falling, (2.0 * w - v) / w**2, out)
+    return _maybe_scalar(out)
+
+
+def near_coord_cdf_g(g, cfg: SystemConfig):
+    """CDF of the squared x-offset of the near (ordered) user."""
+    dx = cfg.region_x_m
+    m4 = (0.5 * dx) ** 2
+    g = np.asarray(g, dtype=float)
+    gc = np.clip(g, 0.0, m4)
+    root = np.sqrt(gc)
+    out = np.where(g <= 0.0, 0.0, np.where(g >= m4, 1.0, 4.0 * root / dx - 4.0 * gc / dx**2))
+    return _maybe_scalar(out)
+
+
+def near_pdf(x, cfg: SystemConfig):
+    """Density of the near user's x-coordinate: 2/D - 4|x - D/2|/D^2 on [0, D]."""
+    dx = cfg.region_x_m
+    x = np.asarray(x, dtype=float)
+    inside = (x >= 0.0) & (x <= dx)
+    val = 2.0 / dx - 4.0 * np.abs(x - 0.5 * dx) / dx**2
+    return _maybe_scalar(np.where(inside, val, 0.0))
+
+
+def far_pdf(x, cfg: SystemConfig):
+    """Density of the far user's x-coordinate: 4|x - D/2|/D^2 on [0, D]."""
+    dx = cfg.region_x_m
+    x = np.asarray(x, dtype=float)
+    inside = (x >= 0.0) & (x <= dx)
+    val = 4.0 * np.abs(x - 0.5 * dx) / dx**2
+    return _maybe_scalar(np.where(inside, val, 0.0))
 
 
 def _triangular_density(u: float, lo: float, w: float) -> float:

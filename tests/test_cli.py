@@ -25,9 +25,9 @@ def test_sweep_writes_csv(tmp_path):
     assert code == 0
     text = out.read_text()
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
-    result = read_csv(io.StringIO(text))
+    rows = read_csv(io.StringIO(text))
     # 3 grid points x (wdma user 1 + noma users 1,2) x 2 metrics
-    assert len(result.rows) == 3 * 3 * 2
+    assert len(rows) == 3 * 3 * 2
 
 
 def test_sweep_to_stdout_with_subsets(capsys):
@@ -61,7 +61,7 @@ def test_sweep_with_mc_and_asymptotes(tmp_path):
         ]
     )
     assert code == 0
-    rows = read_csv(io.StringIO(out.read_text())).rows
+    rows = read_csv(io.StringIO(out.read_text()))
     assert all(r.mc_value is not None for r in rows)
     wdma_rows = [r for r in rows if r.scheme == "wdma"]
     assert all(r.asymptote is not None for r in wdma_rows)
@@ -106,6 +106,23 @@ def test_bad_flag_is_input_error(capsys):
 def test_invalid_spec_is_input_error(capsys):
     assert main(["sweep", "--step", "-1"]) == 2
     assert "snr_db_step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--schemes", "wdma,wdma"], "schemes"),
+        (["--metrics", "outage,outage"], "metrics"),
+        (["--schemes", ""], "schemes"),
+        (["--metrics", ","], "metrics"),
+    ],
+    ids=["duplicate-schemes", "duplicate-metrics", "empty-schemes", "empty-metrics"],
+)
+def test_duplicate_or_empty_selection_is_input_error(flags, field, capsys):
+    assert main(["sweep", "--start", "100", "--stop", "100", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
 
 
 def test_crossover_output(capsys):

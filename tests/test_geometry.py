@@ -11,16 +11,14 @@ from passperf import (
     SystemConfig,
     diff_cdf,
     diff_distribution,
-    diff_pdf,
-    far_pdf,
     g_axis,
-    near_coord_cdf_g,
-    near_pdf,
     sample_noma,
     sample_wdma,
     sq_diff_cdf,
 )
 from passperf.geometry import DiffDistribution, expected_log_excess
+
+from oracles import diff_pdf, far_pdf, near_coord_cdf_g, near_pdf
 
 CFG = SystemConfig()
 N_SAMPLES = 100_000

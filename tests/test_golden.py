@@ -5,7 +5,9 @@ A change that moves values on purpose re-records them and says so in
 CHANGES.md.
 
 The Monte Carlo checks compare only the key and simulation columns, so a
-re-recording of the analytic columns leaves them alone.
+re-recording of the analytic columns leaves them alone. The crossover checks
+pin the ``passperf crossover`` output of the six (metric, config) pairs the
+benchmark's crossover workload runs.
 """
 
 import csv
@@ -19,11 +21,12 @@ from passperf.cli import main
 DATA = Path(__file__).parent / "data"
 BENCH_REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference"
 OMEGA_TWO = {"region_y_m": 10.0, "region_y_offset_m": 10.0}
+SPLIT = {"noma_alpha_near": 0.2, "noma_alpha_far": 0.8}
 
 GOLDEN = {
     "sweep_default.csv": ({}, ("-50", "400", "10")),
     "sweep_omega_two.csv": (OMEGA_TWO, ("90", "150", "2")),
-    "sweep_split.csv": ({"noma_alpha_near": 0.2, "noma_alpha_far": 0.8}, ("60", "160", "5")),
+    "sweep_split.csv": (SPLIT, ("60", "160", "5")),
 }
 
 
@@ -67,3 +70,27 @@ def test_sweep_reproduces_recorded_mc_columns(recorded, tmp_path):
     overrides, flags = GOLDEN_MC[recorded]
     out = _sweep(tmp_path, overrides, ["--mc", *flags])
     assert _mc_columns(out) == _mc_columns(recorded)
+
+
+# (metric, bracket low end in dB, config) -> recorded crossover SNR; every
+# bracket ends at 160 dB
+GOLDEN_CROSSOVER = {
+    ("rate_sum", "60", "default"): "101.5313720703125",
+    ("rate_sum", "60", "split"): "99.7552490234375",
+    ("rate_sum", "60", "omega_two"): "108.5382080078125",
+    ("outage_ue", "90", "default"): "99.9932861328125",
+    ("outage_ue", "90", "split"): "",
+    ("outage_ue", "90", "omega_two"): "",
+}
+CONFIGS = {"default": {}, "split": SPLIT, "omega_two": OMEGA_TWO}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_CROSSOVER), ids=lambda key: f"{key[0]}-{key[2]}")
+def test_crossover_reproduces_recorded_snr(key, tmp_path, capsys):
+    metric, lo, name = key
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
+    argv = ["crossover", "--metric", metric, "--lo", lo, "--hi", "160", "--config", str(config)]
+    assert main(argv) == 0
+    expected = f"metric,{metric}\ncrossover_snr_db,{GOLDEN_CROSSOVER[key]}\n"
+    assert capsys.readouterr().out == expected

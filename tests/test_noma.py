@@ -11,7 +11,6 @@ from passperf import (
     SystemConfig,
     derive_constants,
     mc_estimates,
-    near_pdf,
     noma_breakpoints,
     noma_outage_far,
     noma_outage_near,
@@ -27,6 +26,7 @@ from passperf.sweep import omega_two
 
 from oracles import (
     far_outage_trapezoid,
+    near_pdf,
     noma_outage_far_nested,
     noma_rate_far_quad2d,
     random_config,

@@ -20,19 +20,15 @@ from passperf import (
     wdma_outage,
 )
 from passperf.cli import main
-from passperf.sweep import POWER_BLOCK, analytic_metric, omega_two
+from passperf.sweep import CELLS, POWER_BLOCK, SWEEP_USERS, omega_two
 
 CFG = SystemConfig()
 SPLIT = SystemConfig(noma_alpha_near=0.2, noma_alpha_far=0.8)
-CELLS = (
-    ("wdma", 1, "outage"),
-    ("wdma", 1, "rate"),
-    ("noma", 1, "outage"),
-    ("noma", 1, "rate"),
-    ("noma", 2, "outage"),
-    ("noma", 2, "rate"),
-)
 CELL_IDS = ["-".join(map(str, cell)) for cell in CELLS]
+
+
+def analytic(cell, cfg, power_w):
+    return CELLS[cell].value(cfg, power_w, 64)
 
 
 def grid_powers(cfg, start, stop, step):
@@ -45,9 +41,9 @@ def grid_powers(cfg, start, stop, step):
 def test_grid_call_equals_scalar_calls(cfg, cell):
     # -50:400 dB spans saturated, short-circuit and high-SNR cells
     powers = grid_powers(cfg, -50.0, 400.0, 1.0)
-    grid = analytic_metric(*cell, cfg, np.array(powers))
+    grid = analytic(cell, cfg, np.array(powers))
     assert isinstance(grid, np.ndarray) and grid.shape == (len(powers),)
-    scalar = [analytic_metric(*cell, cfg, p) for p in powers]
+    scalar = [analytic(cell, cfg, p) for p in powers]
     assert all(type(v) is float for v in scalar)
     assert grid.tolist() == scalar
 
@@ -57,21 +53,22 @@ def test_sweep_blocks_equal_scalar_calls(start, stop):
     spec = SweepSpec(snr_db_start=start, snr_db_stop=stop, snr_db_step=2.0)
     powers = grid_powers(CFG, start, stop, 2.0)
     assert len(powers) == 1 or len(powers) % POWER_BLOCK != 0
-    rows = run_sweep(spec, CFG).rows
-    assert len(rows) == len(powers) * len(CELLS)
+    rows = run_sweep(spec, CFG)
+    swept = [cell for cell in CELLS if cell[1] in SWEEP_USERS[cell[0]]]
+    assert len(rows) == len(powers) * len(swept)
     by_snr = {snr_db: p for snr_db, p in zip(snr_grid(spec), powers)}
     for row in rows:
         assert type(row.analytic) is float
         cell = (row.scheme, row.user, row.metric)
-        assert row.analytic == analytic_metric(*cell, CFG, by_snr[row.snr_db])
+        assert row.analytic == analytic(cell, CFG, by_snr[row.snr_db])
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=CELL_IDS)
 def test_scalar_power_gives_float_and_length_one_array_gives_array(cell):
-    assert type(analytic_metric(*cell, CFG, 1.0)) is float
-    one = analytic_metric(*cell, CFG, np.array([1.0]))
+    assert type(analytic(cell, CFG, 1.0)) is float
+    one = analytic(cell, CFG, np.array([1.0]))
     assert isinstance(one, np.ndarray) and one.shape == (1,)
-    assert one[0] == analytic_metric(*cell, CFG, 1.0)
+    assert one[0] == analytic(cell, CFG, 1.0)
 
 
 BAD_POWERS = [0.0, -1.0, math.nan, math.inf, np.array([1.0, math.nan]), np.array([1.0, 0.0])]
@@ -82,7 +79,7 @@ BAD_IDS = ["zero", "negative", "nan", "inf", "nan-in-array", "zero-in-array"]
 @pytest.mark.parametrize("power", BAD_POWERS, ids=BAD_IDS)
 def test_analytic_metrics_reject_bad_powers(cell, power):
     with pytest.raises(ValueError, match="power_w"):
-        analytic_metric(*cell, CFG, power)
+        analytic(cell, CFG, power)
 
 
 def test_analytic_metrics_reject_two_dimensional_powers():

@@ -34,6 +34,11 @@ def test_spec_validation_names_fields():
         SweepSpec(schemes=("wdma", "cdma"))
     with pytest.raises(ConfigError, match="metrics"):
         SweepSpec(metrics=("outage", "goodput"))
+    for name, entries in (("schemes", ("wdma", "wdma")), ("metrics", ("outage", "outage"))):
+        with pytest.raises(ConfigError, match=f"{name} contains duplicate"):
+            SweepSpec(**{name: entries})
+        with pytest.raises(ConfigError, match=f"{name} must name at least one"):
+            SweepSpec(**{name: ()})
     with pytest.raises(ConfigError, match="mc_trials"):
         SweepSpec(mc_trials=0)
     for trials in (2.5, True, 100_000.0):
@@ -56,10 +61,10 @@ def test_single_point_single_row():
     spec = SweepSpec(
         snr_db_start=100.0, snr_db_stop=100.0, snr_db_step=1.0, schemes=("wdma",), metrics=("outage",)
     )
-    result = run_sweep(spec, CFG)
+    rows = run_sweep(spec, CFG)
     # wdma reports user 1 (the symmetric twin adds nothing)
-    assert len(result.rows) == 1
-    row = result.rows[0]
+    assert len(rows) == 1
+    row = rows[0]
     assert (row.scheme, row.user, row.metric) == ("wdma", 1, "outage")
     assert row.mc_value is None
     assert row.asymptote is None
@@ -67,21 +72,18 @@ def test_single_point_single_row():
 
 def test_sweep_columns_monotone_on_default_grid():
     spec = SweepSpec(snr_db_start=90.0, snr_db_stop=150.0, snr_db_step=2.0)
-    result = run_sweep(spec, CFG)
+    rows = run_sweep(spec, CFG)
     wdma_outage_col = [
-        r.analytic for r in result.rows if (r.scheme, r.user, r.metric) == ("wdma", 1, "outage")
+        r.analytic for r in rows if (r.scheme, r.user, r.metric) == ("wdma", 1, "outage")
     ]
-    noma_rate_col = [
-        r.analytic for r in result.rows if (r.scheme, r.user, r.metric) == ("noma", 1, "rate")
-    ]
+    noma_rate_col = [r.analytic for r in rows if (r.scheme, r.user, r.metric) == ("noma", 1, "rate")]
     assert np.all(np.diff(wdma_outage_col) <= 1e-12)
     assert np.all(np.diff(noma_rate_col) >= -1e-12)
 
 
 def test_rows_sorted_deterministically():
     spec = SweepSpec(snr_db_start=100.0, snr_db_stop=104.0, snr_db_step=2.0)
-    result = run_sweep(spec, CFG)
-    keys = [(r.snr_db, r.scheme, r.user, r.metric) for r in result.rows]
+    keys = [(r.snr_db, r.scheme, r.user, r.metric) for r in run_sweep(spec, CFG)]
     assert keys == sorted(keys)
 
 
@@ -92,12 +94,8 @@ def test_asymptote_column_constant_and_region_dependent():
     compact = run_sweep(spec, omega_one())
     dispersed = run_sweep(spec, omega_two())
 
-    def floor_column(result):
-        return {
-            r.asymptote
-            for r in result.rows
-            if (r.scheme, r.user, r.metric) == ("wdma", 1, "outage")
-        }
+    def floor_column(rows):
+        return {r.asymptote for r in rows if (r.scheme, r.user, r.metric) == ("wdma", 1, "outage")}
 
     floors_compact = floor_column(compact)
     floors_dispersed = floor_column(dispersed)
@@ -105,7 +103,7 @@ def test_asymptote_column_constant_and_region_dependent():
     assert floors_dispersed.pop() < floors_compact.pop()
     # near-user NOMA rate grows unbounded: no asymptote cell
     near_rate = [
-        r.asymptote for r in compact.rows if (r.scheme, r.user, r.metric) == ("noma", 1, "rate")
+        r.asymptote for r in compact if (r.scheme, r.user, r.metric) == ("noma", 1, "rate")
     ]
     assert all(v is None for v in near_rate)
 
@@ -120,10 +118,9 @@ def test_csv_round_trip_exact():
         mc_trials=2_000,
         mc_seed=99,
     )
-    result = run_sweep(spec, CFG)
-    text = to_csv_text(result)
-    parsed = read_csv(io.StringIO(text))
-    assert parsed.rows == result.rows
+    rows = run_sweep(spec, CFG)
+    text = to_csv_text(rows)
+    assert read_csv(io.StringIO(text)) == rows
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
 
 
