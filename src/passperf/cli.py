@@ -45,8 +45,16 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
 
 
+def _quadrature_order(text: str) -> int:
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _nodes_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", type=int, default=64, help="quadrature order (default 64)")
+    parser.add_argument(
+        "--nodes", type=_quadrature_order, default=64, help="quadrature order (default 64)"
+    )
 
 
 def _simulation_flags(parser: argparse.ArgumentParser) -> None:

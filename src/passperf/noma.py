@@ -26,10 +26,11 @@ _LN2 = math.log(2.0)
 class NomaBreakpoints:
     """Clamped integration breakpoints of the far user's outage integral."""
 
-    c2: float  # outage radius in squared metres (may be negative)
-    m1: float
-    m2: float
-    m3: float
+    # one value (a float or a 1-D array) per power
+    c2: object  # outage radius in squared metres (may be negative)
+    m1: object
+    m2: object
+    m3: object
     m4: float
 
 
@@ -54,7 +55,7 @@ def noma_zero_outage_thresholds(cfg: SystemConfig):
     return near, far
 
 
-def _c1(cfg: SystemConfig, power_w: float) -> float:
+def _c1(cfg: SystemConfig, power_w):
     dc = derive_constants(cfg)
     return (
         dc.eta_m2 * cfg.noma_alpha_near * power_w / (cfg.outage_threshold * dc.noise_w_ue1)
@@ -62,7 +63,7 @@ def _c1(cfg: SystemConfig, power_w: float) -> float:
     )
 
 
-def _c2(cfg: SystemConfig, power_w: float) -> float:
+def _c2(cfg: SystemConfig, power_w):
     dc = derive_constants(cfg)
     return (
         dc.eta_m2 * cfg.noma_alpha_far * power_w / (cfg.outage_threshold * dc.noise_w_ue2)
@@ -71,16 +72,16 @@ def _c2(cfg: SystemConfig, power_w: float) -> float:
     )
 
 
-def noma_breakpoints(cfg: SystemConfig, power_w: float) -> NomaBreakpoints:
+def noma_breakpoints(cfg: SystemConfig, power_w) -> NomaBreakpoints:
     """Squared x-offsets where the far user's outage radius sqrt(c2 - m)
-    crosses the top, the peak and the bottom of the separation's support."""
-    check_powers(power_w)
-    c2 = _c2(cfg, power_w)
+    crosses the top, the peak and the bottom of the separation's support,
+    at transmit power ``power_w`` (a scalar or a 1-D array)."""
+    c2 = _c2(cfg, check_powers(power_w))
     m4 = (0.5 * cfg.region_x_m) ** 2
     dist = diff_distribution(cfg)
 
     def clamp(z):
-        return min(max(z, 0.0), m4)
+        return np.minimum(np.maximum(z, 0.0), m4)
 
     return NomaBreakpoints(
         c2=c2,
@@ -91,48 +92,44 @@ def noma_breakpoints(cfg: SystemConfig, power_w: float) -> NomaBreakpoints:
     )
 
 
-def _outage_near(cfg: SystemConfig, power_w: float, near_threshold: float) -> float:
-    if power_w >= near_threshold:
-        return 0.0
-    c1 = _c1(cfg, power_w)
-    if c1 <= 0.0:
-        return 1.0
-    dx = cfg.region_x_m
-    m4 = (0.5 * dx) ** 2
-    if c1 >= m4:
-        return 0.0
-    value = 1.0 - 4.0 * math.sqrt(c1) / dx + 4.0 * c1 / dx**2
-    return min(max(value, 0.0), 1.0)
-
-
 @over_powers
 def noma_outage_near(cfg: SystemConfig, power_w):
     """Closed-form outage probability of the near user at transmit power
-    ``power_w`` (a scalar or a 1-D array).
+    ``power_w`` (a scalar or a 1-D array); exactly zero from the zero-outage
+    power on, and where the outage radius sqrt(c1) covers the whole region."""
+    near_w, _ = noma_zero_outage_thresholds(cfg)
+    c1 = _c1(cfg, power_w)
+    dx = cfg.region_x_m
+    # exact cases are masks, the last applied taking precedence; the clamped
+    # base keeps the masked-out cells (c1 < 0) free of invalid math
+    value = 1.0 - 4.0 * np.sqrt(np.maximum(c1, 0.0)) / dx + 4.0 * c1 / dx**2
+    value = np.where(c1 >= (0.5 * dx) ** 2, 0.0, np.minimum(np.maximum(value, 0.0), 1.0))
+    value = np.where(c1 <= 0.0, 1.0, value)
+    return np.where(power_w >= near_w, 0.0, value)
 
-    The closed form is evaluated on Python floats, one power at a time.
+
+@over_powers
+def noma_outage_far(cfg: SystemConfig, power_w):
+    """Outage probability of the far user at transmit power ``power_w`` (a
+    scalar or a 1-D array).
+
+    Closed-form segment integrals over the far user's squared x-offset m,
+    split at the breakpoints of :func:`noma_breakpoints`, where the outage
+    radius sqrt(c2 - m) crosses the top, the peak and the bottom of the
+    separation's support. The no-coverage (radius below the smallest
+    separation), zero-outage power and full-coverage (radius beyond the
+    farthest region point) cases are exact, in that order of precedence.
     """
-    near_threshold, _ = noma_zero_outage_thresholds(cfg)
-    return np.array([_outage_near(cfg, p, near_threshold) for p in power_w.tolist()])
-
-
-def _outage_far(cfg: SystemConfig, power_w: float, far_threshold) -> float:
-    dist = diff_distribution(cfg)
-    c2 = _c2(cfg, power_w)
-    if c2 <= dist.support_lo**2:
-        return 1.0
-    m4 = (0.5 * cfg.region_x_m) ** 2
-    if power_w >= (far_threshold if far_threshold is not None else math.inf):
-        return 0.0
-    if c2 >= m4 + dist.support_hi**2:
-        return 0.0
-
+    _, far_w = noma_zero_outage_thresholds(cfg)
     bp = noma_breakpoints(cfg, power_w)
+    c2 = bp.c2
+    dist = diff_distribution(cfg)
     lo, hi, w = dist.support_lo, dist.support_hi, dist.half_width
 
     def radial(m, centre):
-        # antiderivative in m of (sqrt(c2 - m) - centre)^2
-        return c2 * m - 0.5 * m**2 + 4.0 * centre / 3.0 * (c2 - m) ** 1.5 + centre**2 * m
+        # antiderivative in m of (sqrt(c2 - m) - centre)^2; c2 < m only in masked-out cells
+        excess = np.maximum(c2 - m, 0.0)
+        return c2 * m - 0.5 * m**2 + 4.0 * centre / 3.0 * excess**1.5 + centre**2 * m
 
     # outage given m: P(U > r) = (hi - r)^2 / (2 w^2) above the peak,
     # 1 - (r - lo)^2 / (2 w^2) below it, 1 below the support
@@ -142,24 +139,12 @@ def _outage_far(cfg: SystemConfig, power_w: float, far_threshold) -> float:
         - (radial(bp.m3, lo) - radial(bp.m2, lo)) / (2.0 * w**2)
         + (bp.m4 - bp.m3)
     )
-    value = 4.0 / cfg.region_x_m**2 * total
-    return min(max(value, 0.0), 1.0)
-
-
-@over_powers
-def noma_outage_far(cfg: SystemConfig, power_w):
-    """Outage probability of the far user at transmit power ``power_w`` (a
-    scalar or a 1-D array).
-
-    Closed-form segment integrals over the far user's squared x-offset m,
-    split where the outage radius sqrt(c2 - m) crosses the top, the peak and
-    the bottom of the separation's support. The no-coverage (radius below
-    the smallest separation) and full-coverage (radius beyond the farthest
-    region point) cases short circuit exactly. The closed form is evaluated
-    on Python floats, one power at a time.
-    """
-    _, far_threshold = noma_zero_outage_thresholds(cfg)
-    return np.array([_outage_far(cfg, p, far_threshold) for p in power_w.tolist()])
+    value = np.minimum(np.maximum(4.0 / cfg.region_x_m**2 * total, 0.0), 1.0)
+    # exact cases, the last applied taking precedence
+    value = np.where(c2 >= bp.m4 + hi**2, 0.0, value)
+    if far_w is not None:
+        value = np.where(power_w >= far_w, 0.0, value)
+    return np.where(c2 <= lo**2, 1.0, value)
 
 
 @over_powers

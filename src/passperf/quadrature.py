@@ -16,6 +16,7 @@ SNR) as well as large.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,11 +33,12 @@ class QuadratureRule:
     weights: np.ndarray  # Fejer's first-rule weights, all positive
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def chebyshev_rule(n_nodes: int) -> QuadratureRule:
-    """First-kind Chebyshev nodes and Fejer's weights of the given order."""
-    if n_nodes < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {n_nodes!r}")
+    """First-kind Chebyshev nodes and Fejer's weights of order ``n_nodes``, an
+    integer >= 1 (not a bool); ValueError otherwise."""
+    if isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
+        raise ValueError(f"n_nodes must be an integer >= 1, got {n_nodes!r}")
     k = np.arange(1, n_nodes + 1)
     theta = (2.0 * k - 1.0) * np.pi / (2.0 * n_nodes)
     nodes = np.cos(theta)

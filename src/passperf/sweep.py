@@ -98,8 +98,12 @@ class SweepSpec:
         for name in ("snr_db_start", "snr_db_stop", "snr_db_step"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.snr_db_step > 0.0:
-            raise ConfigError(f"snr_db_step must be > 0, got {self.snr_db_step!r}")
+        # a step too small for the grid gives an infinite point count
+        span = self.snr_db_stop - self.snr_db_start
+        if not (self.snr_db_step > 0.0 and math.isfinite(span / self.snr_db_step)):
+            raise ConfigError(
+                f"snr_db_step must be > 0 and give a finite point count, got {self.snr_db_step!r}"
+            )
         if self.snr_db_start > self.snr_db_stop:
             raise ConfigError(
                 f"snr_db_start must be <= snr_db_stop, got "

@@ -108,6 +108,28 @@ def test_invalid_spec_is_input_error(capsys):
     assert "snr_db_step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_grid_step_with_infinite_point_count_is_input_error(command, capsys):
+    assert main([command, "--step", "1e-310"]) == 2
+    assert "snr_db_step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep"],
+        ["sweep", "--schemes", "noma", "--metrics", "outage"],
+        ["validate"],
+        ["crossover"],
+        ["asymptote"],
+    ],
+)
+@pytest.mark.parametrize("nodes", ["0", "-1", "2.5"])
+def test_nodes_below_one_or_not_an_integer_is_input_error(argv, nodes, capsys):
+    assert main(argv + ["--nodes", nodes]) == 2
+    assert "--nodes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags, field",
     [

@@ -88,6 +88,20 @@ def test_near_outage_zero_at_and_beyond_threshold():
     assert noma_outage_near(CFG, 0.99 * near_w) > 0.0
 
 
+def test_outages_exactly_zero_at_and_beyond_zero_outage_power_on_random_configs():
+    rng = np.random.default_rng(2024)
+    factors = np.array([1.0, 1.0001, 10.0])
+    for draw in range(200):
+        cfg = random_config(rng) if draw % 2 == 0 else random_offset_config(rng)
+        near_w, far_w = noma_zero_outage_thresholds(cfg)
+        for metric, zero_w in ((noma_outage_near, near_w), (noma_outage_far, far_w)):
+            if zero_w is None:
+                continue
+            assert np.all(metric(cfg, factors * zero_w) == 0.0)
+            for factor in factors:
+                assert metric(cfg, factor * zero_w) == 0.0
+
+
 def test_near_outage_continuity_at_branch_edges():
     dc = derive_constants(CFG)
 
@@ -111,6 +125,73 @@ def test_near_outage_matches_monte_carlo(snr_db):
     analytic = noma_outage_near(CFG, power)
     est = mc_estimates(McSpec(100_000, 12345, "noma", 1), CFG, [power])["outage"][0]
     assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-9
+
+
+def _mp_outages(cfg, power_w, mp):
+    """Both NOMA outage closed forms at the working precision of ``mp``. They
+    start from the package's float c1 and c2 at ``power_w``, so only the
+    rounding of the closed forms themselves is measured."""
+    c1, c2 = mp.mpf(_c1(cfg, power_w)), mp.mpf(_c2(cfg, power_w))
+    dx, w, lo = mp.mpf(cfg.region_x_m), mp.mpf(cfg.region_y_m), 2 * mp.mpf(cfg.region_y_offset_m)
+    hi, peak, m4 = lo + 2 * w, lo + w, (dx / 2) ** 2
+    if c1 <= 0:
+        near = mp.mpf(1)
+    elif c1 >= m4:
+        near = mp.mpf(0)
+    else:
+        near = 1 - 4 * mp.sqrt(c1) / dx + 4 * c1 / dx**2
+    if c2 <= lo**2:
+        return near, mp.mpf(1)
+    if c2 >= m4 + hi**2:
+        return near, mp.mpf(0)
+    m1, m2, m3 = (min(max(c2 - b**2, 0), m4) for b in (hi, peak, lo))
+
+    def radial(m, centre):
+        return c2 * m - m**2 / 2 + 4 * centre / 3 * (c2 - m) ** mp.mpf(1.5) + centre**2 * m
+
+    total = (
+        (radial(m2, hi) - radial(m1, hi)) / (2 * w**2)
+        + (m3 - m2)
+        - (radial(m3, lo) - radial(m2, lo)) / (2 * w**2)
+        + (m4 - m3)
+    )
+    return near, min(max(4 / dx**2 * total, 0), 1)
+
+
+def test_outage_closed_forms_round_within_bounds_of_a_50_digit_evaluation():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    named = [
+        CFG,
+        omega_two(),
+        replace(CFG, noma_alpha_near=0.2, noma_alpha_far=0.8),
+        replace(CFG, region_y_offset_m=3.0, pa_height_m=6.0),
+    ]
+    drawn = [random_config(rng) if i % 2 == 0 else random_offset_config(rng) for i in range(8)]
+
+    def max_error(cfg, metric, zero_w, user):
+        powers = np.geomspace(1e-3, 1.0, 400) * zero_w
+        return max(
+            abs(float(mpmath.mpf(value) - _mp_outages(cfg, power, mpmath.mp)[user - 1]))
+            for power, value in zip(powers.tolist(), metric(cfg, powers).tolist())
+        )
+
+    with mpmath.workdps(50):
+        for index, cfg in enumerate(named + drawn):
+            near_w, far_w = noma_zero_outage_thresholds(cfg)
+            assert max_error(cfg, noma_outage_near, near_w, 1) <= 4e-15
+            if far_w is None:
+                continue
+            far_error = max_error(cfg, noma_outage_far, far_w, 2)
+            if index < len(named):
+                assert far_error <= 5e-13
+            # near full coverage the far closed form cancels terms as large
+            # as (2/3) hi (m4 + hi^2)^1.5 / (w^2 m4); its rounding error
+            # scales with them, not with the outage
+            hi = 2.0 * (cfg.region_y_offset_m + cfg.region_y_m)
+            m4 = (0.5 * cfg.region_x_m) ** 2
+            largest_term = 2.0 / 3.0 * hi * (m4 + hi**2) ** 1.5 / (cfg.region_y_m**2 * m4)
+            assert far_error <= 4.0 * np.finfo(float).eps * largest_term
 
 
 def test_far_outage_certain_when_threshold_exceeds_power_split_cap():

@@ -58,6 +58,20 @@ def test_rejects_zero_order():
         chebyshev_rule(0)
 
 
+@pytest.mark.parametrize("n_nodes", [-3, 2.5, 64.0, True, False, "64"])
+def test_rejects_orders_that_are_not_integers_of_at_least_one(n_nodes):
+    chebyshev_rule(1)  # a cached order-1 rule must not answer for True
+    with pytest.raises(ValueError, match="n_nodes"):
+        chebyshev_rule(n_nodes)
+
+
+def test_metrics_name_a_bad_node_count():
+    with pytest.raises(ValueError, match="n_nodes"):
+        noma_rate_far(SystemConfig(), 1.0, 2.5)
+    with pytest.raises(ValueError, match="n_nodes"):
+        wdma_avg_rate(SystemConfig(), 1.0, True)
+
+
 def test_constant_integral():
     assert integrate_unit(lambda t: np.ones_like(t), 64) == pytest.approx(2.0, abs=1e-3)
     assert integrate_interval(lambda x: 3.0, -2.0, 5.0, 64) == pytest.approx(21.0, rel=1e-3)

@@ -30,6 +30,11 @@ def test_spec_validation_names_fields():
         SweepSpec(snr_db_step=0.0)
     with pytest.raises(ConfigError, match="snr_db_start"):
         SweepSpec(snr_db_start=100.0, snr_db_stop=90.0)
+    # grids whose point count overflows to infinity
+    with pytest.raises(ConfigError, match="snr_db_step"):
+        SweepSpec(snr_db_step=1e-310)
+    with pytest.raises(ConfigError, match="snr_db_step"):
+        SweepSpec(snr_db_start=-1e308, snr_db_stop=1e308, snr_db_step=1.0)
     with pytest.raises(ConfigError, match="schemes"):
         SweepSpec(schemes=("wdma", "cdma"))
     with pytest.raises(ConfigError, match="metrics"):
