@@ -8,15 +8,26 @@ Writes one long-format CSV per configuration into --outdir:
   power split: NOMA allocation (0.05, 0.95) vs (0.2, 0.8)
 
 Every file carries analytic, asymptote, and Monte Carlo columns; crossover
-SNRs for the power-split comparison are printed to stdout.
+SNRs for the power-split comparison are printed to stdout. Bad flag values
+exit with status 2 before any file is written.
 """
 
 import argparse
 from dataclasses import replace
 from pathlib import Path
 
-from passperf import SystemConfig, SweepSpec, find_crossover, run_sweep, write_csv
+from passperf import ConfigError, SystemConfig, SweepSpec, find_crossover, run_sweep, write_csv
+from passperf.cli import _nodes_flag
 from passperf.sweep import omega_one, omega_two
+
+# SweepSpec field -> the flag that sets it, so that errors name the flag
+SPEC_FLAGS = {
+    "snr_db_start": "--start",
+    "snr_db_stop": "--stop",
+    "snr_db_step": "--step",
+    "mc_trials": "--trials",
+    "mc_seed": "--seed",
+}
 
 
 def write_result(tag, rows, outdir):
@@ -31,23 +42,29 @@ def main():
     parser.add_argument("--outdir", default="results", help="output directory")
     parser.add_argument("--trials", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=12345)
-    parser.add_argument("--nodes", type=int, default=64)
+    _nodes_flag(parser)
     parser.add_argument("--start", type=float, default=90.0)
     parser.add_argument("--stop", type=float, default=150.0)
     parser.add_argument("--step", type=float, default=2.0)
     args = parser.parse_args()
+    try:
+        spec = SweepSpec(
+            snr_db_start=args.start,
+            snr_db_stop=args.stop,
+            snr_db_step=args.step,
+            include_mc=True,
+            include_asymptotes=True,
+            mc_trials=args.trials,
+            mc_seed=args.seed,
+        )
+    except ConfigError as exc:
+        message = str(exc)
+        for field, flag in SPEC_FLAGS.items():
+            message = message.replace(field, flag)
+        parser.error(message)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    spec = SweepSpec(
-        snr_db_start=args.start,
-        snr_db_stop=args.stop,
-        snr_db_step=args.step,
-        include_mc=True,
-        include_asymptotes=True,
-        mc_trials=args.trials,
-        mc_seed=args.seed,
-    )
 
     def sweep(cfg):
         return run_sweep(spec, cfg, n_nodes=args.nodes)

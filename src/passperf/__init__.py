@@ -14,13 +14,11 @@ from .config import (
 )
 from .geometry import (
     DiffDistribution,
-    NomaPlacement,
-    WdmaPlacement,
+    Placement,
     diff_cdf,
     diff_distribution,
     g_axis,
-    sample_noma,
-    sample_wdma,
+    sample_placements,
     sq_diff_cdf,
 )
 from .montecarlo import McSpec, MetricEstimate, mc_estimates, sinr

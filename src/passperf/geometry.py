@@ -18,32 +18,21 @@ from .quadrature import _log1p_moments, _maybe_scalar
 
 
 @dataclass
-class WdmaPlacement:
-    """One realisation of the two per-waveguide users.
+class Placement:
+    """One drop of the two users, served by either scheme.
 
-    The antenna serving user i sits at (region_x_m / 2, y_ue_i, pa_height_m);
-    it is never stored because it is pinned to the user's y-coordinate.
-    Fields may be scalars or equally shaped arrays (one entry per trial).
+    Under WDMA the antenna serving user i sits at (region_x_m / 2, y_ue_i,
+    pa_height_m). Under NOMA the near user is the one whose x is nearer the
+    region centre, and one antenna at (region_x_m / 2, y_near, pa_height_m)
+    serves both users. Antennas are never stored because they are pinned to
+    the users. Fields may be scalars or equally shaped arrays (one entry per
+    trial).
     """
 
     x_ue1: object
     x_ue2: object
     y_ue1: object
     y_ue2: object
-
-
-@dataclass
-class NomaPlacement:
-    """One realisation of the near/far user pair served by a single antenna.
-
-    ``x_near`` is the x-coordinate closest to the region centre; the antenna
-    sits at (region_x_m / 2, y_near, pa_height_m).
-    """
-
-    x_near: object
-    x_far: object
-    y_near: object
-    y_far: object
 
 
 @dataclass(frozen=True)
@@ -83,8 +72,8 @@ def g_axis(x, cfg: SystemConfig):
     return _maybe_scalar((x - 0.5 * cfg.region_x_m) ** 2 + cfg.pa_height_m**2)
 
 
-def sample_wdma(cfg: SystemConfig, rng: np.random.Generator, size=None) -> WdmaPlacement:
-    """Draw uniform placements for both per-waveguide users.
+def sample_placements(cfg: SystemConfig, rng: np.random.Generator, size=None) -> Placement:
+    """Draw uniform placements of both users.
 
     Consumes exactly four uniforms per trial in the fixed order
     (x_ue1, x_ue2, y_ue1, y_ue2), which keeps counter-based trial
@@ -97,29 +86,8 @@ def sample_wdma(cfg: SystemConfig, rng: np.random.Generator, size=None) -> WdmaP
     y1 = cfg.region_y_offset_m + cfg.region_y_m * u[:, 2]
     y2 = -(cfg.region_y_offset_m + cfg.region_y_m * u[:, 3])
     if size is None:
-        return WdmaPlacement(x1.item(), x2.item(), y1.item(), y2.item())
-    return WdmaPlacement(x1, x2, y1, y2)
-
-
-def sample_noma(cfg: SystemConfig, rng: np.random.Generator, size=None) -> NomaPlacement:
-    """Draw the near/far pair: x-coordinates ordered by distance to centre.
-
-    Consumes exactly four uniforms per trial in the fixed order
-    (x_a, x_b, y_near, y_far).
-    """
-    n = 1 if size is None else int(size)
-    u = rng.random((n, 4))
-    xa = cfg.region_x_m * u[:, 0]
-    xb = cfg.region_x_m * u[:, 1]
-    y_near = cfg.region_y_offset_m + cfg.region_y_m * u[:, 2]
-    y_far = -(cfg.region_y_offset_m + cfg.region_y_m * u[:, 3])
-    centre = 0.5 * cfg.region_x_m
-    a_is_near = np.abs(xa - centre) <= np.abs(xb - centre)
-    x_near = np.where(a_is_near, xa, xb)
-    x_far = np.where(a_is_near, xb, xa)
-    if size is None:
-        return NomaPlacement(x_near.item(), x_far.item(), y_near.item(), y_far.item())
-    return NomaPlacement(x_near, x_far, y_near, y_far)
+        return Placement(x1.item(), x2.item(), y1.item(), y2.item())
+    return Placement(x1, x2, y1, y2)
 
 
 def diff_cdf(u, dist: DiffDistribution):

@@ -11,10 +11,15 @@ single sequential run as long as workers are assigned whole blocks.
 raw distance expressions on purpose, so the estimator stays independent of
 the analytic modules it validates. It runs in two steps: a placement step
 computes the power-independent distance and noise terms, and a power step
-finishes the SINR from them with a few divisions. ``mc_scheme_estimates``
-draws each trial block once per scheme, runs the placement step once per
-block and user, and the power step at every requested power;
-``mc_estimates`` is its one-user case.
+finishes the SINR from them with a few divisions.
+
+Both schemes serve the same drop: a trial's placement does not depend on
+the scheme, and NOMA picks its near user from it. ``mc_cell_estimates``
+draws each trial block once per call for all the (scheme, user) cells it is
+given, runs the placement step once per block and cell, and the power step
+at every requested power, so WDMA and NOMA estimates at one seed are paired
+on the same drops (common random numbers); ``mc_estimates`` is its one-cell
+case.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig, check_powers, derive_constants
-from .geometry import NomaPlacement, WdmaPlacement, sample_noma, sample_wdma
+from .geometry import Placement, sample_placements
 
 TRIAL_BLOCK = 1 << 14  # reduction granularity; partition only at multiples
 _LN2 = math.log(2.0)
@@ -77,21 +82,18 @@ def _trial_rng(seed: int, start: int) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
-def _draw(scheme: str, cfg: SystemConfig, seed: int, start: int, count: int):
-    """Placements of trials [start, start + count) of ``scheme``."""
-    rng = _trial_rng(seed, start)
-    if scheme == "wdma":
-        return sample_wdma(cfg, rng, size=count)
-    if scheme == "noma":
-        return sample_noma(cfg, rng, size=count)
-    raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+def _draw(cfg: SystemConfig, seed: int, start: int, count: int) -> Placement:
+    """Placements of trials [start, start + count), shared by both schemes."""
+    return sample_placements(cfg, _trial_rng(seed, start), size=count)
 
 
 def _placement_terms(scheme: str, user: int, cfg: SystemConfig, dc, placement):
     """The power-independent terms of ``user``'s SINR on each placement.
 
     WDMA: the squared signal and interference distances and the user's noise
-    power. NOMA: the noise power times the user's squared distance.
+    power. NOMA: the noise power times the user's squared distance, where
+    the near user (user 1) takes the smaller and the far user (user 2) the
+    larger of the two squared x-offsets from the region centre.
     """
     centre = 0.5 * cfg.region_x_m
     h_sq = cfg.pa_height_m**2
@@ -106,9 +108,10 @@ def _placement_terms(scheme: str, user: int, cfg: SystemConfig, dc, placement):
         return dx_sq + h_sq, dx_sq + (y_own - y_other) ** 2 + h_sq, sigma2
 
     if scheme == "noma":
+        dx1_sq, dx2_sq = (p.x_ue1 - centre) ** 2, (p.x_ue2 - centre) ** 2
         if user == 1:
-            return dc.noise_w_ue1 * ((p.x_near - centre) ** 2 + h_sq)
-        return dc.noise_w_ue2 * ((p.x_far - centre) ** 2 + (p.y_near - p.y_far) ** 2 + h_sq)
+            return dc.noise_w_ue1 * (np.minimum(dx1_sq, dx2_sq) + h_sq)
+        return dc.noise_w_ue2 * (np.maximum(dx1_sq, dx2_sq) + (p.y_ue1 - p.y_ue2) ** 2 + h_sq)
 
     raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 
@@ -141,9 +144,9 @@ def sinr(
     user: int,
     cfg: SystemConfig,
     power_w: float,
-    placement: WdmaPlacement | NomaPlacement,
+    placement: Placement,
 ):
-    """Instantaneous SINR of ``user`` for each placement of ``scheme``.
+    """Instantaneous SINR of ``user`` of ``scheme`` for each placement.
 
     The WDMA users split ``power_w`` equally across their waveguides and
     interfere across them; the NOMA near user decodes after cancelling the
@@ -160,32 +163,30 @@ def _blocks(trials: int):
         yield start, min(TRIAL_BLOCK, trials - start)
 
 
-def mc_scheme_estimates(
-    trials: int, seed: int, scheme: str, users, cfg: SystemConfig, powers
-) -> dict:
-    """Outage and rate estimates of each of ``users`` of ``scheme`` at every power.
+def mc_cell_estimates(trials: int, seed: int, cells, cfg: SystemConfig, powers) -> dict:
+    """Outage and rate estimates of each (scheme, user) of ``cells`` at every power.
 
-    Returns ``{user: {"outage": [...], "rate": [...]}}`` with one
+    Returns ``{(scheme, user): {"outage": [...], "rate": [...]}}`` with one
     :class:`MetricEstimate` per power. Each trial block is drawn once for
-    all users and powers (common random numbers); each user's
+    all cells and powers (common random numbers); each cell's
     power-independent SINR terms are computed once per block, and each
-    (user, power)'s sums are folded in block order, so an estimate does not
-    depend on which other users or powers share the call. The outage is the
+    (cell, power)'s sums are folded in block order, so an estimate does not
+    depend on which other cells or powers share the call. The outage is the
     empirical probability that the SINR falls at or below the threshold;
     the rate is the sample mean of log2(1 + SINR).
     """
-    if not users:
-        raise ValueError("users must name at least one user")
-    for user in users:
+    if not cells:
+        raise ValueError("cells must name at least one (scheme, user)")
+    for scheme, user in cells:
         McSpec(trials, seed, scheme, user)
     powers = check_powers(list(powers)).tolist()
     dc = derive_constants(cfg)
     gth = cfg.outage_threshold
-    # per user: outage hits, rate sum and rate sum of squares, one per power
-    sums = {user: ([0] * len(powers), [0.0] * len(powers), [0.0] * len(powers)) for user in users}
+    # per cell: outage hits, rate sum and rate sum of squares, one per power
+    sums = {cell: ([0] * len(powers), [0.0] * len(powers), [0.0] * len(powers)) for cell in cells}
     for start, count in _blocks(trials):
-        placement = _draw(scheme, cfg, seed, start, count)
-        for user, (hits, total, total_sq) in sums.items():
+        placement = _draw(cfg, seed, start, count)
+        for (scheme, user), (hits, total, total_sq) in sums.items():
             terms = _placement_terms(scheme, user, cfg, dc, placement)
             for i, power_w in enumerate(powers):
                 gamma = _sinr_at(scheme, user, cfg, dc, power_w, terms)
@@ -195,7 +196,7 @@ def mc_scheme_estimates(
                 total[i] += float(rate.sum())
                 rate *= rate
                 total_sq[i] += float(rate.sum())
-    return {user: _summarise(trials, *sums[user]) for user in sums}
+    return {cell: _summarise(trials, *sums[cell]) for cell in sums}
 
 
 def _summarise(n: int, hits: list, total: list, total_sq: list) -> dict:
@@ -216,8 +217,8 @@ def mc_estimates(spec: McSpec, cfg: SystemConfig, powers) -> dict:
     """Outage and rate estimates of ``spec`` at every transmit power.
 
     Returns ``{"outage": [...], "rate": [...]}`` with one
-    :class:`MetricEstimate` per power: the one-user case of
-    :func:`mc_scheme_estimates`.
+    :class:`MetricEstimate` per power: the one-cell case of
+    :func:`mc_cell_estimates`.
     """
-    by_user = mc_scheme_estimates(spec.trials, spec.seed, spec.scheme, (spec.user,), cfg, powers)
-    return by_user[spec.user]
+    cell = (spec.scheme, spec.user)
+    return mc_cell_estimates(spec.trials, spec.seed, (cell,), cfg, powers)[cell]

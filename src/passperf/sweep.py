@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import ConfigError, SystemConfig, noise_w, snr_db_to_power_w
-from .montecarlo import SCHEMES, mc_scheme_estimates
+from .montecarlo import SCHEMES, mc_cell_estimates
 from .noma import (
     noma_outage_far,
     noma_outage_near,
@@ -151,20 +151,18 @@ def _cells(cfg, grid_db, keys, n_nodes, mc_trials=None, mc_seed=None):
 
     Transmit SNR is referenced to the user-1 noise power. Each
     (scheme, user, metric) key of ``CELLS`` gets one call per block of
-    ``POWER_BLOCK`` grid powers. With ``mc_trials`` each scheme gets one
-    ``mc_scheme_estimates`` call over the whole grid for all its users;
-    otherwise ``estimate`` is None.
+    ``POWER_BLOCK`` grid powers. With ``mc_trials`` one
+    ``mc_cell_estimates`` call covers every (scheme, user) over the whole
+    grid, so each trial block is drawn once per run and WDMA and NOMA
+    estimates are paired on the same drops; otherwise ``estimate`` is None.
     """
     reference_noise = noise_w(cfg, 1)
     grid = [float(snr_db) for snr_db in grid_db]
     powers = [snr_db_to_power_w(snr_db, reference_noise) for snr_db in grid]
     estimates = {}
     if mc_trials is not None:
-        for scheme in dict.fromkeys(scheme for scheme, _, _ in keys):
-            users = list(dict.fromkeys(user for s, user, _ in keys if s == scheme))
-            by_user = mc_scheme_estimates(mc_trials, mc_seed, scheme, users, cfg, powers)
-            for user, est in by_user.items():
-                estimates[(scheme, user)] = est
+        cells = list(dict.fromkeys((scheme, user) for scheme, user, _ in keys))
+        estimates = mc_cell_estimates(mc_trials, mc_seed, cells, cfg, powers)
     for first in range(0, len(grid), POWER_BLOCK):
         block = np.array(powers[first : first + POWER_BLOCK])
         analytic = {key: CELLS[key].value(cfg, block, n_nodes).tolist() for key in keys}

@@ -273,4 +273,4 @@ def sinr_trials(
     Deterministic in (seed, trial index): any contiguous range reproduces
     the same per-trial values as a slice of a longer run.
     """
-    return sinr(scheme, user, cfg, power_w, _draw(scheme, cfg, seed, start, count))
+    return sinr(scheme, user, cfg, power_w, _draw(cfg, seed, start, count))

@@ -24,8 +24,7 @@ from passperf import (
     noma_rate_far,
     noma_rate_near,
     noma_zero_outage_thresholds,
-    sample_noma,
-    sample_wdma,
+    sample_placements,
     snr_db_to_power_w,
     sq_diff_cdf,
     validate,
@@ -222,15 +221,16 @@ def test_criterion_7_numerical_kernel_properties():
         grid = np.linspace(-1.0, dist.support_hi**2 * 1.2, 1000)
         values = sq_diff_cdf(grid, dist)
         assert np.all(np.diff(values) >= 0.0) and values[0] == 0.0 and values[-1] == 1.0
-        placements = sample_wdma(cfg, np.random.default_rng(MC_SEED), size=MC_TRIALS)
+        placements = sample_placements(cfg, np.random.default_rng(MC_SEED), size=MC_TRIALS)
         separation = np.abs(placements.y_ue1 - placements.y_ue2)
         assert kstest(separation, lambda u: diff_cdf(u, dist)).statistic < 0.01
 
     g_grid = np.linspace(-1.0, (DEFAULTS.region_x_m / 2) ** 2 * 1.2, 1000)
     g_values = near_coord_cdf_g(g_grid, DEFAULTS)
     assert np.all(np.diff(g_values) >= 0.0) and g_values[0] == 0.0 and g_values[-1] == 1.0
-    noma_placements = sample_noma(DEFAULTS, np.random.default_rng(MC_SEED), size=MC_TRIALS)
-    g_samples = (noma_placements.x_near - DEFAULTS.region_x_m / 2) ** 2
+    placements = sample_placements(DEFAULTS, np.random.default_rng(MC_SEED), size=MC_TRIALS)
+    centre = DEFAULTS.region_x_m / 2
+    g_samples = np.minimum((placements.x_ue1 - centre) ** 2, (placements.x_ue2 - centre) ** 2)
     assert kstest(g_samples, lambda g: near_coord_cdf_g(g, DEFAULTS)).statistic < 0.01
 
     _report(

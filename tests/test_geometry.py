@@ -12,8 +12,7 @@ from passperf import (
     diff_cdf,
     diff_distribution,
     g_axis,
-    sample_noma,
-    sample_wdma,
+    sample_placements,
     sq_diff_cdf,
 )
 from passperf.geometry import DiffDistribution, expected_log_excess
@@ -38,7 +37,7 @@ def test_g_axis_symmetric_about_centre(x):
 
 def test_wdma_sample_marginals():
     rng = np.random.default_rng(1)
-    p = sample_wdma(CFG, rng, size=N_SAMPLES)
+    p = sample_placements(CFG, rng, size=N_SAMPLES)
     # law of large numbers: mean within 4 standard errors
     for x in (p.x_ue1, p.x_ue2):
         se = CFG.region_x_m / math.sqrt(12 * N_SAMPLES)
@@ -49,49 +48,37 @@ def test_wdma_sample_marginals():
 
 def test_wdma_sample_offset_region():
     cfg = SystemConfig(region_y_m=10.0, region_y_offset_m=10.0)
-    p = sample_wdma(cfg, np.random.default_rng(2), size=N_SAMPLES)
+    p = sample_placements(cfg, np.random.default_rng(2), size=N_SAMPLES)
     assert np.all((p.y_ue1 >= 10.0) & (p.y_ue1 <= 20.0))
     assert np.all((p.y_ue2 >= -20.0) & (p.y_ue2 <= -10.0))
 
 
-def test_noma_ordering_enforced():
-    p = sample_noma(CFG, np.random.default_rng(3), size=N_SAMPLES)
-    centre = CFG.region_x_m / 2
-    frac = np.mean(np.abs(p.x_near - centre) <= np.abs(p.x_far - centre))
-    assert frac == 1.0
-
-
 def test_samplers_deterministic_bitwise():
-    a = sample_wdma(CFG, np.random.default_rng(7), size=1000)
-    b = sample_wdma(CFG, np.random.default_rng(7), size=1000)
+    a = sample_placements(CFG, np.random.default_rng(7), size=1000)
+    b = sample_placements(CFG, np.random.default_rng(7), size=1000)
     for field in ("x_ue1", "x_ue2", "y_ue1", "y_ue2"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
-    c = sample_noma(CFG, np.random.default_rng(7), size=1000)
-    d = sample_noma(CFG, np.random.default_rng(7), size=1000)
-    for field in ("x_near", "x_far", "y_near", "y_far"):
-        assert np.array_equal(getattr(c, field), getattr(d, field))
 
 
 def test_scalar_samples():
-    p = sample_wdma(CFG, np.random.default_rng(0))
+    p = sample_placements(CFG, np.random.default_rng(0))
     assert isinstance(p.x_ue1, float)
-    q = sample_noma(CFG, np.random.default_rng(0))
-    assert abs(q.x_near - 5.0) <= abs(q.x_far - 5.0)
 
 
 @pytest.mark.parametrize("offset", [0.0, 10.0])
 def test_y_separation_matches_cdf_ks(offset):
     cfg = SystemConfig(region_y_m=10.0, region_y_offset_m=offset)
     dist = diff_distribution(cfg)
-    p = sample_wdma(cfg, np.random.default_rng(5), size=N_SAMPLES)
+    p = sample_placements(cfg, np.random.default_rng(5), size=N_SAMPLES)
     sep = np.abs(p.y_ue1 - p.y_ue2)
     result = kstest(sep, lambda u: diff_cdf(u, dist))
     assert result.statistic < 0.01
 
 
 def test_near_coord_cdf_matches_samples_ks():
-    p = sample_noma(CFG, np.random.default_rng(6), size=N_SAMPLES)
-    g1 = (p.x_near - CFG.region_x_m / 2) ** 2
+    p = sample_placements(CFG, np.random.default_rng(6), size=N_SAMPLES)
+    centre = CFG.region_x_m / 2
+    g1 = np.minimum((p.x_ue1 - centre) ** 2, (p.x_ue2 - centre) ** 2)
     result = kstest(g1, lambda g: near_coord_cdf_g(g, CFG))
     assert result.statistic < 0.01
 

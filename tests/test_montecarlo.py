@@ -178,42 +178,41 @@ def draws(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(montecarlo, "sample_wdma", counting(montecarlo.sample_wdma))
-    monkeypatch.setattr(montecarlo, "sample_noma", counting(montecarlo.sample_noma))
+    monkeypatch.setattr(montecarlo, "sample_placements", counting(montecarlo.sample_placements))
     return names
 
 
-def test_sweep_draws_each_block_once_per_scheme(draws):
+def test_sweep_draws_each_block_once_per_run(draws):
     spec = SweepSpec(include_mc=True, mc_trials=THREE_BLOCKS, mc_seed=7)
     assert len(snr_grid(spec)) > 1
     run_sweep(spec, CFG)
-    # both noma users share each draw, with no factor for grid points
-    assert draws.count("sample_wdma") == 3
-    assert draws.count("sample_noma") == 3
+    # every (scheme, user) shares each draw, with no factor for grid points
+    assert draws == ["sample_placements"] * 3
 
 
-def test_validate_draws_each_block_once_per_scheme(draws):
+def test_validate_draws_each_block_once_per_run(draws):
     # validate checks both users of both schemes
     validate(CFG, [100.0, 120.0], THREE_BLOCKS, 7)
-    assert draws.count("sample_wdma") == 3
-    assert draws.count("sample_noma") == 3
+    assert draws == ["sample_placements"] * 3
 
 
 def test_users_sharing_a_draw_match_one_user_calls():
     powers = [snr_db_to_power_w(s, 1e-12) for s in (90.0, 110.0, 130.0)]
-    for scheme in ("wdma", "noma"):
-        together = montecarlo.mc_scheme_estimates(THREE_BLOCKS, 11, scheme, (1, 2), CFG, powers)
-        for user in (1, 2):
-            assert together[user] == mc_estimates(McSpec(THREE_BLOCKS, 11, scheme, user), CFG, powers)
+    together = montecarlo.mc_cell_estimates(THREE_BLOCKS, 11, PAIRS, CFG, powers)
+    for scheme, user in PAIRS:
+        alone = mc_estimates(McSpec(THREE_BLOCKS, 11, scheme, user), CFG, powers)
+        assert together[(scheme, user)] == alone
 
 
 def test_scheme_estimates_validate_through_spec():
     with pytest.raises(ValueError, match="trials"):
-        montecarlo.mc_scheme_estimates(2.5, 1, "noma", (1, 2), CFG, [POWER])
+        montecarlo.mc_cell_estimates(2.5, 1, PAIRS, CFG, [POWER])
+    with pytest.raises(ValueError, match="scheme"):
+        montecarlo.mc_cell_estimates(10, 1, (("wdma", 1), ("tdma", 1)), CFG, [POWER])
     with pytest.raises(ValueError, match="user"):
-        montecarlo.mc_scheme_estimates(10, 1, "noma", (1, 3), CFG, [POWER])
-    with pytest.raises(ValueError, match="users"):
-        montecarlo.mc_scheme_estimates(10, 1, "noma", (), CFG, [POWER])
+        montecarlo.mc_cell_estimates(10, 1, (("noma", 1), ("noma", 3)), CFG, [POWER])
+    with pytest.raises(ValueError, match="cells"):
+        montecarlo.mc_cell_estimates(10, 1, (), CFG, [POWER])
 
 
 def test_estimates_reject_non_positive_power():

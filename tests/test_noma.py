@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from passperf import (
     McSpec,
-    NomaPlacement,
+    Placement,
     SystemConfig,
     derive_constants,
     mc_estimates,
@@ -41,7 +41,7 @@ def power_at(snr_db, cfg=CFG):
 
 
 def test_far_sinr_interference_limited():
-    p = NomaPlacement(x_near=5.0, x_far=1.0, y_near=2.0, y_far=-3.0)
+    p = Placement(5.0, 1.0, 2.0, -3.0)
     sinr_far = sinr("noma", 2, CFG, 1e6, p)
     cap = CFG.noma_alpha_far / CFG.noma_alpha_near
     assert sinr_far == pytest.approx(cap, rel=1e-3)
@@ -50,17 +50,35 @@ def test_far_sinr_interference_limited():
 
 def test_near_sinr_at_centre():
     dc = derive_constants(CFG)
-    p = NomaPlacement(x_near=5.0, x_far=0.0, y_near=4.0, y_far=-6.0)
+    p = Placement(5.0, 0.0, 4.0, -6.0)
     power = 1e-3
     assert sinr("noma", 1, CFG, power, p) == pytest.approx(
         dc.eta_m2 * CFG.noma_alpha_near * power / (dc.noise_w_ue1 * 9.0), rel=1e-12
     )
 
 
+def test_near_user_is_picked_by_x_from_either_index():
+    dc = derive_constants(CFG)
+    power = power_at(100.0)
+    # user 2's x is 1 m from the centre, user 1's is 4 m
+    p = Placement(x_ue1=1.0, x_ue2=6.0, y_ue1=2.0, y_ue2=-3.0)
+    near_gain = dc.eta_m2 * CFG.noma_alpha_near * power
+    assert sinr("noma", 1, CFG, power, p) == pytest.approx(
+        near_gain / (dc.noise_w_ue1 * (1.0 + 9.0)), rel=1e-12
+    )
+    assert sinr("noma", 2, CFG, power, p) == pytest.approx(
+        dc.eta_m2 * CFG.noma_alpha_far * power / (near_gain + dc.noise_w_ue2 * (16.0 + 25.0 + 9.0)),
+        rel=1e-12,
+    )
+    swapped = Placement(x_ue1=6.0, x_ue2=1.0, y_ue1=-3.0, y_ue2=2.0)
+    for user in (1, 2):
+        assert sinr("noma", user, CFG, power, swapped) == sinr("noma", user, CFG, power, p)
+
+
 def test_sinr_depends_on_y_only_through_separation():
     power = power_at(100.0)
-    a = NomaPlacement(4.0, 8.0, y_near=1.0, y_far=-4.0)
-    b = NomaPlacement(4.0, 8.0, y_near=3.0, y_far=-2.0)
+    a = Placement(4.0, 8.0, 1.0, -4.0)
+    b = Placement(4.0, 8.0, 3.0, -2.0)
     for user in (2, 1):
         assert sinr("noma", user, CFG, power, a) == pytest.approx(
             sinr("noma", user, CFG, power, b), rel=1e-14

@@ -5,12 +5,12 @@ import pytest
 
 from passperf import (
     McSpec,
+    Placement,
     SystemConfig,
-    WdmaPlacement,
     derive_constants,
     g_axis,
     mc_estimates,
-    sample_wdma,
+    sample_placements,
     sinr,
     snr_db_to_power_w,
     wdma_avg_rate,
@@ -34,7 +34,7 @@ def power_at(snr_db, cfg=CFG):
 def test_sinr_noise_limited_when_users_far_apart():
     cfg = SystemConfig(region_y_m=1e9)
     dc = derive_constants(cfg)
-    p = WdmaPlacement(x_ue1=5.0, x_ue2=5.0, y_ue1=1e9, y_ue2=-1e9)
+    p = Placement(x_ue1=5.0, x_ue2=5.0, y_ue1=1e9, y_ue2=-1e9)
     power = 1e-3
     sinr_ue1 = sinr("wdma", 1, cfg, power, p)
     expected = (dc.eta_m2 / 9.0) * power / (2 * dc.noise_w_ue1)
@@ -42,7 +42,7 @@ def test_sinr_noise_limited_when_users_far_apart():
 
 
 def test_sinr_colocated_y_is_below_one():
-    p = WdmaPlacement(x_ue1=3.0, x_ue2=3.0, y_ue1=0.0, y_ue2=0.0)
+    p = Placement(x_ue1=3.0, x_ue2=3.0, y_ue1=0.0, y_ue2=0.0)
     sinr_ue1 = sinr("wdma", 1, CFG, 1e-3, p)
     g = derive_constants(CFG).eta_m2 / g_axis(p.x_ue1, CFG)
     assert sinr_ue1 == pytest.approx(g / (g + 2e-12 / 1e-3), rel=1e-12)
@@ -54,7 +54,7 @@ def test_sinr_matches_symbolic_rederivation():
     dc = derive_constants(CFG)
     power = power_at(100.0)
     for _ in range(100):
-        p = sample_wdma(CFG, rng)
+        p = sample_placements(CFG, rng)
         sinr_ue1 = sinr("wdma", 1, CFG, power, p)
         g = g_axis(p.x_ue1, CFG)
         y_sq = (p.y_ue1 - p.y_ue2) ** 2
@@ -66,7 +66,7 @@ def test_sinr_never_exceeds_interference_free_bound():
     rng = np.random.default_rng(1)
     power = power_at(120.0)
     for _ in range(100):
-        p = sample_wdma(CFG, rng)
+        p = sample_placements(CFG, rng)
         signal_gain = derive_constants(CFG).eta_m2 / g_axis(p.x_ue1, CFG)
         bound = signal_gain * power / (2 * 1e-12)
         assert sinr("wdma", 1, CFG, power, p) < bound
@@ -78,7 +78,7 @@ def test_instantaneous_rate_log_form_identity():
     power = power_at(105.0)
     b_noise = 2 * dc.noise_w_ue1 / (dc.eta_m2 * power)
     for _ in range(100):
-        p = sample_wdma(CFG, rng)
+        p = sample_placements(CFG, rng)
         sinr_ue1 = sinr("wdma", 1, CFG, power, p)
         u = abs(p.y_ue1 - p.y_ue2)
         a, b, c, d = _log_rate_coeffs(g_axis(p.x_ue1, CFG), b_noise)
