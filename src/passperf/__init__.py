@@ -36,8 +36,6 @@ from .quadrature import (
     chebyshev_rule,
     integrate_interval,
     integrate_unit,
-    j0,
-    j1,
 )
 from .sweep import (
     SweepSpec,

@@ -51,7 +51,10 @@ class SystemConfig:
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        for name in ("carrier_freq_hz", "pa_height_m", "region_x_m", "region_y_m"):
+        # with the sum and order checks below, a positive near-user share
+        # keeps noma_alpha_far in (0.5, 1)
+        positive = ("carrier_freq_hz", "pa_height_m", "region_x_m", "region_y_m", "noma_alpha_near")
+        for name in positive:
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if not self.region_y_offset_m >= 0.0:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import SystemConfig, check_powers, derive_constants, over_powers
 from .geometry import diff_distribution, expected_log_excess
-from .quadrature import integrate_interval, j0, j1
+from .quadrature import _log1p_moments, integrate_interval
 
 _LN2 = math.log(2.0)
 
@@ -156,8 +156,14 @@ def noma_rate_near(cfg: SystemConfig, power_w):
     dx = cfg.region_x_m
     centre = 0.5 * dx
     h_sq = cfg.pa_height_m**2
-    term0 = j0(centre, h_sq + k, 1.0) - j0(centre, h_sq, 1.0)
-    term1 = j1(centre, h_sq + k, 1.0) - j1(centre, h_sq, 1.0)
+    # int_0^centre of ln(a + t^2) and of t ln(a + t^2), for a = h^2 + k and
+    # a = h^2, as ln(a) times the plain moment plus the log1p moment
+    sig0, sig1 = _log1p_moments(centre, 1.0 / (h_sq + k))
+    bare0, bare1 = _log1p_moments(centre, 1.0 / h_sq)
+    term0 = (sig0 + centre * np.log(h_sq + k)) - (bare0 + centre * np.log(h_sq))
+    term1 = (sig1 + 0.5 * centre**2 * np.log(h_sq + k)) - (
+        bare1 + 0.5 * centre**2 * np.log(h_sq)
+    )
     return (4.0 / dx * term0 - 8.0 / dx**2 * term1) / _LN2
 
 

@@ -9,9 +9,11 @@ below N exactly, so smooth integrands converge as fast as their Chebyshev
 coefficients decay (Waldvogel, BIT 46, 2006); positive weights also carry
 pointwise bounds between integrands over to their integrals.
 
-``j0``/``j1`` integrate ln(a + b t^2) and t ln(a + b t^2) from 0 in a form
-without cancellation, so that they stay accurate when b/a is tiny (high
-SNR) as well as large.
+``_log1p_moments`` is the one log kernel of every average rate: it
+integrates ln(1 + r t^2) and t ln(1 + r t^2) from 0 in a form without
+cancellation, so that it stays accurate when r is tiny (high SNR) as well as
+large. A caller that needs ln(a + b t^2) takes r = b/a and adds ln(a) times
+the plain moment.
 """
 
 from __future__ import annotations
@@ -93,19 +95,10 @@ def integrate_interval(f, a: float, b: float, n_nodes: int):
     return half * integrate_unit(lambda t: f(half * np.asarray(t) + mid), n_nodes)
 
 
-def _check_log_args(a, b, u) -> None:
-    if np.any(np.asarray(a) <= 0.0):
-        raise ValueError("j0/j1 require a > 0 (logarithm of a non-positive value)")
-    if np.any(np.asarray(b) < 0.0):
-        raise ValueError("j0/j1 require b >= 0")
-    if np.any(np.asarray(u) < 0.0):
-        raise ValueError("j0/j1 require u >= 0")
-
-
-# For s = b u^2 / a under _SERIES_S the closed forms of phi0 and phi1 lose
-# digits to cancellation (1 - arctan(r)/r and (1 + s) ln(1 + s) - s); short
-# alternating series are used there instead, truncated where the next term
-# falls under 1e-17 relative.
+# For s = r u^2 under _SERIES_S the closed forms of phi0 and phi1 lose
+# digits to cancellation (1 - arctan(sqrt(s))/sqrt(s) and
+# (1 + s) ln(1 + s) - s); short alternating series are used there instead,
+# truncated where the next term falls under 1e-17 relative.
 _SERIES_S = 1e-2
 _SERIES_TERMS = 8
 # Series coefficients of phi0 and phi1 (below), highest power first:
@@ -154,27 +147,3 @@ def _log1p_moments(u, r):
 def _maybe_scalar(arr):
     arr = np.asarray(arr)
     return arr.item() if arr.ndim == 0 else arr
-
-
-def j0(u, a, b):
-    """Integral of ln(a + b t^2) over [0, u].
-
-    u (ln a + ln(1 + s) - 2 (1 - arctan(sqrt(s)) / sqrt(s))) with
-    s = b u^2 / a, written so that no large terms cancel; continuous down
-    to b = 0, where it is u ln(a).
-    """
-    _check_log_args(a, b, u)
-    m0, _ = _log1p_moments(u, np.asarray(b, float) / np.asarray(a, float))
-    return _maybe_scalar(m0 + np.asarray(u, float) * np.log(a))
-
-
-def j1(u, a, b):
-    """Integral of t ln(a + b t^2) over [0, u].
-
-    (u^2 / 2) (ln a + ((1 + s) ln(1 + s) - s) / s) with s = b u^2 / a,
-    written so that no large terms cancel; continuous down to b = 0, where
-    it is (u^2 / 2) ln(a).
-    """
-    _check_log_args(a, b, u)
-    _, m1 = _log1p_moments(u, np.asarray(b, float) / np.asarray(a, float))
-    return _maybe_scalar(m1 + 0.5 * np.asarray(u, float) ** 2 * np.log(a))

@@ -273,6 +273,8 @@ CROSSOVER_METRICS = {
     ),
     "outage_ue": ((("noma", 2, "outage"),), (("wdma", 1, "outage"),)),
 }
+# find_crossover bisects until its bracket is at most this wide, in dB.
+CROSSOVER_TOL_DB = 0.01
 
 
 def find_crossover(
@@ -280,18 +282,20 @@ def find_crossover(
     metric: str,
     bracket_db: tuple,
     n_nodes: int = 64,
-    tol_db: float = 0.01,
 ) -> float | None:
     """Bisect for the SNR where the scheme difference changes sign.
 
     ``rate_sum`` compares the NOMA sum rate against the WDMA sum rate (both
     users each); ``outage_ue`` compares the NOMA far-user outage against the
-    WDMA user-1 outage. Returns None when the difference has one sign over
+    WDMA user-1 outage. Returns the midpoint of a final bracket at most
+    ``CROSSOVER_TOL_DB`` wide, or None when the difference has one sign over
     the whole bracket.
     """
     if metric not in CROSSOVER_METRICS:
         raise ConfigError(f"metric must be one of {tuple(CROSSOVER_METRICS)}, got {metric!r}")
     lo, hi = float(bracket_db[0]), float(bracket_db[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"bracket_db ends must be finite, got {bracket_db!r}")
     if not hi > lo:
         raise ConfigError(f"bracket width must be > 0, got {bracket_db!r}")
     reference_noise = noise_w(cfg, 1)
@@ -319,7 +323,7 @@ def find_crossover(
     s_hi = sign(difference(hi))
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         return None
-    while hi - lo > tol_db:
+    while hi - lo > CROSSOVER_TOL_DB:
         mid = 0.5 * (lo + hi)
         if sign(difference(mid)) == s_hi:
             hi = mid

@@ -94,6 +94,14 @@ def test_unknown_config_key_is_input_error(tmp_path, capsys):
     assert "bandwidth_hz" in capsys.readouterr().err
 
 
+def test_non_positive_near_share_is_input_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"noma_alpha_near": -0.1, "noma_alpha_far": 1.1}))
+    code = main(["sweep", "--config", str(cfg_path)])
+    assert code == 2
+    assert "noma_alpha_near" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_input_error(tmp_path):
     code = main(["sweep", "--config", str(tmp_path / "nope.json")])
     assert code == 2

@@ -73,6 +73,8 @@ def test_eta_quadratic_in_frequency(freq):
         ({"outage_threshold": math.inf}, "outage_threshold"),
         ({"region_y_offset_m": math.nan}, "region_y_offset_m"),
         ({"pa_height_m": True}, "pa_height_m"),
+        ({"noma_alpha_near": 0.0, "noma_alpha_far": 1.0}, "noma_alpha_near"),
+        ({"noma_alpha_near": -0.1, "noma_alpha_far": 1.1}, "noma_alpha_near"),
     ],
 )
 def test_invariant_violations_name_the_field(kwargs, needle):

@@ -1,7 +1,9 @@
 """Every name the package exports must have a reader outside ``src``'s
-library modules: the command-line front end, a script or a test."""
+library modules: the command-line front end, a script or a test. Every
+module the benchmark imports by name must exist."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -31,3 +33,21 @@ def test_every_export_is_referenced_by_the_cli_scripts_or_tests():
     text = reader_sources()
     unused = [name for name in names if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert unused == [], f"exported but never referenced outside the library: {unused}"
+
+
+def benchmark_modules() -> tuple:
+    # read with ast, so that the benchmark's tracer is never imported here
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "PACKAGE_MODULES" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no PACKAGE_MODULES")
+
+
+def test_every_module_the_benchmark_imports_exists():
+    names = benchmark_modules()
+    assert names, "PACKAGE_MODULES is empty"
+    for name in names:
+        importlib.import_module(f"passperf.{name}")

@@ -10,6 +10,7 @@ from passperf import (
     Placement,
     SystemConfig,
     derive_constants,
+    diff_distribution,
     mc_estimates,
     noma_breakpoints,
     noma_outage_far,
@@ -21,6 +22,7 @@ from passperf import (
     sinr,
     snr_db_to_power_w,
 )
+from passperf.geometry import expected_log_excess
 from passperf.noma import _c1, _c2
 from passperf.sweep import omega_two
 
@@ -397,16 +399,10 @@ def test_delta_log_gap_nonnegative_over_offsets():
     k1 = dc.eta_m2 * CFG.noma_alpha_near * power
     k2 = dc.eta_m2 * CFG.noma_alpha_far * power
     n2 = dc.noise_w_ue2
-    from passperf.quadrature import j0, j1
-
-    dy = CFG.region_y_m
+    dist = diff_distribution(CFG)
 
     def expected_log(beta):
-        return (
-            (j1(dy, beta, n2) - j1(0.0, beta, n2)) / dy**2
-            + 2.0 * (j0(2 * dy, beta, n2) - j0(dy, beta, n2)) / dy
-            - (j1(2 * dy, beta, n2) - j1(dy, beta, n2)) / dy**2
-        )
+        return math.log(beta) + expected_log_excess(beta, n2, dist)
 
     for m in np.linspace(0.0, (CFG.region_x_m / 2) ** 2, 200):
         beta1 = k1 + n2 * (CFG.pa_height_m**2 + m)

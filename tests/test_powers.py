@@ -116,6 +116,9 @@ def test_sweep_spec_rejects_non_finite_grid(field, value):
         (["sweep", "--start", "90", "--stop", "4000", "--step", "1000"], "snr_db"),
         (["sweep", "--start", "nan"], "snr_db_start"),
         (["validate", "--stop", "inf"], "snr_db_stop"),
+        (["crossover", "--lo", "nan"], "bracket_db"),
+        (["crossover", "--hi", "nan"], "bracket_db"),
+        (["crossover", "--lo", "90", "--hi", "inf"], "bracket_db"),
     ],
 )
 def test_cli_rejects_bad_snr_as_input_error(argv, needle, capsys):

@@ -12,8 +12,6 @@ from passperf import (
     chebyshev_rule,
     integrate_interval,
     integrate_unit,
-    j0,
-    j1,
     noise_w,
     noma_rate_far,
     snr_db_to_power_w,
@@ -131,35 +129,18 @@ def test_non_finite_integrand_reports_node():
         integrate_unit(lambda t: np.where(t > 0, 1.0, np.inf), 16)
 
 
-def test_j_vanish_at_zero_and_are_continuous_as_b_vanishes():
-    for a in (3.0, 1.0):
-        for b in (0.0, 1e-9, 0.7, 1e6):
-            assert j0(0.0, a, b) == 0.0
-            assert j1(0.0, a, b) == 0.0
-    # With a = 1 the ln(a) terms vanish, so the leading terms of the b -> 0+
-    # expansion can be checked down to b = 1e-300 and on both sides of the
-    # switch from the closed form to its series (s = b u^2 / a = 1e-2).
+def test_log_moments_vanish_at_zero_and_are_continuous_as_r_vanishes():
+    for r in (0.0, 1e-9, 0.7, 1e6):
+        assert _log1p_moments(0.0, r) == (0.0, 0.0)
+    # leading terms of the r -> 0+ expansion, down to r = 1e-300 and on both
+    # sides of the switch from the closed form to its series (s = r u^2 = 1e-2)
     u = 2.5
-    assert j0(u, 1.0, 0.0) == 0.0
-    assert j1(u, 1.0, 0.0) == 0.0
+    assert _log1p_moments(u, 0.0) == (0.0, 0.0)
     for s in (0.5, 1.01e-2, 0.99e-2, 1e-4, 1e-12, 1e-300):
-        b = s / u**2
-        assert j0(u, 1.0, b) == pytest.approx(b * u**3 / 3 * (1 - 3 * s / 10), rel=2 * s**2 + 1e-13, abs=0)
-        assert j1(u, 1.0, b) == pytest.approx(b * u**4 / 4 * (1 - s / 3), rel=2 * s**2 + 1e-13, abs=0)
-
-
-def test_j0_zero_curvature_limit():
-    assert j0(2.5, 4.0, 0.0) == pytest.approx(2.5 * math.log(4.0), rel=1e-14)
-    assert j1(2.5, 4.0, 0.0) == pytest.approx(0.5 * 2.5**2 * math.log(4.0), rel=1e-14)
-
-
-def test_j_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        j0(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        j1(1.0, -2.0, 1.0)
-    with pytest.raises(ValueError):
-        j0(1.0, 1.0, -1.0)
+        r = s / u**2
+        m0, m1 = _log1p_moments(u, r)
+        assert m0 == pytest.approx(r * u**3 / 3 * (1 - 3 * s / 10), rel=2 * s**2 + 1e-13, abs=0)
+        assert m1 == pytest.approx(r * u**4 / 4 * (1 - s / 3), rel=2 * s**2 + 1e-13, abs=0)
 
 
 def test_derivative_matches_integrand_by_finite_differences():
@@ -168,11 +149,11 @@ def test_derivative_matches_integrand_by_finite_differences():
         a = rng.uniform(0.1, 50.0)
         b = rng.uniform(0.0, 10.0)
         u = rng.uniform(0.1, 20.0)
+        r = b / a
         h = 1e-5 * max(u, 1.0)
-        d0 = (j0(u + h, a, b) - j0(u - h, a, b)) / (2 * h)
-        assert d0 == pytest.approx(math.log(a + b * u**2), rel=1e-6, abs=1e-6)
-        d1 = (j1(u + h, a, b) - j1(u - h, a, b)) / (2 * h)
-        assert d1 == pytest.approx(u * math.log(a + b * u**2), rel=1e-6, abs=1e-6)
+        (up0, up1), (down0, down1) = _log1p_moments(u + h, r), _log1p_moments(u - h, r)
+        assert (up0 - down0) / (2 * h) == pytest.approx(math.log1p(r * u**2), rel=1e-6, abs=1e-6)
+        assert (up1 - down1) / (2 * h) == pytest.approx(u * math.log1p(r * u**2), rel=1e-6, abs=1e-6)
 
 
 @given(
@@ -183,23 +164,12 @@ def test_derivative_matches_integrand_by_finite_differences():
 )
 @settings(max_examples=40, deadline=None)
 def test_fundamental_theorem(a, b, u1, width):
-    u2 = u1 + width
-    numeric, _ = quad(lambda u: math.log(a + b * u * u), u1, u2, limit=200, epsrel=1e-12)
-    closed = j0(u2, a, b) - j0(u1, a, b)
-    assert closed == pytest.approx(numeric, rel=1e-8, abs=1e-10)
-    numeric1, _ = quad(lambda u: u * math.log(a + b * u * u), u1, u2, limit=200, epsrel=1e-12)
-    closed1 = j1(u2, a, b) - j1(u1, a, b)
-    assert closed1 == pytest.approx(numeric1, rel=1e-8, abs=1e-10)
-
-
-def test_j_functions_broadcast_over_arrays():
-    a = np.array([1.0, 2.0, 5.0])
-    out = j0(1.5, a, 0.3)
-    assert out.shape == (3,)
-    assert out[1] == pytest.approx(j0(1.5, 2.0, 0.3), rel=1e-15)
-    mixed = j1(np.array([0.5, 1.0]), 2.0, np.array([0.0, 1.0]))
-    assert mixed[0] == pytest.approx(j1(0.5, 2.0, 0.0))
-    assert mixed[1] == pytest.approx(j1(1.0, 2.0, 1.0))
+    u2, r = u1 + width, b / a
+    (lo0, lo1), (hi0, hi1) = _log1p_moments(u1, r), _log1p_moments(u2, r)
+    numeric, _ = quad(lambda u: math.log1p(r * u * u), u1, u2, limit=200, epsrel=1e-12)
+    assert hi0 - lo0 == pytest.approx(numeric, rel=1e-8, abs=1e-10)
+    numeric1, _ = quad(lambda u: u * math.log1p(r * u * u), u1, u2, limit=200, epsrel=1e-12)
+    assert hi1 - lo1 == pytest.approx(numeric1, rel=1e-8, abs=1e-10)
 
 
 def _assert_kernel_matches_reference(u, r):
@@ -233,6 +203,8 @@ def test_log_moment_kernel_equals_reference_on_arrays():
     _assert_kernel_matches_reference(np.array([0.0, 0.5, 1.0]), edge[:, None])  # (5, 3)
     _assert_kernel_matches_reference(1.0, np.full(4, 1e-6))  # 1-d, series only
     _assert_kernel_matches_reference(1.0, np.full(4, 5.0))  # 1-d, closed form only
+    _assert_kernel_matches_reference(1.5, 0.3 / np.array([1.0, 2.0, 5.0]))  # scalar u, 1-d r
+    _assert_kernel_matches_reference(np.array([0.5, 1.0]), np.array([0.0, 0.5]))  # elementwise
     rng = np.random.default_rng(7)
     s = 10.0 ** rng.uniform(-12.0, 2.0, 10_000)
     points = np.array([0.0, 1.0, 3.0])
