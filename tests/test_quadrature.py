@@ -129,7 +129,8 @@ def test_non_finite_integrand_reports_node():
         integrate_unit(lambda t: np.where(t > 0, 1.0, np.inf), 16)
 
 
-def test_log_moments_vanish_at_zero_and_are_continuous_as_r_vanishes():
+def test_j_vanish_at_zero_and_are_continuous_as_b_vanishes():
+    # J0/J1(u; a, b) = ln(a) terms + _log1p_moments(u, r = b / a)
     for r in (0.0, 1e-9, 0.7, 1e6):
         assert _log1p_moments(0.0, r) == (0.0, 0.0)
     # leading terms of the r -> 0+ expansion, down to r = 1e-300 and on both
@@ -141,6 +142,14 @@ def test_log_moments_vanish_at_zero_and_are_continuous_as_r_vanishes():
         m0, m1 = _log1p_moments(u, r)
         assert m0 == pytest.approx(r * u**3 / 3 * (1 - 3 * s / 10), rel=2 * s**2 + 1e-13, abs=0)
         assert m1 == pytest.approx(r * u**4 / 4 * (1 - s / 3), rel=2 * s**2 + 1e-13, abs=0)
+
+
+def test_j0_zero_curvature_limit():
+    # b = 0: the moments vanish and J0/J1, as noma_rate_near forms them, are the ln(a) terms
+    u, a = 2.5, 4.0
+    m0, m1 = _log1p_moments(u, 0.0 / a)
+    assert m0 + u * np.log(a) == pytest.approx(2.5 * math.log(4.0), rel=1e-14)
+    assert m1 + 0.5 * u**2 * np.log(a) == pytest.approx(0.5 * 2.5**2 * math.log(4.0), rel=1e-14)
 
 
 def test_derivative_matches_integrand_by_finite_differences():
@@ -203,13 +212,23 @@ def test_log_moment_kernel_equals_reference_on_arrays():
     _assert_kernel_matches_reference(np.array([0.0, 0.5, 1.0]), edge[:, None])  # (5, 3)
     _assert_kernel_matches_reference(1.0, np.full(4, 1e-6))  # 1-d, series only
     _assert_kernel_matches_reference(1.0, np.full(4, 5.0))  # 1-d, closed form only
-    _assert_kernel_matches_reference(1.5, 0.3 / np.array([1.0, 2.0, 5.0]))  # scalar u, 1-d r
-    _assert_kernel_matches_reference(np.array([0.5, 1.0]), np.array([0.0, 0.5]))  # elementwise
     rng = np.random.default_rng(7)
     s = 10.0 ** rng.uniform(-12.0, 2.0, 10_000)
     points = np.array([0.0, 1.0, 3.0])
     _assert_kernel_matches_reference(points, (s / 9.0)[:, None])  # broadcast (..., 3)
     _assert_kernel_matches_reference(points, (s / 9.0).reshape(2, 50, 100, 1))
+
+
+def test_j_functions_broadcast_over_arrays():
+    r = 0.3 / np.array([1.0, 2.0, 5.0])
+    m0, m1 = _log1p_moments(1.5, r)
+    assert m0.shape == m1.shape == (3,)
+    assert m0[1] == pytest.approx(_log1p_moments(1.5, 0.3 / 2.0)[0], rel=1e-15)
+    _assert_kernel_matches_reference(1.5, r)  # scalar u, 1-d r
+    mixed = _log1p_moments(np.array([0.5, 1.0]), np.array([0.0, 0.5]))[1]
+    assert mixed[0] == pytest.approx(_log1p_moments(0.5, 0.0)[1])
+    assert mixed[1] == pytest.approx(_log1p_moments(1.0, 0.5)[1])
+    _assert_kernel_matches_reference(np.array([0.5, 1.0]), np.array([0.0, 0.5]))  # elementwise
 
 
 def test_integrate_unit_gives_one_integral_per_leading_index():
