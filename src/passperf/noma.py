@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,7 @@ class NomaBreakpoints:
     m4: float
 
 
+@lru_cache(maxsize=128)
 def noma_zero_outage_thresholds(cfg: SystemConfig):
     """Powers beyond which each user's outage is exactly zero.
 
@@ -41,6 +43,9 @@ def noma_zero_outage_thresholds(cfg: SystemConfig):
     cannot support the far user at the configured threshold
     (alpha_far <= gamma_th * alpha_near), in which case it is always in
     outage.
+
+    Cached per config: it does not depend on power, and both outages read
+    it on every call.
     """
     dc = derive_constants(cfg)
     gth = cfg.outage_threshold

@@ -146,6 +146,12 @@ def snr_grid(spec: SweepSpec) -> list:
     return [spec.snr_db_start + i * spec.snr_db_step for i in range(count)]
 
 
+def _powers_w(cfg, grid_db) -> list:
+    """Transmit power of each SNR in ``grid_db``, referenced to the user-1 noise power."""
+    reference_noise = noise_w(cfg, 1)
+    return [snr_db_to_power_w(snr_db, reference_noise) for snr_db in grid_db]
+
+
 def _cells(cfg, grid_db, keys, n_nodes, mc_trials=None, mc_seed=None):
     """Yield (snr_db, scheme, user, metric, analytic, estimate) per cell, SNR outermost.
 
@@ -156,9 +162,8 @@ def _cells(cfg, grid_db, keys, n_nodes, mc_trials=None, mc_seed=None):
     grid, so each trial block is drawn once per run and WDMA and NOMA
     estimates are paired on the same drops; otherwise ``estimate`` is None.
     """
-    reference_noise = noise_w(cfg, 1)
     grid = [float(snr_db) for snr_db in grid_db]
-    powers = [snr_db_to_power_w(snr_db, reference_noise) for snr_db in grid]
+    powers = _powers_w(cfg, grid)
     estimates = {}
     if mc_trials is not None:
         cells = list(dict.fromkeys((scheme, user) for scheme, user, _ in keys))
@@ -275,6 +280,19 @@ CROSSOVER_METRICS = {
 }
 # find_crossover bisects until its bracket is at most this wide, in dB.
 CROSSOVER_TOL_DB = 0.01
+# Bisection levels find_crossover evaluates per array call: every midpoint
+# the next this many levels can read.
+CROSSOVER_LOOKAHEAD = 4
+
+
+def _midpoints(lo: float, hi: float, levels: int) -> list:
+    """Every midpoint that bisecting [lo, hi] can read in its next
+    ``levels`` levels, in the loop's own arithmetic; none for a bracket at
+    most ``CROSSOVER_TOL_DB`` wide, where the loop stops."""
+    if levels == 0 or not hi - lo > CROSSOVER_TOL_DB:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
 
 
 def find_crossover(
@@ -290,6 +308,14 @@ def find_crossover(
     WDMA user-1 outage. Returns the midpoint of a final bracket at most
     ``CROSSOVER_TOL_DB`` wide, or None when the difference has one sign over
     the whole bracket.
+
+    The search is a plain bisection replayed against a cache. Whenever it
+    needs a midpoint it has not evaluated, it evaluates every midpoint of the
+    next ``CROSSOVER_LOOKAHEAD`` levels (the first time with the two bracket
+    ends) in one array call per cell. Array calls equal scalar calls bitwise,
+    so the result is exactly the plain bisection's midpoint. A non-finite
+    difference raises :class:`NumericalError` only at an SNR the bisection
+    reads.
     """
     if metric not in CROSSOVER_METRICS:
         raise ConfigError(f"metric must be one of {tuple(CROSSOVER_METRICS)}, got {metric!r}")
@@ -298,34 +324,38 @@ def find_crossover(
         raise ConfigError(f"bracket_db ends must be finite, got {bracket_db!r}")
     if not hi > lo:
         raise ConfigError(f"bracket width must be > 0, got {bracket_db!r}")
-    reference_noise = noise_w(cfg, 1)
     added, subtracted = CROSSOVER_METRICS[metric]
+    differences = {}  # snr_db -> difference, one look-ahead tree at a time
 
-    def difference(snr_db: float) -> float:
-        power_w = snr_db_to_power_w(snr_db, reference_noise)
-        value = 0.0
+    def evaluate(grid_db: list) -> None:
+        powers = np.array(_powers_w(cfg, grid_db))
+        value = np.zeros(len(grid_db))
         for key in added:
-            value += CELLS[key].value(cfg, power_w, n_nodes)
+            value = value + CELLS[key].value(cfg, powers, n_nodes)
         for key in subtracted:
-            value -= CELLS[key].value(cfg, power_w, n_nodes)
+            value = value - CELLS[key].value(cfg, powers, n_nodes)
+        differences.update(zip(grid_db, value.tolist()))
+
+    def sign(snr_db: float) -> int:
+        value = differences[snr_db]
         if not math.isfinite(value):
             raise NumericalError(f"{metric} difference not finite at {snr_db} dB")
-        return value
-
-    def sign(value: float) -> int:
         return (value > 0.0) - (value < 0.0)
 
     # A crossover needs strictly opposite signs at the bracket ends. An
     # exactly zero difference (e.g. both outage probabilities saturated at
     # one on a low-SNR plateau) carries no sign information and yields None;
     # pick a bracket whose ends sit outside such plateaus.
-    s_lo = sign(difference(lo))
-    s_hi = sign(difference(hi))
+    evaluate([lo, hi, *_midpoints(lo, hi, CROSSOVER_LOOKAHEAD)])
+    s_lo = sign(lo)
+    s_hi = sign(hi)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         return None
     while hi - lo > CROSSOVER_TOL_DB:
         mid = 0.5 * (lo + hi)
-        if sign(difference(mid)) == s_hi:
+        if mid not in differences:
+            evaluate(_midpoints(lo, hi, CROSSOVER_LOOKAHEAD))
+        if sign(mid) == s_hi:
             hi = mid
         else:
             lo = mid

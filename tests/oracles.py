@@ -9,7 +9,8 @@ formula with the closed forms they check. The densities of the separation
 and of the near and far users' x-coordinates, and the CDF of the near
 user's squared x-offset, are the reference laws those routes and the
 sampling tests use. ``sinr_trials`` addresses the simulator's per-trial
-SINRs by trial index.
+SINRs by trial index. ``bisect_crossover`` is the plain scalar bisection
+that ``find_crossover`` must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from passperf import (
     integrate_unit,
     noise_w,
     sinr,
+    snr_db_to_power_w,
 )
 from passperf.montecarlo import _draw
 from passperf.noma import _c2
 from passperf.quadrature import _SERIES_S, _SERIES_TERMS, _maybe_scalar
+from passperf.sweep import CELLS, CROSSOVER_METRICS, CROSSOVER_TOL_DB, NumericalError
 
 
 def random_config(rng: np.random.Generator) -> SystemConfig:
@@ -274,3 +277,38 @@ def sinr_trials(
     the same per-trial values as a slice of a longer run.
     """
     return sinr(scheme, user, cfg, power_w, _draw(cfg, seed, start, count))
+
+
+def bisect_crossover(cfg: SystemConfig, metric: str, bracket_db: tuple, n_nodes: int = 64):
+    """Bisection for the SNR where the ``metric`` difference changes sign,
+    one scalar call per cell at each SNR it reads: the ends, then one
+    midpoint per level until the bracket is at most ``CROSSOVER_TOL_DB``
+    wide. None unless the ends have strictly opposite signs; NumericalError
+    at the first non-finite difference read.
+    """
+    lo, hi = float(bracket_db[0]), float(bracket_db[1])
+    reference_noise = noise_w(cfg, 1)
+    added, subtracted = CROSSOVER_METRICS[metric]
+
+    def sign(snr_db: float) -> int:
+        power_w = snr_db_to_power_w(snr_db, reference_noise)
+        value = 0.0
+        for key in added:
+            value += CELLS[key].value(cfg, power_w, n_nodes)
+        for key in subtracted:
+            value -= CELLS[key].value(cfg, power_w, n_nodes)
+        if not math.isfinite(value):
+            raise NumericalError(f"{metric} difference not finite at {snr_db} dB")
+        return (value > 0.0) - (value < 0.0)
+
+    s_lo = sign(lo)
+    s_hi = sign(hi)
+    if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
+        return None
+    while hi - lo > CROSSOVER_TOL_DB:
+        mid = 0.5 * (lo + hi)
+        if sign(mid) == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

@@ -108,6 +108,25 @@ def test_near_outage_zero_at_and_beyond_threshold():
     assert noma_outage_near(CFG, 0.99 * near_w) > 0.0
 
 
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        (CFG, (0.00468352995146371, 0.01607749567372207)),
+        (omega_two(), (0.00468352995146371, 0.01607749567372207)),
+        (replace(CFG, region_y_m=10.0), (0.00468352995146371, 0.004270277308687501)),
+        (replace(CFG, noma_alpha_near=0.1, noma_alpha_far=0.9, pa_height_m=5.0),
+         (0.0034437720231350814, 0.028411119190864424)),
+        (replace(CFG, noma_alpha_near=0.2, noma_alpha_far=0.8), (0.0011708824878659276, None)),
+    ],
+    ids=["default", "omega_two", "compact", "split-tall", "unsupported-far"],
+)
+def test_cached_zero_outage_thresholds_keep_their_values(cfg, expected):
+    assert noma_zero_outage_thresholds(cfg) == expected
+    # a second call is a cache hit, and equal to a fresh evaluation
+    assert noma_zero_outage_thresholds(replace(cfg)) is noma_zero_outage_thresholds(cfg)
+    assert noma_zero_outage_thresholds.__wrapped__(cfg) == expected
+
+
 def test_outages_exactly_zero_at_and_beyond_zero_outage_power_on_random_configs():
     rng = np.random.default_rng(2024)
     factors = np.array([1.0, 1.0001, 10.0])
