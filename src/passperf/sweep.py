@@ -280,8 +280,8 @@ CROSSOVER_METRICS = {
 }
 # find_crossover bisects until its bracket is at most this wide, in dB.
 CROSSOVER_TOL_DB = 0.01
-# Bisection levels find_crossover evaluates per array call: every midpoint
-# the next this many levels can read.
+# find_crossover evaluates every midpoint of this many bisection levels in
+# one array call per cell.
 CROSSOVER_LOOKAHEAD = 4
 
 
