@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 
 from .config import (
@@ -62,7 +63,10 @@ def _simulation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=100_000, help="simulation trials")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later :func:`main` call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="passperf",
         description="Outage and rate analysis of two-user pinching-antenna downlinks",

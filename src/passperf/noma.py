@@ -179,7 +179,7 @@ def noma_rate_far_ceiling(cfg: SystemConfig) -> float:
     return math.log2(1.0 + cfg.noma_alpha_far / cfg.noma_alpha_near)
 
 
-@over_powers
+@over_powers(blocked=True)
 def noma_rate_far(cfg: SystemConfig, power_w, n_nodes: int = 64):
     """Average rate of the far user in bits/s/Hz (at most
     ``noma_rate_far_ceiling``) at transmit power ``power_w`` (a scalar or a

@@ -29,10 +29,6 @@ from .noma import (
 from .wdma import wdma_avg_rate, wdma_outage, wdma_outage_floor, wdma_rate_ceiling
 
 METRICS = ("outage", "rate")
-# Powers per analytic call in a sweep: each (scheme, user, metric) cell is
-# evaluated over blocks of this many grid powers at once, which keeps the
-# (powers x nodes) arrays of one call small.
-POWER_BLOCK = 16
 CSV_HEADER = ("snr_db", "scheme", "user", "metric", "analytic", "asymptote", "mc_value", "mc_std_error")
 
 
@@ -128,8 +124,7 @@ class SweepSpec:
             raise ConfigError(f"mc_seed must be an unsigned 64-bit integer, got {self.mc_seed!r}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     snr_db: float
     scheme: str
     user: int
@@ -156,8 +151,10 @@ def _cells(cfg, grid_db, keys, n_nodes, mc_trials=None, mc_seed=None):
     """Yield (snr_db, scheme, user, metric, analytic, estimate) per cell, SNR outermost.
 
     Transmit SNR is referenced to the user-1 noise power. Each
-    (scheme, user, metric) key of ``CELLS`` gets one call per block of
-    ``POWER_BLOCK`` grid powers. With ``mc_trials`` one
+    (scheme, user, metric) key of ``CELLS`` gets one call over the whole
+    grid; the metrics that build (powers x nodes) arrays split that call
+    into blocks themselves (``config.over_powers``). Keys come out in the
+    order of ``keys``. With ``mc_trials`` one
     ``mc_cell_estimates`` call covers every (scheme, user) over the whole
     grid, so each trial block is drawn once per run and WDMA and NOMA
     estimates are paired on the same drops; otherwise ``estimate`` is None.
@@ -168,52 +165,50 @@ def _cells(cfg, grid_db, keys, n_nodes, mc_trials=None, mc_seed=None):
     if mc_trials is not None:
         cells = list(dict.fromkeys((scheme, user) for scheme, user, _ in keys))
         estimates = mc_cell_estimates(mc_trials, mc_seed, cells, cfg, powers)
-    for first in range(0, len(grid), POWER_BLOCK):
-        block = np.array(powers[first : first + POWER_BLOCK])
-        analytic = {key: CELLS[key].value(cfg, block, n_nodes).tolist() for key in keys}
-        for j, snr_db in enumerate(grid[first : first + POWER_BLOCK]):
-            for key in keys:
-                scheme, user, metric = key
-                est = estimates[(scheme, user)][metric][first + j] if estimates else None
-                yield snr_db, scheme, user, metric, analytic[key][j], est
+    grid_powers = np.array(powers)
+    analytic = {key: CELLS[key].value(cfg, grid_powers, n_nodes).tolist() for key in keys}
+    for j, snr_db in enumerate(grid):
+        for key in keys:
+            scheme, user, metric = key
+            est = estimates[(scheme, user)][metric][j] if estimates else None
+            yield snr_db, scheme, user, metric, analytic[key][j], est
 
 
 def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> list:
     """Fill every requested cell of the SNR grid: a list of :class:`SweepRow`.
 
-    Transmit SNR is referenced to the user-1 noise power. Rows come out
-    sorted by (snr_db, scheme, user, metric).
+    Transmit SNR is referenced to the user-1 noise power. Each cell is one
+    array call over the whole grid (see :func:`_cells`). The keys are taken
+    in sorted order and the grid ascends, so rows come out sorted by
+    (snr_db, scheme, user, metric) without a sort.
     """
-    keys = [
+    keys = sorted(
         (scheme, user, metric)
         for scheme in spec.schemes
         for user in SWEEP_USERS[scheme]
         for metric in spec.metrics
-    ]
+    )
     asymptotes = {}
     if spec.include_asymptotes:
         for key in keys:
             limit = CELLS[key].limit
             asymptotes[key] = None if limit is None else limit(cfg, n_nodes)
     mc_trials = spec.mc_trials if spec.include_mc else None
-    rows = []
-    for snr_db, scheme, user, metric, analytic, est in _cells(
-        cfg, snr_grid(spec), keys, n_nodes, mc_trials, spec.mc_seed
-    ):
-        rows.append(
-            SweepRow(
-                snr_db=snr_db,
-                scheme=scheme,
-                user=user,
-                metric=metric,
-                analytic=analytic,
-                asymptote=asymptotes.get((scheme, user, metric)),
-                mc_value=None if est is None else est.value,
-                mc_std_error=None if est is None else est.std_error,
-            )
+    return [
+        SweepRow(
+            snr_db,
+            scheme,
+            user,
+            metric,
+            analytic,
+            asymptotes.get((scheme, user, metric)),
+            None if est is None else est.value,
+            None if est is None else est.std_error,
         )
-    rows.sort(key=lambda r: (r.snr_db, r.scheme, r.user, r.metric))
-    return rows
+        for snr_db, scheme, user, metric, analytic, est in _cells(
+            cfg, snr_grid(spec), keys, n_nodes, mc_trials, spec.mc_seed
+        )
+    ]
 
 
 def _format_cell(value) -> str:
@@ -225,21 +220,23 @@ def _parse_cell(text: str) -> float | None:
 
 
 def write_csv(rows: list, fileobj) -> None:
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
+    """Write ``rows`` under ``CSV_HEADER``, one line each.
+
+    Lines are joined directly, not through ``csv.writer``: no field can
+    need quoting (floats are written with ``repr``, the scheme and metric
+    names and the user index are fixed words and digits).
+    """
+    fileobj.write(",".join(CSV_HEADER) + "\n")
+    fileobj.write(
+        "".join(
             [
-                repr(row.snr_db),
-                row.scheme,
-                str(row.user),
-                row.metric,
-                _format_cell(row.analytic),
-                _format_cell(row.asymptote),
-                _format_cell(row.mc_value),
-                _format_cell(row.mc_std_error),
+                f"{row.snr_db!r},{row.scheme},{row.user},{row.metric},{_format_cell(row.analytic)},"
+                f"{_format_cell(row.asymptote)},{_format_cell(row.mc_value)},"
+                f"{_format_cell(row.mc_std_error)}\n"
+                for row in rows
             ]
         )
+    )
 
 
 def to_csv_text(rows: list) -> str:

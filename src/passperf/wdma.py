@@ -57,7 +57,7 @@ def _average_outage(cfg: SystemConfig, b_noise: np.ndarray, n_nodes: int) -> np.
     return outage
 
 
-@over_powers
+@over_powers(blocked=True)
 def wdma_outage(cfg: SystemConfig, power_w, n_nodes: int = 64, user: int = 1):
     """Outage probability of ``user`` at transmit power ``power_w`` (a scalar
     or a 1-D array): the conditional outage averaged over the user's
@@ -93,7 +93,7 @@ def _rate_nats(t, cfg: SystemConfig, b_noise: np.ndarray):
     return np.log1p(g / c) + excess[0] - excess[1]
 
 
-@over_powers
+@over_powers(blocked=True)
 def wdma_avg_rate(cfg: SystemConfig, power_w, n_nodes: int = 64, user: int = 1):
     """Average achievable rate of ``user`` in bits/s/Hz at transmit power
     ``power_w`` (a scalar or a 1-D array).

@@ -10,11 +10,14 @@ and of the near and far users' x-coordinates, and the CDF of the near
 user's squared x-offset, are the reference laws those routes and the
 sampling tests use. ``sinr_trials`` addresses the simulator's per-trial
 SINRs by trial index. ``bisect_crossover`` is the plain scalar bisection
-that ``find_crossover`` must reproduce exactly.
+that ``find_crossover`` must reproduce exactly. ``csv_writer_text`` is the
+``csv.writer`` route that ``write_csv`` must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -37,7 +40,7 @@ from passperf import (
 from passperf.montecarlo import _draw
 from passperf.noma import _c2
 from passperf.quadrature import _SERIES_S, _SERIES_TERMS, _maybe_scalar
-from passperf.sweep import CELLS, CROSSOVER_METRICS, CROSSOVER_TOL_DB, NumericalError
+from passperf.sweep import CELLS, CROSSOVER_METRICS, CROSSOVER_TOL_DB, CSV_HEADER, NumericalError
 
 
 def random_config(rng: np.random.Generator) -> SystemConfig:
@@ -312,3 +315,29 @@ def bisect_crossover(cfg: SystemConfig, metric: str, bracket_db: tuple, n_nodes:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def csv_writer_text(rows: list) -> str:
+    """Sweep rows as CSV text through ``csv.writer``: the header, then one
+    record per row of ``repr`` floats, with an empty field for None."""
+
+    def cell(value) -> str:
+        return "" if value is None else repr(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow(
+            [
+                repr(row.snr_db),
+                row.scheme,
+                str(row.user),
+                row.metric,
+                cell(row.analytic),
+                cell(row.asymptote),
+                cell(row.mc_value),
+                cell(row.mc_std_error),
+            ]
+        )
+    return buf.getvalue()

@@ -1,10 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from passperf.cli import main
+from passperf.cli import build_parser, main
 from passperf.sweep import CSV_HEADER, read_csv
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_sweep_writes_csv(tmp_path):
@@ -230,3 +236,46 @@ def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == printed
     assert capsys.readouterr().out == ""
+
+
+def fresh_run(argv) -> subprocess.CompletedProcess:
+    """``argv`` through the command line in a new interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "passperf.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+REUSE_SEQUENCE = [
+    ["sweep", "--start", "100", "--stop", "104", "--step", "2", "--mc", "--trials", "2000"],
+    ["sweep", "--start", "100", "--stop", "104", "--step", "2"],
+    ["sweep", "--step", "zero"],
+    ["crossover", "--lo", "60", "--hi", "160"],
+    ["asymptote"],
+]
+
+
+def test_one_parser_serves_a_sequence_of_calls(monkeypatch, capsys):
+    # the same usage width in this process and in the fresh ones
+    monkeypatch.setenv("COLUMNS", "80")
+    build_parser.cache_clear()
+    results = []
+    for argv in REUSE_SEQUENCE:
+        code = main(argv)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert build_parser.cache_info().misses == 1
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in results] == [0, 0, 2, 0, 0]
+    # --mc from the first call does not carry over to the second
+    with_mc, without_mc = (read_csv(io.StringIO(out)) for _, out, _ in results[:2])
+    assert all(row.mc_value is not None for row in with_mc)
+    assert all(row.mc_value is None and row.mc_std_error is None for row in without_mc)
+    for argv, result in zip(REUSE_SEQUENCE, results):
+        fresh = fresh_run(argv)
+        assert result == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import bisect_crossover, random_config, random_offset_config
 
 from passperf import SystemConfig, find_crossover, noise_w, snr_db_to_power_w
+from passperf.config import POWER_BLOCK
 from passperf.sweep import (
     CELLS,
     CROSSOVER_LOOKAHEAD,
@@ -139,7 +140,7 @@ def test_rate_sum_crossover_makes_at_most_four_array_calls_per_cell(monkeypatch)
 
     def counted(key, original):
         def value(cfg, power_w, n_nodes):
-            calls.setdefault(key, []).append(np.ndim(power_w))
+            calls.setdefault(key, []).append(np.shape(power_w))
             return original(cfg, power_w, n_nodes)
 
         return value
@@ -150,7 +151,10 @@ def test_rate_sum_crossover_makes_at_most_four_array_calls_per_cell(monkeypatch)
     assert CROSSOVER_LOOKAHEAD == 4
     assert find_crossover(CFG, "rate_sum", RATE_BRACKET) is not None
     assert set(calls) == set(added + subtracted)
-    for dims in calls.values():
+    for shapes in calls.values():
         # one scalar call per power would be 16
-        assert 1 <= len(dims) <= 4
-        assert set(dims) == {1}
+        assert 1 <= len(shapes) <= 4
+        assert all(len(shape) == 1 for shape in shapes)
+        # the first call (two ends, 15 midpoints) is not split into blocks
+        assert shapes[0] == (2 + 2**CROSSOVER_LOOKAHEAD - 1,)
+        assert shapes[0][0] <= POWER_BLOCK

@@ -2,6 +2,7 @@
 and SNRs at every entry point."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,17 @@ from passperf import (
     mc_estimates,
     noise_w,
     noma_breakpoints,
+    noma_rate_far,
     run_sweep,
     snr_db_to_power_w,
     snr_grid,
+    validate,
+    wdma_avg_rate,
     wdma_outage,
 )
 from passperf.cli import main
-from passperf.sweep import CELLS, POWER_BLOCK, SWEEP_USERS, omega_two
+from passperf.config import POWER_BLOCK
+from passperf.sweep import CELLS, SWEEP_USERS, Cell, omega_two
 
 CFG = SystemConfig()
 SPLIT = SystemConfig(noma_alpha_near=0.2, noma_alpha_far=0.8)
@@ -61,6 +66,74 @@ def test_sweep_blocks_equal_scalar_calls(start, stop):
         assert type(row.analytic) is float
         cell = (row.scheme, row.user, row.metric)
         assert row.analytic == analytic(cell, CFG, by_snr[row.snr_db])
+
+
+def count_value_calls(monkeypatch) -> dict:
+    """Wrap every CELLS value with a counter; returns key -> list of the
+    number of powers of each call."""
+    calls = {}
+
+    def counted(key, original):
+        def value(cfg, power_w, n_nodes):
+            calls.setdefault(key, []).append(np.size(power_w))
+            return original(cfg, power_w, n_nodes)
+
+        return value
+
+    for key, cell in list(CELLS.items()):
+        monkeypatch.setitem(CELLS, key, Cell(counted(key, cell.value), cell.limit))
+    return calls
+
+
+def test_sweep_and_validate_make_one_value_call_per_key(monkeypatch):
+    spec = SweepSpec(snr_db_start=90.0, snr_db_stop=150.0, snr_db_step=2.0)
+    grid = snr_grid(spec)
+    # one call per block of POWER_BLOCK powers would make two or more
+    assert len(grid) > POWER_BLOCK
+    calls = count_value_calls(monkeypatch)
+    run_sweep(spec, CFG)
+    swept = [key for key in CELLS if key[1] in SWEEP_USERS[key[0]]]
+    assert calls == {key: [len(grid)] for key in swept}
+    calls.clear()
+    validate(CFG, grid, trials=200, seed=1, sigma_tol=1e9)
+    assert calls == {key: [len(grid)] for key in CELLS}
+
+
+# (metric, extra arguments): the metrics that build (powers x nodes) arrays
+BLOCKED = [(wdma_outage, (64, 2)), (wdma_avg_rate, (64, 1)), (noma_rate_far, (64,))]
+# tracemalloc peak of one call over 4096 powers; these measure below 0.6 MB
+# blocked and 14-103 MB in one unblocked call
+BLOCKED_PEAK_BOUND_B = 4_000_000
+
+
+@pytest.mark.parametrize("metric, args", BLOCKED, ids=[m.__name__ for m, _ in BLOCKED])
+def test_blocked_metric_equals_its_block_calls_in_bounded_memory(metric, args):
+    cfg = omega_two()
+    reference_noise = noise_w(cfg, 1)
+    powers = np.array(
+        [snr_db_to_power_w(snr_db, reference_noise) for snr_db in np.linspace(-50.0, 400.0, 4096)]
+    )
+    metric(cfg, powers[:POWER_BLOCK], *args)  # fill the per-config caches outside the trace
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            values = fn(cfg, powers, *args)
+            return values, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    values, peak = traced_peak(metric)
+    blocks = [
+        metric(cfg, powers[first : first + POWER_BLOCK], *args)
+        for first in range(0, powers.size, POWER_BLOCK)
+    ]
+    assert values.tobytes() == np.concatenate(blocks).tobytes()
+    assert peak < BLOCKED_PEAK_BOUND_B
+    # the undecorated metric takes every power in one call and breaks the bound
+    unblocked, unblocked_peak = traced_peak(metric.__wrapped__)
+    assert unblocked_peak > BLOCKED_PEAK_BOUND_B
+    assert unblocked.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=CELL_IDS)

@@ -1,8 +1,10 @@
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import csv_writer_text
 
 from passperf import (
     ConfigError,
@@ -17,6 +19,7 @@ from passperf import (
 )
 from passperf.sweep import (
     CSV_HEADER,
+    SweepRow,
     cell_tolerance,
     omega_one,
     omega_two,
@@ -127,6 +130,50 @@ def test_csv_round_trip_exact():
     text = to_csv_text(rows)
     assert read_csv(io.StringIO(text)) == rows
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
+
+
+# zeros of both signs, infinities, NaN, the smallest subnormal and normal,
+# the largest float, and floats whose repr switches to or from exponent form
+EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, 1e-05, 0.0001, 1e16, 1e15, 0.1, -123.456,
+]
+
+
+def edge_rows() -> list:
+    optional = [None, *EDGE_FLOATS]
+    n, m = len(EDGE_FLOATS), len(optional)
+    return [
+        SweepRow(
+            EDGE_FLOATS[i % n],
+            ("wdma", "noma")[i % 2],
+            1 + i % 2,
+            ("outage", "rate")[i // 2 % 2],
+            EDGE_FLOATS[(i + 3) % n],
+            optional[i % m],
+            optional[(i + 5) % m],
+            optional[(i + 11) % m],
+        )
+        for i in range(3 * n * m)
+    ]
+
+
+def test_write_csv_matches_csv_writer_bytes():
+    spec = SweepSpec(
+        snr_db_start=95.0,
+        snr_db_stop=105.0,
+        snr_db_step=5.0,
+        include_mc=True,
+        include_asymptotes=True,
+        mc_trials=2_000,
+    )
+    for rows in (edge_rows(), run_sweep(spec, CFG), run_sweep(SweepSpec(), CFG), []):
+        text = to_csv_text(rows)
+        assert text == csv_writer_text(rows)
+        # NaN != NaN, so the round trip is compared through repr
+        read = read_csv(io.StringIO(text))
+        assert [tuple(map(repr, row)) for row in read] == [tuple(map(repr, row)) for row in rows]
+    assert any(row.asymptote is None for row in edge_rows())
 
 
 def test_csv_output_is_reproducible():
