@@ -34,7 +34,6 @@ from .noma import (
 from .quadrature import (
     IntegrationError,
     chebyshev_rule,
-    integrate_interval,
     integrate_unit,
 )
 from .sweep import (

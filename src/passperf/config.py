@@ -12,11 +12,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
-# Most powers per call of a metric decorated with ``over_powers(blocked=True)``.
-# It keeps the (powers x nodes) arrays of one call small, and it holds the
-# first call of ``sweep.find_crossover``: the two bracket ends and the 15
-# midpoints of its four look-ahead bisection levels.
-POWER_BLOCK = 17
 
 
 class ConfigError(ValueError):
@@ -152,36 +147,21 @@ def check_powers(power_w) -> np.ndarray:
     return powers
 
 
-def over_powers(metric=None, *, blocked: bool = False):
+def over_powers(metric):
     """Let ``metric(cfg, powers, ...)``, written for a 1-D array of transmit
     powers, take a scalar power or a 1-D array of them.
 
     Every power is checked with :func:`check_powers`. A scalar power gives a
     Python float (CSV cells are written with ``repr``), an array gives one
-    value per power. Used bare (``@over_powers``) the metric gets every power
-    in one call. ``@over_powers(blocked=True)``, for metrics that build
-    (powers x nodes) arrays, calls the metric once per block of at most
-    ``POWER_BLOCK`` powers and concatenates the values: this is the only
-    place a sweep or a crossover search is split into blocks. Values are
-    elementwise in the powers, so a blocked call equals one call per block
-    bit for bit.
+    value per power. The metric gets every power in one call; the metrics
+    that build (powers x nodes) arrays split them into blocks where those
+    arrays are built, in ``quadrature.integrate_rows``.
     """
-    if metric is None:
-        return functools.partial(over_powers, blocked=blocked)
 
     @functools.wraps(metric)
     def evaluate(cfg, power_w, *args, **kwargs):
         powers = check_powers(power_w)
-        vector = np.atleast_1d(powers)
-        if blocked and vector.size > POWER_BLOCK:
-            values = np.concatenate(
-                [
-                    metric(cfg, vector[first : first + POWER_BLOCK], *args, **kwargs)
-                    for first in range(0, vector.size, POWER_BLOCK)
-                ]
-            )
-        else:
-            values = metric(cfg, vector, *args, **kwargs)
+        values = metric(cfg, np.atleast_1d(powers), *args, **kwargs)
         return float(values[0]) if powers.ndim == 0 else values
 
     return evaluate

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import SystemConfig, check_powers, derive_constants, over_powers
 from .geometry import diff_distribution, expected_log_excess
-from .quadrature import _log1p_moments, integrate_interval
+from .quadrature import _log1p_moments, integrate_rows
 
 _LN2 = math.log(2.0)
 
@@ -179,7 +179,7 @@ def noma_rate_far_ceiling(cfg: SystemConfig) -> float:
     return math.log2(1.0 + cfg.noma_alpha_far / cfg.noma_alpha_near)
 
 
-@over_powers(blocked=True)
+@over_powers
 def noma_rate_far(cfg: SystemConfig, power_w, n_nodes: int = 64):
     """Average rate of the far user in bits/s/Hz (at most
     ``noma_rate_far_ceiling``) at transmit power ``power_w`` (a scalar or a
@@ -192,18 +192,20 @@ def noma_rate_far(cfg: SystemConfig, power_w, n_nodes: int = 64):
     capped at the ceiling there.
     """
     dc = derive_constants(cfg)
-    k1 = (dc.eta_m2 * cfg.noma_alpha_near * power_w)[:, None]
-    k2 = (dc.eta_m2 * cfg.noma_alpha_far * power_w)[:, None]
     n2 = dc.noise_w_ue2
     h_sq = cfg.pa_height_m**2
     dx = cfg.region_x_m
     dist = diff_distribution(cfg)
+    # m = half (t + 1) maps the nodes onto the x-offset interval [0, (dx/2)^2]
+    half = 0.5 * (0.5 * dx) ** 2
 
-    def delta(m):
+    def delta(t, powers):
         # E[ln(beta + k2 + n2 U^2) - ln(beta + n2 U^2)] given the x-offset m
-        beta = k1 + n2 * (h_sq + np.asarray(m))
+        k1 = (dc.eta_m2 * cfg.noma_alpha_near * powers)[:, None]
+        k2 = (dc.eta_m2 * cfg.noma_alpha_far * powers)[:, None]
+        beta = k1 + n2 * (h_sq + (half * t + half))
         excess = expected_log_excess(np.stack([beta + k2, beta]), n2, dist)
         return np.log1p(k2 / beta) + excess[0] - excess[1]
 
-    integral = integrate_interval(delta, 0.0, (0.5 * dx) ** 2, n_nodes)
+    integral = half * integrate_rows(delta, power_w, n_nodes)
     return np.minimum(4.0 / (dx**2 * _LN2) * integral, noma_rate_far_ceiling(cfg))

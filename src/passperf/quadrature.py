@@ -24,6 +24,12 @@ from functools import lru_cache
 
 import numpy as np
 
+# Most rows per integrand call of ``integrate_rows``. It keeps the
+# (rows x nodes) arrays of one call small, and it holds the first call of
+# ``sweep.find_crossover``: the two bracket ends and the 15 midpoints of its
+# four look-ahead bisection levels.
+ROW_BLOCK = 17
+
 
 class IntegrationError(RuntimeError):
     """The integrand produced a non-finite value at a quadrature node."""
@@ -80,19 +86,28 @@ def integrate_unit(f, n_nodes: int):
     vals = _evaluate(f, rule.nodes)
     if vals.ndim == 1:
         return float(rule.weights @ vals)
-    # one 1-D dot per row: a 2-D matrix-vector product rounds differently
-    return np.array([rule.weights @ row for row in vals.reshape(-1, n_nodes)]).reshape(
-        vals.shape[:-1]
+    # a stack of (1 x N) @ (N x 1) products rounds as the 1-D dots do; a 2-D
+    # matrix-vector product does not
+    return np.matmul(vals[..., None, :], rule.weights[:, None])[..., 0, 0]
+
+
+def integrate_rows(f, rows, n_nodes: int) -> np.ndarray:
+    """Approximate int_{-1}^{1} f(t) dt once per entry of the 1-D ``rows``.
+
+    ``f(t, block)`` maps the nodes and a slice of ``rows`` to values of
+    shape (len(block), N). It gets at most ``ROW_BLOCK`` rows per call, so
+    the (rows x nodes) arrays stay small however many rows there are. Each
+    row's integral depends only on that row, so it equals a one-row call
+    bit for bit.
+    """
+    if len(rows) <= ROW_BLOCK:
+        return integrate_unit(lambda t: f(t, rows), n_nodes)
+    return np.concatenate(
+        [
+            integrate_unit(lambda t: f(t, rows[first : first + ROW_BLOCK]), n_nodes)
+            for first in range(0, len(rows), ROW_BLOCK)
+        ]
     )
-
-
-def integrate_interval(f, a: float, b: float, n_nodes: int):
-    """Approximate int_a^b f(x) dx via the affine map onto [-1, 1]."""
-    if a == b:
-        return 0.0
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * integrate_unit(lambda t: f(half * np.asarray(t) + mid), n_nodes)
 
 
 # For s = r u^2 under _SERIES_S the closed forms of phi0 and phi1 lose

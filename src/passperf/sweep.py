@@ -152,9 +152,9 @@ def _cells(cfg, grid_db, keys, n_nodes, mc_trials=None, mc_seed=None):
 
     Transmit SNR is referenced to the user-1 noise power. Each
     (scheme, user, metric) key of ``CELLS`` gets one call over the whole
-    grid; the metrics that build (powers x nodes) arrays split that call
-    into blocks themselves (``config.over_powers``). Keys come out in the
-    order of ``keys``. With ``mc_trials`` one
+    grid; the metrics that build (powers x nodes) arrays evaluate their
+    integrands in blocks of powers (``quadrature.integrate_rows``). Keys
+    come out in the order of ``keys``. With ``mc_trials`` one
     ``mc_cell_estimates`` call covers every (scheme, user) over the whole
     grid, so each trial block is drawn once per run and WDMA and NOMA
     estimates are paired on the same drops; otherwise ``estimate`` is None.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import SystemConfig, derive_constants, noise_w, over_powers
 from .geometry import diff_distribution, expected_log_excess, g_axis, sq_diff_cdf
-from .quadrature import integrate_unit
+from .quadrature import integrate_rows, integrate_unit
 
 _LN2 = math.log(2.0)
 
@@ -52,12 +52,14 @@ def _average_outage(cfg: SystemConfig, b_noise: np.ndarray, n_nodes: int) -> np.
     outage = np.ones_like(b_noise)
     live = _outage_given_x(0.0, cfg, b_noise)[:, 0] < 1.0
     if live.any():
-        value = 0.5 * integrate_unit(lambda t: _outage_given_x(t, cfg, b_noise[live]), n_nodes)
+        value = 0.5 * integrate_rows(
+            lambda t, rows: _outage_given_x(t, cfg, rows), b_noise[live], n_nodes
+        )
         outage[live] = np.minimum(np.maximum(value, 0.0), 1.0)
     return outage
 
 
-@over_powers(blocked=True)
+@over_powers
 def wdma_outage(cfg: SystemConfig, power_w, n_nodes: int = 64, user: int = 1):
     """Outage probability of ``user`` at transmit power ``power_w`` (a scalar
     or a 1-D array): the conditional outage averaged over the user's
@@ -93,7 +95,7 @@ def _rate_nats(t, cfg: SystemConfig, b_noise: np.ndarray):
     return np.log1p(g / c) + excess[0] - excess[1]
 
 
-@over_powers(blocked=True)
+@over_powers
 def wdma_avg_rate(cfg: SystemConfig, power_w, n_nodes: int = 64, user: int = 1):
     """Average achievable rate of ``user`` in bits/s/Hz at transmit power
     ``power_w`` (a scalar or a 1-D array).
@@ -105,7 +107,7 @@ def wdma_avg_rate(cfg: SystemConfig, power_w, n_nodes: int = 64, user: int = 1):
     """
     dc = derive_constants(cfg)
     b_noise = 2.0 * noise_w(cfg, user) / (dc.eta_m2 * power_w)
-    rate = 0.5 * integrate_unit(lambda t: _rate_nats(t, cfg, b_noise), n_nodes) / _LN2
+    rate = 0.5 * integrate_rows(lambda t, rows: _rate_nats(t, cfg, rows), b_noise, n_nodes) / _LN2
     return np.minimum(rate, wdma_rate_ceiling(cfg, n_nodes))
 
 

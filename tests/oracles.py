@@ -31,7 +31,6 @@ from passperf import (
     diff_cdf,
     diff_distribution,
     g_axis,
-    integrate_interval,
     integrate_unit,
     noise_w,
     sinr,
@@ -192,6 +191,13 @@ def noma_rate_far_quad2d(cfg: SystemConfig, power_w: float) -> float:
     return 4.0 / dx**2 * value
 
 
+def interval_integral(f, a: float, b: float, n_nodes: int) -> float:
+    """int_a^b f(x) dx by the Chebyshev rule through the affine map onto [-1, 1]."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return half * integrate_unit(lambda t: f(half * np.asarray(t) + mid), n_nodes)
+
+
 def wdma_rate_nested(cfg: SystemConfig, power_w: float, n_nodes: int, user: int = 1) -> float:
     """WDMA rate by nested Chebyshev quadrature over the translated separation density."""
     dc = derive_constants(cfg)
@@ -211,7 +217,7 @@ def wdma_rate_nested(cfg: SystemConfig, power_w: float, n_nodes: int, user: int 
             return np.log((a + b * u**2) / (c + d * u**2)) * diff_pdf(u, dist)
 
         # split at the density peak where the triangular kink sits
-        return integrate_interval(f, dist.support_lo, dist.peak, n_nodes) + integrate_interval(
+        return interval_integral(f, dist.support_lo, dist.peak, n_nodes) + interval_integral(
             f, dist.peak, dist.support_hi, n_nodes
         )
 
@@ -233,7 +239,7 @@ def noma_outage_far_nested(cfg: SystemConfig, power_w: float, n_nodes: int) -> f
         radius = np.sqrt(np.clip(c2 - m, 0.0, None))
         return 1.0 - diff_cdf(radius, dist)
 
-    value = 4.0 / cfg.region_x_m**2 * integrate_interval(conditional, 0.0, m4, n_nodes)
+    value = 4.0 / cfg.region_x_m**2 * interval_integral(conditional, 0.0, m4, n_nodes)
     return min(max(value, 0.0), 1.0)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import bisect_crossover, random_config, random_offset_config
 
 from passperf import SystemConfig, find_crossover, noise_w, snr_db_to_power_w
-from passperf.config import POWER_BLOCK
+from passperf.quadrature import ROW_BLOCK
 from passperf.sweep import (
     CELLS,
     CROSSOVER_LOOKAHEAD,
@@ -157,4 +157,4 @@ def test_rate_sum_crossover_makes_at_most_four_array_calls_per_cell(monkeypatch)
         assert all(len(shape) == 1 for shape in shapes)
         # the first call (two ends, 15 midpoints) is not split into blocks
         assert shapes[0] == (2 + 2**CROSSOVER_LOOKAHEAD - 1,)
-        assert shapes[0][0] <= POWER_BLOCK
+        assert shapes[0][0] <= ROW_BLOCK

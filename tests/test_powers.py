@@ -3,6 +3,7 @@ and SNRs at every entry point."""
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from passperf import (
     wdma_avg_rate,
     wdma_outage,
 )
+from passperf import noma, quadrature, wdma
 from passperf.cli import main
-from passperf.config import POWER_BLOCK
+from passperf.quadrature import ROW_BLOCK
 from passperf.sweep import CELLS, SWEEP_USERS, Cell, omega_two
 
 CFG = SystemConfig()
@@ -57,7 +59,7 @@ def test_grid_call_equals_scalar_calls(cfg, cell):
 def test_sweep_blocks_equal_scalar_calls(start, stop):
     spec = SweepSpec(snr_db_start=start, snr_db_stop=stop, snr_db_step=2.0)
     powers = grid_powers(CFG, start, stop, 2.0)
-    assert len(powers) == 1 or len(powers) % POWER_BLOCK != 0
+    assert len(powers) == 1 or len(powers) % ROW_BLOCK != 0
     rows = run_sweep(spec, CFG)
     swept = [cell for cell in CELLS if cell[1] in SWEEP_USERS[cell[0]]]
     assert len(rows) == len(powers) * len(swept)
@@ -88,8 +90,8 @@ def count_value_calls(monkeypatch) -> dict:
 def test_sweep_and_validate_make_one_value_call_per_key(monkeypatch):
     spec = SweepSpec(snr_db_start=90.0, snr_db_stop=150.0, snr_db_step=2.0)
     grid = snr_grid(spec)
-    # one call per block of POWER_BLOCK powers would make two or more
-    assert len(grid) > POWER_BLOCK
+    # one call per block of ROW_BLOCK powers would make two or more
+    assert len(grid) > ROW_BLOCK
     calls = count_value_calls(monkeypatch)
     run_sweep(spec, CFG)
     swept = [key for key in CELLS if key[1] in SWEEP_USERS[key[0]]]
@@ -101,39 +103,64 @@ def test_sweep_and_validate_make_one_value_call_per_key(monkeypatch):
 
 # (metric, extra arguments): the metrics that build (powers x nodes) arrays
 BLOCKED = [(wdma_outage, (64, 2)), (wdma_avg_rate, (64, 1)), (noma_rate_far, (64,))]
-# tracemalloc peak of one call over 4096 powers; these measure below 0.6 MB
-# blocked and 14-103 MB in one unblocked call
+BLOCKED_IDS = [m.__name__ for m, _ in BLOCKED]
+# tracemalloc peak of one call over 4096 powers; these measure 0.38-0.63 MB
+# in blocks of ROW_BLOCK rows and 14-103 MB in one block of every power
 BLOCKED_PEAK_BOUND_B = 4_000_000
 
 
-@pytest.mark.parametrize("metric, args", BLOCKED, ids=[m.__name__ for m, _ in BLOCKED])
-def test_blocked_metric_equals_its_block_calls_in_bounded_memory(metric, args):
+@pytest.mark.parametrize("metric, args", BLOCKED, ids=BLOCKED_IDS)
+def test_blocked_metric_equals_its_block_calls_in_bounded_memory(metric, args, monkeypatch):
     cfg = omega_two()
     reference_noise = noise_w(cfg, 1)
     powers = np.array(
         [snr_db_to_power_w(snr_db, reference_noise) for snr_db in np.linspace(-50.0, 400.0, 4096)]
     )
-    metric(cfg, powers[:POWER_BLOCK], *args)  # fill the per-config caches outside the trace
+    metric(cfg, powers[:ROW_BLOCK], *args)  # fill the per-config caches outside the trace
 
-    def traced_peak(fn):
+    def traced_peak():
         tracemalloc.start()
         try:
-            values = fn(cfg, powers, *args)
+            values = metric(cfg, powers, *args)
             return values, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    values, peak = traced_peak(metric)
+    values, peak = traced_peak()
     blocks = [
-        metric(cfg, powers[first : first + POWER_BLOCK], *args)
-        for first in range(0, powers.size, POWER_BLOCK)
+        metric(cfg, powers[first : first + ROW_BLOCK], *args)
+        for first in range(0, powers.size, ROW_BLOCK)
     ]
     assert values.tobytes() == np.concatenate(blocks).tobytes()
     assert peak < BLOCKED_PEAK_BOUND_B
-    # the undecorated metric takes every power in one call and breaks the bound
-    unblocked, unblocked_peak = traced_peak(metric.__wrapped__)
+    # one block of every power builds the whole (powers x nodes) arrays and breaks the bound
+    monkeypatch.setattr(quadrature, "ROW_BLOCK", powers.size)
+    unblocked, unblocked_peak = traced_peak()
     assert unblocked_peak > BLOCKED_PEAK_BOUND_B
     assert unblocked.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("metric, args", BLOCKED, ids=BLOCKED_IDS)
+def test_blocked_metric_sets_up_once_per_call(metric, args, monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*a, **kw):
+            calls[name] += 1
+            return original(*a, **kw)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(wdma, "derive_constants")
+    count(noma, "derive_constants")
+    count(wdma, "wdma_rate_ceiling")
+    powers = np.array(grid_powers(CFG, -50.0, 400.0, 1.0))
+    assert powers.size == 451  # 27 blocks of ROW_BLOCK rows
+    metric(CFG, powers, *args)
+    assert calls["derive_constants"] == 1
+    assert calls["wdma_rate_ceiling"] == (1 if metric is wdma_avg_rate else 0)
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=CELL_IDS)
