@@ -119,12 +119,14 @@ def expected_log_excess(a, b, dist: DiffDistribution):
     The triangular density is linear on each half of its support, so the
     mean is the second difference (T(lo) - 2 T(lo + w) + T(lo + 2w)) / w^2
     of T(p) = int_0^p (p - t) ln(1 + (b/a) t^2) dt; with zero offset this is
-    the adjacent-region closed form. ln(a) is left out because it dwarfs the
-    rest at high SNR. ``a`` and ``b`` broadcast against each other.
+    the adjacent-region closed form, and the end lo = 0, where T is exactly
+    +0.0, is not evaluated. ln(a) is left out because it dwarfs the rest at
+    high SNR. ``a`` and ``b`` broadcast against each other.
     """
     lo, w = dist.support_lo, dist.half_width
     ratio = np.asarray(b, dtype=float) / np.asarray(a, dtype=float)
-    points = np.array([lo, lo + w, lo + 2.0 * w])
+    points = np.array([lo, lo + w, lo + 2.0 * w] if lo else [w, 2.0 * w])
     m0, m1 = _log1p_moments(points, ratio[..., None])
     t = points * m0 - m1
-    return _maybe_scalar((t[..., 0] - 2.0 * t[..., 1] + t[..., 2]) / w**2)
+    t0 = t[..., 0] if lo else 0.0
+    return _maybe_scalar((t0 - 2.0 * t[..., -2] + t[..., -1]) / w**2)

@@ -204,8 +204,8 @@ def noma_rate_far(cfg: SystemConfig, power_w, n_nodes: int = 64):
         k1 = (dc.eta_m2 * cfg.noma_alpha_near * powers)[:, None]
         k2 = (dc.eta_m2 * cfg.noma_alpha_far * powers)[:, None]
         beta = k1 + n2 * (h_sq + (half * t + half))
-        excess = expected_log_excess(np.stack([beta + k2, beta]), n2, dist)
-        return np.log1p(k2 / beta) + excess[0] - excess[1]
+        upper = expected_log_excess(beta + k2, n2, dist)
+        return np.log1p(k2 / beta) + upper - expected_log_excess(beta, n2, dist)
 
     integral = half * integrate_rows(delta, power_w, n_nodes)
     return np.minimum(4.0 / (dx**2 * _LN2) * integral, noma_rate_far_ceiling(cfg))

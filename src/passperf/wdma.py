@@ -91,8 +91,8 @@ def _rate_nats(t, cfg: SystemConfig, b_noise: np.ndarray):
     """
     g = g_axis(0.5 * cfg.region_x_m * (np.asarray(t) + 1.0), cfg)
     a, b, c, d = _log_rate_coeffs(g, b_noise[:, None])
-    excess = expected_log_excess(np.stack([a, c]), np.stack([b, d]), diff_distribution(cfg))
-    return np.log1p(g / c) + excess[0] - excess[1]
+    dist = diff_distribution(cfg)
+    return np.log1p(g / c) + expected_log_excess(a, b, dist) - expected_log_excess(c, d, dist)
 
 
 @over_powers

@@ -11,7 +11,11 @@ user's squared x-offset, are the reference laws those routes and the
 sampling tests use. ``sinr_trials`` addresses the simulator's per-trial
 SINRs by trial index. ``bisect_crossover`` is the plain scalar bisection
 that ``find_crossover`` must reproduce exactly. ``csv_writer_text`` is the
-``csv.writer`` route that ``write_csv`` must match byte for byte.
+``csv.writer`` route that ``write_csv`` must match byte for byte. The
+``*_stacked`` rates and ``log1p_moments_masked`` keep the earlier route of
+the log-moment kernel (both log terms of a node in one stacked call, all
+three support points, N-d boolean masks), which the package must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -37,8 +41,16 @@ from passperf import (
     snr_db_to_power_w,
 )
 from passperf.montecarlo import _draw
-from passperf.noma import _c2
-from passperf.quadrature import _SERIES_S, _SERIES_TERMS, _maybe_scalar
+from passperf.noma import _c2, noma_rate_far_ceiling
+from passperf.quadrature import (
+    _SERIES_S,
+    _SERIES_TERMS,
+    _maybe_scalar,
+    _phi_closed,
+    _phi_series,
+    integrate_rows,
+)
+from passperf.wdma import _log_rate_coeffs
 from passperf.sweep import CELLS, CROSSOVER_METRICS, CROSSOVER_TOL_DB, CSV_HEADER, NumericalError
 
 
@@ -275,6 +287,77 @@ def log1p_moments_both_forms(u, r):
         phi0 = np.where(small, series[..., 0], phi0)
         phi1 = np.where(small, series[..., 1], phi1)
     return u * phi0, 0.5 * u**2 * phi1
+
+
+def log1p_moments_masked(u, r):
+    """The log-moment kernel with a mixed closed/series array split by N-d
+    boolean masks, four indexings per call; a bitwise reference for the
+    index-list split of ``_log1p_moments``."""
+    u = np.asarray(u, dtype=float)
+    s = np.asarray(r, dtype=float) * u**2
+    small = s < _SERIES_S
+    if not small.any():
+        phi0, phi1 = _phi_closed(s)
+    elif small.all():
+        phi0, phi1 = _phi_series(s)
+    else:
+        phi0, phi1 = np.empty_like(s), np.empty_like(s)
+        phi0[~small], phi1[~small] = _phi_closed(s[~small])
+        phi0[small], phi1[small] = _phi_series(s[small])
+    return u * phi0, 0.5 * u**2 * phi1
+
+
+def expected_log_excess_three_point(a, b, dist: DiffDistribution):
+    """``expected_log_excess`` through all three support points, the end
+    u = lo included also where lo = 0, on ``log1p_moments_masked``."""
+    lo, w = dist.support_lo, dist.half_width
+    ratio = np.asarray(b, dtype=float) / np.asarray(a, dtype=float)
+    points = np.array([lo, lo + w, lo + 2.0 * w])
+    m0, m1 = log1p_moments_masked(points, ratio[..., None])
+    t = points * m0 - m1
+    return (t[..., 0] - 2.0 * t[..., 1] + t[..., 2]) / w**2
+
+
+def _wdma_rate_nats_stacked(t, cfg: SystemConfig, b_noise: np.ndarray):
+    g = g_axis(0.5 * cfg.region_x_m * (np.asarray(t) + 1.0), cfg)
+    a, b, c, d = _log_rate_coeffs(g, b_noise[:, None])
+    stacked = expected_log_excess_three_point(
+        np.stack([a, c]), np.stack([b, d]), diff_distribution(cfg)
+    )
+    return np.log1p(g / c) + stacked[0] - stacked[1]
+
+
+def wdma_rate_ceiling_stacked(cfg: SystemConfig, n_nodes: int) -> float:
+    """``wdma_rate_ceiling`` on the stacked three-point route."""
+    nats = integrate_unit(lambda t: _wdma_rate_nats_stacked(t, cfg, np.zeros(1)), n_nodes)
+    return (0.5 * nats / math.log(2.0)).item()
+
+
+def wdma_avg_rate_stacked(cfg: SystemConfig, powers: np.ndarray, n_nodes: int, user: int):
+    """``wdma_avg_rate`` over the 1-D ``powers`` on the stacked three-point route."""
+    b_noise = 2.0 * noise_w(cfg, user) / (derive_constants(cfg).eta_m2 * powers)
+    nats = integrate_rows(lambda t, rows: _wdma_rate_nats_stacked(t, cfg, rows), b_noise, n_nodes)
+    return np.minimum(0.5 * nats / math.log(2.0), wdma_rate_ceiling_stacked(cfg, n_nodes))
+
+
+def noma_rate_far_stacked(cfg: SystemConfig, powers: np.ndarray, n_nodes: int):
+    """``noma_rate_far`` over the 1-D ``powers`` on the stacked three-point route."""
+    dc = derive_constants(cfg)
+    n2 = dc.noise_w_ue2
+    dx = cfg.region_x_m
+    half = 0.5 * (0.5 * dx) ** 2
+
+    def delta(t, block):
+        k1 = (dc.eta_m2 * cfg.noma_alpha_near * block)[:, None]
+        k2 = (dc.eta_m2 * cfg.noma_alpha_far * block)[:, None]
+        beta = k1 + n2 * (cfg.pa_height_m**2 + (half * t + half))
+        stacked = expected_log_excess_three_point(
+            np.stack([beta + k2, beta]), n2, diff_distribution(cfg)
+        )
+        return np.log1p(k2 / beta) + stacked[0] - stacked[1]
+
+    integral = half * integrate_rows(delta, powers, n_nodes)
+    return np.minimum(4.0 / (dx**2 * math.log(2.0)) * integral, noma_rate_far_ceiling(cfg))
 
 
 def sinr_trials(

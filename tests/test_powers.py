@@ -88,7 +88,7 @@ def count_value_calls(monkeypatch) -> dict:
 
 
 def test_sweep_and_validate_make_one_value_call_per_key(monkeypatch):
-    spec = SweepSpec(snr_db_start=90.0, snr_db_stop=150.0, snr_db_step=2.0)
+    spec = SweepSpec(snr_db_start=90.0, snr_db_stop=150.0, snr_db_step=0.5)
     grid = snr_grid(spec)
     # one call per block of ROW_BLOCK powers would make two or more
     assert len(grid) > ROW_BLOCK
@@ -104,8 +104,9 @@ def test_sweep_and_validate_make_one_value_call_per_key(monkeypatch):
 # (metric, extra arguments): the metrics that build (powers x nodes) arrays
 BLOCKED = [(wdma_outage, (64, 2)), (wdma_avg_rate, (64, 1)), (noma_rate_far, (64,))]
 BLOCKED_IDS = [m.__name__ for m, _ in BLOCKED]
-# tracemalloc peak of one call over 4096 powers; these measure 0.38-0.63 MB
-# in blocks of ROW_BLOCK rows and 14-103 MB in one block of every power
+# tracemalloc peak of one call over 4096 powers; these measure 0.44-1.21 MB
+# in blocks of ROW_BLOCK = 64 rows and 14-55 MB in one block of every power
+# (numpy 2.4)
 BLOCKED_PEAK_BOUND_B = 4_000_000
 
 
@@ -157,10 +158,25 @@ def test_blocked_metric_sets_up_once_per_call(metric, args, monkeypatch):
     count(noma, "derive_constants")
     count(wdma, "wdma_rate_ceiling")
     powers = np.array(grid_powers(CFG, -50.0, 400.0, 1.0))
-    assert powers.size == 451  # 27 blocks of ROW_BLOCK rows
+    assert powers.size == 451  # 8 blocks of ROW_BLOCK rows
     metric(CFG, powers, *args)
     assert calls["derive_constants"] == 1
     assert calls["wdma_rate_ceiling"] == (1 if metric is wdma_avg_rate else 0)
+
+
+@pytest.mark.parametrize("n_powers", [451, 4096])
+def test_cell_values_do_not_depend_on_the_block_size(n_powers, monkeypatch):
+    # 451 is the sweep_wide grid, -50:400:1 dB
+    reference_noise = noise_w(CFG, 1)
+    powers = np.array(
+        [snr_db_to_power_w(snr_db, reference_noise) for snr_db in np.linspace(-50.0, 400.0, n_powers)]
+    )
+    values = {}
+    for block in (1, 17, 64, n_powers):
+        monkeypatch.setattr(quadrature, "ROW_BLOCK", block)
+        for key, cell in CELLS.items():
+            values.setdefault(key, set()).add(cell.value(CFG, powers, 64).tobytes())
+    assert {key: len(found) for key, found in values.items()} == {key: 1 for key in CELLS}
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=CELL_IDS)

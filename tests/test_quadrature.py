@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
 
 from passperf import (
@@ -13,15 +14,24 @@ from passperf import (
     integrate_unit,
     noise_w,
     noma_rate_far,
+    noma_rate_near,
     snr_db_to_power_w,
     wdma_avg_rate,
     wdma_outage_floor,
     wdma_rate_ceiling,
 )
+from passperf import noma
 from passperf.quadrature import _SERIES_S, _log1p_moments
 from passperf.sweep import omega_two
 
-from oracles import interval_integral, log1p_moments_both_forms
+from oracles import (
+    interval_integral,
+    log1p_moments_both_forms,
+    log1p_moments_masked,
+    noma_rate_far_stacked,
+    wdma_avg_rate_stacked,
+    wdma_rate_ceiling_stacked,
+)
 
 
 def test_single_node_rule():
@@ -211,6 +221,68 @@ def test_log_moment_kernel_equals_reference_on_arrays():
     points = np.array([0.0, 1.0, 3.0])
     _assert_kernel_matches_reference(points, (s / 9.0)[:, None])  # broadcast (..., 3)
     _assert_kernel_matches_reference(points, (s / 9.0).reshape(2, 50, 100, 1))
+
+
+# s = r u^2 at, just below and just above the switch to the series (u = 1),
+# and r = 0
+_EDGE_R = st.sampled_from([0.0, np.nextafter(_SERIES_S, 0.0), _SERIES_S, np.nextafter(_SERIES_S, 1.0)])
+
+
+@given(
+    shape=array_shapes(min_dims=0, max_dims=4, min_side=1, max_side=5),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_log_moment_kernel_equals_masked_split_bitwise(shape, data):
+    u = data.draw(arrays(float, shape, elements=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 30.0)))
+    r = data.draw(
+        arrays(float, shape, elements=_EDGE_R | st.floats(1e-300, 1e-3) | st.floats(1e-3, 1e4))
+    )
+    for args in [(u, r), (1.0, r), (np.array([0.0, 1.0, 3.0]), r[..., None])]:
+        got, want = _log1p_moments(*args), log1p_moments_masked(*args)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+@st.composite
+def _layouts(draw):
+    """Configs with adjacent (offset 0) and dispersed sub-regions."""
+    alpha_near = draw(st.floats(0.05, 0.3))
+    return SystemConfig(
+        pa_height_m=draw(st.floats(1.5, 6.0)),
+        region_x_m=draw(st.floats(4.0, 20.0)),
+        region_y_m=draw(st.floats(3.0, 30.0)),
+        region_y_offset_m=draw(st.just(0.0) | st.floats(0.5, 15.0)),
+        noma_alpha_near=alpha_near,
+        noma_alpha_far=1.0 - alpha_near,
+    )
+
+
+_WIDE_DB = np.arange(-50.0, 401.0, 5.0).tolist()
+
+
+@given(
+    cfg=_layouts(),
+    snrs_db=st.lists(st.floats(-50.0, 400.0), min_size=1, max_size=80),
+    n_nodes=st.sampled_from([16, 64]),
+)
+@example(cfg=SystemConfig(), snrs_db=_WIDE_DB, n_nodes=64)
+@example(cfg=omega_two(), snrs_db=_WIDE_DB, n_nodes=64)
+@settings(max_examples=25, deadline=None)
+def test_rates_equal_the_stacked_three_point_route_bitwise(cfg, snrs_db, n_nodes):
+    powers = np.array([snr_db_to_power_w(snr_db, noise_w(cfg, 1)) for snr_db in snrs_db])
+    ceiling = np.float64(wdma_rate_ceiling(cfg, n_nodes))
+    assert ceiling.tobytes() == np.float64(wdma_rate_ceiling_stacked(cfg, n_nodes)).tobytes()
+    for user in (1, 2):
+        rate = wdma_avg_rate(cfg, powers, n_nodes, user=user)
+        assert rate.tobytes() == wdma_avg_rate_stacked(cfg, powers, n_nodes, user).tobytes()
+    far = noma_rate_far(cfg, powers, n_nodes)
+    assert far.tobytes() == noma_rate_far_stacked(cfg, powers, n_nodes).tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(noma, "_log1p_moments", log1p_moments_masked)
+        masked_near = noma_rate_near(cfg, powers)
+    assert noma_rate_near(cfg, powers).tobytes() == masked_near.tobytes()
 
 
 def test_j_functions_broadcast_over_arrays():
