@@ -40,12 +40,12 @@ def write_result(tag, rows, outdir):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="output directory")
-    parser.add_argument("--trials", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=12345)
+    parser.add_argument("--trials", type=int, default=SweepSpec.mc_trials)
+    parser.add_argument("--seed", type=int, default=SweepSpec.mc_seed)
     _nodes_flag(parser)
-    parser.add_argument("--start", type=float, default=90.0)
-    parser.add_argument("--stop", type=float, default=150.0)
-    parser.add_argument("--step", type=float, default=2.0)
+    parser.add_argument("--start", type=float, default=SweepSpec.snr_db_start)
+    parser.add_argument("--stop", type=float, default=SweepSpec.snr_db_stop)
+    parser.add_argument("--step", type=float, default=SweepSpec.snr_db_step)
     args = parser.parse_args()
     try:
         spec = SweepSpec(

@@ -21,7 +21,7 @@ from .geometry import (
     sample_placements,
     sq_diff_cdf,
 )
-from .montecarlo import McSpec, MetricEstimate, mc_estimates, sinr
+from .montecarlo import MetricEstimate, mc_cell_estimates, sinr
 from .noma import (
     noma_breakpoints,
     noma_outage_far,

@@ -20,7 +20,7 @@ from .config import (
     power_w_to_snr_db,
     snr_db_to_power_w,
 )
-from .montecarlo import McSpec, mc_estimates
+from .montecarlo import mc_cell_estimates
 from .noma import noma_rate_far_ceiling, noma_zero_outage_thresholds
 from .sweep import (
     CROSSOVER_METRICS,
@@ -59,8 +59,8 @@ def _nodes_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _simulation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=12345, help="simulation seed")
-    parser.add_argument("--trials", type=int, default=100_000, help="simulation trials")
+    parser.add_argument("--seed", type=int, default=SweepSpec.mc_seed, help="simulation seed")
+    parser.add_argument("--trials", type=int, default=SweepSpec.mc_trials, help="simulation trials")
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p_sweep)
     _nodes_flag(p_sweep)
     _simulation_flags(p_sweep)
-    p_sweep.add_argument("--start", type=float, default=90.0, help="grid start, dB")
-    p_sweep.add_argument("--stop", type=float, default=150.0, help="grid stop, dB")
-    p_sweep.add_argument("--step", type=float, default=2.0, help="grid step, dB")
+    p_sweep.add_argument("--start", type=float, default=SweepSpec.snr_db_start, help="grid start, dB")
+    p_sweep.add_argument("--stop", type=float, default=SweepSpec.snr_db_stop, help="grid stop, dB")
+    p_sweep.add_argument("--step", type=float, default=SweepSpec.snr_db_step, help="grid step, dB")
     p_sweep.add_argument("--schemes", default="wdma,noma", help="comma list from {wdma,noma}")
     p_sweep.add_argument("--metrics", default="outage,rate", help="comma list from {outage,rate}")
     p_sweep.add_argument("--mc", action="store_true", help="add simulation columns")
@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p_val)
     _nodes_flag(p_val)
     _simulation_flags(p_val)
-    p_val.add_argument("--start", type=float, default=90.0)
-    p_val.add_argument("--stop", type=float, default=150.0)
+    p_val.add_argument("--start", type=float, default=SweepSpec.snr_db_start)
+    p_val.add_argument("--stop", type=float, default=SweepSpec.snr_db_stop)
     p_val.add_argument("--step", type=float, default=10.0)
     p_val.add_argument("--sigma-tol", type=float, default=3.0, help="allowed standard errors")
 
@@ -205,8 +205,8 @@ def _cmd_asymptote(args) -> int:
 def _cmd_mc(args) -> int:
     cfg = _load(args)
     power_w = snr_db_to_power_w(args.snr_db, noise_w(cfg, 1))
-    spec = McSpec(args.trials, args.seed, args.scheme, args.user)
-    est = mc_estimates(spec, cfg, [power_w])[args.metric][0]
+    cell = (args.scheme, args.user)
+    est = mc_cell_estimates(args.trials, args.seed, [cell], cfg, [power_w])[cell][args.metric][0]
     with _output(args) as out:
         print("value,std_error,trials", file=out)
         print(f"{est.value!r},{est.std_error!r},{est.trials}", file=out)

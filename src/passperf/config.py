@@ -74,6 +74,32 @@ class SystemConfig:
             raise ConfigError(
                 f"noma_alpha_near must be < noma_alpha_far, got ({a1!r}, {a2!r})"
             )
+        # finite fields can still give derived quantities that overflow or
+        # underflow; the metrics divide by and take logarithms of these
+        derived = (
+            ("noise_power_dbm_ue1", "a noise power in W",
+             lambda: dbm_to_watts(self.noise_power_dbm_ue1)),
+            ("noise_power_dbm_ue2", "a noise power in W",
+             lambda: dbm_to_watts(self.noise_power_dbm_ue2)),
+            ("carrier_freq_hz", "a path-gain factor eta in m^2",
+             lambda: _path_gain_m2(self.carrier_freq_hz)),
+            ("pa_height_m", "pa_height_m**2", lambda: self.pa_height_m**2),
+            (
+                "the geometry (region_x_m, region_y_m, region_y_offset_m, pa_height_m)",
+                "a largest squared antenna-to-user distance in m^2",
+                lambda: (self.region_x_m / 2.0) ** 2
+                + (2.0 * (self.region_y_offset_m + self.region_y_m)) ** 2
+                + self.pa_height_m**2,
+            ),
+        )
+        for subject, quantity, compute in derived:
+            try:
+                value = compute()
+                got = f"= {value!r}"
+            except (OverflowError, ZeroDivisionError):
+                value, got = math.inf, "out of float range"
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{subject} gives {quantity} {got}; it must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -108,10 +134,17 @@ def noise_w(cfg: SystemConfig, user: int) -> float:
     raise ValueError(f"user must be 1 or 2, got {user!r}")
 
 
+def _path_gain_m2(carrier_freq_hz: float) -> float:
+    return SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * carrier_freq_hz**2)
+
+
 def derive_constants(cfg: SystemConfig) -> DerivedConstants:
     """Path-gain factor c^2 / (16 pi^2 f^2) and linear noise powers."""
-    eta = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * cfg.carrier_freq_hz**2)
-    return DerivedConstants(eta_m2=eta, noise_w_ue1=noise_w(cfg, 1), noise_w_ue2=noise_w(cfg, 2))
+    return DerivedConstants(
+        eta_m2=_path_gain_m2(cfg.carrier_freq_hz),
+        noise_w_ue1=noise_w(cfg, 1),
+        noise_w_ue2=noise_w(cfg, 2),
+    )
 
 
 def snr_db_to_power_w(snr_db: float, noise_w: float) -> float:

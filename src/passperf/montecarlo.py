@@ -10,16 +10,16 @@ single sequential run as long as workers are assigned whole blocks.
 ``sinr`` is the package's one SINR formula. It recomputes SINRs from the
 raw distance expressions on purpose, so the estimator stays independent of
 the analytic modules it validates. It runs in two steps: a placement step
-computes the power-independent distance and noise terms, and a power step
-finishes the SINR from them with a few divisions.
+computes the power-independent distance and noise terms, and returns the
+power step, which finishes the SINR from them with a few divisions.
 
 Both schemes serve the same drop: a trial's placement does not depend on
-the scheme, and NOMA picks its near user from it. ``mc_cell_estimates``
-draws each trial block once per call for all the (scheme, user) cells it is
-given, runs the placement step once per block and cell, and the power step
-at every requested power, so WDMA and NOMA estimates at one seed are paired
-on the same drops (common random numbers); ``mc_estimates`` is its one-cell
-case.
+the scheme, and NOMA picks its near user from it. ``mc_cell_estimates``,
+the one estimator, draws each trial block once per call for all the
+(scheme, user) cells it is given, runs the placement step once per block
+and cell, and the power step at every requested power, so WDMA and NOMA
+estimates at one seed are paired on the same drops (common random
+numbers).
 """
 
 from __future__ import annotations
@@ -30,37 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, check_powers, derive_constants
+from .config import ConfigError, SystemConfig, check_powers, derive_constants
 from .geometry import Placement, sample_placements
 
 TRIAL_BLOCK = 1 << 14  # reduction granularity; partition only at multiples
 _LN2 = math.log(2.0)
 
 SCHEMES = ("wdma", "noma")
-
-
-@dataclass(frozen=True)
-class McSpec:
-    """What to simulate: trial count, stream seed, scheme, and user index."""
-
-    trials: int
-    seed: int
-    scheme: str
-    user: int
-
-    def __post_init__(self):
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.user not in (1, 2):
-            raise ValueError(f"user must be 1 or 2, got {self.user!r}")
 
 
 @dataclass(frozen=True)
@@ -87,13 +63,23 @@ def _draw(cfg: SystemConfig, seed: int, start: int, count: int) -> Placement:
     return sample_placements(cfg, _trial_rng(seed, start), size=count)
 
 
-def _placement_terms(scheme: str, user: int, cfg: SystemConfig, dc, placement):
-    """The power-independent terms of ``user``'s SINR on each placement.
+def _check_cell(scheme: str, user: int) -> None:
+    if scheme not in SCHEMES:
+        raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if user not in (1, 2):
+        raise ConfigError(f"user must be 1 or 2, got {user!r}")
 
-    WDMA: the squared signal and interference distances and the user's noise
-    power. NOMA: the noise power times the user's squared distance, where
-    the near user (user 1) takes the smaller and the far user (user 2) the
-    larger of the two squared x-offsets from the region centre.
+
+def _sinr_step(scheme: str, user: int, cfg: SystemConfig, dc, placement):
+    """The power step of ``user``'s SINR on each placement.
+
+    Computes the power-independent terms once and returns a function of the
+    transmit power that finishes the SINR from them with a few divisions
+    (a new array, or a float). WDMA keeps the squared signal and
+    interference distances and the user's noise power. NOMA keeps the noise
+    power times the user's squared distance, where the near user (user 1)
+    takes the smaller and the far user (user 2) the larger of the two
+    squared x-offsets from the region centre.
     """
     centre = 0.5 * cfg.region_x_m
     h_sq = cfg.pa_height_m**2
@@ -105,57 +91,39 @@ def _placement_terms(scheme: str, user: int, cfg: SystemConfig, dc, placement):
         else:
             x_own, y_own, y_other, sigma2 = p.x_ue2, p.y_ue2, p.y_ue1, dc.noise_w_ue2
         dx_sq = (x_own - centre) ** 2
-        return dx_sq + h_sq, dx_sq + (y_own - y_other) ** 2 + h_sq, sigma2
+        d_sig_sq, d_int_sq = dx_sq + h_sq, dx_sq + (y_own - y_other) ** 2 + h_sq
 
-    if scheme == "noma":
-        dx1_sq, dx2_sq = (p.x_ue1 - centre) ** 2, (p.x_ue2 - centre) ** 2
-        if user == 1:
-            return dc.noise_w_ue1 * (np.minimum(dx1_sq, dx2_sq) + h_sq)
-        return dc.noise_w_ue2 * (np.maximum(dx1_sq, dx2_sq) + (p.y_ue1 - p.y_ue2) ** 2 + h_sq)
+        def step(power_w):
+            gain = 0.5 * power_w * dc.eta_m2
+            interference = gain / d_int_sq
+            interference += sigma2
+            signal = gain / d_sig_sq
+            signal /= interference
+            return signal
 
-    raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        return step
 
-
-def _sinr_at(scheme: str, user: int, cfg: SystemConfig, dc, power_w, terms):
-    """``user``'s SINR at ``power_w`` from its :func:`_placement_terms`.
-
-    Returns a new array (or float); ``terms`` are left as they are.
-    """
-    if scheme == "wdma":
-        d_sig_sq, d_int_sq, sigma2 = terms
-        gain = 0.5 * power_w * dc.eta_m2
-        interference = gain / d_int_sq
-        interference += sigma2
-        signal = gain / d_sig_sq
-        signal /= interference
-        return signal
+    dx1_sq, dx2_sq = (p.x_ue1 - centre) ** 2, (p.x_ue2 - centre) ** 2
+    # eta * alpha * power rounds as (eta * alpha) * power
+    near_gain = dc.eta_m2 * cfg.noma_alpha_near
     if user == 1:
-        return dc.eta_m2 * cfg.noma_alpha_near * power_w / terms
-    return (
-        dc.eta_m2
-        * cfg.noma_alpha_far
-        * power_w
-        / (dc.eta_m2 * cfg.noma_alpha_near * power_w + terms)
-    )
+        noise_near = dc.noise_w_ue1 * (np.minimum(dx1_sq, dx2_sq) + h_sq)
+        return lambda power_w: near_gain * power_w / noise_near
+    far_gain = dc.eta_m2 * cfg.noma_alpha_far
+    noise_far = dc.noise_w_ue2 * (np.maximum(dx1_sq, dx2_sq) + (p.y_ue1 - p.y_ue2) ** 2 + h_sq)
+    return lambda power_w: far_gain * power_w / (near_gain * power_w + noise_far)
 
 
-def sinr(
-    scheme: str,
-    user: int,
-    cfg: SystemConfig,
-    power_w: float,
-    placement: Placement,
-):
+def sinr(scheme: str, user: int, cfg: SystemConfig, power_w: float, placement: Placement):
     """Instantaneous SINR of ``user`` of ``scheme`` for each placement.
 
     The WDMA users split ``power_w`` equally across their waveguides and
     interfere across them; the NOMA near user decodes after cancelling the
     far user's signal, and the far user decodes under the near user's.
     """
+    _check_cell(scheme, user)
     check_powers(power_w)
-    dc = derive_constants(cfg)
-    terms = _placement_terms(scheme, user, cfg, dc, placement)
-    return _sinr_at(scheme, user, cfg, dc, power_w, terms)
+    return _sinr_step(scheme, user, cfg, derive_constants(cfg), placement)(power_w)
 
 
 def _blocks(trials: int):
@@ -176,9 +144,16 @@ def mc_cell_estimates(trials: int, seed: int, cells, cfg: SystemConfig, powers) 
     the rate is the sample mean of log2(1 + SINR).
     """
     if not cells:
-        raise ValueError("cells must name at least one (scheme, user)")
+        raise ConfigError("cells must name at least one (scheme, user)")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials!r}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     for scheme, user in cells:
-        McSpec(trials, seed, scheme, user)
+        _check_cell(scheme, user)
     powers = check_powers(list(powers)).tolist()
     dc = derive_constants(cfg)
     gth = cfg.outage_threshold
@@ -187,9 +162,9 @@ def mc_cell_estimates(trials: int, seed: int, cells, cfg: SystemConfig, powers) 
     for start, count in _blocks(trials):
         placement = _draw(cfg, seed, start, count)
         for (scheme, user), (hits, total, total_sq) in sums.items():
-            terms = _placement_terms(scheme, user, cfg, dc, placement)
+            step = _sinr_step(scheme, user, cfg, dc, placement)
             for i, power_w in enumerate(powers):
-                gamma = _sinr_at(scheme, user, cfg, dc, power_w, terms)
+                gamma = step(power_w)
                 hits[i] += int(np.count_nonzero(gamma <= gth))
                 rate = np.log1p(gamma, out=gamma)
                 rate /= _LN2
@@ -212,13 +187,3 @@ def _summarise(n: int, hits: list, total: list, total_sq: list) -> dict:
         rate.append(MetricEstimate(mean, math.sqrt(variance / n), n))
     return {"outage": outage, "rate": rate}
 
-
-def mc_estimates(spec: McSpec, cfg: SystemConfig, powers) -> dict:
-    """Outage and rate estimates of ``spec`` at every transmit power.
-
-    Returns ``{"outage": [...], "rate": [...]}`` with one
-    :class:`MetricEstimate` per power: the one-cell case of
-    :func:`mc_cell_estimates`.
-    """
-    cell = (spec.scheme, spec.user)
-    return mc_cell_estimates(spec.trials, spec.seed, (cell,), cfg, powers)[cell]

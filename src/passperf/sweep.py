@@ -147,14 +147,14 @@ def _powers_w(cfg, grid_db) -> list:
     return [snr_db_to_power_w(snr_db, reference_noise) for snr_db in grid_db]
 
 
-def _cells(cfg, grid_db, keys, n_nodes, mc_trials=None, mc_seed=None):
+def _cells(cfg, grid_db, keys, n_nodes, mc=None):
     """Yield (snr_db, scheme, user, metric, analytic, estimate) per cell, SNR outermost.
 
     Transmit SNR is referenced to the user-1 noise power. Each
     (scheme, user, metric) key of ``CELLS`` gets one call over the whole
     grid; the metrics that build (powers x nodes) arrays evaluate their
     integrands in blocks of powers (``quadrature.integrate_rows``). Keys
-    come out in the order of ``keys``. With ``mc_trials`` one
+    come out in the order of ``keys``. With ``mc`` = (trials, seed) one
     ``mc_cell_estimates`` call covers every (scheme, user) over the whole
     grid, so each trial block is drawn once per run and WDMA and NOMA
     estimates are paired on the same drops; otherwise ``estimate`` is None.
@@ -162,9 +162,9 @@ def _cells(cfg, grid_db, keys, n_nodes, mc_trials=None, mc_seed=None):
     grid = [float(snr_db) for snr_db in grid_db]
     powers = _powers_w(cfg, grid)
     estimates = {}
-    if mc_trials is not None:
+    if mc is not None:
         cells = list(dict.fromkeys((scheme, user) for scheme, user, _ in keys))
-        estimates = mc_cell_estimates(mc_trials, mc_seed, cells, cfg, powers)
+        estimates = mc_cell_estimates(*mc, cells, cfg, powers)
     grid_powers = np.array(powers)
     analytic = {key: CELLS[key].value(cfg, grid_powers, n_nodes).tolist() for key in keys}
     for j, snr_db in enumerate(grid):
@@ -193,7 +193,7 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> list:
         for key in keys:
             limit = CELLS[key].limit
             asymptotes[key] = None if limit is None else limit(cfg, n_nodes)
-    mc_trials = spec.mc_trials if spec.include_mc else None
+    mc = (spec.mc_trials, spec.mc_seed) if spec.include_mc else None
     return [
         SweepRow(
             snr_db,
@@ -206,7 +206,7 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> list:
             None if est is None else est.std_error,
         )
         for snr_db, scheme, user, metric, analytic, est in _cells(
-            cfg, snr_grid(spec), keys, n_nodes, mc_trials, spec.mc_seed
+            cfg, snr_grid(spec), keys, n_nodes, mc
         )
     ]
 
@@ -409,14 +409,16 @@ def validate(
     sigma_tol: float = 3.0,
     n_nodes: int = 64,
 ) -> ValidationReport:
-    """Check every analytic cell against its simulation estimate."""
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials!r}")
+    """Check every analytic cell against its simulation estimate.
+
+    ``trials`` and ``seed`` are checked by ``mc_cell_estimates``, which runs
+    before any analytic cell is evaluated.
+    """
     if not (math.isfinite(sigma_tol) and sigma_tol > 0.0):
         raise ConfigError(f"sigma_tol must be finite and > 0, got {sigma_tol!r}")
     cells = []
     for snr_db, scheme, user, metric, analytic, est in _cells(
-        cfg, grid_db, tuple(CELLS), n_nodes, trials, seed
+        cfg, grid_db, tuple(CELLS), n_nodes, (trials, seed)
     ):
         tolerance = cell_tolerance(metric, analytic, est.std_error, sigma_tol)
         cells.append(

@@ -10,6 +10,8 @@ import pytest
 from passperf.cli import build_parser, main
 from passperf.sweep import CSV_HEADER, read_csv
 
+from test_config import DERIVED_OUT_OF_RANGE
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -106,6 +108,17 @@ def test_non_positive_near_share_is_input_error(tmp_path, capsys):
     code = main(["sweep", "--config", str(cfg_path)])
     assert code == 2
     assert "noma_alpha_near" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", DERIVED_OUT_OF_RANGE)
+def test_config_with_derived_quantity_out_of_range_is_input_error(field, value, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    code = main(["asymptote", "--config", str(cfg_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
 
 
 def test_missing_config_file_is_input_error(tmp_path):

@@ -82,6 +82,33 @@ def test_invariant_violations_name_the_field(kwargs, needle):
         SystemConfig(**kwargs)
 
 
+# Finite fields whose derived quantities overflow or underflow: a noise
+# power in W, the path-gain factor, pa_height_m**2 and the largest squared
+# antenna-to-user distance must each be finite and > 0.
+DERIVED_OUT_OF_RANGE = [
+    ("noise_power_dbm_ue1", 4000.0),
+    ("noise_power_dbm_ue1", -4000.0),
+    ("noise_power_dbm_ue2", 4000.0),
+    ("noise_power_dbm_ue2", -4000.0),
+    ("carrier_freq_hz", 1e300),
+    ("carrier_freq_hz", 1e-170),
+    ("carrier_freq_hz", 1e-160),
+    ("pa_height_m", 1e300),
+    ("pa_height_m", 1e-200),
+    ("region_x_m", 1e300),
+    ("region_y_m", 1e200),
+    ("region_y_offset_m", 1e200),
+]
+
+
+@pytest.mark.parametrize("field, value", DERIVED_OUT_OF_RANGE)
+def test_derived_quantities_out_of_float_range_name_the_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SystemConfig(**{field: value})
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict({field: value})
+
+
 def test_noise_access_per_user():
     cfg = SystemConfig(noise_power_dbm_ue1=-90.0, noise_power_dbm_ue2=-87.0)
     assert noise_w(cfg, 1) == pytest.approx(1e-12)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from passperf import (
-    McSpec,
+    ConfigError,
     MetricEstimate,
     SweepSpec,
     SystemConfig,
-    mc_estimates,
+    mc_cell_estimates,
     run_sweep,
+    sample_placements,
+    sinr,
     snr_db_to_power_w,
 )
 from passperf import montecarlo
@@ -23,22 +25,27 @@ POWER = snr_db_to_power_w(100.0, 1e-12)
 LN2 = math.log(2.0)
 
 
+def estimate(trials, seed, scheme, user, powers=(POWER,), cfg=CFG):
+    """A one-cell estimate: ``{"outage": [...], "rate": [...]}``, one per power."""
+    return mc_cell_estimates(trials, seed, [(scheme, user)], cfg, powers)[(scheme, user)]
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError, match="trials"):
-        McSpec(0, 1, "wdma", 1)
-    with pytest.raises(ValueError, match="seed"):
-        McSpec(10, -1, "wdma", 1)
-    with pytest.raises(ValueError, match="scheme"):
-        McSpec(10, 1, "tdma", 1)
-    with pytest.raises(ValueError, match="user"):
-        McSpec(10, 1, "noma", 3)
+    with pytest.raises(ConfigError, match="trials"):
+        estimate(0, 1, "wdma", 1)
+    with pytest.raises(ConfigError, match="seed"):
+        estimate(10, -1, "wdma", 1)
+    with pytest.raises(ConfigError, match="scheme"):
+        estimate(10, 1, "tdma", 1)
+    with pytest.raises(ConfigError, match="user"):
+        estimate(10, 1, "noma", 3)
     for trials in (True, 2.5, 10.0):
-        with pytest.raises(ValueError, match="trials"):
-            McSpec(trials, 1, "wdma", 1)
+        with pytest.raises(ConfigError, match="trials"):
+            estimate(trials, 1, "wdma", 1)
     for seed in (1.5, True, "1"):
-        with pytest.raises(ValueError, match="seed"):
-            McSpec(10, seed, "wdma", 1)
-    assert McSpec(np.int64(10), np.uint64(2**63), "wdma", 1).trials == 10
+        with pytest.raises(ConfigError, match="seed"):
+            estimate(10, seed, "wdma", 1)
+    assert estimate(np.int64(10), np.uint64(2**63), "wdma", 1)["outage"][0].trials == 10
     with pytest.raises(ValueError, match="std_error"):
         MetricEstimate(0.5, -1.0, 10)
 
@@ -46,27 +53,27 @@ def test_spec_validation():
 def test_impossible_outage_event_is_exactly_zero():
     # SINR is strictly positive, so a vanishing threshold is never hit
     cfg = SystemConfig(outage_threshold=1e-300)
-    est = mc_estimates(McSpec(20_000, 5, "wdma", 1), cfg, [POWER])["outage"][0]
+    est = estimate(20_000, 5, "wdma", 1, cfg=cfg)["outage"][0]
     assert est.value == 0.0
     assert est.std_error == 0.0
 
 
 def test_certain_outage_at_vanishing_power():
-    est = mc_estimates(McSpec(20_000, 5, "wdma", 1), CFG, [1e-300])["outage"][0]
+    est = estimate(20_000, 5, "wdma", 1, [1e-300])["outage"][0]
     assert est.value == 1.0
 
 
 def test_rate_vanishes_with_power():
-    est = mc_estimates(McSpec(20_000, 5, "noma", 1), CFG, [1e-300])["rate"][0]
+    est = estimate(20_000, 5, "noma", 1, [1e-300])["rate"][0]
     assert est.value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_same_seed_is_bitwise_identical():
-    a = mc_estimates(McSpec(50_000, 123, "noma", 2), CFG, [POWER])["outage"][0]
-    b = mc_estimates(McSpec(50_000, 123, "noma", 2), CFG, [POWER])["outage"][0]
+    a = estimate(50_000, 123, "noma", 2)["outage"][0]
+    b = estimate(50_000, 123, "noma", 2)["outage"][0]
     assert a == b
-    c = mc_estimates(McSpec(50_000, 123, "wdma", 2), CFG, [POWER])["rate"][0]
-    d = mc_estimates(McSpec(50_000, 123, "wdma", 2), CFG, [POWER])["rate"][0]
+    c = estimate(50_000, 123, "wdma", 2)["rate"][0]
+    d = estimate(50_000, 123, "wdma", 2)["rate"][0]
     assert c == d
 
 
@@ -99,7 +106,7 @@ def test_partitioned_reduction_matches_sequential():
         total_sq += s2
     mean = total / trials
     variance = max(0.0, (total_sq - trials * mean**2) / (trials - 1))
-    reference = mc_estimates(McSpec(trials, 42, "wdma", 1), CFG, [POWER])["rate"][0]
+    reference = estimate(trials, 42, "wdma", 1)["rate"][0]
     assert mean == reference.value
     assert math.sqrt(variance / trials) == reference.std_error
 
@@ -107,14 +114,14 @@ def test_partitioned_reduction_matches_sequential():
     for start, count in blocks:
         gamma = sinr_trials("wdma", 1, CFG, POWER, 42, start, count)
         counts += int(np.count_nonzero(gamma <= CFG.outage_threshold))
-    assert counts / trials == mc_estimates(McSpec(trials, 42, "wdma", 1), CFG, [POWER])["outage"][0].value
+    assert counts / trials == estimate(trials, 42, "wdma", 1)["outage"][0].value
 
 
 @pytest.mark.parametrize("power", [1e-300, 1e-12, 1.0, 1e30])
 def test_estimates_finite_over_extreme_powers(power):
     for scheme, user in (("wdma", 1), ("wdma", 2), ("noma", 1), ("noma", 2)):
-        out = mc_estimates(McSpec(5_000, 9, scheme, user), CFG, [power])["outage"][0]
-        rate = mc_estimates(McSpec(5_000, 9, scheme, user), CFG, [power])["rate"][0]
+        out = estimate(5_000, 9, scheme, user, [power])["outage"][0]
+        rate = estimate(5_000, 9, scheme, user, [power])["rate"][0]
         assert math.isfinite(out.value) and math.isfinite(out.std_error)
         assert math.isfinite(rate.value) and math.isfinite(rate.std_error)
         assert 0.0 <= out.value <= 1.0
@@ -124,14 +131,14 @@ def test_std_error_scales_with_trials():
     # doubling the trial count shrinks the standard error by about sqrt(2)
     ratios = []
     for seed in range(10):
-        small = mc_estimates(McSpec(20_000, seed, "wdma", 1), CFG, [POWER])["rate"][0]
-        large = mc_estimates(McSpec(40_000, seed, "wdma", 1), CFG, [POWER])["rate"][0]
+        small = estimate(20_000, seed, "wdma", 1)["rate"][0]
+        large = estimate(40_000, seed, "wdma", 1)["rate"][0]
         ratios.append(large.std_error / small.std_error)
     assert np.mean(ratios) == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
 
 
 def test_outage_std_error_is_binomial():
-    est = mc_estimates(McSpec(50_000, 3, "noma", 2), CFG, [POWER])["outage"][0]
+    est = estimate(50_000, 3, "noma", 2)["outage"][0]
     assert est.std_error == pytest.approx(
         math.sqrt(est.value * (1 - est.value) / est.trials), rel=1e-12
     )
@@ -155,10 +162,9 @@ def test_grid_estimates_equal_one_power_calls(scheme, user):
     # each power's sums are folded in block order whatever powers share the call
     grid = snr_grid(SweepSpec(snr_db_start=90.0, snr_db_stop=150.0, snr_db_step=2.0))
     powers = [1e-300, 1e-12, 1.0, 1e30] + [snr_db_to_power_w(s, 1e-12) for s in grid]
-    spec = McSpec(37_777, 2024, scheme, user)
-    together = mc_estimates(spec, CFG, powers)
+    together = estimate(37_777, 2024, scheme, user, powers)
     for i, power in enumerate(powers):
-        alone = mc_estimates(spec, CFG, [power])
+        alone = estimate(37_777, 2024, scheme, user, [power])
         assert together["outage"][i] == alone["outage"][0]
         assert together["rate"][i] == alone["rate"][0]
 
@@ -200,7 +206,7 @@ def test_users_sharing_a_draw_match_one_user_calls():
     powers = [snr_db_to_power_w(s, 1e-12) for s in (90.0, 110.0, 130.0)]
     together = montecarlo.mc_cell_estimates(THREE_BLOCKS, 11, PAIRS, CFG, powers)
     for scheme, user in PAIRS:
-        alone = mc_estimates(McSpec(THREE_BLOCKS, 11, scheme, user), CFG, powers)
+        alone = estimate(THREE_BLOCKS, 11, scheme, user, powers)
         assert together[(scheme, user)] == alone
 
 
@@ -215,6 +221,16 @@ def test_scheme_estimates_validate_through_spec():
         montecarlo.mc_cell_estimates(10, 1, (), CFG, [POWER])
 
 
+def test_sinr_checks_the_cell_like_the_estimator():
+    placement = sample_placements(CFG, np.random.default_rng(0), size=4)
+    # neither an unknown user nor an unknown scheme falls back to a known one
+    for scheme, user in (("wdma", 3), ("noma", 0)):
+        with pytest.raises(ConfigError, match="user"):
+            sinr(scheme, user, CFG, 1e-3, placement)
+    with pytest.raises(ConfigError, match="scheme"):
+        sinr("tdma", 1, CFG, 1e-3, placement)
+
+
 def test_estimates_reject_non_positive_power():
     with pytest.raises(ValueError, match="power_w"):
-        mc_estimates(McSpec(10, 1, "wdma", 1), CFG, [1.0, 0.0])
+        estimate(10, 1, "wdma", 1, [1.0, 0.0])

@@ -6,12 +6,11 @@ import pytest
 from scipy.integrate import quad
 
 from passperf import (
-    McSpec,
     Placement,
     SystemConfig,
     derive_constants,
     diff_distribution,
-    mc_estimates,
+    mc_cell_estimates,
     noma_breakpoints,
     noma_outage_far,
     noma_outage_near,
@@ -162,7 +161,7 @@ def test_near_outage_continuity_at_branch_edges():
 def test_near_outage_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = noma_outage_near(CFG, power)
-    est = mc_estimates(McSpec(100_000, 12345, "noma", 1), CFG, [power])["outage"][0]
+    est = mc_cell_estimates(100_000, 12345, [("noma", 1)], CFG, [power])[("noma", 1)]["outage"][0]
     assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-9
 
 
@@ -253,7 +252,7 @@ def test_far_outage_threshold_bracketing():
 def test_far_outage_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = noma_outage_far(CFG, power)
-    est = mc_estimates(McSpec(100_000, 12345, "noma", 2), CFG, [power])["outage"][0]
+    est = mc_cell_estimates(100_000, 12345, [("noma", 2)], CFG, [power])[("noma", 2)]["outage"][0]
     assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-9
 
 
@@ -397,7 +396,7 @@ def test_far_rate_zero_power_limit():
 def test_far_rate_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = noma_rate_far(CFG, power)
-    est = mc_estimates(McSpec(100_000, 12345, "noma", 2), CFG, [power])["rate"][0]
+    est = mc_cell_estimates(100_000, 12345, [("noma", 2)], CFG, [power])[("noma", 2)]["rate"][0]
     assert abs(analytic - est.value) <= max(3 * est.std_error, 0.01 * analytic)
 
 
@@ -454,10 +453,10 @@ def test_offset_region_far_user_against_monte_carlo():
     for snr_db in (98.0, 100.5):
         power = power_at(snr_db, cfg)
         analytic = noma_outage_far(cfg, power)
-        est = mc_estimates(McSpec(100_000, 17, "noma", 2), cfg, [power])["outage"][0]
+        est = mc_cell_estimates(100_000, 17, [("noma", 2)], cfg, [power])[("noma", 2)]["outage"][0]
         assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-4
         rate = noma_rate_far(cfg, power)
-        rate_est = mc_estimates(McSpec(100_000, 17, "noma", 2), cfg, [power])["rate"][0]
+        rate_est = mc_cell_estimates(100_000, 17, [("noma", 2)], cfg, [power])[("noma", 2)]["rate"][0]
         assert abs(rate - rate_est.value) <= max(3 * rate_est.std_error, 0.01 * rate)
 
 

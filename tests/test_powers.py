@@ -10,10 +10,9 @@ import pytest
 
 from passperf import (
     ConfigError,
-    McSpec,
     SystemConfig,
     SweepSpec,
-    mc_estimates,
+    mc_cell_estimates,
     noise_w,
     noma_breakpoints,
     noma_rate_far,
@@ -208,7 +207,7 @@ def test_breakpoints_and_estimates_reject_bad_powers(power):
     with pytest.raises(ValueError, match="power_w"):
         noma_breakpoints(CFG, power)
     with pytest.raises(ValueError, match="power_w"):
-        mc_estimates(McSpec(10, 1, "noma", 2), CFG, [1.0, power])
+        mc_cell_estimates(10, 1, [("noma", 2)], CFG, [1.0, power])
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 4000.0, -4000.0])

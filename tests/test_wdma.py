@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from passperf import (
-    McSpec,
     Placement,
     SystemConfig,
     derive_constants,
     g_axis,
-    mc_estimates,
+    mc_cell_estimates,
     sample_placements,
     sinr,
     snr_db_to_power_w,
@@ -103,7 +102,7 @@ def test_outage_limits_in_threshold():
 def test_outage_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = wdma_outage(CFG, power)
-    est = mc_estimates(McSpec(100_000, 12345, "wdma", 1), CFG, [power])["outage"][0]
+    est = mc_cell_estimates(100_000, 12345, [("wdma", 1)], CFG, [power])[("wdma", 1)]["outage"][0]
     assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12)
 
 
@@ -111,7 +110,7 @@ def test_outage_matches_monte_carlo(snr_db):
 def test_rate_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = wdma_avg_rate(CFG, power)
-    est = mc_estimates(McSpec(100_000, 12345, "wdma", 1), CFG, [power])["rate"][0]
+    est = mc_cell_estimates(100_000, 12345, [("wdma", 1)], CFG, [power])[("wdma", 1)]["rate"][0]
     assert abs(analytic - est.value) <= max(3 * est.std_error, 0.01 * analytic)
 
 
@@ -205,12 +204,12 @@ def test_offset_region_metrics_match_monte_carlo():
     for snr_db in (84.0, 86.0, 88.0):
         power = power_at(snr_db, cfg)
         analytic = wdma_outage(cfg, power)
-        est = mc_estimates(McSpec(100_000, 99, "wdma", 1), cfg, [power])["outage"][0]
+        est = mc_cell_estimates(100_000, 99, [("wdma", 1)], cfg, [power])[("wdma", 1)]["outage"][0]
         assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-3
     for snr_db in (90.0, 105.0, 120.0):
         power = power_at(snr_db, cfg)
         rate = wdma_avg_rate(cfg, power)
-        rate_est = mc_estimates(McSpec(100_000, 99, "wdma", 1), cfg, [power])["rate"][0]
+        rate_est = mc_cell_estimates(100_000, 99, [("wdma", 1)], cfg, [power])[("wdma", 1)]["rate"][0]
         assert abs(rate - rate_est.value) <= max(3 * rate_est.std_error, 0.01 * rate)
 
 
