@@ -13,17 +13,13 @@ from .config import (
     snr_db_to_power_w,
 )
 from .geometry import (
-    DiffDistribution,
     Placement,
     diff_cdf,
-    diff_distribution,
-    g_axis,
     sample_placements,
     sq_diff_cdf,
 )
 from .montecarlo import MetricEstimate, mc_cell_estimates, sinr
 from .noma import (
-    noma_breakpoints,
     noma_outage_far,
     noma_outage_near,
     noma_rate_far,

@@ -3,7 +3,8 @@
 Subcommands: sweep (SNR grid to CSV), validate (analytic vs simulation),
 crossover (scheme-comparison SNR search), asymptote (floors, ceilings,
 thresholds), and mc (a single simulation estimate). Exit status: 0 on
-success, 1 when validation failures are present, 2 on input errors.
+success, 1 when validation failures are present, 2 on input errors and on
+numerical failures (a non-finite quadrature integrand or search value).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import sys
 
 from .config import (
@@ -22,6 +24,7 @@ from .config import (
 )
 from .montecarlo import mc_cell_estimates
 from .noma import noma_rate_far_ceiling, noma_zero_outage_thresholds
+from .quadrature import IntegrationError
 from .sweep import (
     CROSSOVER_METRICS,
     METRICS,
@@ -182,19 +185,21 @@ def _cmd_crossover(args) -> int:
 def _cmd_asymptote(args) -> int:
     cfg = _load(args)
     reference_noise = noise_w(cfg, 1)
-    near_w, far_w = noma_zero_outage_thresholds(cfg)
     lines = [
         ("wdma_outage_floor", repr(wdma_outage_floor(cfg, args.nodes))),
         ("wdma_rate_ceiling_bits", repr(wdma_rate_ceiling(cfg, args.nodes))),
-        ("noma_near_zero_outage_power_w", repr(near_w)),
-        ("noma_near_zero_outage_snr_db", repr(power_w_to_snr_db(near_w, reference_noise))),
-        ("noma_far_zero_outage_power_w", "" if far_w is None else repr(far_w)),
-        (
-            "noma_far_zero_outage_snr_db",
-            "" if far_w is None else repr(power_w_to_snr_db(far_w, reference_noise)),
-        ),
-        ("noma_far_rate_ceiling_bits", repr(noma_rate_far_ceiling(cfg))),
     ]
+    for user, power_w in zip(("near", "far"), noma_zero_outage_thresholds(cfg)):
+        if power_w is not None and not 0.0 < power_w / reference_noise < math.inf:
+            raise ValueError(
+                f"the noma {user}-user zero-outage power {power_w!r} W is out of float range "
+                "with outage_threshold, noma_alpha_near, carrier_freq_hz, the noise powers "
+                "and the lengths of this config"
+            )
+        snr_db = None if power_w is None else power_w_to_snr_db(power_w, reference_noise)
+        lines.append((f"noma_{user}_zero_outage_power_w", "" if power_w is None else repr(power_w)))
+        lines.append((f"noma_{user}_zero_outage_snr_db", "" if snr_db is None else repr(snr_db)))
+    lines.append(("noma_far_rate_ceiling_bits", repr(noma_rate_far_ceiling(cfg))))
     with _output(args) as out:
         print("quantity,value", file=out)
         for key, value in lines:
@@ -231,7 +236,7 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     # ConfigError and json.JSONDecodeError are ValueErrors
-    except (ValueError, NumericalError, OSError) as exc:
+    except (ValueError, NumericalError, IntegrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -1,5 +1,8 @@
-"""System configuration, dB/dBm unit conversions, derived constants, and the
-transmit-power checks shared by every analytic and simulated metric."""
+"""System configuration, dB/dBm unit conversions, the reduced model that
+every analytic metric reads, and the transmit-power checks they share.
+
+:func:`derive_constants` is the one place where SI units are converted.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +10,17 @@ import functools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
+_NORMAL_MIN = sys.float_info.min  # smallest positive normal float
+# Squared reduced lengths that the metrics divide by, and SNRs, lie within
+# 2**+-1000, so that their products with a squared length or a logarithm
+# (as in the log-moment kernel) stay in float range.
+_REDUCED_RANGE = 2.0**1000
 
 
 class ConfigError(ValueError):
@@ -53,17 +62,14 @@ class SystemConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         # with the sum and order checks below, a positive near-user share
         # keeps noma_alpha_far in (0.5, 1)
-        positive = ("carrier_freq_hz", "pa_height_m", "region_x_m", "region_y_m", "noma_alpha_near")
+        positive = ("carrier_freq_hz", "pa_height_m", "region_x_m", "region_y_m",
+                    "outage_threshold", "noma_alpha_near")
         for name in positive:
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if not self.region_y_offset_m >= 0.0:
             raise ConfigError(
                 f"region_y_offset_m must be >= 0, got {self.region_y_offset_m!r}"
-            )
-        if not self.outage_threshold > 0.0:
-            raise ConfigError(
-                f"outage_threshold must be > 0, got {self.outage_threshold!r}"
             )
         a1, a2 = self.noma_alpha_near, self.noma_alpha_far
         if abs(a1 + a2 - 1.0) > 1e-12:
@@ -74,51 +80,95 @@ class SystemConfig:
             raise ConfigError(
                 f"noma_alpha_near must be < noma_alpha_far, got ({a1!r}, {a2!r})"
             )
-        # finite fields can still give derived quantities that overflow or
-        # underflow; the metrics divide by and take logarithms of these
-        derived = (
-            ("noise_power_dbm_ue1", "a noise power in W",
-             lambda: dbm_to_watts(self.noise_power_dbm_ue1)),
-            ("noise_power_dbm_ue2", "a noise power in W",
-             lambda: dbm_to_watts(self.noise_power_dbm_ue2)),
-            ("carrier_freq_hz", "a path-gain factor eta in m^2",
-             lambda: _path_gain_m2(self.carrier_freq_hz)),
-            ("pa_height_m", "pa_height_m**2", lambda: self.pa_height_m**2),
-            (
-                "the geometry (region_x_m, region_y_m, region_y_offset_m, pa_height_m)",
-                "a largest squared antenna-to-user distance in m^2",
-                lambda: (self.region_x_m / 2.0) ** 2
-                + (2.0 * (self.region_y_offset_m + self.region_y_m)) ** 2
-                + self.pa_height_m**2,
-            ),
-        )
-        for subject, quantity, compute in derived:
-            try:
-                value = compute()
-                got = f"= {value!r}"
-            except (OverflowError, ZeroDivisionError):
-                value, got = math.inf, "out of float range"
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{subject} gives {quantity} {got}; it must be finite and > 0")
+        derive_constants(self)  # names a field whose reduced quantity is out of range
+
+
+LENGTH_FIELDS = ("region_x_m", "pa_height_m", "region_y_m", "region_y_offset_m")
 
 
 @dataclass(frozen=True)
-class DerivedConstants:
-    """Linearised quantities derived from a :class:`SystemConfig`."""
+class ReducedModel:
+    """A :class:`SystemConfig` in reduced units, from :func:`derive_constants`.
 
-    eta_m2: float  # free-space path-gain factor, m^2
+    Lengths are divided by L = 2**scale_exp m, the power of two just above
+    the largest configured length, so reducing is exact and every reduced
+    length is below 1; :func:`over_powers` divides the powers by L^2. The
+    metrics then see the deployment only through length ratios and SNR
+    coefficients (eta_m2 times a reduced power over a noise power).
+
+    The reduced sub-region depth and offset give the triangular law of the
+    y-separation u = y_ue1 - y_ue2: it is supported on [support_lo,
+    support_hi] = [2*offset, 2*offset + 2*half_width] with its peak at the
+    midpoint.
+
+    The metrics square lengths as products, x * x, which round correctly and
+    so equal the squares in metres over L^2 bit for bit; a Python float's
+    x ** 2 goes through the C library's pow, which can be an ulp off.
+    """
+
+    scale_exp: int  # L = 2**scale_exp m
+    region_x: float  # region_x_m / L
+    half_width: float  # region_y_m / L
+    pa_height_sq: float  # (pa_height_m / L)**2
+    centre_sq: float  # (region_x / 2)**2, the largest squared x-offset
+    support_lo: float
+    peak: float
+    support_hi: float
+    eta_m2: float  # free-space path-gain factor c^2 / (16 pi^2 f^2), m^2
     noise_w_ue1: float
     noise_w_ue2: float
 
+    def noise(self, user: int) -> float:
+        """Linear noise power of ``user`` (1 or 2) in watts."""
+        if user not in (1, 2):
+            raise ValueError(f"user must be 1 or 2, got {user!r}")
+        return self.noise_w_ue1 if user == 1 else self.noise_w_ue2
 
-def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
+
+def _normal(field: str, quantity: str, compute) -> float:
+    """``compute()``, or ConfigError naming ``field`` unless it is a normal float."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not _NORMAL_MIN <= value < math.inf:
+        raise ConfigError(f"{field} gives {quantity} {value!r}; it must be a normal float")
+    return value
 
 
-def linear_to_db(value: float) -> float:
-    if value <= 0.0:
-        raise ValueError(f"cannot express non-positive ratio {value!r} in dB")
-    return 10.0 * math.log10(value)
+@functools.lru_cache(maxsize=128)
+def derive_constants(cfg: SystemConfig) -> ReducedModel:
+    """The one conversion from SI units: ``cfg`` as a :class:`ReducedModel`,
+    cached per config (the metrics call it once per call).
+
+    Raises ConfigError naming the field whose reduced quantity is out of
+    range: the squared reduced region width, antenna height and sub-region
+    depth, which the metrics divide by, must be at least 2**-1000, and the
+    path-gain factor and each noise power normal floats. The offset only
+    adds to other lengths, so any offset is accepted.
+    """
+    lengths = [getattr(cfg, name) for name in LENGTH_FIELDS]
+    largest = LENGTH_FIELDS[lengths.index(max(lengths))]
+    scale_exp = math.frexp(max(lengths))[1]
+    reduced = [math.ldexp(value, -scale_exp) for value in lengths]
+    for name, value in zip(LENGTH_FIELDS[:3], reduced):  # not the offset
+        if not value * value >= 1.0 / _REDUCED_RANGE:
+            raise ConfigError(
+                f"{name} over the length scale 2**{scale_exp} m (set by {largest}) gives a "
+                f"squared reduced length {value * value!r}; it must be >= 2**-1000"
+            )
+    eta = _normal(
+        "carrier_freq_hz",
+        "a path-gain factor eta in m^2",
+        lambda: SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * cfg.carrier_freq_hz**2),
+    )
+    noise = [
+        _normal(name, "a noise power in W", lambda: dbm_to_watts(getattr(cfg, name)))
+        for name in ("noise_power_dbm_ue1", "noise_power_dbm_ue2")
+    ]
+    x, h, w, offset = reduced
+    law = (2.0 * offset, 2.0 * offset + w, 2.0 * offset + 2.0 * w)
+    return ReducedModel(scale_exp, x, w, h * h, 0.5 * x * (0.5 * x), *law, eta, *noise)
 
 
 def dbm_to_watts(value_dbm: float) -> float:
@@ -127,24 +177,7 @@ def dbm_to_watts(value_dbm: float) -> float:
 
 def noise_w(cfg: SystemConfig, user: int) -> float:
     """Linear noise power of ``user`` (1 or 2) in watts."""
-    if user == 1:
-        return dbm_to_watts(cfg.noise_power_dbm_ue1)
-    if user == 2:
-        return dbm_to_watts(cfg.noise_power_dbm_ue2)
-    raise ValueError(f"user must be 1 or 2, got {user!r}")
-
-
-def _path_gain_m2(carrier_freq_hz: float) -> float:
-    return SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * carrier_freq_hz**2)
-
-
-def derive_constants(cfg: SystemConfig) -> DerivedConstants:
-    """Path-gain factor c^2 / (16 pi^2 f^2) and linear noise powers."""
-    return DerivedConstants(
-        eta_m2=_path_gain_m2(cfg.carrier_freq_hz),
-        noise_w_ue1=noise_w(cfg, 1),
-        noise_w_ue2=noise_w(cfg, 2),
-    )
+    return derive_constants(cfg).noise(user)
 
 
 def snr_db_to_power_w(snr_db: float, noise_w: float) -> float:
@@ -156,12 +189,14 @@ def snr_db_to_power_w(snr_db: float, noise_w: float) -> float:
     if noise_w <= 0.0:
         raise ValueError(f"noise_w must be > 0, got {noise_w!r}")
     try:
-        power_w = db_to_linear(snr_db) * noise_w
+        power_w = 10.0 ** (snr_db / 10.0) * noise_w
     except OverflowError:
         power_w = math.inf
     if not (math.isfinite(power_w) and power_w > 0.0):
         raise ValueError(
-            f"snr_db={snr_db!r} gives transmit power {power_w!r} W; it must be finite and > 0"
+            f"snr_db={snr_db!r} over the noise power {noise_w!r} W (the transmit SNR "
+            f"reference, noise_power_dbm_ue1) gives transmit power {power_w!r} W; it must "
+            "be finite and > 0"
         )
     return power_w
 
@@ -181,20 +216,40 @@ def check_powers(power_w) -> np.ndarray:
 
 
 def over_powers(metric):
-    """Let ``metric(cfg, powers, ...)``, written for a 1-D array of transmit
-    powers, take a scalar power or a 1-D array of them.
+    """Let ``metric(cfg, model, powers, ...)``, written for the reduced model
+    of ``cfg`` and a 1-D array of transmit powers over L^2, take a scalar
+    power or a 1-D array of them in watts.
 
-    Every power is checked with :func:`check_powers`. A scalar power gives a
-    Python float (CSV cells are written with ``repr``), an array gives one
-    value per power. The metric gets every power in one call; the metrics
-    that build (powers x nodes) arrays split them into blocks where those
-    arrays are built, in ``quadrature.integrate_rows``.
+    Every power is checked with :func:`check_powers` and divided by L^2,
+    exactly. ValueError names ``power_w`` unless every SNR stays within
+    2**+-1000: each noise power over eta times the reduced power (the noise
+    coefficient of a unit reduced squared distance) must be at most 2**1000,
+    and times the squared antenna height, the smallest squared distance, at
+    least 2**-1000. Float overflow and division by zero in the metric give
+    inf, which its saturation masks handle. A scalar power gives a Python
+    float (CSV cells are written with ``repr``), an array gives one value
+    per power. The metric gets every power in one call; the metrics that
+    build (powers x nodes) arrays split them into blocks where those arrays
+    are built, in ``quadrature.integrate_rows``.
     """
 
     @functools.wraps(metric)
     def evaluate(cfg, power_w, *args, **kwargs):
         powers = check_powers(power_w)
-        values = metric(cfg, np.atleast_1d(powers), *args, **kwargs)
+        model = derive_constants(cfg)
+        flat = np.atleast_1d(powers)
+        noises = (model.noise_w_ue1, model.noise_w_ue2)
+        with np.errstate(over="ignore", divide="ignore"):
+            reduced = np.ldexp(flat, -2 * model.scale_exp)
+            gain = model.eta_m2 * reduced
+            bad = ~((min(noises) / gain * model.pa_height_sq >= 1.0 / _REDUCED_RANGE)
+                    & (max(noises) / gain <= _REDUCED_RANGE))
+            if bad.any():
+                raise ValueError(
+                    f"power_w={flat[bad][0].item()!r} W gives an SNR out of range with "
+                    f"carrier_freq_hz, the noise powers and the lengths of this config"
+                )
+            values = metric(cfg, model, reduced, *args, **kwargs)
         return float(values[0]) if powers.ndim == 0 else values
 
     return evaluate
@@ -203,7 +258,10 @@ def over_powers(metric):
 def power_w_to_snr_db(power_w: float, noise_w: float) -> float:
     if noise_w <= 0.0:
         raise ValueError(f"noise_w must be > 0, got {noise_w!r}")
-    return linear_to_db(power_w / noise_w)
+    ratio = power_w / noise_w
+    if ratio <= 0.0:
+        raise ValueError(f"cannot express non-positive ratio {ratio!r} in dB")
+    return 10.0 * math.log10(ratio)
 
 
 def config_from_dict(data: dict) -> SystemConfig:

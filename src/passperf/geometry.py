@@ -4,7 +4,10 @@ Both access schemes share the same geometry: user x-coordinates are uniform
 along the service region, y-coordinates are uniform in two disjoint
 sub-regions on either side of the waveguide axis. The y-separation of the
 two users follows a triangular distribution; its CDF, the CDF of its square
-and the closed-form log-expectation over it are implemented here.
+and the closed-form log-expectation over it are implemented here. They read
+the law from ``dist``, a ``config.ReducedModel`` in the analytic metrics:
+its ``half_width`` (the sub-region depth) and ``support_lo`` (twice the
+offset from the axis), in reduced units.
 """
 
 from __future__ import annotations
@@ -35,43 +38,6 @@ class Placement:
     y_ue2: object
 
 
-@dataclass(frozen=True)
-class DiffDistribution:
-    """Triangular law of the y-separation between the two users.
-
-    The separation u = y_ue1 - y_ue2 is supported on
-    [2*offset, 2*offset + 2*half_width] with its peak at the midpoint.
-    """
-
-    half_width: float  # sub-region depth (region_y_m)
-    offset: float  # sub-region gap from the axis (region_y_offset_m)
-
-    @property
-    def support_lo(self) -> float:
-        return 2.0 * self.offset
-
-    @property
-    def support_hi(self) -> float:
-        return 2.0 * self.offset + 2.0 * self.half_width
-
-    @property
-    def peak(self) -> float:
-        return 2.0 * self.offset + self.half_width
-
-
-def diff_distribution(cfg: SystemConfig) -> DiffDistribution:
-    return DiffDistribution(half_width=cfg.region_y_m, offset=cfg.region_y_offset_m)
-
-
-def g_axis(x, cfg: SystemConfig):
-    """Squared antenna-to-user distance projected on the axis plane.
-
-    Returns (x - region_x_m/2)^2 + pa_height_m^2; accepts arrays.
-    """
-    x = np.asarray(x, dtype=float)
-    return _maybe_scalar((x - 0.5 * cfg.region_x_m) ** 2 + cfg.pa_height_m**2)
-
-
 def sample_placements(cfg: SystemConfig, rng: np.random.Generator, size=None) -> Placement:
     """Draw uniform placements of both users.
 
@@ -90,17 +56,17 @@ def sample_placements(cfg: SystemConfig, rng: np.random.Generator, size=None) ->
     return Placement(x1, x2, y1, y2)
 
 
-def diff_cdf(u, dist: DiffDistribution):
+def diff_cdf(u, dist):
     """CDF of the y-separation (triangular)."""
     w = dist.half_width
     v = np.asarray(u, dtype=float) - dist.support_lo
     lower = np.clip(v, 0.0, w)
     upper = np.clip(2.0 * w - v, 0.0, w)
-    out = np.where(v <= w, lower**2 / (2.0 * w**2), 1.0 - upper**2 / (2.0 * w**2))
+    out = np.where(v <= w, lower**2 / (2.0 * w * w), 1.0 - upper**2 / (2.0 * w * w))
     return _maybe_scalar(out)
 
 
-def sq_diff_cdf(y, dist: DiffDistribution):
+def sq_diff_cdf(y, dist):
     """CDF of the squared y-separation.
 
     Equals the triangular CDF evaluated at sqrt(y); with zero offset this is
@@ -113,7 +79,7 @@ def sq_diff_cdf(y, dist: DiffDistribution):
     return _maybe_scalar(out)
 
 
-def expected_log_excess(a, b, dist: DiffDistribution):
+def expected_log_excess(a, b, dist):
     """E[ln(a + b U^2)] - ln(a) for the y-separation U ~ ``dist``; a > 0, b >= 0.
 
     The triangular density is linear on each half of its support, so the
@@ -129,4 +95,4 @@ def expected_log_excess(a, b, dist: DiffDistribution):
     m0, m1 = _log1p_moments(points, ratio[..., None])
     t = points * m0 - m1
     t0 = t[..., 0] if lo else 0.0
-    return _maybe_scalar((t0 - 2.0 * t[..., -2] + t[..., -1]) / w**2)
+    return _maybe_scalar((t0 - 2.0 * t[..., -2] + t[..., -1]) / (w * w))

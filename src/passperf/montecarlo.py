@@ -52,15 +52,11 @@ class MetricEstimate:
             raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
 
 
-def _trial_rng(seed: int, start: int) -> np.random.Generator:
-    bit_gen = np.random.Philox(key=seed)
-    bit_gen.advance(start)  # one counter tick == one trial's four uniforms
-    return np.random.Generator(bit_gen)
-
-
 def _draw(cfg: SystemConfig, seed: int, start: int, count: int) -> Placement:
     """Placements of trials [start, start + count), shared by both schemes."""
-    return sample_placements(cfg, _trial_rng(seed, start), size=count)
+    bit_gen = np.random.Philox(key=seed)
+    bit_gen.advance(start)  # one counter tick == one trial's four uniforms
+    return sample_placements(cfg, np.random.Generator(bit_gen), size=count)
 
 
 def _check_cell(scheme: str, user: int) -> None:
@@ -82,7 +78,7 @@ def _sinr_step(scheme: str, user: int, cfg: SystemConfig, dc, placement):
     squared x-offsets from the region centre.
     """
     centre = 0.5 * cfg.region_x_m
-    h_sq = cfg.pa_height_m**2
+    h_sq = np.float64(cfg.pa_height_m) ** 2  # may overflow to inf, with no exception
     p = placement
 
     if scheme == "wdma":
@@ -126,11 +122,6 @@ def sinr(scheme: str, user: int, cfg: SystemConfig, power_w: float, placement: P
     return _sinr_step(scheme, user, cfg, derive_constants(cfg), placement)(power_w)
 
 
-def _blocks(trials: int):
-    for start in range(0, trials, TRIAL_BLOCK):
-        yield start, min(TRIAL_BLOCK, trials - start)
-
-
 def mc_cell_estimates(trials: int, seed: int, cells, cfg: SystemConfig, powers) -> dict:
     """Outage and rate estimates of each (scheme, user) of ``cells`` at every power.
 
@@ -159,18 +150,21 @@ def mc_cell_estimates(trials: int, seed: int, cells, cfg: SystemConfig, powers) 
     gth = cfg.outage_threshold
     # per cell: outage hits, rate sum and rate sum of squares, one per power
     sums = {cell: ([0] * len(powers), [0.0] * len(powers), [0.0] * len(powers)) for cell in cells}
-    for start, count in _blocks(trials):
-        placement = _draw(cfg, seed, start, count)
-        for (scheme, user), (hits, total, total_sq) in sums.items():
-            step = _sinr_step(scheme, user, cfg, dc, placement)
-            for i, power_w in enumerate(powers):
-                gamma = step(power_w)
-                hits[i] += int(np.count_nonzero(gamma <= gth))
-                rate = np.log1p(gamma, out=gamma)
-                rate /= _LN2
-                total[i] += float(rate.sum())
-                rate *= rate
-                total_sq[i] += float(rate.sum())
+    # squared metres can overflow or underflow at extreme configs; the inf,
+    # zero or NaN SINRs that result show in the estimates
+    with np.errstate(all="ignore"):
+        for start in range(0, trials, TRIAL_BLOCK):
+            placement = _draw(cfg, seed, start, min(TRIAL_BLOCK, trials - start))
+            for (scheme, user), (hits, total, total_sq) in sums.items():
+                step = _sinr_step(scheme, user, cfg, dc, placement)
+                for i, power_w in enumerate(powers):
+                    gamma = step(power_w)
+                    hits[i] += int(np.count_nonzero(gamma <= gth))
+                    rate = np.log1p(gamma, out=gamma)
+                    rate /= _LN2
+                    total[i] += float(rate.sum())
+                    rate *= rate
+                    total_sq[i] += float(rate.sum())
     return {cell: _summarise(trials, *sums[cell]) for cell in sums}
 
 

@@ -381,12 +381,8 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(cell.passed for cell in self.cells)
 
-    @property
-    def failures(self) -> list:
-        return [cell for cell in self.cells if not cell.passed]
-
     def summary(self) -> str:
-        n_fail = len(self.failures)
+        n_fail = sum(not cell.passed for cell in self.cells)
         return (
             f"{len(self.cells) - n_fail}/{len(self.cells)} cells within "
             f"{self.sigma_tol} sigma ({'PASS' if n_fail == 0 else f'{n_fail} FAIL'})"

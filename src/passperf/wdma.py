@@ -5,7 +5,8 @@ other user's antenna interferes across waveguides. Outage and rate reduce
 to one-dimensional integrals over the user's x-coordinate evaluated with
 the Chebyshev rule; the rate's inner average over the y-separation is one
 closed form for adjacent and offset sub-regions alike. High-SNR limits give
-an interference-only outage floor and rate ceiling.
+an interference-only outage floor and rate ceiling. Lengths and powers are
+in the reduced units of ``config.ReducedModel``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import SystemConfig, derive_constants, noise_w, over_powers
-from .geometry import diff_distribution, expected_log_excess, g_axis, sq_diff_cdf
+from .config import ReducedModel, SystemConfig, derive_constants, over_powers
+from .geometry import expected_log_excess, sq_diff_cdf
 from .quadrature import integrate_rows, integrate_unit
 
 _LN2 = math.log(2.0)
@@ -26,7 +27,14 @@ _LN2 = math.log(2.0)
 _SINGULAR_SLACK = 1e-12
 
 
-def _outage_given_x(t, cfg: SystemConfig, b_noise: np.ndarray):
+def _axis_distance_sq(t, model: ReducedModel):
+    """Squared antenna-to-user distance projected on the axis plane,
+    (x - X/2)^2 + h^2, at x = X (t + 1) / 2 for the unit-interval nodes t."""
+    x = 0.5 * model.region_x * (np.asarray(t) + 1.0)
+    return (x - 0.5 * model.region_x) ** 2 + model.pa_height_sq
+
+
+def _outage_given_x(t, gth: float, model: ReducedModel, b_noise: np.ndarray):
     """Conditional outage at the unit-interval nodes t of the x-coordinate,
     one row per entry of the 1-D noise coefficients ``b_noise``.
 
@@ -37,36 +45,35 @@ def _outage_given_x(t, cfg: SystemConfig, b_noise: np.ndarray):
     regardless of y. b_noise = 0 gives the interference-only integrand of
     the outage floor, which this never falls below.
     """
-    g = g_axis(0.5 * cfg.region_x_m * (np.asarray(t) + 1.0), cfg)
-    e = cfg.outage_threshold * b_noise[:, None] * g
+    g = _axis_distance_sq(t, model)
+    e = gth * b_noise[:, None] * g
     saturated = 1.0 - e <= _SINGULAR_SLACK * e
-    cap = g * (cfg.outage_threshold - 1.0 + e) / np.where(saturated, 1.0, 1.0 - e)
-    return np.where(saturated, 1.0, sq_diff_cdf(cap, diff_distribution(cfg)))
+    cap = g * (gth - 1.0 + e) / np.where(saturated, 1.0, 1.0 - e)
+    return np.where(saturated, 1.0, sq_diff_cdf(cap, model))
 
 
-def _average_outage(cfg: SystemConfig, b_noise: np.ndarray, n_nodes: int) -> np.ndarray:
+def _average_outage(gth: float, model: ReducedModel, b_noise: np.ndarray, n_nodes: int):
     """Conditional outage averaged over x, per entry of the 1-D ``b_noise``."""
     # The conditional outage grows with the axis distance, whose minimum
     # (height squared, at t = 0) is reached inside the region, so saturation
     # there means the integrand is 1 everywhere and the integral is exactly 1.
     outage = np.ones_like(b_noise)
-    live = _outage_given_x(0.0, cfg, b_noise)[:, 0] < 1.0
+    live = _outage_given_x(0.0, gth, model, b_noise)[:, 0] < 1.0
     if live.any():
         value = 0.5 * integrate_rows(
-            lambda t, rows: _outage_given_x(t, cfg, rows), b_noise[live], n_nodes
+            lambda t, rows: _outage_given_x(t, gth, model, rows), b_noise[live], n_nodes
         )
         outage[live] = np.minimum(np.maximum(value, 0.0), 1.0)
     return outage
 
 
 @over_powers
-def wdma_outage(cfg: SystemConfig, power_w, n_nodes: int = 64, user: int = 1):
+def wdma_outage(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int = 64, user: int = 1):
     """Outage probability of ``user`` at transmit power ``power_w`` (a scalar
     or a 1-D array): the conditional outage averaged over the user's
     x-coordinate."""
-    dc = derive_constants(cfg)
-    b_noise = 2.0 * noise_w(cfg, user) / (dc.eta_m2 * power_w)
-    return _average_outage(cfg, b_noise, n_nodes)
+    b_noise = 2.0 * model.noise(user) / (model.eta_m2 * powers)
+    return _average_outage(cfg.outage_threshold, model, b_noise, n_nodes)
 
 
 def _log_rate_coeffs(g, b_noise):
@@ -82,46 +89,47 @@ def _log_rate_coeffs(g, b_noise):
     return a, b, c, d
 
 
-def _rate_nats(t, cfg: SystemConfig, b_noise: np.ndarray):
+def _rate_nats(t, model: ReducedModel, b_noise: np.ndarray):
     """Mean of ln(1 + sinr) over the y-separation at the unit-interval nodes t,
     one row per entry of the 1-D noise coefficients ``b_noise``.
 
     ln(a/c) is taken as ln(1 + g/c), since a - c = g. With b_noise = 0 this
     is the interference-only integrand of the rate ceiling.
     """
-    g = g_axis(0.5 * cfg.region_x_m * (np.asarray(t) + 1.0), cfg)
+    g = _axis_distance_sq(t, model)
     a, b, c, d = _log_rate_coeffs(g, b_noise[:, None])
-    dist = diff_distribution(cfg)
-    return np.log1p(g / c) + expected_log_excess(a, b, dist) - expected_log_excess(c, d, dist)
+    return np.log1p(g / c) + expected_log_excess(a, b, model) - expected_log_excess(c, d, model)
 
 
 @over_powers
-def wdma_avg_rate(cfg: SystemConfig, power_w, n_nodes: int = 64, user: int = 1):
+def wdma_avg_rate(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int = 64, user: int = 1):
     """Average achievable rate of ``user`` in bits/s/Hz at transmit power
     ``power_w`` (a scalar or a 1-D array).
 
     The inner average over the y-separation is closed-form for both region
     layouts; the outer x-average uses the Chebyshev rule. Where the rate
-    meets its ceiling, rounding in the two averages can leave it a few ulps
-    above; the value is capped at the ceiling there.
+    meets its ceiling or zero, rounding in the two averages can leave it a
+    few ulps outside; the value is clamped to [0, ceiling] there.
     """
-    dc = derive_constants(cfg)
-    b_noise = 2.0 * noise_w(cfg, user) / (dc.eta_m2 * power_w)
-    rate = 0.5 * integrate_rows(lambda t, rows: _rate_nats(t, cfg, rows), b_noise, n_nodes) / _LN2
-    return np.minimum(rate, wdma_rate_ceiling(cfg, n_nodes))
+    b_noise = 2.0 * model.noise(user) / (model.eta_m2 * powers)
+    rate = 0.5 * integrate_rows(lambda t, rows: _rate_nats(t, model, rows), b_noise, n_nodes) / _LN2
+    return np.clip(rate, 0.0, wdma_rate_ceiling(cfg, n_nodes))
 
 
 def wdma_outage_floor(cfg: SystemConfig, n_nodes: int = 64) -> float:
     """High-SNR outage limit: interference-only outage averaged over x."""
-    return _average_outage(cfg, np.zeros(1), n_nodes).item()
+    return _average_outage(cfg.outage_threshold, derive_constants(cfg), np.zeros(1), n_nodes).item()
 
 
 @lru_cache(maxsize=128)
 def wdma_rate_ceiling(cfg: SystemConfig, n_nodes: int = 64) -> float:
     """High-SNR rate limit in bits/s/Hz (at least 1: the interference-only
-    SINR never falls below one).
+    SINR never falls below one; where the region is so long that the SINR
+    is one almost everywhere, rounding is kept from leaving it below).
 
     Cached per (config, order): it does not depend on power, and every
     ``wdma_avg_rate`` call caps its value at it.
     """
-    return (0.5 * integrate_unit(lambda t: _rate_nats(t, cfg, np.zeros(1)), n_nodes) / _LN2).item()
+    model = derive_constants(cfg)
+    nats = integrate_unit(lambda t: _rate_nats(t, model, np.zeros(1)), n_nodes)
+    return max(1.0, (0.5 * nats / _LN2).item())

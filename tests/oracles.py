@@ -11,7 +11,10 @@ user's squared x-offset, are the reference laws those routes and the
 sampling tests use. ``sinr_trials`` addresses the simulator's per-trial
 SINRs by trial index. ``bisect_crossover`` is the plain scalar bisection
 that ``find_crossover`` must reproduce exactly. ``csv_writer_text`` is the
-``csv.writer`` route that ``write_csv`` must match byte for byte. The
+``csv.writer`` route that ``write_csv`` must match byte for byte.
+``DiffDistribution``, ``g_axis`` and ``outage_radii_sq`` give the separation
+law, the squared axis distance and the NOMA outage radii in metres, from
+the config fields, where the package works in reduced units. The
 ``*_stacked`` rates and ``log1p_moments_masked`` keep the earlier route of
 the log-moment kernel (both log terms of a node in one stacked call, all
 three support points, N-d boolean masks), which the package must match bit
@@ -23,25 +26,23 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
 
 from passperf import (
-    DiffDistribution,
     SystemConfig,
     derive_constants,
     diff_cdf,
-    diff_distribution,
-    g_axis,
     integrate_unit,
     noise_w,
     sinr,
     snr_db_to_power_w,
 )
+from passperf.config import SPEED_OF_LIGHT_M_S
 from passperf.montecarlo import _draw
-from passperf.noma import _c2, noma_rate_far_ceiling
+from passperf.noma import noma_rate_far_ceiling
 from passperf.quadrature import (
     _SERIES_S,
     _SERIES_TERMS,
@@ -52,6 +53,59 @@ from passperf.quadrature import (
 )
 from passperf.wdma import _log_rate_coeffs
 from passperf.sweep import CELLS, CROSSOVER_METRICS, CROSSOVER_TOL_DB, CSV_HEADER, NumericalError
+
+
+@dataclass(frozen=True)
+class DiffDistribution:
+    """Triangular law of the y-separation between the two users, in metres.
+
+    The separation u = y_ue1 - y_ue2 is supported on
+    [2*offset, 2*offset + 2*half_width] with its peak at the midpoint.
+    """
+
+    half_width: float  # sub-region depth (region_y_m)
+    offset: float  # sub-region gap from the axis (region_y_offset_m)
+
+    @property
+    def support_lo(self) -> float:
+        return 2.0 * self.offset
+
+    @property
+    def support_hi(self) -> float:
+        return 2.0 * self.offset + 2.0 * self.half_width
+
+    @property
+    def peak(self) -> float:
+        return 2.0 * self.offset + self.half_width
+
+
+def diff_distribution(cfg: SystemConfig) -> DiffDistribution:
+    return DiffDistribution(half_width=cfg.region_y_m, offset=cfg.region_y_offset_m)
+
+
+def g_axis(x, cfg: SystemConfig):
+    """Squared antenna-to-user distance projected on the axis plane in m^2,
+    (x - region_x_m/2)^2 + pa_height_m^2; accepts arrays."""
+    x = np.asarray(x, dtype=float)
+    return _maybe_scalar((x - 0.5 * cfg.region_x_m) ** 2 + cfg.pa_height_m * cfg.pa_height_m)
+
+
+def outage_radii_sq(cfg: SystemConfig, power_w):
+    """The NOMA outage radii (c1, c2) in m^2 at ``power_w``, from the config
+    fields: the near user is out when its squared distance exceeds c1 + h^2,
+    the far user when it exceeds c2 + h^2. The arithmetic is the package's,
+    in metres, so that the values agree to the last bit."""
+    eta = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * cfg.carrier_freq_hz**2)
+    dbm = (cfg.noise_power_dbm_ue1, cfg.noise_power_dbm_ue2)
+    n1, n2 = (10.0 ** ((value - 30.0) / 10.0) for value in dbm)
+    gth, h_sq = cfg.outage_threshold, cfg.pa_height_m * cfg.pa_height_m
+    c1 = eta * cfg.noma_alpha_near * power_w / (gth * n1) - h_sq
+    c2 = (
+        eta * cfg.noma_alpha_far * power_w / (gth * n2)
+        - eta * cfg.noma_alpha_near * power_w / n2
+        - h_sq
+    )
+    return c1, c2
 
 
 def random_config(rng: np.random.Generator) -> SystemConfig:
@@ -127,7 +181,7 @@ def far_outage_trapezoid(cfg: SystemConfig, power_w: float, n_m: int = 4001, n_a
     containing its kink; the outer integral runs over the squared x-offset
     with the analytical breakpoints added to the grid.
     """
-    c2 = _c2(cfg, power_w)
+    _, c2 = outage_radii_sq(cfg, power_w)
     m4 = (0.5 * cfg.region_x_m) ** 2
     w = cfg.region_y_m
     lo = 2.0 * cfg.region_y_offset_m
@@ -242,7 +296,7 @@ def wdma_rate_nested(cfg: SystemConfig, power_w: float, n_nodes: int, user: int 
 
 def noma_outage_far_nested(cfg: SystemConfig, power_w: float, n_nodes: int) -> float:
     """Far-user outage by integrating the conditional tail over the squared x-offset."""
-    c2 = _c2(cfg, power_w)
+    _, c2 = outage_radii_sq(cfg, power_w)
     dist = diff_distribution(cfg)
     m4 = (0.5 * cfg.region_x_m) ** 2
 
@@ -315,7 +369,7 @@ def expected_log_excess_three_point(a, b, dist: DiffDistribution):
     points = np.array([lo, lo + w, lo + 2.0 * w])
     m0, m1 = log1p_moments_masked(points, ratio[..., None])
     t = points * m0 - m1
-    return (t[..., 0] - 2.0 * t[..., 1] + t[..., 2]) / w**2
+    return (t[..., 0] - 2.0 * t[..., 1] + t[..., 2]) / (w * w)
 
 
 def _wdma_rate_nats_stacked(t, cfg: SystemConfig, b_noise: np.ndarray):
@@ -345,19 +399,19 @@ def noma_rate_far_stacked(cfg: SystemConfig, powers: np.ndarray, n_nodes: int):
     dc = derive_constants(cfg)
     n2 = dc.noise_w_ue2
     dx = cfg.region_x_m
-    half = 0.5 * (0.5 * dx) ** 2
+    half = 0.5 * (0.5 * dx * (0.5 * dx))
 
     def delta(t, block):
         k1 = (dc.eta_m2 * cfg.noma_alpha_near * block)[:, None]
         k2 = (dc.eta_m2 * cfg.noma_alpha_far * block)[:, None]
-        beta = k1 + n2 * (cfg.pa_height_m**2 + (half * t + half))
+        beta = k1 + n2 * (cfg.pa_height_m * cfg.pa_height_m + (half * t + half))
         stacked = expected_log_excess_three_point(
             np.stack([beta + k2, beta]), n2, diff_distribution(cfg)
         )
         return np.log1p(k2 / beta) + stacked[0] - stacked[1]
 
     integral = half * integrate_rows(delta, powers, n_nodes)
-    return np.minimum(4.0 / (dx**2 * math.log(2.0)) * integral, noma_rate_far_ceiling(cfg))
+    return np.minimum(4.0 / (dx * dx * math.log(2.0)) * integral, noma_rate_far_ceiling(cfg))
 
 
 def sinr_trials(

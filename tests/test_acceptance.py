@@ -18,7 +18,6 @@ from passperf import (
     SystemConfig,
     derive_constants,
     diff_cdf,
-    diff_distribution,
     noma_outage_far,
     noma_outage_near,
     noma_rate_far,
@@ -37,6 +36,7 @@ from passperf.quadrature import _log1p_moments
 from passperf.sweep import find_crossover, omega_one, omega_two
 
 from oracles import (
+    diff_distribution,
     far_outage_trapezoid,
     near_coord_cdf_g,
     random_config,

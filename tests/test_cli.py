@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from passperf import sweep
 from passperf.cli import build_parser, main
+from passperf.quadrature import IntegrationError
 from passperf.sweep import CSV_HEADER, read_csv
 
 from test_config import DERIVED_OUT_OF_RANGE
@@ -119,6 +121,17 @@ def test_config_with_derived_quantity_out_of_range_is_input_error(field, value, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in captured.err
+
+
+def test_integration_error_is_reported_with_exit_2(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise IntegrationError("integrand not finite at node t=0.5")
+
+    monkeypatch.setattr(sweep, "noma_rate_near", failing)
+    assert main(["sweep", "--start", "100", "--stop", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: integrand not finite at node t=0.5\n"
 
 
 def test_missing_config_file_is_input_error(tmp_path):

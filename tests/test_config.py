@@ -82,9 +82,11 @@ def test_invariant_violations_name_the_field(kwargs, needle):
         SystemConfig(**kwargs)
 
 
-# Finite fields whose derived quantities overflow or underflow: a noise
-# power in W, the path-gain factor, pa_height_m**2 and the largest squared
-# antenna-to-user distance must each be finite and > 0.
+# Finite fields whose reduced quantities leave range: a noise power in W and
+# the path-gain factor must be normal floats, and the squared region width,
+# antenna height and sub-region depth over the power-of-two length scale set
+# by the largest length at least 2**-1000; the error names the field, or the
+# field that sets the scale.
 DERIVED_OUT_OF_RANGE = [
     ("noise_power_dbm_ue1", 4000.0),
     ("noise_power_dbm_ue1", -4000.0),

@@ -10,14 +10,20 @@ from scipy.stats import kstest
 from passperf import (
     SystemConfig,
     diff_cdf,
-    diff_distribution,
-    g_axis,
     sample_placements,
     sq_diff_cdf,
 )
-from passperf.geometry import DiffDistribution, expected_log_excess
+from passperf.geometry import expected_log_excess
 
-from oracles import diff_pdf, far_pdf, near_coord_cdf_g, near_pdf
+from oracles import (
+    DiffDistribution,
+    diff_distribution,
+    diff_pdf,
+    far_pdf,
+    g_axis,
+    near_coord_cdf_g,
+    near_pdf,
+)
 
 CFG = SystemConfig()
 N_SAMPLES = 100_000

@@ -9,9 +9,7 @@ from passperf import (
     Placement,
     SystemConfig,
     derive_constants,
-    diff_distribution,
     mc_cell_estimates,
-    noma_breakpoints,
     noma_outage_far,
     noma_outage_near,
     noma_rate_far,
@@ -22,14 +20,16 @@ from passperf import (
     snr_db_to_power_w,
 )
 from passperf.geometry import expected_log_excess
-from passperf.noma import _c1, _c2
+from passperf.config import SPEED_OF_LIGHT_M_S
 from passperf.sweep import omega_two
 
 from oracles import (
+    diff_distribution,
     far_outage_trapezoid,
     near_pdf,
     noma_outage_far_nested,
     noma_rate_far_quad2d,
+    outage_radii_sq,
     random_config,
     random_offset_config,
 )
@@ -96,7 +96,7 @@ def test_near_outage_quarter_point():
         * (c1_target + CFG.pa_height_m**2)
         / (dc.eta_m2 * CFG.noma_alpha_near)
     )
-    assert _c1(CFG, power) == pytest.approx(c1_target, rel=1e-12)
+    assert outage_radii_sq(CFG, power)[0] == pytest.approx(c1_target, rel=1e-12)
     assert noma_outage_near(CFG, power) == pytest.approx(0.25, rel=1e-9)
 
 
@@ -167,9 +167,10 @@ def test_near_outage_matches_monte_carlo(snr_db):
 
 def _mp_outages(cfg, power_w, mp):
     """Both NOMA outage closed forms at the working precision of ``mp``. They
-    start from the package's float c1 and c2 at ``power_w``, so only the
-    rounding of the closed forms themselves is measured."""
-    c1, c2 = mp.mpf(_c1(cfg, power_w)), mp.mpf(_c2(cfg, power_w))
+    start from float c1 and c2 at ``power_w``, computed in metres from the
+    config fields, so only the rounding of the closed forms themselves is
+    measured."""
+    c1, c2 = (mp.mpf(c) for c in outage_radii_sq(cfg, power_w))
     dx, w, lo = mp.mpf(cfg.region_x_m), mp.mpf(cfg.region_y_m), 2 * mp.mpf(cfg.region_y_offset_m)
     hi, peak, m4 = lo + 2 * w, lo + w, (dx / 2) ** 2
     if c1 <= 0:
@@ -237,7 +238,7 @@ def test_far_outage_certain_when_threshold_exceeds_power_split_cap():
         cfg = replace(CFG, outage_threshold=threshold)
         for snr_db in (90.0, 150.0, 250.0):
             assert noma_outage_far(cfg, power_at(snr_db, cfg)) == 1.0
-        assert _c2(cfg, power_at(150.0, cfg)) < 0.0
+        assert outage_radii_sq(cfg, power_at(150.0, cfg))[1] < 0.0
 
 
 def test_far_outage_threshold_bracketing():
@@ -321,13 +322,6 @@ def test_far_outage_continuous_across_breakpoint_activations():
         assert abs(above - below) < 1e-6
 
 
-def test_breakpoints_ordered_and_clamped():
-    for snr_db in (90.0, 96.0, 100.0, 102.0, 110.0):
-        bp = noma_breakpoints(CFG, power_at(snr_db))
-        assert 0.0 <= bp.m1 <= bp.m2 <= bp.m3 <= bp.m4
-        assert bp.m4 == (CFG.region_x_m / 2) ** 2
-
-
 def test_near_rate_zero_power_limit():
     assert noma_rate_near(CFG, 1e-30) == pytest.approx(0.0, abs=1e-9)
 
@@ -364,6 +358,35 @@ def test_near_rate_keeps_full_precision_at_high_snr():
             integrand, 0.0, cfg.region_x_m, points=[centre], limit=200, epsabs=0, epsrel=1e-13
         )
         assert noma_rate_near(cfg, power) == pytest.approx(oracle, rel=1e-12)
+
+
+def _mp_near_rate(cfg, power_w, mp):
+    """The near user's average rate at the working precision of ``mp``, in
+    metres from the config fields: the mean of log2(1 + k / (h^2 + t^2))
+    over its x-offset t from the centre, of density (2/c)(1 - t/c) on [0, c]
+    with c = region_x_m / 2."""
+    eta = (mp.mpf(SPEED_OF_LIGHT_M_S) / cfg.carrier_freq_hz) ** 2 / (16 * mp.pi**2)
+    noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue1) - 30) / 10)
+    k = eta * mp.mpf(cfg.noma_alpha_near) * mp.mpf(power_w) / noise
+    h_sq, c = mp.mpf(cfg.pa_height_m) ** 2, mp.mpf(cfg.region_x_m) / 2
+    return mp.quad(lambda t: mp.log(1 + k / (h_sq + t * t), 2) * 2 / c * (1 - t / c), [0, c])
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [CFG, replace(CFG, noma_alpha_near=0.2, noma_alpha_far=0.8), omega_two()],
+    ids=["default", "split", "omega_two"],
+)
+def test_near_rate_matches_a_40_digit_evaluation_from_40_db(cfg):
+    # the ratio form log1p(k/h^2) + 2 (phi0(s_k) - phi0(s_0)) - (phi1(s_k) -
+    # phi1(s_0)) cancels below 40 dB, where the rate itself is tiny
+    mpmath = pytest.importorskip("mpmath")
+    snrs_db = np.arange(40.0, 401.0, 10.0)
+    powers = np.array([power_at(snr_db, cfg) for snr_db in snrs_db])
+    with mpmath.workdps(40):
+        for power, value in zip(powers.tolist(), noma_rate_near(cfg, powers).tolist()):
+            reference = _mp_near_rate(cfg, power, mpmath.mp)
+            assert abs(mpmath.mpf(value) - reference) <= 1e-11 * reference
 
 
 def test_near_rate_full_multiplexing_gain():

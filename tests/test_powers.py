@@ -14,7 +14,7 @@ from passperf import (
     SweepSpec,
     mc_cell_estimates,
     noise_w,
-    noma_breakpoints,
+    noma_outage_far,
     noma_rate_far,
     run_sweep,
     snr_db_to_power_w,
@@ -23,7 +23,7 @@ from passperf import (
     wdma_avg_rate,
     wdma_outage,
 )
-from passperf import noma, quadrature, wdma
+from passperf import config, noma, quadrature, wdma
 from passperf.cli import main
 from passperf.quadrature import ROW_BLOCK
 from passperf.sweep import CELLS, SWEEP_USERS, Cell, omega_two
@@ -153,11 +153,14 @@ def test_blocked_metric_sets_up_once_per_call(metric, args, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
+    powers = np.array(grid_powers(CFG, -50.0, 400.0, 1.0))
+    assert powers.size == 451  # 8 blocks of ROW_BLOCK rows
+    metric(CFG, powers[:1], *args)  # fill the per-config caches before counting
+    # config.over_powers derives the reduced model; the metric modules import it too
+    count(config, "derive_constants")
     count(wdma, "derive_constants")
     count(noma, "derive_constants")
     count(wdma, "wdma_rate_ceiling")
-    powers = np.array(grid_powers(CFG, -50.0, 400.0, 1.0))
-    assert powers.size == 451  # 8 blocks of ROW_BLOCK rows
     metric(CFG, powers, *args)
     assert calls["derive_constants"] == 1
     assert calls["wdma_rate_ceiling"] == (1 if metric is wdma_avg_rate else 0)
@@ -186,6 +189,11 @@ def test_scalar_power_gives_float_and_length_one_array_gives_array(cell):
     assert one[0] == analytic(cell, CFG, 1.0)
 
 
+@pytest.mark.parametrize("cell", CELLS, ids=CELL_IDS)
+def test_empty_power_array_gives_empty_array(cell):
+    assert analytic(cell, CFG, np.array([])).shape == (0,)
+
+
 BAD_POWERS = [0.0, -1.0, math.nan, math.inf, np.array([1.0, math.nan]), np.array([1.0, 0.0])]
 BAD_IDS = ["zero", "negative", "nan", "inf", "nan-in-array", "zero-in-array"]
 
@@ -204,8 +212,9 @@ def test_analytic_metrics_reject_two_dimensional_powers():
 
 @pytest.mark.parametrize("power", [math.nan, math.inf, 0.0])
 def test_breakpoints_and_estimates_reject_bad_powers(power):
+    # the breakpoints of the far user's outage live inside noma_outage_far
     with pytest.raises(ValueError, match="power_w"):
-        noma_breakpoints(CFG, power)
+        noma_outage_far(CFG, power)
     with pytest.raises(ValueError, match="power_w"):
         mc_cell_estimates(10, 1, [("noma", 2)], CFG, [1.0, power])
 

@@ -7,7 +7,6 @@ from passperf import (
     Placement,
     SystemConfig,
     derive_constants,
-    g_axis,
     mc_cell_estimates,
     sample_placements,
     sinr,
@@ -20,7 +19,13 @@ from passperf import (
 from passperf.sweep import omega_one, omega_two
 from passperf.wdma import _log_rate_coeffs
 
-from oracles import random_config, random_offset_config, wdma_rate_nested, wdma_rate_quad2d
+from oracles import (
+    g_axis,
+    random_config,
+    random_offset_config,
+    wdma_rate_nested,
+    wdma_rate_quad2d,
+)
 
 CFG = SystemConfig()
 NOISE = derive_constants(CFG).noise_w_ue1
