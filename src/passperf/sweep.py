@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, SystemConfig, noise_w, snr_db_to_power_w
+from .config import ConfigError, SystemConfig, derive_constants, noise_w, snr_db_to_power_w
 from .montecarlo import SCHEMES, mc_cell_estimates
 from .noma import (
     noma_outage_far,
@@ -42,7 +42,9 @@ class Cell(NamedTuple):
 
 # Every analytic cell, in validation order. The entries look each metric up
 # by its module-level name at call time, so a name rebound after import
-# (a wrapper, a patch) is the one called.
+# (a wrapper, a patch) is the one called. Sweeps, validate and find_crossover
+# evaluate them through _cell_values, which does not call a user-2 WDMA entry
+# (patched or not) when the two noise powers are equal.
 CELLS = {
     ("wdma", 1, "outage"): Cell(
         lambda c, p, n: wdma_outage(c, p, n, user=1), lambda c, n: wdma_outage_floor(c, n)
@@ -147,12 +149,32 @@ def _powers_w(cfg, grid_db) -> list:
     return [snr_db_to_power_w(snr_db, reference_noise) for snr_db in grid_db]
 
 
+def _cell_values(cfg, keys, powers: np.ndarray, n_nodes: int) -> dict:
+    """Each key of ``keys`` -> its ``CELLS`` value over ``powers``, one array
+    call per distinct cell.
+
+    The WDMA metrics see the user only through ``model.noise(user)``, so
+    when the two noise powers are equal a user-2 WDMA key takes the user-1
+    array of the same metric, which is the same computation bit for bit.
+    """
+    model = derive_constants(cfg)
+    same_noise = model.noise_w_ue1 == model.noise_w_ue2
+    computed = {}
+    for key in keys:
+        scheme, user, metric = key
+        cell = ("wdma", 1, metric) if same_noise and (scheme, user) == ("wdma", 2) else key
+        if cell not in computed:
+            computed[cell] = CELLS[cell].value(cfg, powers, n_nodes)
+        computed[key] = computed[cell]
+    return {key: computed[key] for key in keys}
+
+
 def _cells(cfg, grid_db, keys, n_nodes, mc=None):
     """Yield (snr_db, scheme, user, metric, analytic, estimate) per cell, SNR outermost.
 
-    Transmit SNR is referenced to the user-1 noise power. Each
-    (scheme, user, metric) key of ``CELLS`` gets one call over the whole
-    grid; the metrics that build (powers x nodes) arrays evaluate their
+    Transmit SNR is referenced to the user-1 noise power. Each distinct
+    cell of ``keys`` gets one call over the whole grid (:func:`_cell_values`);
+    the metrics that build (powers x nodes) arrays evaluate their
     integrands in blocks of powers (``quadrature.integrate_rows``). Keys
     come out in the order of ``keys``. With ``mc`` = (trials, seed) one
     ``mc_cell_estimates`` call covers every (scheme, user) over the whole
@@ -165,8 +187,8 @@ def _cells(cfg, grid_db, keys, n_nodes, mc=None):
     if mc is not None:
         cells = list(dict.fromkeys((scheme, user) for scheme, user, _ in keys))
         estimates = mc_cell_estimates(*mc, cells, cfg, powers)
-    grid_powers = np.array(powers)
-    analytic = {key: CELLS[key].value(cfg, grid_powers, n_nodes).tolist() for key in keys}
+    values = _cell_values(cfg, keys, np.array(powers), n_nodes)
+    analytic = {key: value.tolist() for key, value in values.items()}
     for j, snr_db in enumerate(grid):
         for key in keys:
             scheme, user, metric = key
@@ -277,8 +299,8 @@ CROSSOVER_METRICS = {
 }
 # find_crossover bisects until its bracket is at most this wide, in dB.
 CROSSOVER_TOL_DB = 0.01
-# find_crossover evaluates every midpoint of this many bisection levels in
-# one array call per cell.
+# Each array call of find_crossover covers at least every midpoint of this
+# many bisection levels.
 CROSSOVER_LOOKAHEAD = 4
 
 
@@ -290,6 +312,20 @@ def _midpoints(lo: float, hi: float, levels: int) -> list:
         return []
     mid = 0.5 * (lo + hi)
     return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
+
+
+def _path(lo: float, hi: float, root: float) -> list:
+    """The midpoints that bisecting [lo, hi] reads, in the loop's own
+    arithmetic, if the difference changes sign at ``root``."""
+    path = []
+    while hi - lo > CROSSOVER_TOL_DB:
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        if root < mid:
+            hi = mid
+        else:
+            lo = mid
+    return path
 
 
 def find_crossover(
@@ -306,13 +342,17 @@ def find_crossover(
     ``CROSSOVER_TOL_DB`` wide, or None when the difference has one sign over
     the whole bracket.
 
-    The search is a plain bisection replayed against a cache. Whenever it
-    needs a midpoint it has not evaluated, it evaluates every midpoint of the
-    next ``CROSSOVER_LOOKAHEAD`` levels (the first time with the two bracket
-    ends) in one array call per cell. Array calls equal scalar calls bitwise,
-    so the result is exactly the plain bisection's midpoint. A non-finite
-    difference raises :class:`NumericalError` only at an SNR the bisection
-    reads.
+    The search is a plain bisection replayed against a cache. The first
+    array call per cell (:func:`_cell_values`) evaluates the two bracket ends
+    and every midpoint of the first ``CROSSOVER_LOOKAHEAD`` levels. Whenever
+    the bisection then needs a midpoint it has not evaluated, one more call
+    evaluates every midpoint of its next ``CROSSOVER_LOOKAHEAD`` levels
+    together with the path it would follow to the secant root of its current
+    bracket, skipping SNRs already evaluated. So it makes no more calls than
+    the look-ahead tree alone, and usually fewer. Array calls equal scalar
+    calls bitwise, so the result is exactly the plain bisection's midpoint. A
+    non-finite difference raises :class:`NumericalError` only at an SNR the
+    bisection reads.
     """
     if metric not in CROSSOVER_METRICS:
         raise ConfigError(f"metric must be one of {tuple(CROSSOVER_METRICS)}, got {metric!r}")
@@ -322,15 +362,16 @@ def find_crossover(
     if not hi > lo:
         raise ConfigError(f"bracket width must be > 0, got {bracket_db!r}")
     added, subtracted = CROSSOVER_METRICS[metric]
-    differences = {}  # snr_db -> difference, one look-ahead tree at a time
+    differences = {}  # snr_db -> difference at every SNR evaluated so far
 
     def evaluate(grid_db: list) -> None:
         powers = np.array(_powers_w(cfg, grid_db))
+        values = _cell_values(cfg, added + subtracted, powers, n_nodes)
         value = np.zeros(len(grid_db))
         for key in added:
-            value = value + CELLS[key].value(cfg, powers, n_nodes)
+            value = value + values[key]
         for key in subtracted:
-            value = value - CELLS[key].value(cfg, powers, n_nodes)
+            value = value - values[key]
         differences.update(zip(grid_db, value.tolist()))
 
     def sign(snr_db: float) -> int:
@@ -351,7 +392,12 @@ def find_crossover(
     while hi - lo > CROSSOVER_TOL_DB:
         mid = 0.5 * (lo + hi)
         if mid not in differences:
-            evaluate(_midpoints(lo, hi, CROSSOVER_LOOKAHEAD))
+            # lo and hi were read, so their differences are finite, and the
+            # one at hi has sign s_hi while the one at lo has not
+            d_lo, d_hi = differences[lo], differences[hi]
+            root = lo + (hi - lo) * (d_lo / (d_lo - d_hi))
+            grid = [*_midpoints(lo, hi, CROSSOVER_LOOKAHEAD), *_path(lo, hi, root)]
+            evaluate([snr_db for snr_db in dict.fromkeys(grid) if snr_db not in differences])
         if sign(mid) == s_hi:
             hi = mid
         else:

@@ -10,8 +10,11 @@ and of the near and far users' x-coordinates, and the CDF of the near
 user's squared x-offset, are the reference laws those routes and the
 sampling tests use. ``sinr_trials`` addresses the simulator's per-trial
 SINRs by trial index. ``bisect_crossover`` is the plain scalar bisection
-that ``find_crossover`` must reproduce exactly. ``csv_writer_text`` is the
-``csv.writer`` route that ``write_csv`` must match byte for byte.
+that ``find_crossover`` must reproduce exactly, and ``lookahead_crossover``
+the earlier array search (the look-ahead tree alone, every cell called
+once per array call) whose call count it must not exceed.
+``csv_writer_text`` is the ``csv.writer`` route that ``write_csv`` must
+match byte for byte.
 ``DiffDistribution``, ``g_axis`` and ``outage_radii_sq`` give the separation
 law, the squared axis distance and the NOMA outage radii in metres, from
 the config fields, where the package works in reduced units. The
@@ -52,7 +55,15 @@ from passperf.quadrature import (
     integrate_rows,
 )
 from passperf.wdma import _log_rate_coeffs
-from passperf.sweep import CELLS, CROSSOVER_METRICS, CROSSOVER_TOL_DB, CSV_HEADER, NumericalError
+from passperf.sweep import (
+    CELLS,
+    CROSSOVER_LOOKAHEAD,
+    CROSSOVER_METRICS,
+    CROSSOVER_TOL_DB,
+    CSV_HEADER,
+    NumericalError,
+    _midpoints,
+)
 
 
 @dataclass(frozen=True)
@@ -458,6 +469,53 @@ def bisect_crossover(cfg: SystemConfig, metric: str, bracket_db: tuple, n_nodes:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def lookahead_crossover(cfg: SystemConfig, metric: str, bracket_db: tuple, n_nodes: int = 64):
+    """The bisection of ``bisect_crossover`` replayed against a cache that
+    array calls fill: the ends with the first ``CROSSOVER_LOOKAHEAD`` levels
+    of midpoints, then, at each midpoint not yet evaluated, the next
+    ``CROSSOVER_LOOKAHEAD`` levels below the current bracket. Every cell of
+    the metric, WDMA user 2 included, is called once per array call.
+
+    Returns (crossover SNR or None, array calls per cell).
+    """
+    lo, hi = float(bracket_db[0]), float(bracket_db[1])
+    added, subtracted = CROSSOVER_METRICS[metric]
+    differences = {}
+    calls = 0
+
+    def evaluate(grid_db: list) -> None:
+        nonlocal calls
+        calls += 1
+        powers = np.array([snr_db_to_power_w(snr_db, noise_w(cfg, 1)) for snr_db in grid_db])
+        value = np.zeros(len(grid_db))
+        for key in added:
+            value = value + CELLS[key].value(cfg, powers, n_nodes)
+        for key in subtracted:
+            value = value - CELLS[key].value(cfg, powers, n_nodes)
+        differences.update(zip(grid_db, value.tolist()))
+
+    def sign(snr_db: float) -> int:
+        value = differences[snr_db]
+        if not math.isfinite(value):
+            raise NumericalError(f"{metric} difference not finite at {snr_db} dB")
+        return (value > 0.0) - (value < 0.0)
+
+    evaluate([lo, hi, *_midpoints(lo, hi, CROSSOVER_LOOKAHEAD)])
+    s_lo = sign(lo)
+    s_hi = sign(hi)
+    if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
+        return None, calls
+    while hi - lo > CROSSOVER_TOL_DB:
+        mid = 0.5 * (lo + hi)
+        if mid not in differences:
+            evaluate(_midpoints(lo, hi, CROSSOVER_LOOKAHEAD))
+        if sign(mid) == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), calls
 
 
 def csv_writer_text(rows: list) -> str:

@@ -1,4 +1,5 @@
-"""find_crossover: the look-ahead bisection against the plain scalar one."""
+"""find_crossover: the array-call bisection against the plain scalar one and
+against the look-ahead-only search it replaced."""
 
 import math
 import re
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import bisect_crossover, random_config, random_offset_config
+from oracles import bisect_crossover, lookahead_crossover, random_config, random_offset_config
 
 from passperf import SystemConfig, find_crossover, noise_w, snr_db_to_power_w
 from passperf.quadrature import ROW_BLOCK
@@ -74,6 +75,47 @@ def test_find_crossover_returns_the_plain_bisection_midpoint(seed, offset, metri
     assert type(found) is type(expected)
 
 
+def count_array_calls(monkeypatch, keys) -> dict:
+    """Wrap the ``CELLS`` values of ``keys`` with a counter; returns key ->
+    the shape of the powers of each call."""
+    calls = {}
+
+    def counted(key, original):
+        def value(cfg, power_w, n_nodes):
+            calls.setdefault(key, []).append(np.shape(power_w))
+            return original(cfg, power_w, n_nodes)
+
+        return value
+
+    for key in keys:
+        monkeypatch.setitem(CELLS, key, Cell(counted(key, CELLS[key].value), CELLS[key].limit))
+    return calls
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.booleans(),
+    metric=st.sampled_from(tuple(CROSSOVER_METRICS)),
+    bracket=brackets(),
+)
+@example(seed=0, offset=False, metric="rate_sum", bracket=(-50.0, 400.0))
+@example(seed=0, offset=False, metric="outage_ue", bracket=(-50.0, 400.0))
+@example(seed=1, offset=True, metric="outage_ue", bracket=(90.0, 160.0))
+@example(seed=2, offset=False, metric="rate_sum", bracket=(100.0, 100.005))
+@settings(max_examples=60, deadline=None)
+def test_find_crossover_makes_no_more_array_calls_than_the_look_ahead_search(
+    seed, offset, metric, bracket
+):
+    rng = np.random.default_rng(seed)
+    cfg = random_offset_config(rng) if offset else random_config(rng)
+    expected, oracle_calls = lookahead_crossover(cfg, metric, bracket)
+    added, subtracted = CROSSOVER_METRICS[metric]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_array_calls(monkeypatch, added + subtracted)
+        assert find_crossover(cfg, metric, bracket) == expected
+    assert all(len(shapes) <= oracle_calls for shapes in calls.values())
+
+
 @pytest.mark.parametrize(
     "metric, bracket",
     [("rate_sum", RATE_BRACKET), ("outage_ue", (90.0, 160.0)), ("outage_ue", (50.0, 160.0))],
@@ -135,26 +177,31 @@ def test_non_finite_difference_at_an_unread_look_ahead_point_is_ignored(monkeypa
     assert bisect_crossover(CFG, "rate_sum", RATE_BRACKET) == expected
 
 
-def test_rate_sum_crossover_makes_at_most_four_array_calls_per_cell(monkeypatch):
-    calls = {}
-
-    def counted(key, original):
-        def value(cfg, power_w, n_nodes):
-            calls.setdefault(key, []).append(np.shape(power_w))
-            return original(cfg, power_w, n_nodes)
-
-        return value
-
+def test_rate_sum_crossover_makes_at_most_three_array_calls_per_cell(monkeypatch):
     added, subtracted = CROSSOVER_METRICS["rate_sum"]
-    for key in added + subtracted:
-        monkeypatch.setitem(CELLS, key, Cell(counted(key, CELLS[key].value), CELLS[key].limit))
+    calls = count_array_calls(monkeypatch, added + subtracted)
     assert CROSSOVER_LOOKAHEAD == 4
     assert find_crossover(CFG, "rate_sum", RATE_BRACKET) is not None
-    assert set(calls) == set(added + subtracted)
+    # equal noise powers: WDMA user 2 takes user 1's array
+    assert set(calls) == set(added + subtracted) - {("wdma", 2, "rate")}
     for shapes in calls.values():
-        # one scalar call per power would be 16
-        assert 1 <= len(shapes) <= 4
+        # one scalar call per power would be 16, the look-ahead tree alone 4
+        assert 1 <= len(shapes) <= 3
         assert all(len(shape) == 1 for shape in shapes)
         # the first call (two ends, 15 midpoints) is not split into blocks
         assert shapes[0] == (2 + 2**CROSSOVER_LOOKAHEAD - 1,)
         assert shapes[0][0] <= ROW_BLOCK
+
+
+@pytest.mark.parametrize(
+    "metric, bracket", [("rate_sum", RATE_BRACKET), ("outage_ue", (90.0, 160.0))]
+)
+def test_unequal_noise_powers_evaluate_both_wdma_users(monkeypatch, metric, bracket):
+    cfg = SystemConfig(noise_power_dbm_ue2=-80.0)
+    expected, _ = lookahead_crossover(cfg, metric, bracket)
+    assert expected is not None
+    assert bisect_crossover(cfg, metric, bracket) == expected
+    added, subtracted = CROSSOVER_METRICS[metric]
+    calls = count_array_calls(monkeypatch, added + subtracted)
+    assert find_crossover(cfg, metric, bracket) == expected
+    assert set(calls) == set(added + subtracted)

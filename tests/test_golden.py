@@ -1,6 +1,9 @@
-"""Sweep CSVs must reproduce the recorded ones byte for byte.
+"""Sweep CSVs and the validate report must reproduce the recorded ones byte
+for byte.
 
-The files under tests/data were written by ``passperf sweep --asymptotes``.
+The CSV files under tests/data were written by ``passperf sweep
+--asymptotes``, ``validate_default.txt`` by ``passperf validate --trials
+20000 --seed 12345``.
 A change that moves values on purpose re-records them and says so in
 CHANGES.md.
 
@@ -94,3 +97,9 @@ def test_crossover_reproduces_recorded_snr(key, tmp_path, capsys):
     assert main(argv) == 0
     expected = f"metric,{metric}\ncrossover_snr_db,{GOLDEN_CROSSOVER[key]}\n"
     assert capsys.readouterr().out == expected
+
+
+def test_validate_reproduces_recorded_report(tmp_path):
+    out = tmp_path / "validate.txt"
+    assert main(["validate", "--trials", "20000", "--seed", "12345", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "validate_default.txt").read_bytes()

@@ -7,6 +7,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import random_config, random_offset_config
 
 from passperf import (
     ConfigError,
@@ -97,7 +100,39 @@ def test_sweep_and_validate_make_one_value_call_per_key(monkeypatch):
     assert calls == {key: [len(grid)] for key in swept}
     calls.clear()
     validate(CFG, grid, trials=200, seed=1, sigma_tol=1e9)
+    # equal noise powers: the WDMA user-2 cells take user 1's arrays
+    assert calls == {key: [len(grid)] for key in CELLS if key[:2] != ("wdma", 2)}
+
+
+@given(seed=st.integers(0, 2**32 - 1), offset=st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_wdma_user_two_equals_user_one_bitwise_at_equal_noise_powers(seed, offset):
+    rng = np.random.default_rng(seed)
+    cfg = random_offset_config(rng) if offset else random_config(rng)
+    assert cfg.noise_power_dbm_ue1 == cfg.noise_power_dbm_ue2
+    powers = np.array(grid_powers(cfg, -50.0, 400.0, 1.0))
+    for metric in ("outage", "rate"):
+        user_1 = analytic(("wdma", 1, metric), cfg, powers)
+        assert analytic(("wdma", 2, metric), cfg, powers).tobytes() == user_1.tobytes()
+
+
+def test_validate_evaluates_both_wdma_users_at_unequal_noise_powers(monkeypatch):
+    cfg = SystemConfig(noise_power_dbm_ue2=-80.0)
+    grid = [90.0, 120.0, 150.0]
+    calls = count_value_calls(monkeypatch)
+    report = validate(cfg, grid, trials=200, seed=1, sigma_tol=1e9)
     assert calls == {key: [len(grid)] for key in CELLS}
+    by_snr = dict(zip(grid, grid_powers(cfg, 90.0, 150.0, 30.0)))
+    for cell in report.cells:
+        key = (cell.scheme, cell.user, cell.metric)
+        assert cell.analytic == analytic(key, cfg, by_snr[cell.snr_db])
+    # user 2's noise is 10 dB above the SNR reference, so its rate is lower
+    rates = {
+        (cell.user, cell.snr_db): cell.analytic
+        for cell in report.cells
+        if (cell.scheme, cell.metric) == ("wdma", "rate")
+    }
+    assert rates[(2, 120.0)] < rates[(1, 120.0)]
 
 
 # (metric, extra arguments): the metrics that build (powers x nodes) arrays
