@@ -27,11 +27,7 @@ from .noma import (
     noma_rate_near,
     noma_zero_outage_thresholds,
 )
-from .quadrature import (
-    IntegrationError,
-    chebyshev_rule,
-    integrate_unit,
-)
+from .quadrature import IntegrationError, chebyshev_rule
 from .sweep import (
     SweepSpec,
     find_crossover,

@@ -7,7 +7,9 @@ two users follows a triangular distribution; its CDF, the CDF of its square
 and the closed-form log-expectation over it are implemented here. They read
 the law from ``dist``, a ``config.ReducedModel`` in the analytic metrics:
 its ``half_width`` (the sub-region depth) and ``support_lo`` (twice the
-offset from the axis), in reduced units.
+offset from the axis), in reduced units. They return NumPy values of their
+inputs' broadcast shape, 0-d for scalar inputs, and placements are drawn
+in batches, one array entry per trial.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .quadrature import _log1p_moments, _maybe_scalar
+from .quadrature import _log1p_moments
 
 
 @dataclass
@@ -28,31 +30,27 @@ class Placement:
     pa_height_m). Under NOMA the near user is the one whose x is nearer the
     region centre, and one antenna at (region_x_m / 2, y_near, pa_height_m)
     serves both users. Antennas are never stored because they are pinned to
-    the users. Fields may be scalars or equally shaped arrays (one entry per
-    trial).
+    the users. Fields are equally shaped arrays, one entry per trial.
     """
 
-    x_ue1: object
-    x_ue2: object
-    y_ue1: object
-    y_ue2: object
+    x_ue1: np.ndarray
+    x_ue2: np.ndarray
+    y_ue1: np.ndarray
+    y_ue2: np.ndarray
 
 
-def sample_placements(cfg: SystemConfig, rng: np.random.Generator, size=None) -> Placement:
-    """Draw uniform placements of both users.
+def sample_placements(cfg: SystemConfig, rng: np.random.Generator, size: int) -> Placement:
+    """Draw ``size`` uniform placements of both users.
 
     Consumes exactly four uniforms per trial in the fixed order
     (x_ue1, x_ue2, y_ue1, y_ue2), which keeps counter-based trial
     partitioning reproducible.
     """
-    n = 1 if size is None else int(size)
-    u = rng.random((n, 4))
+    u = rng.random((int(size), 4))
     x1 = cfg.region_x_m * u[:, 0]
     x2 = cfg.region_x_m * u[:, 1]
     y1 = cfg.region_y_offset_m + cfg.region_y_m * u[:, 2]
     y2 = -(cfg.region_y_offset_m + cfg.region_y_m * u[:, 3])
-    if size is None:
-        return Placement(x1.item(), x2.item(), y1.item(), y2.item())
     return Placement(x1, x2, y1, y2)
 
 
@@ -62,8 +60,7 @@ def diff_cdf(u, dist):
     v = np.asarray(u, dtype=float) - dist.support_lo
     lower = np.clip(v, 0.0, w)
     upper = np.clip(2.0 * w - v, 0.0, w)
-    out = np.where(v <= w, lower**2 / (2.0 * w * w), 1.0 - upper**2 / (2.0 * w * w))
-    return _maybe_scalar(out)
+    return np.where(v <= w, lower**2 / (2.0 * w * w), 1.0 - upper**2 / (2.0 * w * w))
 
 
 def sq_diff_cdf(y, dist):
@@ -75,8 +72,7 @@ def sq_diff_cdf(y, dist):
     """
     y = np.asarray(y, dtype=float)
     r = np.sqrt(np.clip(y, 0.0, None))
-    out = np.where(y <= 0.0, 0.0, diff_cdf(r, dist))
-    return _maybe_scalar(out)
+    return np.where(y <= 0.0, 0.0, diff_cdf(r, dist))
 
 
 def expected_log_excess(a, b, dist):
@@ -95,4 +91,4 @@ def expected_log_excess(a, b, dist):
     m0, m1 = _log1p_moments(points, ratio[..., None])
     t = points * m0 - m1
     t0 = t[..., 0] if lo else 0.0
-    return _maybe_scalar((t0 - 2.0 * t[..., -2] + t[..., -1]) / (w * w))
+    return (t0 - 2.0 * t[..., -2] + t[..., -1]) / (w * w)

@@ -12,7 +12,6 @@ sub-regions alike. Lengths and powers are in the reduced units of
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +39,6 @@ def _zero_outage_powers(cfg: SystemConfig, model: ReducedModel):
     return near, power(model.noise_w_ue2, m4 + hi * hi + h_sq, margin)
 
 
-@lru_cache(maxsize=128)
 def noma_zero_outage_thresholds(cfg: SystemConfig):
     """Transmit powers in W beyond which each user's outage is exactly zero.
 
@@ -48,8 +46,6 @@ def noma_zero_outage_thresholds(cfg: SystemConfig):
     cannot support the far user at the configured threshold
     (alpha_far <= gamma_th * alpha_near), in which case it is always in
     outage. A power beyond float range is ``inf``.
-
-    Cached per config: it does not depend on power.
     """
     model = derive_constants(cfg)
 

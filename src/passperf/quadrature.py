@@ -9,8 +9,9 @@ below N exactly, so smooth integrands converge as fast as their Chebyshev
 coefficients decay (Waldvogel, BIT 46, 2006); positive weights also carry
 pointwise bounds between integrands over to their integrals.
 
-``integrate_rows`` applies the rule to many integrands at once, one row
-each, ``ROW_BLOCK`` rows per integrand call.
+``integrate_rows`` is the one function that applies the rule. It takes
+many integrands at once, one row each, ``ROW_BLOCK`` rows per integrand
+call; a single integral is a one-row call.
 
 ``_log1p_moments`` is the one log kernel of every average rate: it
 integrates ln(1 + r t^2) and t ln(1 + r t^2) from 0 in a form without
@@ -70,33 +71,6 @@ def chebyshev_rule(n_nodes: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(nodes), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(nodes.shape, vals.item())
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        t = np.broadcast_to(nodes, vals.shape)[bad][0]
-        raise IntegrationError(f"integrand not finite at node t={t!r}")
-    return vals
-
-
-def integrate_unit(f, n_nodes: int):
-    """Approximate int_{-1}^{1} f(t) dt with the N-node rule.
-
-    ``f`` maps the nodes to values of shape (..., N), nodes on the last
-    axis; the result holds one integral per leading index, and is a float
-    when there is none.
-    """
-    rule = chebyshev_rule(n_nodes)
-    vals = _evaluate(f, rule.nodes)
-    if vals.ndim == 1:
-        return float(rule.weights @ vals)
-    # a stack of (1 x N) @ (N x 1) products rounds as the 1-D dots do; a 2-D
-    # matrix-vector product does not
-    return np.matmul(vals[..., None, :], rule.weights[:, None])[..., 0, 0]
-
-
 def integrate_rows(f, rows, n_nodes: int) -> np.ndarray:
     """Approximate int_{-1}^{1} f(t) dt once per entry of the 1-D ``rows``.
 
@@ -104,15 +78,24 @@ def integrate_rows(f, rows, n_nodes: int) -> np.ndarray:
     shape (len(block), N). It gets at most ``ROW_BLOCK`` rows per call, so
     the (rows x nodes) arrays stay small however many rows there are. Each
     row's integral depends only on that row, so it equals a one-row call
-    bit for bit.
+    bit for bit. A non-finite value raises IntegrationError naming its node.
     """
+    rule = chebyshev_rule(n_nodes)
+
+    def block(part):
+        vals = np.asarray(f(rule.nodes, part), dtype=float)
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            t = np.broadcast_to(rule.nodes, vals.shape)[bad][0]
+            raise IntegrationError(f"integrand not finite at node t={t!r}")
+        # a stack of (1 x N) @ (N x 1) products rounds as 1-D dots do; a 2-D
+        # matrix-vector product does not
+        return np.matmul(vals[:, None, :], rule.weights[:, None])[:, 0, 0]
+
     if len(rows) <= ROW_BLOCK:
-        return integrate_unit(lambda t: f(t, rows), n_nodes)
+        return block(rows)
     return np.concatenate(
-        [
-            integrate_unit(lambda t: f(t, rows[first : first + ROW_BLOCK]), n_nodes)
-            for first in range(0, len(rows), ROW_BLOCK)
-        ]
+        [block(rows[first : first + ROW_BLOCK]) for first in range(0, len(rows), ROW_BLOCK)]
     )
 
 
@@ -167,8 +150,3 @@ def _log1p_moments(u, r):
         phi0[series], phi1[series] = _phi_series(flat[series])
         phi0, phi1 = phi0.reshape(s.shape), phi1.reshape(s.shape)
     return u * phi0, 0.5 * u**2 * phi1
-
-
-def _maybe_scalar(arr):
-    arr = np.asarray(arr)
-    return arr.item() if arr.ndim == 0 else arr

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ReducedModel, SystemConfig, derive_constants, over_powers
 from .geometry import expected_log_excess, sq_diff_cdf
-from .quadrature import integrate_rows, integrate_unit
+from .quadrature import integrate_rows
 
 _LN2 = math.log(2.0)
 
@@ -131,5 +131,5 @@ def wdma_rate_ceiling(cfg: SystemConfig, n_nodes: int = 64) -> float:
     ``wdma_avg_rate`` call caps its value at it.
     """
     model = derive_constants(cfg)
-    nats = integrate_unit(lambda t: _rate_nats(t, model, np.zeros(1)), n_nodes)
+    nats = integrate_rows(lambda t, rows: _rate_nats(t, model, rows), np.zeros(1), n_nodes)
     return max(1.0, (0.5 * nats / _LN2).item())

@@ -36,9 +36,9 @@ from scipy.integrate import quad
 
 from passperf import (
     SystemConfig,
+    chebyshev_rule,
     derive_constants,
     diff_cdf,
-    integrate_unit,
     noise_w,
     sinr,
     snr_db_to_power_w,
@@ -49,7 +49,6 @@ from passperf.noma import noma_rate_far_ceiling
 from passperf.quadrature import (
     _SERIES_S,
     _SERIES_TERMS,
-    _maybe_scalar,
     _phi_closed,
     _phi_series,
     integrate_rows,
@@ -64,6 +63,11 @@ from passperf.sweep import (
     NumericalError,
     _midpoints,
 )
+
+
+def _maybe_scalar(arr):
+    arr = np.asarray(arr)
+    return arr.item() if arr.ndim == 0 else arr
 
 
 @dataclass(frozen=True)
@@ -272,7 +276,9 @@ def interval_integral(f, a: float, b: float, n_nodes: int) -> float:
     """int_a^b f(x) dx by the Chebyshev rule through the affine map onto [-1, 1]."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return half * integrate_unit(lambda t: f(half * np.asarray(t) + mid), n_nodes)
+    rule = chebyshev_rule(n_nodes)
+    vals = np.broadcast_to(f(half * rule.nodes + mid), rule.nodes.shape)
+    return half * float(rule.weights @ vals)
 
 
 def wdma_rate_nested(cfg: SystemConfig, power_w: float, n_nodes: int, user: int = 1) -> float:
@@ -298,11 +304,9 @@ def wdma_rate_nested(cfg: SystemConfig, power_w: float, n_nodes: int, user: int 
             f, dist.peak, dist.support_hi, n_nodes
         )
 
-    def outer(t):
-        x = half * (np.asarray(t) + 1.0)
-        return np.asarray([inner(xi) for xi in np.atleast_1d(x)])
-
-    return 0.5 * integrate_unit(outer, n_nodes) / math.log(2.0)
+    rule = chebyshev_rule(n_nodes)
+    outer = np.asarray([inner(xi) for xi in half * (rule.nodes + 1.0)])
+    return 0.5 * float(rule.weights @ outer) / math.log(2.0)
 
 
 def noma_outage_far_nested(cfg: SystemConfig, power_w: float, n_nodes: int) -> float:
@@ -394,7 +398,7 @@ def _wdma_rate_nats_stacked(t, cfg: SystemConfig, b_noise: np.ndarray):
 
 def wdma_rate_ceiling_stacked(cfg: SystemConfig, n_nodes: int) -> float:
     """``wdma_rate_ceiling`` on the stacked three-point route."""
-    nats = integrate_unit(lambda t: _wdma_rate_nats_stacked(t, cfg, np.zeros(1)), n_nodes)
+    nats = integrate_rows(lambda t, rows: _wdma_rate_nats_stacked(t, cfg, rows), np.zeros(1), n_nodes)
     return (0.5 * nats / math.log(2.0)).item()
 
 

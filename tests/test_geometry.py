@@ -66,11 +66,6 @@ def test_samplers_deterministic_bitwise():
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
-def test_scalar_samples():
-    p = sample_placements(CFG, np.random.default_rng(0))
-    assert isinstance(p.x_ue1, float)
-
-
 @pytest.mark.parametrize("offset", [0.0, 10.0])
 def test_y_separation_matches_cdf_ks(offset):
     cfg = SystemConfig(region_y_m=10.0, region_y_offset_m=offset)

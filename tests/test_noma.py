@@ -119,11 +119,8 @@ def test_near_outage_zero_at_and_beyond_threshold():
     ],
     ids=["default", "omega_two", "compact", "split-tall", "unsupported-far"],
 )
-def test_cached_zero_outage_thresholds_keep_their_values(cfg, expected):
+def test_zero_outage_thresholds_keep_their_values(cfg, expected):
     assert noma_zero_outage_thresholds(cfg) == expected
-    # a second call is a cache hit, and equal to a fresh evaluation
-    assert noma_zero_outage_thresholds(replace(cfg)) is noma_zero_outage_thresholds(cfg)
-    assert noma_zero_outage_thresholds.__wrapped__(cfg) == expected
 
 
 def test_outages_exactly_zero_at_and_beyond_zero_outage_power_on_random_configs():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from passperf import (
     IntegrationError,
     SystemConfig,
     chebyshev_rule,
-    integrate_unit,
     noise_w,
     noma_rate_far,
     noma_rate_near,
@@ -21,7 +21,7 @@ from passperf import (
     wdma_rate_ceiling,
 )
 from passperf import noma
-from passperf.quadrature import _SERIES_S, _log1p_moments
+from passperf.quadrature import _SERIES_S, _log1p_moments, integrate_rows
 from passperf.sweep import omega_two
 
 from oracles import (
@@ -79,8 +79,13 @@ def test_metrics_name_a_bad_node_count():
         wdma_avg_rate(SystemConfig(), 1.0, True)
 
 
+def unit_integral(f, n_nodes):
+    """int_{-1}^{1} f(t) dt as a one-row ``integrate_rows`` call."""
+    return integrate_rows(lambda t, rows: f(t)[None, :], np.zeros(1), n_nodes)[0]
+
+
 def test_constant_integral():
-    assert integrate_unit(lambda t: np.ones_like(t), 64) == pytest.approx(2.0, abs=1e-3)
+    assert unit_integral(lambda t: np.ones_like(t), 64) == pytest.approx(2.0, abs=1e-3)
     assert interval_integral(lambda x: 3.0, -2.0, 5.0, 64) == pytest.approx(21.0, rel=1e-3)
 
 
@@ -99,12 +104,12 @@ def test_weights_are_positive_and_exact_below_the_order(n):
 
 
 def test_rule_is_exact_to_rounding_on_smooth_integrals():
-    assert integrate_unit(lambda t: np.ones_like(t), 64) == pytest.approx(2.0, abs=1e-14)
+    assert unit_integral(lambda t: np.ones_like(t), 64) == pytest.approx(2.0, abs=1e-14)
     assert interval_integral(np.sin, 0.0, math.pi, 64) == pytest.approx(2.0, abs=1e-14)
     # doubling the order moves an analytic integrand's integral by rounding only
     f = lambda t: 1.0 / (2.0 + t)
-    assert integrate_unit(f, 64) == pytest.approx(integrate_unit(f, 128), rel=1e-14)
-    assert integrate_unit(f, 64) == pytest.approx(math.log(3.0), rel=1e-14)
+    assert unit_integral(f, 64) == pytest.approx(unit_integral(f, 128), rel=1e-14)
+    assert unit_integral(f, 64) == pytest.approx(math.log(3.0), rel=1e-14)
 
 
 DOUBLING_CONFIGS = {
@@ -130,7 +135,7 @@ def test_doubling_nodes_moves_smooth_metrics_by_rounding_only(name):
 
 def test_non_finite_integrand_reports_node():
     with pytest.raises(IntegrationError, match="node"):
-        integrate_unit(lambda t: np.where(t > 0, 1.0, np.inf), 16)
+        unit_integral(lambda t: np.where(t > 0, 1.0, np.inf), 16)
 
 
 def test_j_vanish_at_zero_and_are_continuous_as_b_vanishes():
@@ -297,21 +302,24 @@ def test_j_functions_broadcast_over_arrays():
     _assert_kernel_matches_reference(np.array([0.5, 1.0]), np.array([0.0, 0.5]))  # elementwise
 
 
-def test_integrate_unit_gives_one_integral_per_leading_index():
-    scales = np.array([[0.5], [1.0], [3.0]])
-    rows = integrate_unit(lambda t: np.exp(scales * t), 64)
-    assert rows.shape == (3,)
-    for scale, value in zip(scales[:, 0], rows):
-        assert value == integrate_unit(lambda t, s=scale: np.exp(s * t), 64)
-    assert type(integrate_unit(np.cos, 64)) is float
-    # each leading index's integral is its 1-D dot with the weights, bit for bit
+def test_integrate_rows_gives_each_row_its_dot_with_the_weights():
+    # each row's integral is its 1-D dot with the weights, bit for bit, in
+    # and across ROW_BLOCK-row blocks
     rng = np.random.default_rng(13)
     for n in (1, 17, 64, 1024):
         weights = chebyshev_rule(n).weights
-        for shape in [(0,), (1,), (451,), (3, 5)]:
-            scale = 10.0 ** rng.integers(-12, 13, size=shape + (1,))
-            vals = rng.standard_normal(shape + (n,)) * scale
-            expected = np.array([weights @ row for row in vals.reshape(-1, n)]).reshape(shape)
-            integrals = integrate_unit(lambda t: vals, n)
-            assert integrals.shape == shape
+        for count in (0, 1, 64, 65, 451):
+            scale = 10.0 ** rng.integers(-12, 13, size=(count, 1))
+            vals = rng.standard_normal((count, n)) * scale
+            expected = np.array([weights @ row for row in vals])
+            integrals = integrate_rows(lambda t, rows: vals[rows], np.arange(count), n)
+            assert integrals.shape == (count,)
             assert integrals.tobytes() == expected.tobytes()
+
+
+def test_integrate_rows_names_a_non_finite_node_in_a_later_block():
+    nodes = chebyshev_rule(16).nodes
+    vals = np.ones((100, 16))
+    vals[70, 5] = np.nan  # row 70 sits in the second 64-row block
+    with pytest.raises(IntegrationError, match=rf"node t={re.escape(repr(nodes[5]))}"):
+        integrate_rows(lambda t, rows: vals[rows], np.arange(100), 16)

@@ -54,40 +54,34 @@ def test_sinr_colocated_y_is_below_one():
 
 
 def test_sinr_matches_symbolic_rederivation():
-    rng = np.random.default_rng(0)
     dc = derive_constants(CFG)
     power = power_at(100.0)
-    for _ in range(100):
-        p = sample_placements(CFG, rng)
-        sinr_ue1 = sinr("wdma", 1, CFG, power, p)
-        g = g_axis(p.x_ue1, CFG)
-        y_sq = (p.y_ue1 - p.y_ue2) ** 2
-        expected = (1.0 / g) / (1.0 / (g + y_sq) + 2 * dc.noise_w_ue1 / (dc.eta_m2 * power))
-        assert sinr_ue1 == pytest.approx(expected, rel=1e-12)
+    p = sample_placements(CFG, np.random.default_rng(0), size=100)
+    sinr_ue1 = sinr("wdma", 1, CFG, power, p)
+    g = g_axis(p.x_ue1, CFG)
+    y_sq = (p.y_ue1 - p.y_ue2) ** 2
+    expected = (1.0 / g) / (1.0 / (g + y_sq) + 2 * dc.noise_w_ue1 / (dc.eta_m2 * power))
+    assert sinr_ue1 == pytest.approx(expected, rel=1e-12)
 
 
 def test_sinr_never_exceeds_interference_free_bound():
-    rng = np.random.default_rng(1)
     power = power_at(120.0)
-    for _ in range(100):
-        p = sample_placements(CFG, rng)
-        signal_gain = derive_constants(CFG).eta_m2 / g_axis(p.x_ue1, CFG)
-        bound = signal_gain * power / (2 * 1e-12)
-        assert sinr("wdma", 1, CFG, power, p) < bound
+    p = sample_placements(CFG, np.random.default_rng(1), size=100)
+    signal_gain = derive_constants(CFG).eta_m2 / g_axis(p.x_ue1, CFG)
+    bound = signal_gain * power / (2 * 1e-12)
+    assert np.all(sinr("wdma", 1, CFG, power, p) < bound)
 
 
 def test_instantaneous_rate_log_form_identity():
-    rng = np.random.default_rng(2)
     dc = derive_constants(CFG)
     power = power_at(105.0)
     b_noise = 2 * dc.noise_w_ue1 / (dc.eta_m2 * power)
-    for _ in range(100):
-        p = sample_placements(CFG, rng)
-        sinr_ue1 = sinr("wdma", 1, CFG, power, p)
-        u = abs(p.y_ue1 - p.y_ue2)
-        a, b, c, d = _log_rate_coeffs(g_axis(p.x_ue1, CFG), b_noise)
-        log_form = math.log((a + b * u**2) / (c + d * u**2)) / math.log(2)
-        assert log_form == pytest.approx(math.log2(1 + sinr_ue1), abs=1e-10)
+    p = sample_placements(CFG, np.random.default_rng(2), size=100)
+    sinr_ue1 = sinr("wdma", 1, CFG, power, p)
+    u = np.abs(p.y_ue1 - p.y_ue2)
+    a, b, c, d = _log_rate_coeffs(g_axis(p.x_ue1, CFG), b_noise)
+    log_form = np.log((a + b * u**2) / (c + d * u**2)) / math.log(2)
+    assert log_form == pytest.approx(np.log2(1 + sinr_ue1), abs=1e-10)
 
 
 def test_outage_saturates_to_one_at_vanishing_power():
