@@ -17,8 +17,11 @@ call; a single integral is a one-row call.
 integrates ln(1 + r t^2) and t ln(1 + r t^2) from 0 in a form without
 cancellation, so that it stays accurate when r is tiny (high SNR) as well as
 large. A caller that needs ln(a + b t^2) takes r = b/a and adds ln(a) times
-the plain moment. Each log term is its own call, which is then usually all
-closed form or all series.
+the plain moment. Each log term and each support point u is its own call,
+a scalar u against a contiguous array of r (``geometry.expected_log_excess``),
+which is then usually all closed form or all series. The closed forms and
+the series work in place on arrays of their own and never write their
+inputs.
 """
 
 from __future__ import annotations
@@ -112,16 +115,35 @@ _PHI1_SERIES = tuple((-1.0) ** (n + 1) / (n * (n + 1)) for n in range(_SERIES_TE
 
 
 def _phi_closed(s):
+    # in place on fresh arrays (``s`` is not written); phi0 is taken as
+    # 2 (q - 1) + log with q = arctan(sqrt(s)) / sqrt(s): rounding is
+    # symmetric, so 2 (q - 1) is exactly -2 (1 - q) and this is
+    # log - 2 (1 - q) bit for bit
+    s = np.asarray(s, dtype=float)
     log = np.log1p(s)
     root = np.sqrt(s)
-    return log - 2.0 * (1.0 - np.arctan(root) / root), ((1.0 + s) * log - s) / s
+    phi0 = np.arctan(root)
+    phi0 /= root
+    phi0 -= 1.0
+    phi0 *= 2.0
+    phi0 += log
+    phi1 = s + 1.0
+    phi1 *= log
+    phi1 -= s
+    phi1 /= s
+    return phi0, phi1
 
 
 def _phi_series(s):
-    phi0 = phi1 = 0.0
-    for c0, c1 in zip(_PHI0_SERIES, _PHI1_SERIES):
-        phi0 = s * (c0 + phi0)
-        phi1 = s * (c1 + phi1)
+    # Horner in place on fresh arrays: phi = s (c + phi), from s c_first
+    s = np.asarray(s, dtype=float)
+    phi0 = s * _PHI0_SERIES[0]
+    phi1 = s * _PHI1_SERIES[0]
+    for c0, c1 in zip(_PHI0_SERIES[1:], _PHI1_SERIES[1:]):
+        phi0 += c0
+        phi0 *= s
+        phi1 += c1
+        phi1 *= s
     return phi0, phi1
 
 
@@ -149,4 +171,7 @@ def _log1p_moments(u, r):
         phi0[closed], phi1[closed] = _phi_closed(flat[closed])
         phi0[series], phi1[series] = _phi_series(flat[series])
         phi0, phi1 = phi0.reshape(s.shape), phi1.reshape(s.shape)
-    return u * phi0, 0.5 * u**2 * phi1
+    # phi0 and phi1 are fresh and of the broadcast shape
+    phi0 *= u
+    phi1 *= 0.5 * u**2
+    return phi0, phi1

@@ -12,6 +12,7 @@ import io
 import math
 import numbers
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -170,30 +171,32 @@ def _cell_values(cfg, keys, powers: np.ndarray, n_nodes: int) -> dict:
 
 
 def _cells(cfg, grid_db, keys, n_nodes, mc=None):
-    """Yield (snr_db, scheme, user, metric, analytic, estimate) per cell, SNR outermost.
+    """The grid and each key's columns over it: ``(grid, columns)``.
 
-    Transmit SNR is referenced to the user-1 noise power. Each distinct
-    cell of ``keys`` gets one call over the whole grid (:func:`_cell_values`);
-    the metrics that build (powers x nodes) arrays evaluate their
-    integrands in blocks of powers (``quadrature.integrate_rows``). Keys
-    come out in the order of ``keys``. With ``mc`` = (trials, seed) one
+    ``grid`` holds the SNRs of ``grid_db`` as floats, and ``columns`` maps
+    each key of ``keys``, in their order, to ``(analytic, estimates)``: a
+    list of floats and a list of ``MetricEstimate``, one entry per SNR, or
+    None for ``estimates`` without ``mc``. Transmit SNR is referenced to the
+    user-1 noise power. Each distinct cell of ``keys`` gets one call over
+    the whole grid (:func:`_cell_values`); the metrics that build (powers x
+    nodes) arrays evaluate their integrands in blocks of powers
+    (``quadrature.integrate_rows``). With ``mc`` = (trials, seed) one
     ``mc_cell_estimates`` call covers every (scheme, user) over the whole
     grid, so each trial block is drawn once per run and WDMA and NOMA
-    estimates are paired on the same drops; otherwise ``estimate`` is None.
+    estimates are paired on the same drops.
     """
     grid = [float(snr_db) for snr_db in grid_db]
     powers = _powers_w(cfg, grid)
-    estimates = {}
+    estimates = None
     if mc is not None:
         cells = list(dict.fromkeys((scheme, user) for scheme, user, _ in keys))
         estimates = mc_cell_estimates(*mc, cells, cfg, powers)
     values = _cell_values(cfg, keys, np.array(powers), n_nodes)
-    analytic = {key: value.tolist() for key, value in values.items()}
-    for j, snr_db in enumerate(grid):
-        for key in keys:
-            scheme, user, metric = key
-            est = estimates[(scheme, user)][metric][j] if estimates else None
-            yield snr_db, scheme, user, metric, analytic[key][j], est
+    columns = {
+        key: (values[key].tolist(), None if estimates is None else estimates[key[:2]][key[2]])
+        for key in keys
+    }
+    return grid, columns
 
 
 def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> list:
@@ -202,7 +205,8 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> list:
     Transmit SNR is referenced to the user-1 noise power. Each cell is one
     array call over the whole grid (see :func:`_cells`). The keys are taken
     in sorted order and the grid ascends, so rows come out sorted by
-    (snr_db, scheme, user, metric) without a sort.
+    (snr_db, scheme, user, metric) without a sort. The rows of one grid
+    point share its SNR float, and the rows of one cell its asymptote.
     """
     keys = sorted(
         (scheme, user, metric)
@@ -210,31 +214,24 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> list:
         for user in SWEEP_USERS[scheme]
         for metric in spec.metrics
     )
-    asymptotes = {}
+    asymptotes = dict.fromkeys(keys)
     if spec.include_asymptotes:
         for key in keys:
             limit = CELLS[key].limit
             asymptotes[key] = None if limit is None else limit(cfg, n_nodes)
     mc = (spec.mc_trials, spec.mc_seed) if spec.include_mc else None
-    return [
-        SweepRow(
-            snr_db,
-            scheme,
-            user,
-            metric,
-            analytic,
-            asymptotes.get((scheme, user, metric)),
-            None if est is None else est.value,
-            None if est is None else est.std_error,
-        )
-        for snr_db, scheme, user, metric, analytic, est in _cells(
-            cfg, snr_grid(spec), keys, n_nodes, mc
-        )
-    ]
-
-
-def _format_cell(value) -> str:
-    return "" if value is None else repr(value)
+    grid, columns = _cells(cfg, snr_grid(spec), keys, n_nodes, mc)
+    per_key = []
+    for key, (analytic, estimates) in columns.items():
+        if estimates is None:
+            mc_values = mc_errors = repeat(None)
+        else:
+            mc_values = [est.value for est in estimates]
+            mc_errors = [est.std_error for est in estimates]
+        asymptote = repeat(asymptotes[key])
+        per_key.append(map(SweepRow, grid, *map(repeat, key), analytic, asymptote, mc_values, mc_errors))
+    # SNR outermost, keys in sorted order within a grid point
+    return [row for at_snr in zip(*per_key) for row in at_snr]
 
 
 def _parse_cell(text: str) -> float | None:
@@ -245,20 +242,29 @@ def write_csv(rows: list, fileobj) -> None:
     """Write ``rows`` under ``CSV_HEADER``, one line each.
 
     Lines are joined directly, not through ``csv.writer``: no field can
-    need quoting (floats are written with ``repr``, the scheme and metric
-    names and the user index are fixed words and digits).
+    need quoting (floats are written with ``repr``, None as an empty field,
+    the scheme and metric names and the user index are fixed words and
+    digits). Each distinct SNR object and asymptote object is formatted
+    once, as a sweep shares them across rows. That memo is keyed by object
+    identity, not by value (0.0 == -0.0, but the two print differently),
+    and it holds each object, so that no id is reused while it is written.
     """
-    fileobj.write(",".join(CSV_HEADER) + "\n")
-    fileobj.write(
-        "".join(
-            [
-                f"{row.snr_db!r},{row.scheme},{row.user},{row.metric},{_format_cell(row.analytic)},"
-                f"{_format_cell(row.asymptote)},{_format_cell(row.mc_value)},"
-                f"{_format_cell(row.mc_std_error)}\n"
-                for row in rows
-            ]
+    snr_text, asymptote_text = {}, {}
+    lines = [",".join(CSV_HEADER) + "\n"]
+    for snr_db, scheme, user, metric, analytic, asymptote, mc_value, mc_error in rows:
+        snr_entry = snr_text.get(id(snr_db))
+        if snr_entry is None:
+            snr_entry = snr_text[id(snr_db)] = (snr_db, repr(snr_db))
+        asymptote_entry = asymptote_text.get(id(asymptote))
+        if asymptote_entry is None:
+            text = "" if asymptote is None else repr(asymptote)
+            asymptote_entry = asymptote_text[id(asymptote)] = (asymptote, text)
+        lines.append(
+            f"{snr_entry[1]},{scheme},{user},{metric},{'' if analytic is None else repr(analytic)},"
+            f"{asymptote_entry[1]},{'' if mc_value is None else repr(mc_value)},"
+            f"{'' if mc_error is None else repr(mc_error)}\n"
         )
-    )
+    fileobj.write("".join(lines))
 
 
 def to_csv_text(rows: list) -> str:
@@ -458,24 +464,25 @@ def validate(
     """
     if not (math.isfinite(sigma_tol) and sigma_tol > 0.0):
         raise ConfigError(f"sigma_tol must be finite and > 0, got {sigma_tol!r}")
+    grid, columns = _cells(cfg, grid_db, tuple(CELLS), n_nodes, (trials, seed))
     cells = []
-    for snr_db, scheme, user, metric, analytic, est in _cells(
-        cfg, grid_db, tuple(CELLS), n_nodes, (trials, seed)
-    ):
-        tolerance = cell_tolerance(metric, analytic, est.std_error, sigma_tol)
-        cells.append(
-            ValidationCell(
-                scheme=scheme,
-                user=user,
-                metric=metric,
-                snr_db=snr_db,
-                analytic=analytic,
-                mc_value=est.value,
-                mc_std_error=est.std_error,
-                tolerance=tolerance,
-                passed=abs(analytic - est.value) <= tolerance,
+    for j, snr_db in enumerate(grid):
+        for (scheme, user, metric), (analytic, estimates) in columns.items():
+            value, est = analytic[j], estimates[j]
+            tolerance = cell_tolerance(metric, value, est.std_error, sigma_tol)
+            cells.append(
+                ValidationCell(
+                    scheme=scheme,
+                    user=user,
+                    metric=metric,
+                    snr_db=snr_db,
+                    analytic=value,
+                    mc_value=est.value,
+                    mc_std_error=est.std_error,
+                    tolerance=tolerance,
+                    passed=abs(value - est.value) <= tolerance,
+                )
             )
-        )
     return ValidationReport(cells=cells, sigma_tol=sigma_tol)
 
 

@@ -82,11 +82,9 @@ def _log_rate_coeffs(g, b_noise):
     log2(1 + sinr) = (1/ln 2) ln((a + b u^2) / (c + d u^2)) with u the
     y-separation and g the squared axis distance.
     """
-    a = 2.0 * g + b_noise * g**2
-    b = 1.0 + b_noise * g
-    c = g + b_noise * g**2
     d = b_noise * g
-    return a, b, c, d
+    noise_sq = b_noise * g**2
+    return 2.0 * g + noise_sq, 1.0 + d, g + noise_sq, d
 
 
 def _rate_nats(t, model: ReducedModel, b_noise: np.ndarray):

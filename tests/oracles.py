@@ -20,8 +20,9 @@ law, the squared axis distance and the NOMA outage radii in metres, from
 the config fields, where the package works in reduced units. The
 ``*_stacked`` rates and ``log1p_moments_masked`` keep the earlier route of
 the log-moment kernel (both log terms of a node in one stacked call, all
-three support points, N-d boolean masks), which the package must match bit
-for bit.
+three support points, N-d boolean masks), and ``expected_log_excess_stacked``
+its earlier layout (every support point of a call on one trailing axis), all
+of which the package must match bit for bit.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from passperf.noma import noma_rate_far_ceiling
 from passperf.quadrature import (
     _SERIES_S,
     _SERIES_TERMS,
+    _log1p_moments,
     _phi_closed,
     _phi_series,
     integrate_rows,
@@ -374,6 +376,20 @@ def log1p_moments_masked(u, r):
         phi0[~small], phi1[~small] = _phi_closed(s[~small])
         phi0[small], phi1[small] = _phi_series(s[small])
     return u * phi0, 0.5 * u**2 * phi1
+
+
+def expected_log_excess_stacked(a, b, dist):
+    """``expected_log_excess`` with its support points on a short trailing
+    axis: one ``_log1p_moments`` call for all of them, the end lo = 0 left
+    out as in the package. ``dist`` is any law with ``support_lo`` and
+    ``half_width`` (a ``DiffDistribution`` or a ``ReducedModel``)."""
+    lo, w = dist.support_lo, dist.half_width
+    ratio = np.asarray(b, dtype=float) / np.asarray(a, dtype=float)
+    points = np.array([lo, lo + w, lo + 2.0 * w] if lo else [w, 2.0 * w])
+    m0, m1 = _log1p_moments(points, ratio[..., None])
+    t = points * m0 - m1
+    t0 = t[..., 0] if lo else 0.0
+    return (t0 - 2.0 * t[..., -2] + t[..., -1]) / (w * w)
 
 
 def expected_log_excess_three_point(a, b, dist: DiffDistribution):

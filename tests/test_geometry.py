@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 from scipy.stats import kstest
 
@@ -14,11 +15,13 @@ from passperf import (
     sq_diff_cdf,
 )
 from passperf.geometry import expected_log_excess
+from passperf.quadrature import _SERIES_S
 
 from oracles import (
     DiffDistribution,
     diff_distribution,
     diff_pdf,
+    expected_log_excess_stacked,
     far_pdf,
     g_axis,
     near_coord_cdf_g,
@@ -188,3 +191,46 @@ def test_expected_log_excess_matches_numeric_integration(offset):
     out = expected_log_excess(np.array([1.0, 2.0]), 0.5, dist)
     assert out.shape == (2,)
     assert out[1] == expected_log_excess(2.0, 0.5, dist)
+
+
+@st.composite
+def _log_excess_cases(draw):
+    """(a, b, dist): the adjacent or the offset layout; a and b each a
+    Python float or a 0-d, 1-D or 2-D array; b/a zero, at, below and above
+    the switch to the series at each support point, and far on either side."""
+    dist = DiffDistribution(
+        half_width=draw(st.floats(0.5, 30.0)), offset=draw(st.just(0.0) | st.floats(0.25, 15.0))
+    )
+    points = [u for u in (dist.support_lo, dist.peak, dist.support_hi) if u]
+    switch = [_SERIES_S / (u * u) * f for u in points for f in (0.5, 1.0, 2.0)]
+
+    def operand(elements):
+        shape = draw(st.sampled_from([None, (), (4,), (3, 4)]))
+        return draw(elements) if shape is None else draw(arrays(float, shape, elements=elements))
+
+    a = operand(st.just(1.0) | st.floats(1e-3, 1e3))
+    b = operand(st.just(0.0) | st.sampled_from(switch) | st.floats(1e-300, 1e4))
+    return a, b, dist
+
+
+# with w = 7 the series ends at b/a = 0.01/49 at the peak and 0.01/196 at the
+# top (adjacent), or at 0.01/36, 0.01/169 and 0.01/400 (offset 3): each row
+# mixes closed-form and series elements
+_STRADDLING = np.array([[0.0, 1e-6, 1e-4, 1e-3], [3e-5, 5e-5, 2e-4, 0.5], [1e-5, 4e-5, 6e-4, 1e2]])
+
+
+@given(case=_log_excess_cases())
+@example(case=(np.ones((3, 4)), _STRADDLING, DiffDistribution(half_width=7.0, offset=0.0)))
+@example(case=(np.ones((3, 4)), _STRADDLING, DiffDistribution(half_width=7.0, offset=3.0)))
+@example(case=(np.array([1.0, 2.0]), 0.0, DiffDistribution(half_width=7.0, offset=0.0)))
+@example(case=(np.array([1.0, 2.0]), 0.0, DiffDistribution(half_width=7.0, offset=3.0)))
+@example(case=(np.array(2.0), np.array(1e-4), DiffDistribution(half_width=7.0, offset=3.0)))
+@example(case=(2.0, 1e-4, DiffDistribution(half_width=7.0, offset=0.0)))
+@settings(max_examples=150, deadline=None)
+def test_expected_log_excess_equals_the_stacked_layout_bitwise(case):
+    # one contiguous kernel call per support point gives the bits of one
+    # call with the points on a trailing axis
+    a, b, dist = case
+    got, want = expected_log_excess(a, b, dist), expected_log_excess_stacked(a, b, dist)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -21,10 +21,12 @@ from passperf import (
     wdma_rate_ceiling,
 )
 from passperf import noma
-from passperf.quadrature import _SERIES_S, _log1p_moments, integrate_rows
+from passperf.geometry import expected_log_excess
+from passperf.quadrature import _SERIES_S, _log1p_moments, _phi_closed, _phi_series, integrate_rows
 from passperf.sweep import omega_two
 
 from oracles import (
+    DiffDistribution,
     interval_integral,
     log1p_moments_both_forms,
     log1p_moments_masked,
@@ -300,6 +302,64 @@ def test_j_functions_broadcast_over_arrays():
     assert mixed[0] == pytest.approx(_log1p_moments(0.5, 0.0)[1])
     assert mixed[1] == pytest.approx(_log1p_moments(1.0, 0.5)[1])
     _assert_kernel_matches_reference(np.array([0.5, 1.0]), np.array([0.0, 0.5]))  # elementwise
+
+
+def _read_only(values):
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+def _kernel_calls():
+    """(name, kernel, args) over read-only arrays, numpy scalars and
+    size-0 arrays; u from ``chebyshev_rule``'s read-only weights."""
+    closed_s = _read_only([_SERIES_S, 0.5, 40.0, 1e12])
+    series_s = _read_only([0.0, 1e-12, 1e-4, np.nextafter(_SERIES_S, 0.0)])
+    u, r = chebyshev_rule(8).weights, _read_only([0.0, 1e-6, 1e-3, 0.5, 3.0, 40.0, 1e4, 1e-300])
+    a, b = _read_only([[1.0, 2.0, 5.0], [0.5, 1e3, 7.0]]), _read_only([0.0, 1e-3, 40.0])
+    empty = _read_only([])
+    calls = [
+        ("_phi_closed", _phi_closed, (closed_s,)),
+        ("_phi_series", _phi_series, (series_s,)),
+        ("_log1p_moments", _log1p_moments, (u, r[:, None])),
+        ("_phi_closed", _phi_closed, (np.float64(0.5),)),
+        ("_phi_series", _phi_series, (np.float64(1e-3),)),
+        ("_log1p_moments", _log1p_moments, (np.float64(1.5), np.float64(0.3))),
+        ("_phi_closed", _phi_closed, (empty,)),
+        ("_phi_series", _phi_series, (empty,)),
+        ("_log1p_moments", _log1p_moments, (u, empty[:, None])),
+    ]
+    for offset in (0.0, 3.0):
+        dist = DiffDistribution(half_width=7.0, offset=offset)
+        calls += [
+            ("expected_log_excess", expected_log_excess, (a, b, dist)),
+            ("expected_log_excess", expected_log_excess, (np.float64(2.0), np.float64(1e-4), dist)),
+            ("expected_log_excess", expected_log_excess, (empty, empty, dist)),
+        ]
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kernel, args",
+    [
+        pytest.param(kernel, args, id=f"{name}-{i}")
+        for i, (name, kernel, args) in enumerate(_kernel_calls())
+    ],
+)
+def test_log_kernels_leave_read_only_inputs_unchanged(kernel, args):
+    # the kernels work in place on arrays of their own: read-only inputs are
+    # accepted and come back unchanged, and the result equals the result on
+    # writable copies bit for bit
+    arrays_in = [arg for arg in args if isinstance(arg, np.ndarray)]
+    before = [arr.tobytes() for arr in arrays_in]
+    got = kernel(*args)
+    assert [arr.tobytes() for arr in arrays_in] == before
+    want = kernel(*[arg.copy() if isinstance(arg, np.ndarray) else arg for arg in args])
+    if not isinstance(got, tuple):
+        got, want = (got,), (want,)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w) == np.broadcast_shapes(*map(np.shape, args[:2]))
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 def test_integrate_rows_gives_each_row_its_dot_with_the_weights():

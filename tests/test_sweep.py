@@ -176,6 +176,39 @@ def test_write_csv_matches_csv_writer_bytes():
     assert any(row.asymptote is None for row in edge_rows())
 
 
+def _rows(snrs, asymptotes) -> list:
+    return [
+        SweepRow(snr_db, "noma", 2, "rate", 0.25 * i, asymptote)
+        for i, (snr_db, asymptote) in enumerate(zip(snrs, asymptotes))
+    ]
+
+
+def _equal_distinct(text: str) -> list:
+    # float() of a string makes a new object each call
+    return [float(text) for _ in range(3)]
+
+
+_MEMO_CASES = {
+    # 0.0 == -0.0, but the two print differently
+    "zero-then-negative-zero": _rows([0.0, 0.0, -0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0, None]),
+    "equal-valued-distinct-snrs": _rows(
+        [*_equal_distinct("100.5"), *_equal_distinct("-0.0"), 100.5], [1.5] * 7
+    ),
+    "shared-nan-asymptote": _rows([95.0, 95.0, 100.0, 100.0], [math.nan, None, math.nan, math.nan]),
+    "rows-read-back-share-no-objects": read_csv(
+        io.StringIO(
+            to_csv_text(run_sweep(SweepSpec(snr_db_step=20.0, include_asymptotes=True), CFG))
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("rows", list(_MEMO_CASES.values()), ids=list(_MEMO_CASES))
+def test_write_csv_formats_by_object_not_by_value(rows):
+    # write_csv formats each distinct SNR and asymptote object once
+    assert to_csv_text(rows) == csv_writer_text(rows)
+
+
 def test_csv_output_is_reproducible():
     spec = SweepSpec(
         snr_db_start=95.0, snr_db_stop=100.0, snr_db_step=5.0, include_mc=True, mc_trials=2_000
