@@ -5,10 +5,8 @@ pinching-antenna systems under per-waveguide (WDMA) and power-domain
 from .config import (
     ConfigError,
     SystemConfig,
-    dbm_to_watts,
     derive_constants,
     load_config,
-    noise_w,
     power_w_to_snr_db,
     snr_db_to_power_w,
 )
@@ -31,7 +29,6 @@ from .quadrature import IntegrationError, chebyshev_rule
 from .sweep import (
     SweepSpec,
     find_crossover,
-    omega_one,
     omega_two,
     read_csv,
     run_sweep,

@@ -12,16 +12,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import sys
 
-from .config import (
-    SystemConfig,
-    load_config,
-    noise_w,
-    power_w_to_snr_db,
-    snr_db_to_power_w,
-)
+from .config import SystemConfig, load_config, power_w_to_snr_db, snr_db_to_power_w
 from .montecarlo import mc_cell_estimates
 from .noma import noma_rate_far_ceiling, noma_zero_outage_thresholds
 from .quadrature import IntegrationError
@@ -184,19 +177,19 @@ def _cmd_crossover(args) -> int:
 
 def _cmd_asymptote(args) -> int:
     cfg = _load(args)
-    reference_noise = noise_w(cfg, 1)
     lines = [
         ("wdma_outage_floor", repr(wdma_outage_floor(cfg, args.nodes))),
         ("wdma_rate_ceiling_bits", repr(wdma_rate_ceiling(cfg, args.nodes))),
     ]
     for user, power_w in zip(("near", "far"), noma_zero_outage_thresholds(cfg)):
-        if power_w is not None and not 0.0 < power_w / reference_noise < math.inf:
+        try:
+            snr_db = None if power_w is None else power_w_to_snr_db(cfg, power_w)
+        except ValueError:
             raise ValueError(
                 f"the noma {user}-user zero-outage power {power_w!r} W is out of float range "
                 "with outage_threshold, noma_alpha_near, carrier_freq_hz, the noise powers "
                 "and the lengths of this config"
-            )
-        snr_db = None if power_w is None else power_w_to_snr_db(power_w, reference_noise)
+            ) from None
         lines.append((f"noma_{user}_zero_outage_power_w", "" if power_w is None else repr(power_w)))
         lines.append((f"noma_{user}_zero_outage_snr_db", "" if snr_db is None else repr(snr_db)))
     lines.append(("noma_far_rate_ceiling_bits", repr(noma_rate_far_ceiling(cfg))))
@@ -209,7 +202,7 @@ def _cmd_asymptote(args) -> int:
 
 def _cmd_mc(args) -> int:
     cfg = _load(args)
-    power_w = snr_db_to_power_w(args.snr_db, noise_w(cfg, 1))
+    power_w = snr_db_to_power_w(cfg, args.snr_db)
     cell = (args.scheme, args.user)
     est = mc_cell_estimates(args.trials, args.seed, [cell], cfg, [power_w])[cell][args.metric][0]
     with _output(args) as out:

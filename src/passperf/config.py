@@ -175,30 +175,30 @@ def dbm_to_watts(value_dbm: float) -> float:
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
 
 
-def noise_w(cfg: SystemConfig, user: int) -> float:
-    """Linear noise power of ``user`` (1 or 2) in watts."""
-    return derive_constants(cfg).noise(user)
+def snr_db_to_power_w(cfg: SystemConfig, snr_db):
+    """Transmit power of a transmit SNR of ``snr_db`` dB in ``cfg``, the one
+    place where the SNR reference, the user-1 noise power, is applied.
 
-
-def snr_db_to_power_w(snr_db: float, noise_w: float) -> float:
-    """Transmit power realising a transmit SNR of ``snr_db`` over ``noise_w``.
-
-    Raises ValueError naming ``snr_db`` unless the power is finite and > 0
-    (NaN, or an SNR so high or low that the power overflows or underflows).
+    A sequence of SNRs gives a list, the powers of one call per entry.
+    Raises ValueError naming the first ``snr_db`` whose power is not finite
+    and > 0 (NaN, or an SNR so high or low that it overflows or underflows).
     """
-    if noise_w <= 0.0:
-        raise ValueError(f"noise_w must be > 0, got {noise_w!r}")
-    try:
-        power_w = 10.0 ** (snr_db / 10.0) * noise_w
-    except OverflowError:
-        power_w = math.inf
-    if not (math.isfinite(power_w) and power_w > 0.0):
-        raise ValueError(
-            f"snr_db={snr_db!r} over the noise power {noise_w!r} W (the transmit SNR "
-            f"reference, noise_power_dbm_ue1) gives transmit power {power_w!r} W; it must "
-            "be finite and > 0"
-        )
-    return power_w
+    reference = derive_constants(cfg).noise_w_ue1
+    scalar = isinstance(snr_db, numbers.Real)
+    powers = []
+    for value in [snr_db] if scalar else snr_db:
+        try:
+            power_w = 10.0 ** (value / 10.0) * reference
+        except OverflowError:
+            power_w = math.inf
+        if not (math.isfinite(power_w) and power_w > 0.0):
+            raise ValueError(
+                f"snr_db={value!r} over the noise power {reference!r} W (the transmit SNR "
+                f"reference, noise_power_dbm_ue1) gives transmit power {power_w!r} W; it must "
+                "be finite and > 0"
+            )
+        powers.append(power_w)
+    return powers[0] if scalar else powers
 
 
 def check_powers(power_w) -> np.ndarray:
@@ -255,12 +255,11 @@ def over_powers(metric):
     return evaluate
 
 
-def power_w_to_snr_db(power_w: float, noise_w: float) -> float:
-    if noise_w <= 0.0:
-        raise ValueError(f"noise_w must be > 0, got {noise_w!r}")
-    ratio = power_w / noise_w
-    if ratio <= 0.0:
-        raise ValueError(f"cannot express non-positive ratio {ratio!r} in dB")
+def power_w_to_snr_db(cfg: SystemConfig, power_w: float) -> float:
+    """Transmit SNR in dB of ``power_w``, the inverse of :func:`snr_db_to_power_w`."""
+    ratio = power_w / derive_constants(cfg).noise_w_ue1
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"power_w={power_w!r} W gives an SNR ratio {ratio!r}; it must be finite and > 0")
     return 10.0 * math.log10(ratio)
 
 

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, SystemConfig, derive_constants, noise_w, snr_db_to_power_w
+from .config import ConfigError, SystemConfig, derive_constants, snr_db_to_power_w
 from .montecarlo import SCHEMES, mc_cell_estimates
 from .noma import (
     noma_outage_far,
@@ -70,9 +70,13 @@ CELLS = {
         lambda c, p, n: noma_rate_far(c, p, n), lambda c, n: noma_rate_far_ceiling(c)
     ),
 }
-# The two per-waveguide users are symmetric (indices swapped), so sweeps
-# report user 1 for wdma; the noma users are genuinely distinct.
+# Sweeps always omit WDMA user 2 (validate and the metric functions report
+# it); it differs from user 1 only through its noise power.
 SWEEP_USERS = {"wdma": (1,), "noma": (1, 2)}
+# SweepSpec rejects grids of more SNRs than this: a sweep holds about 2 kB
+# of rows per SNR, and a step mistyped by orders of magnitude would start
+# building a list of up to ~1e300 SNRs and never return.
+_MAX_GRID_POINTS = 10**6
 
 
 class NumericalError(RuntimeError):
@@ -97,11 +101,13 @@ class SweepSpec:
         for name in ("snr_db_start", "snr_db_stop", "snr_db_step"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
-        # a step too small for the grid gives an infinite point count
+        # a step too small for the grid gives an infinite or too large point count
         span = self.snr_db_stop - self.snr_db_start
-        if not (self.snr_db_step > 0.0 and math.isfinite(span / self.snr_db_step)):
+        if not (self.snr_db_step > 0.0 and math.isfinite(span / self.snr_db_step)
+                and _grid_count(self) <= _MAX_GRID_POINTS):
             raise ConfigError(
-                f"snr_db_step must be > 0 and give a finite point count, got {self.snr_db_step!r}"
+                f"snr_db_step must be > 0 and give at most {_MAX_GRID_POINTS} grid points, "
+                f"got {self.snr_db_step!r}"
             )
         if self.snr_db_start > self.snr_db_stop:
             raise ConfigError(
@@ -138,16 +144,13 @@ class SweepRow(NamedTuple):
     mc_std_error: float | None = None
 
 
+def _grid_count(spec: SweepSpec) -> int:
+    return int(math.floor((spec.snr_db_stop - spec.snr_db_start) / spec.snr_db_step + 1e-9)) + 1
+
+
 def snr_grid(spec: SweepSpec) -> list:
     """Inclusive dB grid start, start + step, ... up to stop."""
-    count = int(math.floor((spec.snr_db_stop - spec.snr_db_start) / spec.snr_db_step + 1e-9)) + 1
-    return [spec.snr_db_start + i * spec.snr_db_step for i in range(count)]
-
-
-def _powers_w(cfg, grid_db) -> list:
-    """Transmit power of each SNR in ``grid_db``, referenced to the user-1 noise power."""
-    reference_noise = noise_w(cfg, 1)
-    return [snr_db_to_power_w(snr_db, reference_noise) for snr_db in grid_db]
+    return [spec.snr_db_start + i * spec.snr_db_step for i in range(_grid_count(spec))]
 
 
 def _cell_values(cfg, keys, powers: np.ndarray, n_nodes: int) -> dict:
@@ -176,9 +179,9 @@ def _cells(cfg, grid_db, keys, n_nodes, mc=None):
     ``grid`` holds the SNRs of ``grid_db`` as floats, and ``columns`` maps
     each key of ``keys``, in their order, to ``(analytic, estimates)``: a
     list of floats and a list of ``MetricEstimate``, one entry per SNR, or
-    None for ``estimates`` without ``mc``. Transmit SNR is referenced to the
-    user-1 noise power. Each distinct cell of ``keys`` gets one call over
-    the whole grid (:func:`_cell_values`); the metrics that build (powers x
+    None for ``estimates`` without ``mc``. One ``snr_db_to_power_w`` call
+    converts the grid. Each distinct cell of ``keys`` gets one call over the
+    whole grid (:func:`_cell_values`); the metrics that build (powers x
     nodes) arrays evaluate their integrands in blocks of powers
     (``quadrature.integrate_rows``). With ``mc`` = (trials, seed) one
     ``mc_cell_estimates`` call covers every (scheme, user) over the whole
@@ -186,7 +189,7 @@ def _cells(cfg, grid_db, keys, n_nodes, mc=None):
     estimates are paired on the same drops.
     """
     grid = [float(snr_db) for snr_db in grid_db]
-    powers = _powers_w(cfg, grid)
+    powers = snr_db_to_power_w(cfg, grid)
     estimates = None
     if mc is not None:
         cells = list(dict.fromkeys((scheme, user) for scheme, user, _ in keys))
@@ -202,7 +205,7 @@ def _cells(cfg, grid_db, keys, n_nodes, mc=None):
 def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> list:
     """Fill every requested cell of the SNR grid: a list of :class:`SweepRow`.
 
-    Transmit SNR is referenced to the user-1 noise power. Each cell is one
+    SNRs are transmit SNRs (see ``snr_db_to_power_w``). Each cell is one
     array call over the whole grid (see :func:`_cells`). The keys are taken
     in sorted order and the grid ascends, so rows come out sorted by
     (snr_db, scheme, user, metric) without a sort. The rows of one grid
@@ -371,7 +374,7 @@ def find_crossover(
     differences = {}  # snr_db -> difference at every SNR evaluated so far
 
     def evaluate(grid_db: list) -> None:
-        powers = np.array(_powers_w(cfg, grid_db))
+        powers = np.array(snr_db_to_power_w(cfg, grid_db))
         values = _cell_values(cfg, added + subtracted, powers, n_nodes)
         value = np.zeros(len(grid_db))
         for key in added:

@@ -40,7 +40,6 @@ from passperf import (
     chebyshev_rule,
     derive_constants,
     diff_cdf,
-    noise_w,
     sinr,
     snr_db_to_power_w,
 )
@@ -286,7 +285,7 @@ def interval_integral(f, a: float, b: float, n_nodes: int) -> float:
 def wdma_rate_nested(cfg: SystemConfig, power_w: float, n_nodes: int, user: int = 1) -> float:
     """WDMA rate by nested Chebyshev quadrature over the translated separation density."""
     dc = derive_constants(cfg)
-    b_noise = 2.0 * noise_w(cfg, user) / (dc.eta_m2 * power_w)
+    b_noise = 2.0 * dc.noise(user) / (dc.eta_m2 * power_w)
     dist = diff_distribution(cfg)
     half = 0.5 * cfg.region_x_m
 
@@ -420,7 +419,8 @@ def wdma_rate_ceiling_stacked(cfg: SystemConfig, n_nodes: int) -> float:
 
 def wdma_avg_rate_stacked(cfg: SystemConfig, powers: np.ndarray, n_nodes: int, user: int):
     """``wdma_avg_rate`` over the 1-D ``powers`` on the stacked three-point route."""
-    b_noise = 2.0 * noise_w(cfg, user) / (derive_constants(cfg).eta_m2 * powers)
+    dc = derive_constants(cfg)
+    b_noise = 2.0 * dc.noise(user) / (dc.eta_m2 * powers)
     nats = integrate_rows(lambda t, rows: _wdma_rate_nats_stacked(t, cfg, rows), b_noise, n_nodes)
     return np.minimum(0.5 * nats / math.log(2.0), wdma_rate_ceiling_stacked(cfg, n_nodes))
 
@@ -464,11 +464,10 @@ def bisect_crossover(cfg: SystemConfig, metric: str, bracket_db: tuple, n_nodes:
     at the first non-finite difference read.
     """
     lo, hi = float(bracket_db[0]), float(bracket_db[1])
-    reference_noise = noise_w(cfg, 1)
     added, subtracted = CROSSOVER_METRICS[metric]
 
     def sign(snr_db: float) -> int:
-        power_w = snr_db_to_power_w(snr_db, reference_noise)
+        power_w = snr_db_to_power_w(cfg, snr_db)
         value = 0.0
         for key in added:
             value += CELLS[key].value(cfg, power_w, n_nodes)
@@ -508,7 +507,7 @@ def lookahead_crossover(cfg: SystemConfig, metric: str, bracket_db: tuple, n_nod
     def evaluate(grid_db: list) -> None:
         nonlocal calls
         calls += 1
-        powers = np.array([snr_db_to_power_w(snr_db, noise_w(cfg, 1)) for snr_db in grid_db])
+        powers = np.array(snr_db_to_power_w(cfg, grid_db))
         value = np.zeros(len(grid_db))
         for key in added:
             value = value + CELLS[key].value(cfg, powers, n_nodes)

@@ -51,7 +51,7 @@ MC_SEED = 12345
 
 
 def power_at(snr_db, cfg=DEFAULTS):
-    return snr_db_to_power_w(snr_db, derive_constants(cfg).noise_w_ue1)
+    return snr_db_to_power_w(cfg, snr_db)
 
 
 def _report(name):
@@ -171,7 +171,7 @@ def test_criterion_6_oracle_equivalence():
         assert closed == pytest.approx(brute, abs=1e-5)
     for _ in range(10):
         cfg = random_config(rng)
-        power = snr_db_to_power_w(rng.uniform(85.0, 135.0), 1e-12)
+        power = snr_db_to_power_w(DEFAULTS, rng.uniform(85.0, 135.0))
         closed = wdma_avg_rate(cfg, power)
         assert closed == pytest.approx(wdma_rate_quad2d(cfg, power), rel=1e-6)
     _report(

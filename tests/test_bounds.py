@@ -8,7 +8,6 @@ import pytest
 
 from passperf import (
     SystemConfig,
-    noise_w,
     noma_outage_far,
     noma_outage_near,
     noma_rate_far,
@@ -55,7 +54,7 @@ def test_bounds_and_monotonicity_over_wide_snr_range(name):
     }
     previous = {}
     for snr_db in GRID_DB:
-        power = snr_db_to_power_w(snr_db, noise_w(cfg, 1))
+        power = snr_db_to_power_w(cfg, snr_db)
         for key, metric in metrics.items():
             scheme, user, kind = key
             value = metric(power)

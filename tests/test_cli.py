@@ -154,6 +154,12 @@ def test_grid_step_with_infinite_point_count_is_input_error(command, capsys):
     assert "snr_db_step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_grid_step_with_too_many_points_is_input_error(command, capsys):
+    assert main([command, "--step", "1e-9"]) == 2
+    assert "snr_db_step" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

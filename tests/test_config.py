@@ -1,6 +1,8 @@
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from passperf import (
     power_w_to_snr_db,
     snr_db_to_power_w,
 )
-from passperf.config import SPEED_OF_LIGHT_M_S, config_from_dict, dbm_to_watts, noise_w
+from passperf.config import SPEED_OF_LIGHT_M_S, config_from_dict, dbm_to_watts
 
 # Evaluated independently: c^2/(16 pi^2 f^2) at 28 GHz, cross-checked against
 # (c/f)^2 / (16 pi^2); the two routes agree to the last float digit.
@@ -36,15 +38,52 @@ def test_noise_conversion_examples():
 
 
 def test_snr_to_power_examples():
-    assert snr_db_to_power_w(0.0, 1e-12) == pytest.approx(1e-12, rel=1e-14)
-    assert snr_db_to_power_w(30.0, 1e-12) == pytest.approx(1e-9, rel=1e-12)
-    assert snr_db_to_power_w(120.0, 1e-12) == pytest.approx(1.0, rel=1e-12)
+    cfg = SystemConfig()
+    assert snr_db_to_power_w(cfg, 0.0) == pytest.approx(1e-12, rel=1e-14)
+    assert snr_db_to_power_w(cfg, 30.0) == pytest.approx(1e-9, rel=1e-12)
+    assert snr_db_to_power_w(cfg, 120.0) == pytest.approx(1.0, rel=1e-12)
+    # the reference is the user-1 noise power; the user-2 one plays no part
+    quiet_ue2 = SystemConfig(noise_power_dbm_ue1=-60.0, noise_power_dbm_ue2=-120.0)
+    assert snr_db_to_power_w(quiet_ue2, 30.0) == pytest.approx(1e-6, rel=1e-12)
 
 
 @given(st.floats(min_value=-50.0, max_value=200.0))
 def test_snr_round_trip(snr_db):
-    power = snr_db_to_power_w(snr_db, 1e-12)
-    assert power_w_to_snr_db(power, 1e-12) == pytest.approx(snr_db, abs=1e-9)
+    cfg = SystemConfig()
+    power = snr_db_to_power_w(cfg, snr_db)
+    assert power_w_to_snr_db(cfg, power) == pytest.approx(snr_db, abs=1e-9)
+
+
+@pytest.mark.parametrize("noise_dbm", [-90.0, -60.0])
+@pytest.mark.parametrize("snr_db", [-50.0, 0.0, 150.0, 400.0])
+def test_snr_round_trip_across_the_sweep_range(snr_db, noise_dbm):
+    cfg = SystemConfig(noise_power_dbm_ue1=noise_dbm)
+    power = snr_db_to_power_w(cfg, snr_db)
+    assert power == pytest.approx(10.0 ** ((snr_db + noise_dbm - 30.0) / 10.0), rel=1e-12)
+    assert power_w_to_snr_db(cfg, power) == pytest.approx(snr_db, abs=1e-9)
+
+
+def test_snr_sequence_equals_one_scalar_call_per_entry():
+    cfg = SystemConfig(noise_power_dbm_ue1=-73.0)
+    mixed = [90.0, np.float64(90.1), -50.0, np.float64(-49.9), 0.0, 400.0, 123.456]
+    for grid in (mixed, tuple(mixed), np.linspace(-50.0, 400.0, 37)):
+        powers = snr_db_to_power_w(cfg, grid)
+        assert isinstance(powers, list)
+        expected = [snr_db_to_power_w(cfg, snr_db) for snr_db in grid]
+        assert list(map(float.hex, powers)) == list(map(float.hex, expected))
+    assert snr_db_to_power_w(cfg, []) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, 4000.0, -4000.0])
+def test_snr_sequence_names_its_bad_entry(bad):
+    with pytest.raises(ValueError, match=re.escape(f"snr_db={bad!r} ")):
+        snr_db_to_power_w(SystemConfig(), [90.0, 100.0, bad, 110.0])
+
+
+@pytest.mark.parametrize("power_w", [0.0, -1e-3, 1e300, math.nan])
+def test_power_to_snr_rejects_a_ratio_out_of_range(power_w):
+    with pytest.raises(ValueError, match=re.escape(f"power_w={power_w!r} W")):
+        power_w_to_snr_db(SystemConfig(), power_w)
 
 
 @given(st.floats(min_value=1e9, max_value=300e9))
@@ -113,10 +152,11 @@ def test_derived_quantities_out_of_float_range_name_the_field(field, value):
 
 def test_noise_access_per_user():
     cfg = SystemConfig(noise_power_dbm_ue1=-90.0, noise_power_dbm_ue2=-87.0)
-    assert noise_w(cfg, 1) == pytest.approx(1e-12)
-    assert noise_w(cfg, 2) == pytest.approx(10 ** (-87 / 10 - 3))
-    with pytest.raises(ValueError):
-        noise_w(cfg, 3)
+    dc = derive_constants(cfg)
+    assert dc.noise(1) == pytest.approx(1e-12)
+    assert dc.noise(2) == pytest.approx(10 ** (-87 / 10 - 3))
+    with pytest.raises(ValueError, match="user"):
+        dc.noise(3)
 
 
 def test_json_round_trip(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import bisect_crossover, lookahead_crossover, random_config, random_offset_config
 
-from passperf import SystemConfig, find_crossover, noise_w, snr_db_to_power_w
+from passperf import SystemConfig, find_crossover, snr_db_to_power_w
 from passperf.quadrature import ROW_BLOCK
 from passperf.sweep import (
     CELLS,
@@ -26,7 +26,7 @@ RATE_BRACKET = (60.0, 160.0)
 
 
 def power_at(snr_db: float) -> float:
-    return snr_db_to_power_w(snr_db, noise_w(CFG, 1))
+    return snr_db_to_power_w(CFG, snr_db)
 
 
 def visited_midpoints(lo: float, hi: float, result: float) -> list:

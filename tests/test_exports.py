@@ -1,10 +1,10 @@
 """Every name the package exports must have a reader outside ``src``'s
-library modules: the command-line front end, a script or a test. Every
-module the benchmark imports by name must exist."""
+library modules that takes it from the top-level package: the command-line
+front end, a script or a test. Every module the benchmark imports by name
+must exist."""
 
 import ast
 import importlib
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,18 +21,51 @@ def exported_names() -> list:
     ]
 
 
-def reader_sources() -> str:
+def top_level_reads(path: Path) -> set:
+    """Names ``path`` takes from the top-level package: ``from passperf
+    import X`` (``from . import X`` inside the package) or ``passperf.X``,
+    also through ``import passperf as alias``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = path.parent == PACKAGE
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(alias.asname or "passperf" for alias in node.names if alias.name == "passperf")
+        elif isinstance(node, ast.ImportFrom) and (
+            (node.level == 0 and node.module == "passperf")
+            or (inside and node.level == 1 and node.module is None)
+        ):
+            names.update(alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                names.add(node.attr)
+    return names
+
+
+def reader_paths() -> list:
     paths = [PACKAGE / "cli.py", *sorted(ROOT.glob("scripts/*.py")), *sorted(ROOT.glob("tests/*.py"))]
     this = Path(__file__).resolve()
-    return "\n".join(path.read_text(encoding="utf-8") for path in paths if path.resolve() != this)
+    return [path for path in paths if path.resolve() != this]
 
 
 def test_every_export_is_referenced_by_the_cli_scripts_or_tests():
     names = exported_names()
     assert names, "passperf/__init__.py exports nothing"
-    text = reader_sources()
-    unused = [name for name in names if not re.search(rf"\b{re.escape(name)}\b", text)]
-    assert unused == [], f"exported but never referenced outside the library: {unused}"
+    read = set().union(*map(top_level_reads, reader_paths()))
+    unused = [name for name in names if name not in read]
+    assert unused == [], f"exported but never taken from passperf outside the library: {unused}"
+
+
+def test_top_level_reads_count_only_imports_from_the_package(tmp_path):
+    path = tmp_path / "reader.py"
+    path.write_text(
+        "import passperf\nimport passperf as pp\nfrom passperf import SweepSpec\n"
+        "from passperf.sweep import omega_one\nfrom passperf import config\n"
+        "passperf.run_sweep\npp.validate\nconfig.dbm_to_watts\n# snr_grid\n",
+        encoding="utf-8",
+    )
+    assert top_level_reads(path) == {"SweepSpec", "config", "run_sweep", "validate"}
 
 
 def benchmark_modules() -> tuple:

@@ -21,7 +21,7 @@ from passperf.sweep import snr_grid, validate
 from oracles import sinr_trials
 
 CFG = SystemConfig()
-POWER = snr_db_to_power_w(100.0, 1e-12)
+POWER = snr_db_to_power_w(CFG, 100.0)
 LN2 = math.log(2.0)
 
 
@@ -161,7 +161,7 @@ PAIRS = (("wdma", 1), ("wdma", 2), ("noma", 1), ("noma", 2))
 def test_grid_estimates_equal_one_power_calls(scheme, user):
     # each power's sums are folded in block order whatever powers share the call
     grid = snr_grid(SweepSpec(snr_db_start=90.0, snr_db_stop=150.0, snr_db_step=2.0))
-    powers = [1e-300, 1e-12, 1.0, 1e30] + [snr_db_to_power_w(s, 1e-12) for s in grid]
+    powers = [1e-300, 1e-12, 1.0, 1e30] + snr_db_to_power_w(CFG, grid)
     together = estimate(37_777, 2024, scheme, user, powers)
     for i, power in enumerate(powers):
         alone = estimate(37_777, 2024, scheme, user, [power])
@@ -203,7 +203,7 @@ def test_validate_draws_each_block_once_per_run(draws):
 
 
 def test_users_sharing_a_draw_match_one_user_calls():
-    powers = [snr_db_to_power_w(s, 1e-12) for s in (90.0, 110.0, 130.0)]
+    powers = snr_db_to_power_w(CFG, (90.0, 110.0, 130.0))
     together = montecarlo.mc_cell_estimates(THREE_BLOCKS, 11, PAIRS, CFG, powers)
     for scheme, user in PAIRS:
         alone = estimate(THREE_BLOCKS, 11, scheme, user, powers)

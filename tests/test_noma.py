@@ -38,7 +38,7 @@ CFG = SystemConfig()
 
 
 def power_at(snr_db, cfg=CFG):
-    return snr_db_to_power_w(snr_db, derive_constants(cfg).noise_w_ue1)
+    return snr_db_to_power_w(cfg, snr_db)
 
 
 def test_far_sinr_interference_limited():
@@ -270,7 +270,7 @@ def test_offset_layout_far_user_matches_oracles():
     rng = np.random.default_rng(43)
     for _ in range(6):
         cfg = random_offset_config(rng)
-        power = snr_db_to_power_w(rng.uniform(85.0, 160.0), 1e-12)
+        power = snr_db_to_power_w(CFG, rng.uniform(85.0, 160.0))
         assert noma_rate_far(cfg, power) == pytest.approx(
             noma_rate_far_quad2d(cfg, power), rel=5e-9, abs=1e-12
         )
@@ -424,7 +424,7 @@ def test_far_rate_matches_nested_quadrature():
     rng = np.random.default_rng(33)
     for _ in range(5):
         cfg = random_config(rng)
-        power = snr_db_to_power_w(rng.uniform(90.0, 125.0), 1e-12)
+        power = snr_db_to_power_w(CFG, rng.uniform(90.0, 125.0))
         assert noma_rate_far(cfg, power) == pytest.approx(
             noma_rate_far_quad2d(cfg, power), rel=1e-6
         )

@@ -16,7 +16,6 @@ from passperf import (
     SystemConfig,
     SweepSpec,
     mc_cell_estimates,
-    noise_w,
     noma_outage_far,
     noma_rate_far,
     run_sweep,
@@ -42,7 +41,7 @@ def analytic(cell, cfg, power_w):
 
 def grid_powers(cfg, start, stop, step):
     grid = snr_grid(SweepSpec(snr_db_start=start, snr_db_stop=stop, snr_db_step=step))
-    return [snr_db_to_power_w(snr_db, noise_w(cfg, 1)) for snr_db in grid]
+    return snr_db_to_power_w(cfg, grid)
 
 
 @pytest.mark.parametrize("cfg", [CFG, omega_two(), SPLIT], ids=["default", "omega_two", "split"])
@@ -147,10 +146,7 @@ BLOCKED_PEAK_BOUND_B = 4_000_000
 @pytest.mark.parametrize("metric, args", BLOCKED, ids=BLOCKED_IDS)
 def test_blocked_metric_equals_its_block_calls_in_bounded_memory(metric, args, monkeypatch):
     cfg = omega_two()
-    reference_noise = noise_w(cfg, 1)
-    powers = np.array(
-        [snr_db_to_power_w(snr_db, reference_noise) for snr_db in np.linspace(-50.0, 400.0, 4096)]
-    )
+    powers = np.array(snr_db_to_power_w(cfg, np.linspace(-50.0, 400.0, 4096)))
     metric(cfg, powers[:ROW_BLOCK], *args)  # fill the per-config caches outside the trace
 
     def traced_peak():
@@ -204,10 +200,7 @@ def test_blocked_metric_sets_up_once_per_call(metric, args, monkeypatch):
 @pytest.mark.parametrize("n_powers", [451, 4096])
 def test_cell_values_do_not_depend_on_the_block_size(n_powers, monkeypatch):
     # 451 is the sweep_wide grid, -50:400:1 dB
-    reference_noise = noise_w(CFG, 1)
-    powers = np.array(
-        [snr_db_to_power_w(snr_db, reference_noise) for snr_db in np.linspace(-50.0, 400.0, n_powers)]
-    )
+    powers = np.array(snr_db_to_power_w(CFG, np.linspace(-50.0, 400.0, n_powers)))
     values = {}
     for block in (1, 17, 64, n_powers):
         monkeypatch.setattr(quadrature, "ROW_BLOCK", block)
@@ -257,7 +250,7 @@ def test_breakpoints_and_estimates_reject_bad_powers(power):
 @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 4000.0, -4000.0])
 def test_snr_conversion_rejects_non_finite_or_zero_power(snr_db):
     with pytest.raises(ValueError, match="snr_db"):
-        snr_db_to_power_w(snr_db, 1e-12)
+        snr_db_to_power_w(CFG, snr_db)
 
 
 @pytest.mark.parametrize("field", ["snr_db_start", "snr_db_stop", "snr_db_step"])

@@ -12,7 +12,6 @@ from passperf import (
     IntegrationError,
     SystemConfig,
     chebyshev_rule,
-    noise_w,
     noma_rate_far,
     noma_rate_near,
     snr_db_to_power_w,
@@ -127,7 +126,7 @@ def test_doubling_nodes_moves_smooth_metrics_by_rounding_only(name):
     # integrands are smooth in the integration variable
     cfg = DOUBLING_CONFIGS[name]
     grid = np.arange(90.0, 151.0, 1.0)
-    powers = np.array([snr_db_to_power_w(s, noise_w(cfg, 1)) for s in grid])
+    powers = np.array(snr_db_to_power_w(cfg, grid))
     for metric in (wdma_avg_rate, noma_rate_far):
         coarse, fine = metric(cfg, powers, 64), metric(cfg, powers, 128)
         assert np.allclose(coarse, fine, rtol=1e-12, atol=0.0), metric.__name__
@@ -278,7 +277,7 @@ _WIDE_DB = np.arange(-50.0, 401.0, 5.0).tolist()
 @example(cfg=omega_two(), snrs_db=_WIDE_DB, n_nodes=64)
 @settings(max_examples=25, deadline=None)
 def test_rates_equal_the_stacked_three_point_route_bitwise(cfg, snrs_db, n_nodes):
-    powers = np.array([snr_db_to_power_w(snr_db, noise_w(cfg, 1)) for snr_db in snrs_db])
+    powers = np.array(snr_db_to_power_w(cfg, snrs_db))
     ceiling = np.float64(wdma_rate_ceiling(cfg, n_nodes))
     assert ceiling.tobytes() == np.float64(wdma_rate_ceiling_stacked(cfg, n_nodes)).tobytes()
     for user in (1, 2):

@@ -58,6 +58,7 @@ def test_writes_every_csv_and_prints_crossovers(tmp_path):
         (("--nodes", "0"), "--nodes"),
         (("--trials", "0"), "--trials"),
         (("--start", "100", "--stop", "90"), "--start"),
+        (("--step", "1e-9"), "--step"),
     ],
 )
 def test_bad_flags_exit_2_before_writing(tmp_path, flags, flag):

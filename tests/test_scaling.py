@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from passperf import (
     SystemConfig,
-    noise_w,
     noma_zero_outage_thresholds,
     omega_two,
     snr_db_to_power_w,
@@ -66,7 +65,7 @@ def configs(draw):
 @example(cfg=omega_two(), n_nodes=64)
 @settings(max_examples=15, deadline=None)
 def test_cells_are_bitwise_invariant_under_power_of_two_scaling(cfg, n_nodes):
-    powers = np.array([snr_db_to_power_w(snr_db, noise_w(cfg, 1)) for snr_db in GRID_DB])
+    powers = np.array(snr_db_to_power_w(cfg, GRID_DB))
     reference = _cells_bytes(cfg, powers, n_nodes)
     for j in SCALES:
         for scaled in (_scale_lengths(cfg, j), _scale_frequency(cfg, j)):

@@ -38,6 +38,10 @@ def test_spec_validation_names_fields():
         SweepSpec(snr_db_step=1e-310)
     with pytest.raises(ConfigError, match="snr_db_step"):
         SweepSpec(snr_db_start=-1e308, snr_db_stop=1e308, snr_db_step=1.0)
+    # finite point counts too large to build
+    for step in (1e-300, 1e-9):
+        with pytest.raises(ConfigError, match="snr_db_step"):
+            SweepSpec(snr_db_step=step)
     with pytest.raises(ConfigError, match="schemes"):
         SweepSpec(schemes=("wdma", "cdma"))
     with pytest.raises(ConfigError, match="metrics"):
@@ -263,7 +267,7 @@ def test_crossover_bracketing_property():
     from passperf.wdma import wdma_avg_rate
 
     def diff(s):
-        p = snr_db_to_power_w(s, 1e-12)
+        p = snr_db_to_power_w(CFG, s)
         return (
             noma_rate_near(CFG, p)
             + noma_rate_far(CFG, p)

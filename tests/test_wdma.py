@@ -32,7 +32,7 @@ NOISE = derive_constants(CFG).noise_w_ue1
 
 
 def power_at(snr_db, cfg=CFG):
-    return snr_db_to_power_w(snr_db, derive_constants(cfg).noise_w_ue1)
+    return snr_db_to_power_w(cfg, snr_db)
 
 
 def test_sinr_noise_limited_when_users_far_apart():
@@ -178,7 +178,7 @@ def test_closed_form_equals_quadrature_path_at_zero_offset():
     rng = np.random.default_rng(8)
     for _ in range(10):
         cfg = random_config(rng)
-        power = snr_db_to_power_w(rng.uniform(85.0, 135.0), 1e-12)
+        power = snr_db_to_power_w(CFG, rng.uniform(85.0, 135.0))
         closed = wdma_avg_rate(cfg, power)
         quadrature = wdma_rate_nested(cfg, power, 64)
         assert closed == pytest.approx(quadrature, rel=1e-6)
@@ -188,7 +188,7 @@ def test_offset_layout_rate_matches_scipy_oracle():
     rng = np.random.default_rng(41)
     for _ in range(6):
         cfg = random_offset_config(rng)
-        power = snr_db_to_power_w(rng.uniform(85.0, 160.0), 1e-12)
+        power = snr_db_to_power_w(CFG, rng.uniform(85.0, 160.0))
         for user in (1, 2):
             assert wdma_avg_rate(cfg, power, user=user) == pytest.approx(
                 wdma_rate_quad2d(cfg, power, user), rel=5e-9, abs=1e-12
