@@ -30,11 +30,11 @@ SPEC_FLAGS = {
 }
 
 
-def write_result(tag, rows, outdir):
+def write_result(tag, table, outdir):
     path = outdir / f"{tag}.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_csv(rows, fh)
-    print(f"wrote {path} ({len(rows)} rows)")
+        write_csv(table, fh)
+    print(f"wrote {path} ({len(table.grid) * len(table.keys)} rows)")
 
 
 def main():
@@ -71,8 +71,8 @@ def main():
 
     # the baseline is both the 3 m height and the (0.05, 0.95) power split
     baseline = SystemConfig()
-    baseline_rows = sweep(baseline)
-    write_result("height_3m", baseline_rows, outdir)
+    baseline_table = sweep(baseline)
+    write_result("height_3m", baseline_table, outdir)
     write_result("height_6m", sweep(replace(baseline, pa_height_m=6.0)), outdir)
 
     write_result("regions_compact", sweep(omega_one()), outdir)
@@ -80,7 +80,7 @@ def main():
 
     split_low = baseline
     split_high = replace(baseline, noma_alpha_near=0.2, noma_alpha_far=0.8)
-    write_result("alpha_near_0.05", baseline_rows, outdir)
+    write_result("alpha_near_0.05", baseline_table, outdir)
     write_result("alpha_near_0.2", sweep(split_high), outdir)
 
     rate_bracket = (60.0, 160.0)

@@ -141,9 +141,9 @@ def _cmd_sweep(args) -> int:
         mc_trials=args.trials,
         mc_seed=args.seed,
     )
-    rows = run_sweep(spec, cfg, n_nodes=args.nodes)
+    table = run_sweep(spec, cfg, n_nodes=args.nodes)
     with _output(args) as out:
-        write_csv(rows, out)
+        write_csv(table, out)
     return EXIT_OK
 
 

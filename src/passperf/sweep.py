@@ -1,8 +1,9 @@
 """SNR sweeps, analytic-vs-simulation validation, and crossover search.
 
-Produces long-format rows (one per grid point x scheme x user x metric)
-ready for CSV emission, with optional simulation estimates and constant
-asymptote columns (outage floors, rate ceilings).
+A sweep produces a columnar table: the SNR grid, and per (scheme, user,
+metric) its analytic values, its constant asymptote (outage floor or rate
+ceiling) and optional simulation estimates. ``write_csv`` emits it in long
+format, one line per grid point x scheme x user x metric.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ CELLS = {
 # Sweeps always omit WDMA user 2 (validate and the metric functions report
 # it); it differs from user 1 only through its noise power.
 SWEEP_USERS = {"wdma": (1,), "noma": (1, 2)}
-# SweepSpec rejects grids of more SNRs than this: a sweep holds about 2 kB
-# of rows per SNR, and a step mistyped by orders of magnitude would start
-# building a list of up to ~1e300 SNRs and never return.
+# SweepSpec rejects grids of more SNRs than this: a default sweep and its
+# CSV writing peak at about 0.25 kB of RSS per SNR (measured in process on
+# 2*10^4 and 10^5 SNRs), and a step mistyped by orders of magnitude would
+# start building a list of up to ~1e300 SNRs and never return.
 _MAX_GRID_POINTS = 10**6
 
 
@@ -133,7 +135,26 @@ class SweepSpec:
             raise ConfigError(f"mc_seed must be an unsigned 64-bit integer, got {self.mc_seed!r}")
 
 
+class SweepTable(NamedTuple):
+    """A sweep's values, column by column, as :func:`run_sweep` returns
+    them and :func:`write_csv` writes them.
+
+    Row k of ``analytic``, ``mc_value`` and ``mc_std_error`` and entry k of
+    ``asymptotes`` belong to ``keys[k]``, and column j to ``grid[j]``.
+    ``mc_value`` and ``mc_std_error`` are None without simulation columns.
+    """
+
+    grid: np.ndarray  # (n,) SNRs in dB
+    keys: tuple  # (scheme, user, metric) per row
+    analytic: np.ndarray  # (len(keys), n)
+    asymptotes: tuple  # float, or None for no asymptote, per key
+    mc_value: np.ndarray | None = None  # (len(keys), n)
+    mc_std_error: np.ndarray | None = None  # (len(keys), n)
+
+
 class SweepRow(NamedTuple):
+    """One CSV line, as :func:`read_csv` returns it."""
+
     snr_db: float
     scheme: str
     user: int
@@ -173,43 +194,40 @@ def _cell_values(cfg, keys, powers: np.ndarray, n_nodes: int) -> dict:
     return {key: computed[key] for key in keys}
 
 
-def _cells(cfg, grid_db, keys, n_nodes, mc=None):
-    """The grid and each key's columns over it: ``(grid, columns)``.
+def _cells(cfg, grid_db, keys, asymptotes, n_nodes, mc=None) -> SweepTable:
+    """The :class:`SweepTable` of ``keys``, with ``asymptotes``, over the
+    SNRs of ``grid_db``.
 
-    ``grid`` holds the SNRs of ``grid_db`` as floats, and ``columns`` maps
-    each key of ``keys``, in their order, to ``(analytic, estimates)``: a
-    list of floats and a list of ``MetricEstimate``, one entry per SNR, or
-    None for ``estimates`` without ``mc``. One ``snr_db_to_power_w`` call
-    converts the grid. Each distinct cell of ``keys`` gets one call over the
-    whole grid (:func:`_cell_values`); the metrics that build (powers x
-    nodes) arrays evaluate their integrands in blocks of powers
-    (``quadrature.integrate_rows``). With ``mc`` = (trials, seed) one
-    ``mc_cell_estimates`` call covers every (scheme, user) over the whole
-    grid, so each trial block is drawn once per run and WDMA and NOMA
-    estimates are paired on the same drops.
+    One ``snr_db_to_power_w`` call converts the grid. Each distinct cell of
+    ``keys`` gets one call over the whole grid (:func:`_cell_values`); the
+    metrics that build (powers x nodes) arrays evaluate their integrands in
+    blocks of powers (``quadrature.integrate_rows``). With ``mc`` = (trials,
+    seed) one ``mc_cell_estimates`` call covers every (scheme, user) over
+    the whole grid, so each trial block is drawn once per run and WDMA and
+    NOMA estimates are paired on the same drops.
     """
     grid = [float(snr_db) for snr_db in grid_db]
     powers = snr_db_to_power_w(cfg, grid)
-    estimates = None
+    mc_value = mc_std_error = None
     if mc is not None:
         cells = list(dict.fromkeys((scheme, user) for scheme, user, _ in keys))
         estimates = mc_cell_estimates(*mc, cells, cfg, powers)
+        columns = [estimates[scheme, user][metric] for scheme, user, metric in keys]
+        mc_value = np.array([[est.value for est in column] for column in columns])
+        mc_std_error = np.array([[est.std_error for est in column] for column in columns])
     values = _cell_values(cfg, keys, np.array(powers), n_nodes)
-    columns = {
-        key: (values[key].tolist(), None if estimates is None else estimates[key[:2]][key[2]])
-        for key in keys
-    }
-    return grid, columns
+    analytic = np.array([values[key] for key in keys])
+    return SweepTable(np.array(grid), tuple(keys), analytic, tuple(asymptotes), mc_value, mc_std_error)
 
 
-def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> list:
-    """Fill every requested cell of the SNR grid: a list of :class:`SweepRow`.
+def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> SweepTable:
+    """Fill every requested cell of the SNR grid: a :class:`SweepTable`.
 
     SNRs are transmit SNRs (see ``snr_db_to_power_w``). Each cell is one
     array call over the whole grid (see :func:`_cells`). The keys are taken
-    in sorted order and the grid ascends, so rows come out sorted by
-    (snr_db, scheme, user, metric) without a sort. The rows of one grid
-    point share its SNR float, and the rows of one cell its asymptote.
+    in sorted order and the grid ascends, so :func:`write_csv` emits lines
+    sorted by (snr_db, scheme, user, metric). The table holds only numeric
+    columns, about 8 bytes per SNR and column.
     """
     keys = sorted(
         (scheme, user, metric)
@@ -217,62 +235,58 @@ def run_sweep(spec: SweepSpec, cfg: SystemConfig, n_nodes: int = 64) -> list:
         for user in SWEEP_USERS[scheme]
         for metric in spec.metrics
     )
-    asymptotes = dict.fromkeys(keys)
-    if spec.include_asymptotes:
-        for key in keys:
-            limit = CELLS[key].limit
-            asymptotes[key] = None if limit is None else limit(cfg, n_nodes)
+    limits = [CELLS[key].limit if spec.include_asymptotes else None for key in keys]
+    asymptotes = [None if limit is None else limit(cfg, n_nodes) for limit in limits]
     mc = (spec.mc_trials, spec.mc_seed) if spec.include_mc else None
-    grid, columns = _cells(cfg, snr_grid(spec), keys, n_nodes, mc)
-    per_key = []
-    for key, (analytic, estimates) in columns.items():
-        if estimates is None:
-            mc_values = mc_errors = repeat(None)
-        else:
-            mc_values = [est.value for est in estimates]
-            mc_errors = [est.std_error for est in estimates]
-        asymptote = repeat(asymptotes[key])
-        per_key.append(map(SweepRow, grid, *map(repeat, key), analytic, asymptote, mc_values, mc_errors))
-    # SNR outermost, keys in sorted order within a grid point
-    return [row for at_snr in zip(*per_key) for row in at_snr]
+    return _cells(cfg, snr_grid(spec), keys, asymptotes, n_nodes, mc)
 
 
 def _parse_cell(text: str) -> float | None:
     return None if text == "" else float(text)
 
 
-def write_csv(rows: list, fileobj) -> None:
-    """Write ``rows`` under ``CSV_HEADER``, one line each.
+# SNRs that write_csv formats per fileobj.write, which bounds the text held
+# at once to that many grid points whatever the grid's length
+_WRITE_CHUNK = 2048
+
+
+def write_csv(table: SweepTable, fileobj) -> None:
+    """Write ``table`` under ``CSV_HEADER``: one line per (SNR, key), SNR
+    outermost, keys in table order.
 
     Lines are joined directly, not through ``csv.writer``: no field can
     need quoting (floats are written with ``repr``, None as an empty field,
     the scheme and metric names and the user index are fixed words and
-    digits). Each distinct SNR object and asymptote object is formatted
-    once, as a sweep shares them across rows. That memo is keyed by object
-    identity, not by value (0.0 == -0.0, but the two print differently),
-    and it holds each object, so that no id is reused while it is written.
+    digits). Formatting goes column by column: each key's head and
+    asymptote text is made once, and each SNR and each value is formatted
+    once, from its own float, so 0.0 and -0.0 keep their signs. The text is
+    written ``_WRITE_CHUNK`` SNRs at a time.
     """
-    snr_text, asymptote_text = {}, {}
-    lines = [",".join(CSV_HEADER) + "\n"]
-    for snr_db, scheme, user, metric, analytic, asymptote, mc_value, mc_error in rows:
-        snr_entry = snr_text.get(id(snr_db))
-        if snr_entry is None:
-            snr_entry = snr_text[id(snr_db)] = (snr_db, repr(snr_db))
-        asymptote_entry = asymptote_text.get(id(asymptote))
-        if asymptote_entry is None:
-            text = "" if asymptote is None else repr(asymptote)
-            asymptote_entry = asymptote_text[id(asymptote)] = (asymptote, text)
-        lines.append(
-            f"{snr_entry[1]},{scheme},{user},{metric},{'' if analytic is None else repr(analytic)},"
-            f"{asymptote_entry[1]},{'' if mc_value is None else repr(mc_value)},"
-            f"{'' if mc_error is None else repr(mc_error)}\n"
-        )
-    fileobj.write("".join(lines))
+    fileobj.write(",".join(CSV_HEADER) + "\n")
+    n_keys = len(table.keys)
+    heads = [f",{scheme},{user},{metric}," for scheme, user, metric in table.keys]
+    tails = [f",{'' if asymptote is None else repr(asymptote)}," for asymptote in table.asymptotes]
+    for start in range(0, len(table.grid), _WRITE_CHUNK):
+        chunk = slice(start, start + _WRITE_CHUNK)
+        snrs = list(map(repr, table.grid[chunk].tolist()))
+        lines = [""] * (len(snrs) * n_keys)
+        for k, (head, tail) in enumerate(zip(heads, tails)):
+            values = map(repr, table.analytic[k, chunk].tolist())
+            if table.mc_value is None:
+                estimates = repeat(",")
+            else:
+                columns = (table.mc_value[k, chunk].tolist(), table.mc_std_error[k, chunk].tolist())
+                estimates = map("{!r},{!r}".format, *columns)
+            lines[k::n_keys] = [
+                f"{snr}{head}{value}{tail}{estimate}\n"
+                for snr, value, estimate in zip(snrs, values, estimates)
+            ]
+        fileobj.write("".join(lines))
 
 
-def to_csv_text(rows: list) -> str:
+def to_csv_text(table: SweepTable) -> str:
     buf = io.StringIO()
-    write_csv(rows, buf)
+    write_csv(table, buf)
     return buf.getvalue()
 
 
@@ -467,12 +481,16 @@ def validate(
     """
     if not (math.isfinite(sigma_tol) and sigma_tol > 0.0):
         raise ConfigError(f"sigma_tol must be finite and > 0, got {sigma_tol!r}")
-    grid, columns = _cells(cfg, grid_db, tuple(CELLS), n_nodes, (trials, seed))
+    table = _cells(cfg, grid_db, tuple(CELLS), (None,) * len(CELLS), n_nodes, (trials, seed))
+    # Python floats, one per (key, SNR), as the report prints them
+    analytic, mc_value, mc_std_error = (
+        column.tolist() for column in (table.analytic, table.mc_value, table.mc_std_error)
+    )
     cells = []
-    for j, snr_db in enumerate(grid):
-        for (scheme, user, metric), (analytic, estimates) in columns.items():
-            value, est = analytic[j], estimates[j]
-            tolerance = cell_tolerance(metric, value, est.std_error, sigma_tol)
+    for j, snr_db in enumerate(table.grid.tolist()):
+        for k, (scheme, user, metric) in enumerate(table.keys):
+            value, est_value, est_error = analytic[k][j], mc_value[k][j], mc_std_error[k][j]
+            tolerance = cell_tolerance(metric, value, est_error, sigma_tol)
             cells.append(
                 ValidationCell(
                     scheme=scheme,
@@ -480,10 +498,10 @@ def validate(
                     metric=metric,
                     snr_db=snr_db,
                     analytic=value,
-                    mc_value=est.value,
-                    mc_std_error=est.std_error,
+                    mc_value=est_value,
+                    mc_std_error=est_error,
                     tolerance=tolerance,
-                    passed=abs(value - est.value) <= tolerance,
+                    passed=abs(value - est_value) <= tolerance,
                 )
             )
     return ValidationReport(cells=cells, sigma_tol=sigma_tol)

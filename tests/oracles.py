@@ -13,8 +13,10 @@ SINRs by trial index. ``bisect_crossover`` is the plain scalar bisection
 that ``find_crossover`` must reproduce exactly, and ``lookahead_crossover``
 the earlier array search (the look-ahead tree alone, every cell called
 once per array call) whose call count it must not exceed.
-``csv_writer_text`` is the ``csv.writer`` route that ``write_csv`` must
-match byte for byte.
+``table_rows`` expands a sweep table into one ``SweepRow`` per line, the
+earlier row route of ``run_sweep``, and ``csv_writer_text`` writes such
+rows through ``csv.writer``: the route that ``write_csv`` must match byte
+for byte.
 ``DiffDistribution``, ``g_axis`` and ``outage_radii_sq`` give the separation
 law, the squared axis distance and the NOMA outage radii in metres, from
 the config fields, where the package works in reduced units. The
@@ -62,6 +64,7 @@ from passperf.sweep import (
     CROSSOVER_TOL_DB,
     CSV_HEADER,
     NumericalError,
+    SweepRow,
     _midpoints,
 )
 
@@ -535,6 +538,23 @@ def lookahead_crossover(cfg: SystemConfig, metric: str, bracket_db: tuple, n_nod
         else:
             lo = mid
     return 0.5 * (lo + hi), calls
+
+
+def table_rows(table) -> list:
+    """A sweep table as one ``SweepRow`` per (SNR, key), SNR outermost and
+    keys in table order, with Python floats and None where a column is
+    absent."""
+    n = len(table.grid)
+    mc_value, mc_error = (
+        [[None] * n] * len(table.keys) if column is None else column.tolist()
+        for column in (table.mc_value, table.mc_std_error)
+    )
+    analytic = table.analytic.tolist()
+    return [
+        SweepRow(snr_db, *key, analytic[k][j], table.asymptotes[k], mc_value[k][j], mc_error[k][j])
+        for j, snr_db in enumerate(table.grid.tolist())
+        for k, key in enumerate(table.keys)
+    ]
 
 
 def csv_writer_text(rows: list) -> str:

@@ -61,14 +61,13 @@ def test_sweep_blocks_equal_scalar_calls(start, stop):
     spec = SweepSpec(snr_db_start=start, snr_db_stop=stop, snr_db_step=2.0)
     powers = grid_powers(CFG, start, stop, 2.0)
     assert len(powers) == 1 or len(powers) % ROW_BLOCK != 0
-    rows = run_sweep(spec, CFG)
+    table = run_sweep(spec, CFG)
     swept = [cell for cell in CELLS if cell[1] in SWEEP_USERS[cell[0]]]
-    assert len(rows) == len(powers) * len(swept)
-    by_snr = {snr_db: p for snr_db, p in zip(snr_grid(spec), powers)}
-    for row in rows:
-        assert type(row.analytic) is float
-        cell = (row.scheme, row.user, row.metric)
-        assert row.analytic == analytic(cell, CFG, by_snr[row.snr_db])
+    assert table.keys == tuple(sorted(swept))
+    assert table.grid.tolist() == snr_grid(spec)
+    assert table.analytic.dtype == np.float64 and table.analytic.shape == (len(swept), len(powers))
+    for cell, column in zip(table.keys, table.analytic.tolist()):
+        assert column == [analytic(cell, CFG, p) for p in powers]
 
 
 def count_value_calls(monkeypatch) -> dict:

@@ -1,10 +1,11 @@
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import csv_writer_text
+from oracles import csv_writer_text, table_rows
 
 from passperf import (
     ConfigError,
@@ -16,10 +17,13 @@ from passperf import (
     snr_grid,
     to_csv_text,
     validate,
+    write_csv,
 )
+from passperf import sweep
 from passperf.sweep import (
     CSV_HEADER,
-    SweepRow,
+    METRICS,
+    SweepTable,
     cell_tolerance,
     omega_one,
     omega_two,
@@ -73,7 +77,7 @@ def test_single_point_single_row():
     spec = SweepSpec(
         snr_db_start=100.0, snr_db_stop=100.0, snr_db_step=1.0, schemes=("wdma",), metrics=("outage",)
     )
-    rows = run_sweep(spec, CFG)
+    rows = table_rows(run_sweep(spec, CFG))
     # wdma reports user 1 (the symmetric twin adds nothing)
     assert len(rows) == 1
     row = rows[0]
@@ -84,18 +88,17 @@ def test_single_point_single_row():
 
 def test_sweep_columns_monotone_on_default_grid():
     spec = SweepSpec(snr_db_start=90.0, snr_db_stop=150.0, snr_db_step=2.0)
-    rows = run_sweep(spec, CFG)
-    wdma_outage_col = [
-        r.analytic for r in rows if (r.scheme, r.user, r.metric) == ("wdma", 1, "outage")
-    ]
-    noma_rate_col = [r.analytic for r in rows if (r.scheme, r.user, r.metric) == ("noma", 1, "rate")]
+    table = run_sweep(spec, CFG)
+    wdma_outage_col = table.analytic[table.keys.index(("wdma", 1, "outage"))]
+    noma_rate_col = table.analytic[table.keys.index(("noma", 1, "rate"))]
     assert np.all(np.diff(wdma_outage_col) <= 1e-12)
     assert np.all(np.diff(noma_rate_col) >= -1e-12)
 
 
 def test_rows_sorted_deterministically():
     spec = SweepSpec(snr_db_start=100.0, snr_db_stop=104.0, snr_db_step=2.0)
-    keys = [(r.snr_db, r.scheme, r.user, r.metric) for r in run_sweep(spec, CFG)]
+    rows = read_csv(io.StringIO(to_csv_text(run_sweep(spec, CFG))))
+    keys = [(r.snr_db, r.scheme, r.user, r.metric) for r in rows]
     assert keys == sorted(keys)
 
 
@@ -103,8 +106,9 @@ def test_asymptote_column_constant_and_region_dependent():
     spec = SweepSpec(
         snr_db_start=100.0, snr_db_stop=120.0, snr_db_step=10.0, include_asymptotes=True
     )
-    compact = run_sweep(spec, omega_one())
-    dispersed = run_sweep(spec, omega_two())
+    compact, dispersed = (
+        read_csv(io.StringIO(to_csv_text(run_sweep(spec, cfg)))) for cfg in (omega_one(), omega_two())
+    )
 
     def floor_column(rows):
         return {r.asymptote for r in rows if (r.scheme, r.user, r.metric) == ("wdma", 1, "outage")}
@@ -130,9 +134,9 @@ def test_csv_round_trip_exact():
         mc_trials=2_000,
         mc_seed=99,
     )
-    rows = run_sweep(spec, CFG)
-    text = to_csv_text(rows)
-    assert read_csv(io.StringIO(text)) == rows
+    table = run_sweep(spec, CFG)
+    text = to_csv_text(table)
+    assert read_csv(io.StringIO(text)) == table_rows(table)
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
 
 
@@ -144,22 +148,32 @@ EDGE_FLOATS = [
 ]
 
 
-def edge_rows() -> list:
-    optional = [None, *EDGE_FLOATS]
-    n, m = len(EDGE_FLOATS), len(optional)
-    return [
-        SweepRow(
-            EDGE_FLOATS[i % n],
-            ("wdma", "noma")[i % 2],
-            1 + i % 2,
-            ("outage", "rate")[i // 2 % 2],
-            EDGE_FLOATS[(i + 3) % n],
-            optional[i % m],
-            optional[(i + 5) % m],
-            optional[(i + 11) % m],
-        )
-        for i in range(3 * n * m)
-    ]
+def edge_table() -> SweepTable:
+    """Every edge float as an SNR, and in every key's analytic and
+    simulation columns, at shifted positions; every edge float and None as
+    an asymptote."""
+    asymptotes = (None, *EDGE_FLOATS)
+    keys = tuple(
+        (("wdma", "noma")[k % 2], 1 + k // 2 % 2, METRICS[k // 4 % 2]) for k in range(len(asymptotes))
+    )
+
+    def shifted(shift):
+        return np.array([np.roll(EDGE_FLOATS, shift + k) for k in range(len(keys))])
+
+    return SweepTable(np.array(EDGE_FLOATS), keys, shifted(3), asymptotes, shifted(5), shifted(11))
+
+
+def without_mc(table: SweepTable) -> SweepTable:
+    return table._replace(mc_value=None, mc_std_error=None)
+
+
+def assert_written_as_csv_writer_rows(table: SweepTable) -> None:
+    text = to_csv_text(table)
+    rows = table_rows(table)
+    assert text == csv_writer_text(rows)
+    # NaN != NaN, so the round trip is compared through repr
+    read = read_csv(io.StringIO(text))
+    assert [tuple(map(repr, row)) for row in read] == [tuple(map(repr, row)) for row in rows]
 
 
 def test_write_csv_matches_csv_writer_bytes():
@@ -171,46 +185,105 @@ def test_write_csv_matches_csv_writer_bytes():
         include_asymptotes=True,
         mc_trials=2_000,
     )
-    for rows in (edge_rows(), run_sweep(spec, CFG), run_sweep(SweepSpec(), CFG), []):
-        text = to_csv_text(rows)
-        assert text == csv_writer_text(rows)
-        # NaN != NaN, so the round trip is compared through repr
-        read = read_csv(io.StringIO(text))
-        assert [tuple(map(repr, row)) for row in read] == [tuple(map(repr, row)) for row in rows]
-    assert any(row.asymptote is None for row in edge_rows())
+    edges = edge_table()
+    empty = edges._replace(
+        grid=edges.grid[:0],
+        analytic=edges.analytic[:, :0],
+        mc_value=edges.mc_value[:, :0],
+        mc_std_error=edges.mc_std_error[:, :0],
+    )
+    tables = (edges, run_sweep(spec, CFG), run_sweep(SweepSpec(), CFG), empty)
+    for table in (*tables, *map(without_mc, tables)):
+        assert_written_as_csv_writer_rows(table)
+    assert to_csv_text(empty) == ",".join(CSV_HEADER) + "\n"
 
 
-def _rows(snrs, asymptotes) -> list:
-    return [
-        SweepRow(snr_db, "noma", 2, "rate", 0.25 * i, asymptote)
-        for i, (snr_db, asymptote) in enumerate(zip(snrs, asymptotes))
-    ]
+def _table(snrs, asymptotes) -> SweepTable:
+    analytic = 0.25 * np.arange(len(asymptotes) * len(snrs)).reshape(len(asymptotes), len(snrs))
+    return SweepTable(np.array(snrs), (("noma", 2, "rate"),) * len(asymptotes), analytic, tuple(asymptotes))
 
 
-def _equal_distinct(text: str) -> list:
-    # float() of a string makes a new object each call
-    return [float(text) for _ in range(3)]
+def _read_back(table: SweepTable) -> SweepTable:
+    """``table`` rebuilt from the rows of its CSV text, read back."""
+    rows, n_keys = read_csv(io.StringIO(to_csv_text(table))), len(table.keys)
+    return table._replace(
+        grid=np.array([row.snr_db for row in rows[::n_keys]]),
+        analytic=np.array([[row.analytic for row in rows[k::n_keys]] for k in range(n_keys)]),
+        asymptotes=tuple(row.asymptote for row in rows[:n_keys]),
+    )
 
 
 _MEMO_CASES = {
     # 0.0 == -0.0, but the two print differently
-    "zero-then-negative-zero": _rows([0.0, 0.0, -0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0, None]),
-    "equal-valued-distinct-snrs": _rows(
-        [*_equal_distinct("100.5"), *_equal_distinct("-0.0"), 100.5], [1.5] * 7
-    ),
-    "shared-nan-asymptote": _rows([95.0, 95.0, 100.0, 100.0], [math.nan, None, math.nan, math.nan]),
-    "rows-read-back-share-no-objects": read_csv(
-        io.StringIO(
-            to_csv_text(run_sweep(SweepSpec(snr_db_step=20.0, include_asymptotes=True), CFG))
-        )
+    "zero-then-negative-zero": _table([0.0, 0.0, -0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0, None]),
+    "equal-valued-distinct-snrs": _table([100.5] * 3 + [-0.0] * 3 + [100.5], [1.5] * 2),
+    "shared-nan-asymptote": _table([95.0, 95.0, 100.0, 100.0], [math.nan, None, math.nan, math.nan]),
+    "rows-read-back-share-no-objects": _read_back(
+        run_sweep(SweepSpec(snr_db_step=20.0, include_asymptotes=True), CFG)
     ),
 }
 
 
-@pytest.mark.parametrize("rows", list(_MEMO_CASES.values()), ids=list(_MEMO_CASES))
-def test_write_csv_formats_by_object_not_by_value(rows):
-    # write_csv formats each distinct SNR and asymptote object once
-    assert to_csv_text(rows) == csv_writer_text(rows)
+@pytest.mark.parametrize("table", list(_MEMO_CASES.values()), ids=list(_MEMO_CASES))
+def test_write_csv_formats_by_object_not_by_value(table):
+    # write_csv formats each SNR and asymptote from its own float, so values
+    # that compare equal but print differently (0.0 and -0.0) or compare
+    # unequal to themselves (NaN) keep their own text
+    assert_written_as_csv_writer_rows(table)
+
+
+@pytest.fixture(scope="module")
+def chunked_table() -> SweepTable:
+    # three write chunks of the default size, the last one short; MC columns
+    # from few trials
+    n = 2 * sweep._WRITE_CHUNK + 3
+    spec = SweepSpec(
+        snr_db_start=-50.0,
+        snr_db_stop=-50.0 + 0.1 * (n - 1),
+        snr_db_step=0.1,
+        include_mc=True,
+        include_asymptotes=True,
+        mc_trials=16,
+    )
+    table = run_sweep(spec, CFG)
+    assert len(table.grid) == n
+    return table
+
+
+@pytest.mark.parametrize("mc", [True, False], ids=["mc", "analytic"])
+def test_write_csv_bytes_do_not_depend_on_the_chunk_size(chunked_table, mc, monkeypatch):
+    table = chunked_table if mc else without_mc(chunked_table)
+    expected = csv_writer_text(table_rows(table))
+    for chunk in (1, 7, sweep._WRITE_CHUNK):
+        monkeypatch.setattr(sweep, "_WRITE_CHUNK", chunk)
+        assert to_csv_text(table) == expected
+
+
+class _Sink:
+    def write(self, text: str) -> None:
+        pass
+
+
+def test_sweep_memory_grows_only_by_its_numeric_columns():
+    # a default analytic sweep over four write chunks, written to a sink
+    n = 4 * sweep._WRITE_CHUNK
+    spec = SweepSpec(snr_db_start=-50.0, snr_db_stop=400.0, snr_db_step=450.0 / (n - 1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = run_sweep(spec, CFG)
+        write_csv(table, _Sink())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(table.grid) == n
+    # The table holds 8 bytes per SNR for the grid and for each key's analytic
+    # column. Evaluation adds the SNR and power lists and a few arrays of the
+    # grid's length inside one metric call, and writing adds one chunk of
+    # text: 315 bytes per SNR in all on this grid (5.6 times the columns'
+    # 56), against 2.0 kB when each line was a row object.
+    column_bytes = 8 * (1 + len(table.keys))
+    assert peak < 8 * column_bytes * n
 
 
 def test_csv_output_is_reproducible():

@@ -221,7 +221,7 @@ def test_rejects_non_positive_power():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 2: the x-integral of the outage is not split at the kinks "
+    reason="ROADMAP item 3: the x-integral of the outage is not split at the kinks "
     "of its conditional outage, so N=64 is 2.9e-3 relative off at 83 dB on omega_two "
     "and N=128 moves it by 3.4e-3",
 )
@@ -244,7 +244,7 @@ KINKED_FLOOR_CONFIGS = {
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: the floor's x-integral is not split where its separation "
+    reason="ROADMAP item 2: the floor's x-integral is not split where its separation "
     "threshold crosses a kink of the triangular CDF, so doubling N = 64 moves it by "
     "1.4e-6 (threshold 30) and 1.7e-5 (omega_two, threshold 40) relative",
 )
