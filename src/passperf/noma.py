@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .config import ReducedModel, SystemConfig, derive_constants, over_powers
+from .config import _NORMAL_MIN, ReducedModel, SystemConfig, derive_constants, over_powers
 from .geometry import expected_log_excess
 from .quadrature import _log1p_moments, integrate_rows
 
@@ -30,7 +30,11 @@ def _zero_outage_powers(cfg: SystemConfig, model: ReducedModel):
 
     def power(noise, distance_sq, share):
         gain = model.eta_m2 * share
-        return gth * noise * distance_sq / gain if gain else math.inf
+        if not gain:
+            return math.inf
+        if gth * noise >= _NORMAL_MIN:
+            return gth * noise * distance_sq / gain
+        return noise / gain * distance_sq * gth  # the product gth * noise underflows
 
     near = power(model.noise_w_ue1, m4 + h_sq, cfg.noma_alpha_near)
     margin = cfg.noma_alpha_far - gth * cfg.noma_alpha_near
@@ -59,6 +63,18 @@ def noma_zero_outage_thresholds(cfg: SystemConfig):
     return in_watts(near), None if far is None else in_watts(far)
 
 
+def _over_threshold(cfg: SystemConfig, model: ReducedModel, share, powers, noise):
+    """The SNR of a power ``share`` over the outage threshold,
+    eta * share * powers / (threshold * noise). Where the product
+    threshold * noise underflows, the SNR coefficient eta * powers / noise,
+    which :func:`config.over_powers` keeps within 2**+-1000, is formed first,
+    so the quotient is never 0 / 0."""
+    gth = cfg.outage_threshold
+    if gth * noise >= _NORMAL_MIN:
+        return model.eta_m2 * share * powers / (gth * noise)
+    return model.eta_m2 * powers / noise * (share / gth)
+
+
 @over_powers
 def noma_outage_near(cfg: SystemConfig, model: ReducedModel, powers):
     """Closed-form outage probability of the near user at transmit power
@@ -66,7 +82,7 @@ def noma_outage_near(cfg: SystemConfig, model: ReducedModel, powers):
     power on, and where the outage radius sqrt(c1) covers the whole region."""
     near, _ = _zero_outage_powers(cfg, model)
     c1 = (
-        model.eta_m2 * cfg.noma_alpha_near * powers / (cfg.outage_threshold * model.noise_w_ue1)
+        _over_threshold(cfg, model, cfg.noma_alpha_near, powers, model.noise_w_ue1)
         - model.pa_height_sq
     )
     dx = model.region_x
@@ -93,7 +109,7 @@ def noma_outage_far(cfg: SystemConfig, model: ReducedModel, powers):
     """
     _, far = _zero_outage_powers(cfg, model)
     c2 = (
-        model.eta_m2 * cfg.noma_alpha_far * powers / (cfg.outage_threshold * model.noise_w_ue2)
+        _over_threshold(cfg, model, cfg.noma_alpha_far, powers, model.noise_w_ue2)
         - model.eta_m2 * cfg.noma_alpha_near * powers / model.noise_w_ue2
         - model.pa_height_sq
     )

@@ -127,6 +127,11 @@ COMMANDS = [
 @example(overrides={"pa_height_m": 1e150})
 @example(overrides={"region_x_m": 1e150})
 @example(overrides={"region_x_m": 1e-300})
+@example(  # outage_threshold * noise_w_ue1 underflows
+    overrides={"carrier_freq_hz": 1.0, "pa_height_m": 1.0, "region_x_m": 1.0, "region_y_m": 1.0,
+               "noise_power_dbm_ue1": -2318.0, "noise_power_dbm_ue2": 0.0,
+               "outage_threshold": 1e-89, "noma_alpha_near": 1e-98, "noma_alpha_far": 1.0}
+)
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
