@@ -179,16 +179,18 @@ def snr_db_to_power_w(cfg: SystemConfig, snr_db):
     """Transmit power of a transmit SNR of ``snr_db`` dB in ``cfg``, the one
     place where the SNR reference, the user-1 noise power, is applied.
 
-    A sequence of SNRs gives a list, the powers of one call per entry.
+    A real number or a 0-d array gives a Python float, and a sequence or
+    1-D array of SNRs a list of them, the powers of one call per entry.
     Raises ValueError naming the first ``snr_db`` whose power is not finite
     and > 0 (NaN, or an SNR so high or low that it overflows or underflows).
     """
     reference = derive_constants(cfg).noise_w_ue1
-    scalar = isinstance(snr_db, numbers.Real)
+    scalar = isinstance(snr_db, numbers.Real) or np.ndim(snr_db) == 0
     powers = []
     for value in [snr_db] if scalar else snr_db:
         try:
-            power_w = 10.0 ** (value / 10.0) * reference
+            # a Python float's power, whatever the entry's type
+            power_w = 10.0 ** float(value / 10.0) * reference
         except OverflowError:
             power_w = math.inf
         if not (math.isfinite(power_w) and power_w > 0.0):

@@ -153,10 +153,10 @@ def noma_rate_near(cfg: SystemConfig, model: ReducedModel, powers):
     """
     h_sq, centre_sq = model.pa_height_sq, model.centre_sq
     k = model.eta_m2 * cfg.noma_alpha_near * powers / model.noise_w_ue1
-    # _log1p_moments(1, s) is (phi0(s), phi1(s) / 2)
-    phi0_k, half_phi1_k = _log1p_moments(1.0, centre_sq / (h_sq + k))
-    phi0_0, half_phi1_0 = _log1p_moments(1.0, centre_sq / h_sq)
-    nats = np.log1p(k / h_sq) + 2.0 * (phi0_k - phi0_0) - 2.0 * (half_phi1_k - half_phi1_0)
+    # _log1p_moments(1, s) is (phi0(s), phi1(s) / 2); s_0 comes last, in
+    # the same call as the s_k
+    phi0, half_phi1 = _log1p_moments(1.0, centre_sq / np.append(h_sq + k, h_sq))
+    nats = np.log1p(k / h_sq) + 2.0 * (phi0[:-1] - phi0[-1]) - 2.0 * (half_phi1[:-1] - half_phi1[-1])
     # at low SNR the terms cancel, and rounding can leave a tiny rate below zero
     return np.maximum(nats, 0.0) / _LN2
 

@@ -74,6 +74,28 @@ def test_snr_sequence_equals_one_scalar_call_per_entry():
     assert snr_db_to_power_w(cfg, []) == []
 
 
+def test_snr_conversion_gives_python_floats_for_every_input_kind():
+    # a 0-d array is a scalar, and a numpy entry's power is a Python float
+    # (repr 1e-09, not np.float64(1e-09)) with the bits of a float's call
+    cfg = SystemConfig(noise_power_dbm_ue1=-73.0)
+    grid = np.linspace(-50.0, 400.0, 37)
+    expected = [snr_db_to_power_w(cfg, float(snr_db)) for snr_db in grid]
+    assert {type(power) for power in expected} == {float}
+    for snr_db, want in zip(grid, expected):
+        for arg in (snr_db, np.asarray(snr_db)):  # np.float64 and a 0-d array
+            got = snr_db_to_power_w(cfg, arg)
+            assert type(got) is float
+            assert got.hex() == want.hex()
+    for arg in (grid, list(grid)):
+        powers = snr_db_to_power_w(cfg, arg)
+        assert [type(power) for power in powers] == [float] * len(grid)
+        assert list(map(float.hex, powers)) == list(map(float.hex, expected))
+    assert repr(snr_db_to_power_w(SystemConfig(), np.array([30.0, 120.0]))) == "[1e-09, 1.0]"
+    assert repr(snr_db_to_power_w(SystemConfig(), np.asarray(30.0))) == "1e-09"
+    with pytest.raises(ValueError, match=re.escape("snr_db=array(4000.) ")):
+        snr_db_to_power_w(cfg, np.asarray(4000.0))
+
+
 @pytest.mark.parametrize("bad", [math.nan, 4000.0, -4000.0])
 def test_snr_sequence_names_its_bad_entry(bad):
     with pytest.raises(ValueError, match=re.escape(f"snr_db={bad!r} ")):

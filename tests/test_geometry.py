@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from passperf import (
+    IntegrationError,
     SystemConfig,
+    chebyshev_rule,
     diff_cdf,
     sample_placements,
     sq_diff_cdf,
 )
 from passperf.geometry import expected_log_excess
-from passperf.quadrature import _SERIES_S
+from passperf.quadrature import _SERIES_S, integrate_rows
 
 from oracles import (
     DiffDistribution,
@@ -228,9 +231,49 @@ _STRADDLING = np.array([[0.0, 1e-6, 1e-4, 1e-3], [3e-5, 5e-5, 2e-4, 0.5], [1e-5,
 @example(case=(2.0, 1e-4, DiffDistribution(half_width=7.0, offset=0.0)))
 @settings(max_examples=150, deadline=None)
 def test_expected_log_excess_equals_the_stacked_layout_bitwise(case):
-    # one contiguous kernel call per support point gives the bits of one
-    # call with the points on a trailing axis
+    # the support points on a leading axis give the bits of the points on
+    # a trailing axis
     a, b, dist = case
     got, want = expected_log_excess(a, b, dist), expected_log_excess_stacked(a, b, dist)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("offset", [0.0, 3.0])
+def test_expected_log_excess_on_a_stacked_axis_equals_its_slices_bitwise(offset):
+    # operands stacked on a leading axis give each slice the bits of its own
+    # call, although the stacked call takes another form of the log-moment
+    # kernel than each slice alone: with w = 7 the slices' ratios take only
+    # its first term, only the series, only the closed form, and a mix
+    dist = DiffDistribution(half_width=7.0, offset=offset)
+    rng = np.random.default_rng(3)
+    ranges = [(-300.0, -19.0), (-15.0, -6.0), (-2.0, 4.0), (-300.0, 4.0)]
+    ratio = np.stack([10.0 ** rng.uniform(lo, hi, (5, 16)) for lo, hi in ranges])
+    a = 10.0 ** rng.uniform(-3.0, 3.0, ratio.shape)
+    b = ratio * a
+    stacked = expected_log_excess(a, b, dist)
+    assert stacked.shape == ratio.shape
+    for i in range(len(ranges)):
+        assert stacked[i].tobytes() == expected_log_excess(a[i], b[i], dist).tobytes()
+    pair = expected_log_excess(a[:2], b[:2], dist)
+    assert pair.tobytes() == stacked[:2].tobytes()
+
+
+@pytest.mark.parametrize("offset", [0.0, 3.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("rows", [[1e-25, 1e-24, 1e-23], [1e-25, 1e-5, 1.0]], ids=["tiny", "mixed"])
+def test_a_non_finite_ratio_ends_in_an_error_naming_its_node(offset, bad, rows):
+    # a NaN or inf ratio beside ratios of one form or of several gives a
+    # non-finite integrand at its node; inf takes inf - inf in the closed
+    # form, which numpy reports as an invalid operation
+    dist = DiffDistribution(half_width=7.0, offset=offset)
+    nodes = chebyshev_rule(16).nodes
+
+    def integrand(t, block):
+        b = block[:, None] * (t + 2.0)
+        b[1, 5] = bad
+        return expected_log_excess(1.0, b, dist)
+
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(IntegrationError, match=rf"node t={re.escape(repr(nodes[5]))}"):
+            integrate_rows(integrand, np.array(rows), 16)

@@ -21,7 +21,14 @@ from passperf import (
 )
 from passperf import noma
 from passperf.geometry import expected_log_excess
-from passperf.quadrature import _SERIES_S, _log1p_moments, _phi_closed, _phi_series, integrate_rows
+from passperf.quadrature import (
+    _ONE_TERM_S,
+    _SERIES_S,
+    _log1p_moments,
+    _phi_closed,
+    _phi_series,
+    integrate_rows,
+)
 from passperf.sweep import omega_two
 
 from oracles import (
@@ -209,6 +216,10 @@ def _assert_kernel_matches_reference(u, r):
         (1.0, np.nextafter(_SERIES_S, 1.0)),  # just above: closed form
         (3.0, 1e-14),
         (3.0, 40.0),
+        (1.0, 5e-324),  # the least subnormal: first term only
+        (1.0, np.nextafter(_ONE_TERM_S, 0.0)),  # the last s of the first-term range
+        (1.0, _ONE_TERM_S),  # the first s of the whole series
+        (1.0, 2e-16),  # the first term of phi1 is an ulp off here
     ],
 )
 def test_log_moment_kernel_equals_reference_on_scalars(u, r):
@@ -222,11 +233,32 @@ def test_log_moment_kernel_equals_reference_on_arrays():
     _assert_kernel_matches_reference(np.array([0.0, 0.5, 1.0]), edge[:, None])  # (5, 3)
     _assert_kernel_matches_reference(1.0, np.full(4, 1e-6))  # 1-d, series only
     _assert_kernel_matches_reference(1.0, np.full(4, 5.0))  # 1-d, closed form only
+    _assert_kernel_matches_reference(1.0, np.full(4, 1e-17))  # 1-d, first term only
     rng = np.random.default_rng(7)
-    s = 10.0 ** rng.uniform(-12.0, 2.0, 10_000)
+    s = 10.0 ** rng.uniform(-300.0, 2.0, 10_000)
     points = np.array([0.0, 1.0, 3.0])
     _assert_kernel_matches_reference(points, (s / 9.0)[:, None])  # broadcast (..., 3)
     _assert_kernel_matches_reference(points, (s / 9.0).reshape(2, 50, 100, 1))
+    _assert_kernel_matches_reference(points[:, None], s / 9.0)  # points on a leading axis
+    tiny = s[s < _ONE_TERM_S]
+    _assert_kernel_matches_reference(1.0, tiny)  # every s in the first-term range
+    _assert_kernel_matches_reference(points[:, None], tiny / 9.0)
+    # the ends of the first-term range, and s = 2e-16, where the first term
+    # of phi1 is an ulp off the whole series: a range reaching 2**-52 fails
+    assert _phi_series(2e-16)[1] != 0.5 * 2e-16
+    for edge in (0.0, 5e-324, np.nextafter(_ONE_TERM_S, 0.0), _ONE_TERM_S, 2e-16):
+        _assert_kernel_matches_reference(1.0, np.full(3, edge))
+        _assert_kernel_matches_reference(1.0, np.array([1e-20, edge]))
+
+
+def test_log_moment_kernel_keeps_its_nan_handling():
+    # a NaN s takes the closed form, alone or beside s of every form
+    nan = math.nan
+    for r in (nan, [nan, 1e-20], [nan, 1e-5], [nan, 5.0], [1e-20, 1e-5, nan, 5.0]):
+        got, want = _log1p_moments(1.0, r), log1p_moments_both_forms(1.0, r)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w, equal_nan=True)
 
 
 # s = r u^2 at, just below and just above the switch to the series (u = 1),
@@ -316,6 +348,10 @@ def _kernel_calls():
     series_s = _read_only([0.0, 1e-12, 1e-4, np.nextafter(_SERIES_S, 0.0)])
     u, r = chebyshev_rule(8).weights, _read_only([0.0, 1e-6, 1e-3, 0.5, 3.0, 40.0, 1e4, 1e-300])
     a, b = _read_only([[1.0, 2.0, 5.0], [0.5, 1e3, 7.0]]), _read_only([0.0, 1e-3, 40.0])
+    # every s under _ONE_TERM_S (the weights are below 1), and three support
+    # points on a leading axis
+    tiny_r = _read_only([0.0, 5e-324, 1e-20, np.nextafter(_ONE_TERM_S, 0.0)])
+    points = _read_only([[1.0], [2.0], [3.0]])
     empty = _read_only([])
     calls = [
         ("_phi_closed", _phi_closed, (closed_s,)),
@@ -335,6 +371,14 @@ def _kernel_calls():
             ("expected_log_excess", expected_log_excess, (np.float64(2.0), np.float64(1e-4), dist)),
             ("expected_log_excess", expected_log_excess, (empty, empty, dist)),
         ]
+    calls += [
+        ("_log1p_moments", _log1p_moments, (u, tiny_r[:, None])),
+        ("_log1p_moments", _log1p_moments, (points, r)),
+        ("_log1p_moments", _log1p_moments, (points, tiny_r)),
+    ]
+    for offset in (0.0, 3.0):
+        dist = DiffDistribution(half_width=7.0, offset=offset)
+        calls.append(("expected_log_excess", expected_log_excess, (a, tiny_r[:3], dist)))
     return calls
 
 
