@@ -3,10 +3,12 @@
 Each user is served by a dedicated waveguide antenna pinned above it; the
 other user's antenna interferes across waveguides. Outage and rate reduce
 to one-dimensional integrals over the user's x-coordinate evaluated with
-the Chebyshev rule; the rate's inner average over the y-separation is one
-closed form for adjacent and offset sub-regions alike. High-SNR limits give
-an interference-only outage floor and rate ceiling. Lengths and powers are
-in the reduced units of ``config.ReducedModel``.
+the Chebyshev rule. Their integrands depend on x only through the squared
+offset (x - X/2)^2, so they are even in the rule's variable and are
+evaluated on its nonnegative nodes only. The rate's inner average over the
+y-separation is one closed form for adjacent and offset sub-regions alike.
+High-SNR limits give an interference-only outage floor and rate ceiling.
+Lengths and powers are in the reduced units of ``config.ReducedModel``.
 """
 
 from __future__ import annotations
@@ -29,9 +31,31 @@ _SINGULAR_SLACK = 1e-12
 
 def _axis_distance_sq(t, model: ReducedModel):
     """Squared antenna-to-user distance projected on the axis plane,
-    (x - X/2)^2 + h^2, at x = X (t + 1) / 2 for the unit-interval nodes t."""
-    x = 0.5 * model.region_x * (np.asarray(t) + 1.0)
-    return (x - 0.5 * model.region_x) ** 2 + model.pa_height_sq
+    (x - X/2)^2 + h^2, at x = X (t + 1) / 2 for the unit-interval nodes t.
+
+    The x-offset x - X/2 = X t / 2 is formed directly, without x: that
+    avoids cancellation near the centre and makes the value exactly even
+    in t, which ``_integrate_even`` relies on.
+    """
+    return (0.5 * model.region_x * np.asarray(t)) ** 2 + model.pa_height_sq
+
+
+def _integrate_even(f, rows, n_nodes: int) -> np.ndarray:
+    """``integrate_rows`` of an integrand ``f(t, rows)`` that is exactly even
+    in t, evaluated on the nonnegative nodes only.
+
+    The rule's nodes are exactly antisymmetric (``chebyshev_rule``), so the
+    values on the first (N + 1) // 2 nodes mirrored onto the rest are the
+    full-node values bit for bit, and the weighted sum over all N nodes is
+    unchanged.
+    """
+
+    def mirrored(t, block):
+        n = len(t)
+        vals = f(t[: (n + 1) // 2], block)
+        return np.concatenate([vals, vals[:, : n // 2][:, ::-1]], axis=1)
+
+    return integrate_rows(mirrored, rows, n_nodes)
 
 
 def _outage_given_x(t, gth: float, model: ReducedModel, b_noise: np.ndarray):
@@ -60,7 +84,7 @@ def _average_outage(gth: float, model: ReducedModel, b_noise: np.ndarray, n_node
     outage = np.ones_like(b_noise)
     live = _outage_given_x(0.0, gth, model, b_noise)[:, 0] < 1.0
     if live.any():
-        value = 0.5 * integrate_rows(
+        value = 0.5 * _integrate_even(
             lambda t, rows: _outage_given_x(t, gth, model, rows), b_noise[live], n_nodes
         )
         outage[live] = np.minimum(np.maximum(value, 0.0), 1.0)
@@ -110,7 +134,7 @@ def wdma_avg_rate(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int =
     few ulps outside; the value is clamped to [0, ceiling] there.
     """
     b_noise = 2.0 * model.noise(user) / (model.eta_m2 * powers)
-    rate = 0.5 * integrate_rows(lambda t, rows: _rate_nats(t, model, rows), b_noise, n_nodes) / _LN2
+    rate = 0.5 * _integrate_even(lambda t, rows: _rate_nats(t, model, rows), b_noise, n_nodes) / _LN2
     return np.clip(rate, 0.0, wdma_rate_ceiling(cfg, n_nodes))
 
 
@@ -129,5 +153,5 @@ def wdma_rate_ceiling(cfg: SystemConfig, n_nodes: int = 64) -> float:
     ``wdma_avg_rate`` call caps its value at it.
     """
     model = derive_constants(cfg)
-    nats = integrate_rows(lambda t, rows: _rate_nats(t, model, rows), np.zeros(1), n_nodes)
+    nats = _integrate_even(lambda t, rows: _rate_nats(t, model, rows), np.zeros(1), n_nodes)
     return max(1.0, (0.5 * nats / _LN2).item())

@@ -406,7 +406,9 @@ def expected_log_excess_three_point(a, b, dist: DiffDistribution):
 
 
 def _wdma_rate_nats_stacked(t, cfg: SystemConfig, b_noise: np.ndarray):
-    g = g_axis(0.5 * cfg.region_x_m * (np.asarray(t) + 1.0), cfg)
+    # the squared axis distance from the x-offset X t / 2, as the package
+    # forms it; evaluated here on all N nodes, where the package mirrors
+    g = (0.5 * cfg.region_x_m * np.asarray(t)) ** 2 + cfg.pa_height_m * cfg.pa_height_m
     a, b, c, d = _log_rate_coeffs(g, b_noise[:, None])
     stacked = expected_log_excess_three_point(
         np.stack([a, c]), np.stack([b, d]), diff_distribution(cfg)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,19 @@ def test_grid_step_with_too_many_points_is_input_error(command, capsys):
 def test_nodes_below_one_or_not_an_integer_is_input_error(argv, nodes, capsys):
     assert main(argv + ["--nodes", nodes]) == 2
     assert "--nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nodes", ["1", "3"])
+def test_sweep_with_one_or_three_nodes_gives_finite_values(nodes, tmp_path):
+    # odd orders put a node at the region centre, which the WDMA integrals
+    # evaluate once and do not mirror
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--asymptotes", "--start", "-50", "--stop", "400", "--step", "50"]
+    assert main(argv + ["--nodes", nodes, "--out", str(out)]) == 0
+    rows = read_csv(io.StringIO(out.read_text()))
+    assert {row.scheme for row in rows} == {"wdma", "noma"}
+    assert all(math.isfinite(row.analytic) for row in rows)
+    assert all(math.isfinite(row.asymptote) for row in rows if row.asymptote is not None)
 
 
 @pytest.mark.parametrize(

@@ -62,10 +62,15 @@ def test_nodes_match_cosine_formula_and_decrease():
         assert np.all(np.diff(rule.nodes) < 0)
 
 
-@pytest.mark.parametrize("n", [2, 8, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 63, 64, 127])
 def test_node_symmetry_exact(n):
+    # the WDMA integrals mirror their values on the nonnegative nodes onto
+    # the rest, which is exact only while all of this holds bit for bit
     rule = chebyshev_rule(n)
     assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+    if n % 2:
+        assert rule.nodes[n // 2] == 0.0
 
 
 def test_rejects_zero_order():

@@ -16,6 +16,8 @@ from passperf import (
     wdma_outage_floor,
     wdma_rate_ceiling,
 )
+from passperf import geometry, wdma
+from passperf.quadrature import _ONE_TERM_S, _SERIES_S, integrate_rows
 from passperf.sweep import omega_one, omega_two
 from passperf.wdma import _log_rate_coeffs
 
@@ -253,3 +255,86 @@ def test_doubling_nodes_moves_outage_floor_less_than_1e_6_across_kinks(cfg):
     coarse = wdma_outage_floor(cfg, n_nodes=64)
     fine = wdma_outage_floor(cfg, n_nodes=128)
     assert abs(fine - coarse) <= 1e-6 * abs(fine)
+
+
+# unequal noise powers, so that the two WDMA users differ
+UNEQUAL = SystemConfig(noise_power_dbm_ue2=-80.0)
+
+
+def _wdma_values(cfg, powers, n_nodes):
+    """Every WDMA integral of ``cfg``: both users' outages and rates over
+    ``powers``, the outage floor and the rate ceiling."""
+    wdma_rate_ceiling.cache_clear()
+    values = [wdma_outage_floor(cfg, n_nodes), wdma_rate_ceiling(cfg, n_nodes)]
+    for user in (1, 2):
+        values.append(wdma_outage(cfg, powers, n_nodes, user=user))
+        values.append(wdma_avg_rate(cfg, powers, n_nodes, user=user))
+    wdma_rate_ceiling.cache_clear()
+    return np.hstack(values)
+
+
+@pytest.mark.parametrize("cfg", [UNEQUAL, omega_two(UNEQUAL)], ids=["adjacent", "offset"])
+@pytest.mark.parametrize("n_nodes", [1, 2, 3, 7, 16, 63, 64, 128])
+def test_mirrored_integrals_equal_the_full_node_evaluation_bitwise(cfg, n_nodes, monkeypatch):
+    """The WDMA integrands are even in t, so their values on the nonnegative
+    nodes mirrored onto the rest equal an evaluation on every node bit for
+    bit. The grids are separate calls: -50:110 dB takes the closed-form
+    log-moment kernel and holds outages that are 1 outright (-50 dB) or
+    saturate at some nodes only (82-96 dB); 130:250 dB takes the series and
+    280:400 dB its first term alone."""
+    grids = [np.arange(-50.0, 111.0, 2.0), np.arange(130.0, 251.0, 10.0), np.arange(280.0, 401.0, 10.0)]
+    forms = set()
+    kernel = geometry._log1p_moments
+
+    def recording(u, r):
+        top = (np.asarray(r) * np.asarray(u) ** 2).max()
+        forms.add("one term" if top < _ONE_TERM_S else "series" if top < _SERIES_S else "closed")
+        return kernel(u, r)
+
+    monkeypatch.setattr(geometry, "_log1p_moments", recording)
+    powers = [np.array(power_at(grid, cfg)) for grid in grids]
+    mirrored = [_wdma_values(cfg, p, n_nodes) for p in powers]
+    with monkeypatch.context() as patch:
+        patch.setattr(wdma, "_integrate_even", integrate_rows)
+        full = [_wdma_values(cfg, p, n_nodes) for p in powers]
+    assert forms == {"one term", "series", "closed"}
+    assert (mirrored[0] == 1.0).any()
+    for got, expected in zip(mirrored, full):
+        assert got.tobytes() == expected.tobytes()
+
+
+# wdma_avg_rate of user 1 to 25 digits, per config and transmit SNR in dB
+MP_WDMA_RATES = {
+    "default": {
+        60.0: "0.03540055139605127972220701",
+        90.0: "3.528874460421518338667069",
+        120.0: "4.578064454962609951623581",
+        150.0: "4.579920631547130389677051",
+        200.0: "4.579922491459360929782021",
+    },
+    "omega_two": {
+        60.0: "0.03544928564407529620886969",
+        90.0: "4.112413271106738933220446",
+        120.0: "5.854335182745352780387514",
+        150.0: "5.857971444924578276174346",
+        200.0: "5.857975089885624565827039",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MP_WDMA_RATES))
+def test_rate_matches_a_25_digit_mpmath_value_at_high_snr(name):
+    """Within 1e-13 relative of ``MP_WDMA_RATES``, 25-digit values that
+    mpmath 1.3.0 generated at 40 digits, without passperf, as a nested
+    ``mp.quad``: the outer one over t in [0, 1] with the x-offset X t / 2
+    (g = (X t / 2)^2 + h^2), the inner one over the triangular law of the
+    y-separation u on [lo, lo + 2w], split at its peak lo + w, of
+    log1p(sinr) with sinr = (1/g) / (1/(g + u^2) + 2 sigma^2 / (eta P));
+    eta, sigma^2 and P are formed in mpmath from the config fields and the
+    SNR, and the result is divided by ln 2. Rerun at 55 digits, the default
+    at 120 dB and omega_two at 200 dB gave the same 25 digits."""
+    cfg = {"default": CFG, "omega_two": omega_two()}[name]
+    recorded = MP_WDMA_RATES[name]
+    rates = wdma_avg_rate(cfg, power_at(list(recorded), cfg))
+    for rate, reference in zip(rates.tolist(), recorded.values()):
+        assert abs(rate - float(reference)) <= 1e-13 * float(reference)
