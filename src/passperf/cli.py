@@ -178,7 +178,7 @@ def _cmd_crossover(args) -> int:
 def _cmd_asymptote(args) -> int:
     cfg = _load(args)
     lines = [
-        ("wdma_outage_floor", repr(wdma_outage_floor(cfg, args.nodes))),
+        ("wdma_outage_floor", repr(wdma_outage_floor(cfg))),
         ("wdma_rate_ceiling_bits", repr(wdma_rate_ceiling(cfg, args.nodes))),
     ]
     for user, power_w in zip(("near", "far"), noma_zero_outage_thresholds(cfg)):

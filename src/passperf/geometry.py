@@ -4,7 +4,9 @@ Both access schemes share the same geometry: user x-coordinates are uniform
 along the service region, y-coordinates are uniform in two disjoint
 sub-regions on either side of the waveguide axis. The y-separation of the
 two users follows a triangular distribution; its CDF, the CDF of its square
-and the closed-form log-expectation over it are implemented here. They read
+and the closed-form log-expectation over it are implemented here, with the
+segment sum of an outage that the law makes quadratic in a radius, which the
+WDMA outage floor and the NOMA far-user outage share. They read
 the law from ``dist``, a ``config.ReducedModel`` in the analytic metrics:
 its ``half_width`` (the sub-region depth) and ``support_lo`` (twice the
 offset from the axis), in reduced units. They return NumPy values of their
@@ -61,6 +63,21 @@ def diff_cdf(u, dist):
     lower = np.clip(v, 0.0, w)
     upper = np.clip(2.0 * w - v, 0.0, w)
     return np.where(v <= w, lower**2 / (2.0 * w * w), 1.0 - upper**2 / (2.0 * w * w))
+
+
+def _segment_sum(squares, b1, b2, b3, b4, k_rising, k_falling, w):
+    """Integral over v of an outage that the triangular law makes piecewise
+    quadratic in a radius rho(v), split at b1 <= b2 <= b3 <= b4: zero below
+    b1, (rho - k_rising)^2 / (2 w^2) on [b1, b2], 1 - (rho - k_falling)^2 /
+    (2 w^2) on [b2, b3] and one on [b3, b4]. ``squares(u, v, k)`` is the
+    integral of (rho - k)^2 from u to v.
+    """
+    return (
+        squares(b1, b2, k_rising) / (2.0 * w * w)
+        + (b3 - b2)
+        - squares(b2, b3, k_falling) / (2.0 * w * w)
+        + (b4 - b3)
+    )
 
 
 def sq_diff_cdf(y, dist):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .config import _NORMAL_MIN, ReducedModel, SystemConfig, derive_constants, over_powers
-from .geometry import expected_log_excess
+from .geometry import _segment_sum, expected_log_excess
 from .quadrature import _log1p_moments, integrate_rows
 
 _LN2 = math.log(2.0)
@@ -126,11 +126,8 @@ def noma_outage_far(cfg: SystemConfig, model: ReducedModel, powers):
 
     # outage given m: P(U > r) = (hi - r)^2 / (2 w^2) above the peak,
     # 1 - (r - lo)^2 / (2 w^2) below it, 1 below the support
-    total = (
-        (radial(m2, hi) - radial(m1, hi)) / (2.0 * w * w)
-        + (m3 - m2)
-        - (radial(m3, lo) - radial(m2, lo)) / (2.0 * w * w)
-        + (m4 - m3)
+    total = _segment_sum(
+        lambda u, v, centre: radial(v, centre) - radial(u, centre), m1, m2, m3, m4, hi, lo, w
     )
     value = np.minimum(np.maximum(4.0 / (model.region_x * model.region_x) * total, 0.0), 1.0)
     # exact cases, the last applied taking precedence

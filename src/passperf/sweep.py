@@ -49,13 +49,13 @@ class Cell(NamedTuple):
 # (patched or not) when the two noise powers are equal.
 CELLS = {
     ("wdma", 1, "outage"): Cell(
-        lambda c, p, n: wdma_outage(c, p, n, user=1), lambda c, n: wdma_outage_floor(c, n)
+        lambda c, p, n: wdma_outage(c, p, n, user=1), lambda c, n: wdma_outage_floor(c)
     ),
     ("wdma", 1, "rate"): Cell(
         lambda c, p, n: wdma_avg_rate(c, p, n, user=1), lambda c, n: wdma_rate_ceiling(c, n)
     ),
     ("wdma", 2, "outage"): Cell(
-        lambda c, p, n: wdma_outage(c, p, n, user=2), lambda c, n: wdma_outage_floor(c, n)
+        lambda c, p, n: wdma_outage(c, p, n, user=2), lambda c, n: wdma_outage_floor(c)
     ),
     ("wdma", 2, "rate"): Cell(
         lambda c, p, n: wdma_avg_rate(c, p, n, user=2), lambda c, n: wdma_rate_ceiling(c, n)

@@ -7,8 +7,9 @@ the Chebyshev rule. Their integrands depend on x only through the squared
 offset (x - X/2)^2, so they are even in the rule's variable and are
 evaluated on its nonnegative nodes only. The rate's inner average over the
 y-separation is one closed form for adjacent and offset sub-regions alike.
-High-SNR limits give an interference-only outage floor and rate ceiling.
-Lengths and powers are in the reduced units of ``config.ReducedModel``.
+High-SNR limits give an interference-only outage floor, in closed form, and
+a rate ceiling. Lengths and powers are in the reduced units of
+``config.ReducedModel``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import ReducedModel, SystemConfig, derive_constants, over_powers
-from .geometry import expected_log_excess, sq_diff_cdf
+from .geometry import _segment_sum, expected_log_excess, sq_diff_cdf
 from .quadrature import integrate_rows
 
 _LN2 = math.log(2.0)
@@ -66,8 +67,7 @@ def _outage_given_x(t, gth: float, model: ReducedModel, b_noise: np.ndarray):
     g (gamma_th - 1 + e) / (1 - e) with e = gamma_th b_noise g; the cap is
     pushed through the separation CDF. Where 1 - e vanishes the noise term
     alone drives the SINR below threshold and the conditional outage is 1
-    regardless of y. b_noise = 0 gives the interference-only integrand of
-    the outage floor, which this never falls below.
+    regardless of y.
     """
     g = _axis_distance_sq(t, model)
     e = gth * b_noise[:, None] * g
@@ -76,8 +76,16 @@ def _outage_given_x(t, gth: float, model: ReducedModel, b_noise: np.ndarray):
     return np.where(saturated, 1.0, sq_diff_cdf(cap, model))
 
 
-def _average_outage(gth: float, model: ReducedModel, b_noise: np.ndarray, n_nodes: int):
-    """Conditional outage averaged over x, per entry of the 1-D ``b_noise``."""
+@over_powers
+def wdma_outage(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int = 64, user: int = 1):
+    """Outage probability of ``user`` at transmit power ``power_w`` (a scalar
+    or a 1-D array): the conditional outage averaged over the user's
+    x-coordinate. Noise only adds to the interference, so where the outage
+    meets its floor, quadrature error can leave it below; the value is
+    clamped to [floor, 1] there.
+    """
+    gth = cfg.outage_threshold
+    b_noise = 2.0 * model.noise(user) / (model.eta_m2 * powers)
     # The conditional outage grows with the axis distance, whose minimum
     # (height squared, at t = 0) is reached inside the region, so saturation
     # there means the integrand is 1 everywhere and the integral is exactly 1.
@@ -87,17 +95,8 @@ def _average_outage(gth: float, model: ReducedModel, b_noise: np.ndarray, n_node
         value = 0.5 * _integrate_even(
             lambda t, rows: _outage_given_x(t, gth, model, rows), b_noise[live], n_nodes
         )
-        outage[live] = np.minimum(np.maximum(value, 0.0), 1.0)
+        outage[live] = np.clip(value, _outage_floor(gth, model), 1.0)
     return outage
-
-
-@over_powers
-def wdma_outage(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int = 64, user: int = 1):
-    """Outage probability of ``user`` at transmit power ``power_w`` (a scalar
-    or a 1-D array): the conditional outage averaged over the user's
-    x-coordinate."""
-    b_noise = 2.0 * model.noise(user) / (model.eta_m2 * powers)
-    return _average_outage(cfg.outage_threshold, model, b_noise, n_nodes)
 
 
 def _log_rate_coeffs(g, b_noise):
@@ -138,9 +137,125 @@ def wdma_avg_rate(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int =
     return np.clip(rate, 0.0, wdma_rate_ceiling(cfg, n_nodes))
 
 
-def wdma_outage_floor(cfg: SystemConfig, n_nodes: int = 64) -> float:
-    """High-SNR outage limit: interference-only outage averaged over x."""
-    return _average_outage(cfg.outage_threshold, derive_constants(cfg), np.zeros(1), n_nodes).item()
+# Taylor coefficients of delta**m, odd m from 39 down to 3, of the four
+# shapes of _segment_shapes; all are nonnegative, and at delta < 2 the terms
+# past m = 39 add less than 1e-17 relative.
+_SHAPE_SERIES = tuple(
+    tuple(
+        c / math.factorial(m)
+        for c in (2.0**m - 4.0, 2.0**m, (3.0**m - 3.0) / 2.0 - 2.0**m, 3.0**m / 6.0 - 2.0**m + 3.5)
+    )
+    for m in range(39, 2, -2)
+)
+
+
+def _segment_shapes(delta: float):
+    """sinh(delta) and the shapes A, B, C, P: the integrals over t in
+    [-delta, delta] of 2 (cosh t - 1) cosh t, 2 sinh(t)^2,
+    sinh(t)^2 (3 cosh t - 2) and (cosh t - 1)^2 cosh t. With d = delta they
+    are sinh 2d - 4 sinh d + 2d, sinh 2d - 2d, (sinh 3d - 3 sinh d) / 2 -
+    sinh 2d + 2d and sinh 3d / 6 - sinh 2d + 7/2 sinh d - 2d.
+
+    These closed forms cancel as delta shrinks (P by a factor of ~70 at
+    delta = 1, ~5 at delta = 2), so below delta = 2 the shapes are summed
+    from their Taylor series, whose terms are all nonnegative.
+    """
+    if delta >= 2.0:
+        s1, s2, s3 = math.sinh(delta), math.sinh(2.0 * delta), math.sinh(3.0 * delta)
+        return (
+            s1,
+            s2 - 4.0 * s1 + 2.0 * delta,
+            s2 - 2.0 * delta,
+            (s3 - 3.0 * s1) / 2.0 - s2 + 2.0 * delta,
+            s3 / 6.0 - s2 + 3.5 * s1 - 2.0 * delta,
+        )
+    y = delta * delta
+    a = b = c = p = 0.0
+    for ca, cb, cc, cp in _SHAPE_SERIES:
+        a, b, c, p = a * y + ca, b * y + cb, c * y + cc, p * y + cp
+    cube = y * delta
+    return math.sinh(delta), a * cube, b * cube, c * cube, p * cube
+
+
+def _residual(s: float, k: float, a: float, h_sq: float) -> float:
+    """a (s^2 + h^2) - k^2 rounded once: every float is an integer over a
+    power of two, so the difference is formed exactly in integers."""
+    (na, da), (ns, ds), (nh, dh), (nk, dk) = (v.as_integer_ratio() for v in (a, s, h_sq, k))
+    numerator = na * (ns * ns * dh + nh * ds * ds) * dk * dk - nk * nk * da * ds * ds * dh
+    return numerator / (da * ds * ds * dh * dk * dk)
+
+
+def _squares(s1: float, s2: float, k: float, a: float, h_sq: float) -> float:
+    """Integral of (r(s) - k)^2 over s in [s1, s2], r(s) = sqrt(a (s^2 + h^2)).
+
+    Put s = h sinh(theta), so that r = R cosh(theta) with R = sqrt(a) h, and
+    let mu and delta be the midpoint and the half-width of the segment in
+    theta. With d = r(mu) - k, r - k = R (cosh theta - cosh mu) + d, and
+    the integral of h (r - k)^2 cosh(theta) is
+
+        (r_mid (r_mid^2 P + q^2 C) + d (r_mid^2 A + q^2 B)
+         + 2 d^2 r_mid sinh(delta)) / sqrt(a)
+
+    with r_mid = R cosh mu, q = R sinh mu and (A, B, C, P) the shapes of
+    ``_segment_shapes``. Every factor but d is a nonnegative, relatively
+    accurate length or shape, and d is the exact residual a (s1^2 + h^2) -
+    k^2 plus a (s_mid^2 - s1^2) over r_mid + k. So the sum cancels no more
+    than its integrand does, even where k is many sub-region depths: the
+    expanded antiderivative a (s^3/3 + h^2 s) - 2 k int r ds + k^2 s loses
+    a factor (k / w)^2 to cancellation there. With k = 0 the integrand
+    a (s^2 + h^2) is a polynomial, integrated as one.
+    """
+    if s1 == s2:
+        return 0.0
+    if not k:
+        return a * (s2 - s1) * (s1 * s1 + s1 * s2 + s2 * s2 + 3.0 * h_sq) / 3.0
+    # h cosh(theta) at the ends; sinh(2 delta) from the ends without subtracting
+    # two thetas, and h cosh(mu), h sinh(mu) by the half-angle formulas
+    c1, c2 = math.sqrt(s1 * s1 + h_sq), math.sqrt(s2 * s2 + h_sq)
+    ratio = s1 / s2
+    delta = 0.5 * math.asinh((s2 - s1) * (1.0 + ratio) / (c1 + ratio * c2))
+    c_mid = math.sqrt(0.5 * (h_sq + c1 * c2 + s1 * s2))
+    s_mid = (s1 * c2 + s2 * c1) / (2.0 * c_mid)
+    half = math.sinh(0.5 * delta)
+    lift = 2.0 * (c1 * math.cosh(0.5 * delta) + s1 * half) * half  # s_mid - s1
+    root_a = math.sqrt(a)
+    r_mid, q = root_a * c_mid, root_a * s_mid
+    d = (a * lift * (s_mid + s1) + _residual(s1, k, a, h_sq)) / (r_mid + k)
+    sinh_delta, shape_a, shape_b, shape_c, shape_p = _segment_shapes(delta)
+    r_sq, q_sq = r_mid * r_mid, q * q
+    return (
+        r_mid * (r_sq * shape_p + q_sq * shape_c)
+        + d * (r_sq * shape_a + q_sq * shape_b)
+        + 2.0 * d * d * r_mid * sinh_delta
+    ) / root_a
+
+
+def _outage_floor(gth: float, model: ReducedModel) -> float:
+    """:func:`wdma_outage_floor` of the threshold ``gth`` on ``model``."""
+    a = gth - 1.0
+    if a <= 0.0:
+        return 0.0
+    h_sq, half = model.pa_height_sq, 0.5 * model.region_x
+    lo, hi = model.support_lo, model.support_hi
+    b1, b2, b3 = (min(math.sqrt(max(k * k / a - h_sq, 0.0)), half) for k in (lo, model.peak, hi))
+    total = _segment_sum(
+        lambda u, v, k: _squares(u, v, k, a, h_sq), b1, b2, b3, half, lo, hi, model.half_width
+    )
+    return min(max(total / half, 0.0), 1.0)
+
+
+def wdma_outage_floor(cfg: SystemConfig) -> float:
+    """High-SNR outage limit: the interference-only outage averaged over x,
+    in closed form.
+
+    Without noise, the outage event given the x-offset s = |x - X/2| caps
+    the y-separation at r(s) = sqrt((gamma_th - 1)(s^2 + h^2)), and the
+    separation CDF is quadratic in r on each half of its support. So the
+    average over s in [0, X/2] is a sum of segment integrals, split where r
+    crosses the bottom, the peak and the top of the support. A threshold
+    gamma_th <= 1 gives exactly 0.
+    """
+    return _outage_floor(cfg.outage_threshold, derive_constants(cfg))
 
 
 @lru_cache(maxsize=128)

@@ -31,7 +31,14 @@ GRID_DB = np.arange(-50.0, 401.0, 1.0)
 # guards against moved rates by 1e-9 bits and more.
 STEP_SLACK = 1e-13
 
-CONFIGS = {"default": SystemConfig(), "omega_one": omega_one(), "omega_two": omega_two()}
+CONFIGS = {
+    "default": SystemConfig(),
+    "omega_one": omega_one(),
+    "omega_two": omega_two(),
+    # thresholds whose separation cap crosses a kink of the CDF inside the region
+    "threshold_30": SystemConfig(outage_threshold=30.0),
+    "omega_two_threshold_40": omega_two(SystemConfig(outage_threshold=40.0)),
+}
 _rng = np.random.default_rng(7)
 for _i in range(8):
     CONFIGS[f"random_{_i}"] = (random_offset_config if _i % 2 else random_config)(_rng)

@@ -229,6 +229,19 @@ def test_asymptote_listing(capsys):
     assert "noma_far_rate_ceiling_bits" in out
 
 
+def test_asymptote_floor_does_not_depend_on_nodes(tmp_path, capsys):
+    # a threshold whose separation cap crosses a kink of the CDF inside the
+    # region, where a quadrature of the floor moved with the node count
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"outage_threshold": 30.0}), encoding="utf-8")
+    lines = []
+    for nodes in ("8", "128"):
+        assert main(["asymptote", "--nodes", nodes, "--config", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        lines.append([line for line in out if line.startswith("wdma_outage_floor,")])
+    assert len(lines[0]) == 1 and lines[0] == lines[1]
+
+
 def test_mc_subcommand(capsys):
     code = main(
         [

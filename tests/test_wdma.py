@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passperf import (
     Placement,
@@ -242,19 +244,103 @@ KINKED_FLOOR_CONFIGS = {
     "threshold_30": SystemConfig(outage_threshold=30.0),
     "omega_two_threshold_40": omega_two(SystemConfig(outage_threshold=40.0)),
 }
+# Explicit floor examples, besides the kinked ones:
+# - thresholds at and around 1 and one far above (floors of exactly 0 and 1);
+# - far_offset: sub-regions ~75 depths off the axis, where the expanded
+#   antiderivative of (r - k)^2 is 7.1e-13 relative off;
+# - edge_crossing: a separation threshold that passes lo only at the region's
+#   edge, by 1e-4 relative, for a floor of 5.1e-13 that a rounded residual
+#   a (s^2 + h^2) - k^2 misses by 1.1e-12 relative;
+# - wide_angle: an offset 1/200 of the depth and a low antenna, whose lower
+#   segment spans 4.6 in the hyperbolic angle (the closed-form shapes).
+FLOOR_EXAMPLES = {
+    **KINKED_FLOOR_CONFIGS,
+    "omega_one": omega_one(),
+    **{f"threshold_{gth!r}": SystemConfig(outage_threshold=gth) for gth in (0.5, 1.0, 1.0001, 1e12)},
+    "far_offset": SystemConfig(
+        pa_height_m=7.97, region_x_m=92.4, region_y_m=1.11, region_y_offset_m=82.7, outage_threshold=72.1
+    ),
+    "edge_crossing": SystemConfig(region_y_offset_m=15.0, outage_threshold=27.47588261764706),
+    "wide_angle": SystemConfig(
+        pa_height_m=0.01, region_x_m=50.0, region_y_m=20.0, region_y_offset_m=0.1, outage_threshold=2.0
+    ),
+}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the floor's x-integral is not split where its separation "
-    "threshold crosses a kink of the triangular CDF, so doubling N = 64 moves it by "
-    "1.4e-6 (threshold 30) and 1.7e-5 (omega_two, threshold 40) relative",
-)
-@pytest.mark.parametrize("cfg", KINKED_FLOOR_CONFIGS.values(), ids=KINKED_FLOOR_CONFIGS.keys())
-def test_doubling_nodes_moves_outage_floor_less_than_1e_6_across_kinks(cfg):
-    coarse = wdma_outage_floor(cfg, n_nodes=64)
-    fine = wdma_outage_floor(cfg, n_nodes=128)
-    assert abs(fine - coarse) <= 1e-6 * abs(fine)
+def _mp_floor(cfg, mp):
+    """The outage floor at 40 digits: mp.quad of the triangular CDF at the
+    separation threshold r(s) = sqrt((gamma_th - 1)(s^2 + h^2)) over the
+    x-offset s in [0, X/2], split where r crosses lo, the peak and hi. It
+    takes the reduced model's doubles as exact, so that it measures the
+    closed form and not the rounding of the reduction."""
+    model = derive_constants(cfg)
+    with mp.workdps(40):
+        a = mp.mpf(cfg.outage_threshold) - 1
+        if a <= 0:
+            return mp.mpf(0)
+        h_sq, half, w = mp.mpf(model.pa_height_sq), mp.mpf(model.region_x) / 2, mp.mpf(model.half_width)
+        lo, peak, hi = (mp.mpf(k) for k in (model.support_lo, model.peak, model.support_hi))
+
+        def outage(s):
+            r = mp.sqrt(a * (s * s + h_sq))
+            if r <= lo:
+                return mp.mpf(0)
+            if r <= peak:
+                return (r - lo) ** 2 / (2 * w * w)
+            return 1 - (hi - r) ** 2 / (2 * w * w) if r <= hi else mp.mpf(1)
+
+        roots = (mp.sqrt(k * k / a - h_sq) for k in (lo, peak, hi) if k * k / a > h_sq)
+        breaks = sorted({mp.mpf(0), half, *(s for s in roots if s < half)})
+        return mp.quad(outage, breaks) / half
+
+
+@st.composite
+def floor_configs(draw):
+    """Lengths log-uniform over 1e-2..1e2 m; the threshold either over
+    0.5..100, or set so that the separation threshold at a drawn point of the
+    region lies within a depth of the support, which puts its crossings of
+    lo, the peak or hi inside the region."""
+    length = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+    h, x, depth = draw(length), draw(length), draw(length)
+    offset = draw(st.just(0.0) | length)
+    if draw(st.booleans()):
+        gth = draw(st.floats(0.5, 100.0))
+    else:
+        k = draw(st.floats(max(2.0 * offset - depth, 0.0), 2.0 * offset + 3.0 * depth))
+        s = draw(st.floats(0.0, x / 2))
+        gth = 1.0 + k * k / (h * h + s * s)
+    return SystemConfig(
+        pa_height_m=h, region_x_m=x, region_y_m=depth, region_y_offset_m=offset, outage_threshold=gth
+    )
+
+
+def _assert_floor_matches_reference(cfg):
+    mp = pytest.importorskip("mpmath").mp
+    reference = _mp_floor(cfg, mp)
+    floor = wdma_outage_floor(cfg)
+    if reference in (0, 1):  # no segment is live, and the floor is exact
+        assert floor == reference
+    assert abs(floor - reference) <= 1e-13 * reference, (floor, reference)
+
+
+@pytest.mark.parametrize("cfg", FLOOR_EXAMPLES.values(), ids=FLOOR_EXAMPLES.keys())
+def test_floor_examples_match_a_40_digit_mpmath_reference(cfg):
+    _assert_floor_matches_reference(cfg)
+
+
+@given(cfg=floor_configs())
+@settings(max_examples=50, deadline=None)
+def test_floor_matches_a_40_digit_mpmath_reference(cfg):
+    _assert_floor_matches_reference(cfg)
+
+
+def test_floor_calls_no_quadrature(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the outage floor reached integrate_rows")
+
+    monkeypatch.setattr(wdma, "integrate_rows", unreachable)
+    for cfg in FLOOR_EXAMPLES.values():
+        assert 0.0 <= wdma_outage_floor(cfg) <= 1.0
 
 
 # unequal noise powers, so that the two WDMA users differ
@@ -263,9 +349,9 @@ UNEQUAL = SystemConfig(noise_power_dbm_ue2=-80.0)
 
 def _wdma_values(cfg, powers, n_nodes):
     """Every WDMA integral of ``cfg``: both users' outages and rates over
-    ``powers``, the outage floor and the rate ceiling."""
+    ``powers``, and the rate ceiling."""
     wdma_rate_ceiling.cache_clear()
-    values = [wdma_outage_floor(cfg, n_nodes), wdma_rate_ceiling(cfg, n_nodes)]
+    values = [wdma_rate_ceiling(cfg, n_nodes)]
     for user in (1, 2):
         values.append(wdma_outage(cfg, powers, n_nodes, user=user))
         values.append(wdma_avg_rate(cfg, powers, n_nodes, user=user))
