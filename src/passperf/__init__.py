@@ -10,12 +10,7 @@ from .config import (
     power_w_to_snr_db,
     snr_db_to_power_w,
 )
-from .geometry import (
-    Placement,
-    diff_cdf,
-    sample_placements,
-    sq_diff_cdf,
-)
+from .geometry import Placement, sample_placements
 from .montecarlo import MetricEstimate, mc_cell_estimates, sinr
 from .noma import (
     noma_outage_far,

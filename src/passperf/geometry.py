@@ -3,14 +3,13 @@
 Both access schemes share the same geometry: user x-coordinates are uniform
 along the service region, y-coordinates are uniform in two disjoint
 sub-regions on either side of the waveguide axis. The y-separation of the
-two users follows a triangular distribution; its CDF, the CDF of its square
-and the closed-form log-expectation over it are implemented here, with the
-segment sum of an outage that the law makes quadratic in a radius, which the
-WDMA outage floor and the NOMA far-user outage share. They read
-the law from ``dist``, a ``config.ReducedModel`` in the analytic metrics:
-its ``half_width`` (the sub-region depth) and ``support_lo`` (twice the
-offset from the axis), in reduced units. They return NumPy values of their
-inputs' broadcast shape, 0-d for scalar inputs, and placements are drawn
+two users follows a triangular law, which gives the closed-form
+log-expectation over it and the segment sum of an outage quadratic in a
+radius, shared by the WDMA outage, its floor and the NOMA far-user outage.
+They read the law from ``dist``, a ``config.ReducedModel`` in the analytic
+metrics: its ``half_width`` (the sub-region depth) and ``support_lo`` (twice
+the offset from the axis), in reduced units, and return NumPy values of
+their inputs' broadcast shape, 0-d for scalar inputs. Placements are drawn
 in batches, one array entry per trial.
 """
 
@@ -56,21 +55,13 @@ def sample_placements(cfg: SystemConfig, rng: np.random.Generator, size: int) ->
     return Placement(x1, x2, y1, y2)
 
 
-def diff_cdf(u, dist):
-    """CDF of the y-separation (triangular)."""
-    w = dist.half_width
-    v = np.asarray(u, dtype=float) - dist.support_lo
-    lower = np.clip(v, 0.0, w)
-    upper = np.clip(2.0 * w - v, 0.0, w)
-    return np.where(v <= w, lower**2 / (2.0 * w * w), 1.0 - upper**2 / (2.0 * w * w))
-
-
 def _segment_sum(squares, b1, b2, b3, b4, k_rising, k_falling, w):
     """Integral over v of an outage that the triangular law makes piecewise
     quadratic in a radius rho(v), split at b1 <= b2 <= b3 <= b4: zero below
     b1, (rho - k_rising)^2 / (2 w^2) on [b1, b2], 1 - (rho - k_falling)^2 /
     (2 w^2) on [b2, b3] and one on [b3, b4]. ``squares(u, v, k)`` is the
-    integral of (rho - k)^2 from u to v.
+    integral of (rho - k)^2 from u to v: in closed form for the WDMA outage
+    floor and the NOMA far-user outage, by quadrature for the WDMA outage.
     """
     return (
         squares(b1, b2, k_rising) / (2.0 * w * w)
@@ -78,18 +69,6 @@ def _segment_sum(squares, b1, b2, b3, b4, k_rising, k_falling, w):
         - squares(b2, b3, k_falling) / (2.0 * w * w)
         + (b4 - b3)
     )
-
-
-def sq_diff_cdf(y, dist):
-    """CDF of the squared y-separation.
-
-    Equals the triangular CDF evaluated at sqrt(y); with zero offset this is
-    the four-piece form y/(2 w^2) on (0, w^2], (4 w sqrt(y) - y)/(2 w^2) - 1
-    on (w^2, 4 w^2], clamped to 0 and 1 outside.
-    """
-    y = np.asarray(y, dtype=float)
-    r = np.sqrt(np.clip(y, 0.0, None))
-    return np.where(y <= 0.0, 0.0, diff_cdf(r, dist))
 
 
 def expected_log_excess(a, b, dist):

@@ -75,8 +75,8 @@ def chebyshev_rule(n_nodes: int) -> QuadratureRule:
     weights = (2.0 / n_nodes) * (1.0 - 2.0 * series)
     # Symmetrise so that t_k == -t_{N+1-k} and w_k == w_{N+1-k} hold exactly
     # in floating point (the middle node of an odd order is then exactly 0):
-    # the WDMA integrals evaluate their even integrands on the nonnegative
-    # nodes only and mirror the values, which relies on this.
+    # the WDMA rate integrals evaluate their even integrands on the
+    # nonnegative nodes only and mirror the values, which relies on this.
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
     nodes.setflags(write=False)

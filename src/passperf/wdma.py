@@ -2,14 +2,15 @@
 
 Each user is served by a dedicated waveguide antenna pinned above it; the
 other user's antenna interferes across waveguides. Outage and rate reduce
-to one-dimensional integrals over the user's x-coordinate evaluated with
-the Chebyshev rule. Their integrands depend on x only through the squared
-offset (x - X/2)^2, so they are even in the rule's variable and are
-evaluated on its nonnegative nodes only. The rate's inner average over the
-y-separation is one closed form for adjacent and offset sub-regions alike.
-High-SNR limits give an interference-only outage floor, in closed form, and
-a rate ceiling. Lengths and powers are in the reduced units of
-``config.ReducedModel``.
+to one-dimensional integrals over the user's x-offset s = |x - X/2|. The
+outage and its interference-only floor are one segment sum over the
+triangular law of the y-separation, split where the separation threshold
+crosses its support: closed-form segments for the floor, the Chebyshev rule
+on each segment for the outage. The rate's integrand is even in the rule's
+variable and is evaluated on its nonnegative nodes only; its inner average
+over the y-separation is one closed form for adjacent and offset
+sub-regions alike, and its high-SNR limit is the rate ceiling. Lengths and
+powers are in the reduced units of ``config.ReducedModel``.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from .config import ReducedModel, SystemConfig, derive_constants, over_powers
-from .geometry import _segment_sum, expected_log_excess, sq_diff_cdf
+from .geometry import _segment_sum, expected_log_excess
 from .quadrature import integrate_rows
 
 _LN2 = math.log(2.0)
-
-# Relative slack under which 1 - gamma_th*B*G(x) is treated as zero: the
-# threshold on the y-separation diverges there and the CDF saturates anyway.
-_SINGULAR_SLACK = 1e-12
 
 
 def _axis_distance_sq(t, model: ReducedModel):
@@ -59,44 +56,73 @@ def _integrate_even(f, rows, n_nodes: int) -> np.ndarray:
     return integrate_rows(mirrored, rows, n_nodes)
 
 
-def _outage_given_x(t, gth: float, model: ReducedModel, b_noise: np.ndarray):
-    """Conditional outage at the unit-interval nodes t of the x-coordinate,
-    one row per entry of the 1-D noise coefficients ``b_noise``.
+def _crossings(gth: float, b_noise, model: ReducedModel) -> np.ndarray:
+    """The x-offsets s in [0, X/2] where the cap g (gamma_th - 1 + e) / (1 - e)
+    on the squared y-separation (e = gamma_th b_noise g, g = s^2 + h^2)
+    crosses lo^2, peak^2 and hi^2, in order on a leading axis.
 
-    Given x, the outage event caps the squared y-separation at
-    g (gamma_th - 1 + e) / (1 - e) with e = gamma_th b_noise g; the cap is
-    pushed through the separation CDF. Where 1 - e vanishes the noise term
-    alone drives the SINR below threshold and the conditional outage is 1
-    regardless of y.
+    Where it is positive the cap grows with g, so each crossing is the
+    positive root of A g^2 + B g - C with A = gamma_th b_noise,
+    B = gamma_th - 1 + k^2 A and C = k^2: 2C / (B + sqrt(B^2 + 4AC)) where
+    B > 0, else (sqrt(B^2 + 4AC) - B) / (2A), so neither cancels; with no
+    noise it is k^2 / (gamma_th - 1) bit for bit. The cap diverges as e
+    nears 1, past the crossing of hi^2.
     """
-    g = _axis_distance_sq(t, model)
-    e = gth * b_noise[:, None] * g
-    saturated = 1.0 - e <= _SINGULAR_SLACK * e
-    cap = g * (gth - 1.0 + e) / np.where(saturated, 1.0, 1.0 - e)
-    return np.where(saturated, 1.0, sq_diff_cdf(cap, model))
+    c = np.square([model.support_lo, model.peak, model.support_hi]).reshape((3,) + (1,) * np.ndim(b_noise))
+    ac = c * gth * b_noise  # from c first: 0, not 0 * inf, where k = 0
+    b = gth - 1.0 + ac
+    root = np.hypot(b, 2.0 * np.sqrt(ac))
+    rising = b > 0.0
+    # root - min(b, 0) is root - b where it is taken, and never inf - inf
+    g = np.where(rising, 2.0 * c, root - np.minimum(b, 0.0)) / np.where(rising, b + root, 2.0 * gth * b_noise)
+    crossings = np.minimum(np.sqrt(np.maximum(g - model.pa_height_sq, 0.0)), 0.5 * model.region_x)
+    return np.maximum.accumulate(crossings)  # in order, however they round
 
 
 @over_powers
 def wdma_outage(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int = 64, user: int = 1):
     """Outage probability of ``user`` at transmit power ``power_w`` (a scalar
-    or a 1-D array): the conditional outage averaged over the user's
-    x-coordinate. Noise only adds to the interference, so where the outage
-    meets its floor, quadrature error can leave it below; the value is
-    clamped to [floor, 1] there.
+    or a 1-D array): the floor's segment sum, with the separation threshold
+    r(s) the square root of the cap of ``_crossings``; exactly 1 where the
+    cap saturates at s = 0, and clamped to [floor, 1] against rounding.
+
+    Each segment integral of (r - k)^2 takes ``n_nodes`` Chebyshev nodes in
+    zeta, with s = h sinh(theta) and theta = pole tanh(zeta): the sinh moves
+    the branch points of r at s = +-ih a quarter turn off the real axis, and
+    the tanh moves the cap's pole at e = 1 (``pole`` in theta, but at most
+    that of s = 1, beyond every reduced length, and past the last crossing
+    however it rounds) to infinity, however near the segment they lie.
     """
-    gth = cfg.outage_threshold
+    gth, hi, h = cfg.outage_threshold, model.support_hi, math.sqrt(model.pa_height_sq)
     b_noise = 2.0 * model.noise(user) / (model.eta_m2 * powers)
-    # The conditional outage grows with the axis distance, whose minimum
-    # (height squared, at t = 0) is reached inside the region, so saturation
-    # there means the integrand is 1 everywhere and the integral is exactly 1.
-    outage = np.ones_like(b_noise)
-    live = _outage_given_x(0.0, gth, model, b_noise)[:, 0] < 1.0
-    if live.any():
-        value = 0.5 * _integrate_even(
-            lambda t, rows: _outage_given_x(t, gth, model, rows), b_noise[live], n_nodes
-        )
-        outage[live] = np.clip(value, _outage_floor(gth, model), 1.0)
-    return outage
+    crossings = _crossings(gth, b_noise, model)
+    a = gth * b_noise  # e / g
+    pole = np.arcsinh(np.minimum(np.sqrt(np.maximum(1.0 / a - h * h, 0.0)), 1.0) / h)
+    pole = np.maximum(pole, np.nextafter(np.arcsinh(crossings[2] / h), np.inf))
+
+    def squares(u, v, k):
+        z_u, z_v = (np.arctanh(np.arcsinh(s / h) / pole) for s in (u, v))
+        mid, radius = 0.5 * (z_u + z_v), 0.5 * (z_v - z_u)
+
+        def segment(t, rows):
+            z = mid[rows, None] + radius[rows, None] * t
+            root_g = h * np.cosh(pole[rows, None] * np.tanh(z))
+            g = root_g * root_g
+            # where rounding carries e to 1 at a node, the cap is gth g / 0 = +inf and r is hi
+            d = np.maximum(1.0 - a[rows, None] * g, 0.0)
+            cap = g * (gth - d) / d
+            r = np.sqrt(np.clip(cap, 0.0, hi * hi))
+            return (r - k) ** 2 * (root_g * pole[rows, None] / np.cosh(z) ** 2)
+
+        total = np.zeros_like(u)
+        live = np.flatnonzero(u < v)
+        if live.size:
+            total[live] = radius[live] * integrate_rows(segment, live, n_nodes)
+        return total
+
+    half = 0.5 * model.region_x
+    total = _segment_sum(squares, *crossings, half, model.support_lo, hi, model.half_width)
+    return np.clip(total / half, _outage_floor(gth, model), 1.0)
 
 
 def _log_rate_coeffs(g, b_noise):
@@ -230,16 +256,16 @@ def _squares(s1: float, s2: float, k: float, a: float, h_sq: float) -> float:
     ) / root_a
 
 
+@lru_cache(maxsize=128)
 def _outage_floor(gth: float, model: ReducedModel) -> float:
-    """:func:`wdma_outage_floor` of the threshold ``gth`` on ``model``."""
+    """:func:`wdma_outage_floor` of ``gth`` on ``model``; cached for ``wdma_outage``'s clamp."""
     a = gth - 1.0
     if a <= 0.0:
         return 0.0
     h_sq, half = model.pa_height_sq, 0.5 * model.region_x
-    lo, hi = model.support_lo, model.support_hi
-    b1, b2, b3 = (min(math.sqrt(max(k * k / a - h_sq, 0.0)), half) for k in (lo, model.peak, hi))
     total = _segment_sum(
-        lambda u, v, k: _squares(u, v, k, a, h_sq), b1, b2, b3, half, lo, hi, model.half_width
+        lambda u, v, k: _squares(u, v, k, a, h_sq),
+        *_crossings(gth, 0.0, model).tolist(), half, model.support_lo, model.support_hi, model.half_width,
     )
     return min(max(total / half, 0.0), 1.0)
 
@@ -251,9 +277,8 @@ def wdma_outage_floor(cfg: SystemConfig) -> float:
     Without noise, the outage event given the x-offset s = |x - X/2| caps
     the y-separation at r(s) = sqrt((gamma_th - 1)(s^2 + h^2)), and the
     separation CDF is quadratic in r on each half of its support. So the
-    average over s in [0, X/2] is a sum of segment integrals, split where r
-    crosses the bottom, the peak and the top of the support. A threshold
-    gamma_th <= 1 gives exactly 0.
+    average over s in [0, X/2] is a sum of segment integrals, split at the
+    noiseless ``_crossings``. A threshold gamma_th <= 1 gives exactly 0.
     """
     return _outage_floor(cfg.outage_threshold, derive_constants(cfg))
 

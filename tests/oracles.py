@@ -8,8 +8,8 @@ density numerically with the package's own rule, a route that shares no
 formula with the closed forms they check. The densities of the separation
 and of the near and far users' x-coordinates, and the CDF of the near
 user's squared x-offset, are the reference laws those routes and the
-sampling tests use. ``sinr_trials`` addresses the simulator's per-trial
-SINRs by trial index. ``bisect_crossover`` is the plain scalar bisection
+sampling tests use, with the CDFs of the separation and of its square.
+``sinr_trials`` addresses the simulator's per-trial SINRs by trial index. ``bisect_crossover`` is the plain scalar bisection
 that ``find_crossover`` must reproduce exactly, and ``lookahead_crossover``
 the earlier array search (the look-ahead tree alone, every cell called
 once per array call) whose call count it must not exceed.
@@ -41,7 +41,6 @@ from passperf import (
     SystemConfig,
     chebyshev_rule,
     derive_constants,
-    diff_cdf,
     sinr,
     snr_db_to_power_w,
 )
@@ -156,6 +155,27 @@ def diff_pdf(u, dist: DiffDistribution):
     out = np.where(rising, v / w**2, out)
     out = np.where(falling, (2.0 * w - v) / w**2, out)
     return _maybe_scalar(out)
+
+
+def diff_cdf(u, dist):
+    """CDF of the y-separation (triangular)."""
+    w = dist.half_width
+    v = np.asarray(u, dtype=float) - dist.support_lo
+    lower = np.clip(v, 0.0, w)
+    upper = np.clip(2.0 * w - v, 0.0, w)
+    return np.where(v <= w, lower**2 / (2.0 * w * w), 1.0 - upper**2 / (2.0 * w * w))
+
+
+def sq_diff_cdf(y, dist):
+    """CDF of the squared y-separation.
+
+    Equals the triangular CDF evaluated at sqrt(y); with zero offset this is
+    the four-piece form y/(2 w^2) on (0, w^2], (4 w sqrt(y) - y)/(2 w^2) - 1
+    on (w^2, 4 w^2], clamped to 0 and 1 outside.
+    """
+    y = np.asarray(y, dtype=float)
+    r = np.sqrt(np.clip(y, 0.0, None))
+    return np.where(y <= 0.0, 0.0, diff_cdf(r, dist))
 
 
 def near_coord_cdf_g(g, cfg: SystemConfig):
@@ -419,7 +439,7 @@ def _wdma_rate_nats_stacked(t, cfg: SystemConfig, b_noise: np.ndarray):
 def wdma_rate_ceiling_stacked(cfg: SystemConfig, n_nodes: int) -> float:
     """``wdma_rate_ceiling`` on the stacked three-point route."""
     nats = integrate_rows(lambda t, rows: _wdma_rate_nats_stacked(t, cfg, rows), np.zeros(1), n_nodes)
-    return (0.5 * nats / math.log(2.0)).item()
+    return max(1.0, (0.5 * nats / math.log(2.0)).item())
 
 
 def wdma_avg_rate_stacked(cfg: SystemConfig, powers: np.ndarray, n_nodes: int, user: int):
@@ -427,7 +447,7 @@ def wdma_avg_rate_stacked(cfg: SystemConfig, powers: np.ndarray, n_nodes: int, u
     dc = derive_constants(cfg)
     b_noise = 2.0 * dc.noise(user) / (dc.eta_m2 * powers)
     nats = integrate_rows(lambda t, rows: _wdma_rate_nats_stacked(t, cfg, rows), b_noise, n_nodes)
-    return np.minimum(0.5 * nats / math.log(2.0), wdma_rate_ceiling_stacked(cfg, n_nodes))
+    return np.clip(0.5 * nats / math.log(2.0), 0.0, wdma_rate_ceiling_stacked(cfg, n_nodes))
 
 
 def noma_rate_far_stacked(cfg: SystemConfig, powers: np.ndarray, n_nodes: int):
@@ -447,7 +467,7 @@ def noma_rate_far_stacked(cfg: SystemConfig, powers: np.ndarray, n_nodes: int):
         return np.log1p(k2 / beta) + stacked[0] - stacked[1]
 
     integral = half * integrate_rows(delta, powers, n_nodes)
-    return np.minimum(4.0 / (dx * dx * math.log(2.0)) * integral, noma_rate_far_ceiling(cfg))
+    return np.clip(4.0 / (dx * dx * math.log(2.0)) * integral, 0.0, noma_rate_far_ceiling(cfg))
 
 
 def sinr_trials(

@@ -17,7 +17,6 @@ from scipy.stats import kstest
 from passperf import (
     SystemConfig,
     derive_constants,
-    diff_cdf,
     noma_outage_far,
     noma_outage_near,
     noma_rate_far,
@@ -25,7 +24,6 @@ from passperf import (
     noma_zero_outage_thresholds,
     sample_placements,
     snr_db_to_power_w,
-    sq_diff_cdf,
     validate,
     wdma_avg_rate,
     wdma_outage,
@@ -36,10 +34,12 @@ from passperf.quadrature import _log1p_moments
 from passperf.sweep import find_crossover, omega_one, omega_two
 
 from oracles import (
+    diff_cdf,
     diff_distribution,
     far_outage_trapezoid,
     near_coord_cdf_g,
     random_config,
+    sq_diff_cdf,
     wdma_rate_quad2d,
 )
 

@@ -89,9 +89,11 @@ def test_every_module_the_benchmark_imports_exists():
 # Span names in perfbench/spans.py that no package function carries: the
 # layers they feed read zero until the benchmark renames them.
 KNOWN_UNRESOLVED = {
+    "geometry.diff_cdf",
     "geometry.diff_pdf",
     "geometry.sample_wdma",
     "geometry.sample_noma",
+    "geometry.sq_diff_cdf",
     "montecarlo.sinr_trials",
     "noma.noma_breakpoints",
     "quadrature.integrate_interval",

@@ -13,15 +13,14 @@ from passperf import (
     IntegrationError,
     SystemConfig,
     chebyshev_rule,
-    diff_cdf,
     sample_placements,
-    sq_diff_cdf,
 )
 from passperf.geometry import expected_log_excess
 from passperf.quadrature import _SERIES_S, integrate_rows
 
 from oracles import (
     DiffDistribution,
+    diff_cdf,
     diff_distribution,
     diff_pdf,
     expected_log_excess_stacked,
@@ -29,6 +28,7 @@ from oracles import (
     g_axis,
     near_coord_cdf_g,
     near_pdf,
+    sq_diff_cdf,
 )
 
 CFG = SystemConfig()

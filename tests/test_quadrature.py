@@ -311,6 +311,12 @@ _WIDE_DB = np.arange(-50.0, 401.0, 5.0).tolist()
 )
 @example(cfg=SystemConfig(), snrs_db=_WIDE_DB, n_nodes=64)
 @example(cfg=omega_two(), snrs_db=_WIDE_DB, n_nodes=64)
+@example(  # a rate that rounds below zero, which the package clamps to 0
+    cfg=SystemConfig(pa_height_m=2.0, region_x_m=4.0, region_y_m=3.0, region_y_offset_m=9.5,
+                     noma_alpha_near=0.0625, noma_alpha_far=0.9375),
+    snrs_db=[-49.0],
+    n_nodes=16,
+)
 @settings(max_examples=25, deadline=None)
 def test_rates_equal_the_stacked_three_point_route_bitwise(cfg, snrs_db, n_nodes):
     powers = np.array(snr_db_to_power_w(cfg, snrs_db))

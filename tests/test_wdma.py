@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passperf import (
@@ -19,6 +19,7 @@ from passperf import (
     wdma_rate_ceiling,
 )
 from passperf import geometry, wdma
+from passperf.config import SPEED_OF_LIGHT_M_S
 from passperf.quadrature import _ONE_TERM_S, _SERIES_S, integrate_rows
 from passperf.sweep import omega_one, omega_two
 from passperf.wdma import _log_rate_coeffs
@@ -200,15 +201,13 @@ def test_offset_layout_rate_matches_scipy_oracle():
 
 
 def test_offset_region_metrics_match_monte_carlo():
-    # the outage transition of the dispersed deployment sits at 80-90 dB;
-    # the interior kink of the separation density costs the quadrature a few
-    # 1e-4 there, still far below the Monte Carlo band
+    # the outage transition of the dispersed deployment sits at 80-90 dB
     cfg = omega_two()
     for snr_db in (84.0, 86.0, 88.0):
         power = power_at(snr_db, cfg)
         analytic = wdma_outage(cfg, power)
         est = mc_cell_estimates(100_000, 99, [("wdma", 1)], cfg, [power])[("wdma", 1)]["outage"][0]
-        assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-3
+        assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12)
     for snr_db in (90.0, 105.0, 120.0):
         power = power_at(snr_db, cfg)
         rate = wdma_avg_rate(cfg, power)
@@ -223,14 +222,8 @@ def test_rejects_non_positive_power():
         wdma_avg_rate(CFG, -1.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: the x-integral of the outage is not split at the kinks "
-    "of its conditional outage, so N=64 is 2.9e-3 relative off at 83 dB on omega_two "
-    "and N=128 moves it by 3.4e-3",
-)
 def test_doubling_nodes_moves_outage_less_than_1e_6_across_kinks():
-    # the README's promise for doubling --nodes, at a point where it fails
+    # the README's promise for doubling --nodes, next to a segment end
     cfg = omega_two()
     power = power_at(83.0, cfg)
     coarse = wdma_outage(cfg, power, n_nodes=64)
@@ -343,17 +336,153 @@ def test_floor_calls_no_quadrature(monkeypatch):
         assert 0.0 <= wdma_outage_floor(cfg) <= 1.0
 
 
+def _mp_outage(cfg, power_w, mp):
+    """The WDMA outage of user 1 at 40 digits, in metres from the config
+    fields: mp.quad over the x-offset s in [0, X/2] of the triangular CDF at the
+    separation threshold r(s) = sqrt(g (gamma_th - 1 + e) / (1 - e)), with
+    g = s^2 + h^2, e = gamma_th b g and b = 2 sigma^2 / (eta P), and of 1
+    where e >= 1. It is split where r crosses lo, the peak and hi, at the
+    positive roots g of gamma_th b g^2 + (gamma_th - 1 + k^2 gamma_th b) g -
+    k^2 = 0. eta and sigma^2 are formed in mpmath from the fields, and the
+    power P in watts is taken as exact."""
+    with mp.workdps(40):
+        freq = mp.mpf(cfg.carrier_freq_hz)
+        eta = mp.mpf(SPEED_OF_LIGHT_M_S) ** 2 / (16 * mp.pi**2 * freq**2)
+        noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue1) - 30) / 10)
+        gth = mp.mpf(cfg.outage_threshold)
+        a = gth * 2 * noise / (eta * mp.mpf(power_w))  # e / g
+        h_sq, half, w = mp.mpf(cfg.pa_height_m) ** 2, mp.mpf(cfg.region_x_m) / 2, mp.mpf(cfg.region_y_m)
+        lo = 2 * mp.mpf(cfg.region_y_offset_m)
+        peak, hi = lo + w, lo + 2 * w
+
+        def outage(s):
+            g = s * s + h_sq
+            if a * g >= 1:
+                return mp.mpf(1)
+            r = mp.sqrt(max(g * (gth - 1 + a * g) / (1 - a * g), 0))
+            if r <= lo:
+                return mp.mpf(0)
+            if r <= peak:
+                return (r - lo) ** 2 / (2 * w * w)
+            return 1 - (hi - r) ** 2 / (2 * w * w) if r <= hi else mp.mpf(1)
+
+        breaks = {mp.mpf(0), half}
+        for k in (lo, peak, hi):
+            b = gth - 1 + k * k * a
+            root = mp.sqrt(b * b + 4 * a * k * k)
+            g = 2 * k * k / (b + root) if b > 0 else (root - b) / (2 * a)
+            if h_sq < g < h_sq + half * half:
+                breaks.add(mp.sqrt(g - h_sq))
+        return mp.quad(outage, sorted(breaks)) / half
+
+
+def _assert_outage_matches_reference(cfg, powers):
+    mp = pytest.importorskip("mpmath").mp
+    values = wdma_outage(cfg, np.array(powers))
+    for power, value in zip(powers, values.tolist()):
+        reference = _mp_outage(cfg, power, mp)
+        assert abs(value - reference) <= max(1e-12 * reference, 1e-300), (power, value, reference)
+
+
+# (config, transmit SNRs in dB) across each outage transition
+MP_OUTAGE_EXAMPLES = {
+    "default": (CFG, np.arange(78.0, 93.0)),
+    "omega_two": (omega_two(), np.arange(78.0, 93.0)),
+    "threshold_30": (KINKED_FLOOR_CONFIGS["threshold_30"], [90.0, 95.0, 100.0]),
+    "omega_two_threshold_40": (KINKED_FLOOR_CONFIGS["omega_two_threshold_40"], [95.0, 100.0, 110.0]),
+    "far_offset": (FLOOR_EXAMPLES["far_offset"], [105.0, 120.0, 250.0]),
+    "threshold_0.5": (FLOOR_EXAMPLES["threshold_0.5"], [72.0, 75.0, 78.0]),
+}
+
+
+@pytest.mark.parametrize("name", MP_OUTAGE_EXAMPLES)
+def test_outage_examples_match_a_40_digit_mpmath_reference(name):
+    cfg, snrs_db = MP_OUTAGE_EXAMPLES[name]
+    _assert_outage_matches_reference(cfg, power_at(list(snrs_db), cfg))
+
+
+@st.composite
+def outage_points(draw):
+    """A config of ``floor_configs`` and a transmit power from 10^-0.5 to
+    10^3 times the power at which noise alone puts a user at a drawn
+    x-offset in outage (e = 1)."""
+    cfg = draw(floor_configs())
+    s = draw(st.floats(0.0, cfg.region_x_m / 2))
+    eta = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * cfg.carrier_freq_hz**2)
+    noise = 10.0 ** ((cfg.noise_power_dbm_ue1 - 30.0) / 10.0)
+    g = s * s + cfg.pa_height_m * cfg.pa_height_m
+    return cfg, 2.0 * noise * cfg.outage_threshold * g / eta * 10.0 ** draw(st.floats(-0.5, 3.0))
+
+
+@given(point=outage_points())
+@example(  # the cap's pole lies 1e-3 of the segment past the peak's crossing
+    point=(SystemConfig(pa_height_m=0.01460541124725414, region_x_m=1.586705538486338,
+                        region_y_m=79.93239772406136, outage_threshold=20.23652539607774),
+           1.7267384823136162e-05)
+)
+@example(  # an antenna 1e-3 of the region low: r's branch points at s = +-ih
+    point=(SystemConfig(pa_height_m=0.025098439406168634, region_x_m=25.799962620979194,
+                        region_y_m=23.076001270833196, region_y_offset_m=0.01703978387766369,
+                        outage_threshold=5.996178963481494), 0.01774418571306843)
+)
+@settings(max_examples=50, deadline=None)
+def test_outage_matches_a_40_digit_mpmath_reference(point):
+    cfg, power = point
+    _assert_outage_matches_reference(cfg, [power])
+
+
+@pytest.mark.parametrize("cfg", KINKED_FLOOR_CONFIGS.values(), ids=KINKED_FLOOR_CONFIGS.keys())
+def test_outage_meets_its_floor_at_300_and_400_db(cfg):
+    floor = wdma_outage_floor(cfg)
+    for value in wdma_outage(cfg, np.array(power_at([300.0, 400.0], cfg))).tolist():
+        assert abs(value - floor) <= 1e-12 * floor
+
+
+# (config overrides, power in W) where rounding puts a node of a segment at
+# or past saturation, e = 1, which the segment excludes in exact arithmetic
+ROUNDING_AT_SATURATION = {
+    # every crossing lies within 1e-15 of saturation, and the peak's rounds past the top's
+    "crossings_out_of_order": (
+        dict(carrier_freq_hz=9.96623249789381e-97, pa_height_m=1.7204044120612385e122,
+             region_x_m=5.0213303962139e132, region_y_m=1.536330562239425e132,
+             region_y_offset_m=1.7932924253660516e120, noise_power_dbm_ue1=-96.57864067055255,
+             outage_threshold=5.64535470151303e-26),
+        69524.18922831815,
+    ),
+    "e_rounds_to_one": (
+        dict(carrier_freq_hz=32867.84339488589, pa_height_m=635891805858.4966,
+             region_x_m=1.392998025291176e17, region_y_m=314466115989487.1,
+             region_y_offset_m=900519125.698421, noise_power_dbm_ue1=365.66001797298884,
+             outage_threshold=7.846183852482285e-21),
+        3.6813049712300165e33,
+    ),
+    "e_rounds_past_one": (
+        dict(carrier_freq_hz=1.40122013937539e36, pa_height_m=1.203199209200871e-16,
+             region_x_m=0.0005231143003985381, region_y_m=0.00011941551193582948,
+             region_y_offset_m=7.244128876858134e-14, noise_power_dbm_ue1=381.820217621702,
+             outage_threshold=35061.662829187626),
+        4.80863443551912e67,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ROUNDING_AT_SATURATION)
+def test_outage_is_bounded_where_segments_round_to_saturation(name):
+    overrides, power = ROUNDING_AT_SATURATION[name]
+    cfg = SystemConfig(**overrides)
+    assert wdma_outage_floor(cfg) <= wdma_outage(cfg, power) <= 1.0
+
+
 # unequal noise powers, so that the two WDMA users differ
 UNEQUAL = SystemConfig(noise_power_dbm_ue2=-80.0)
 
 
 def _wdma_values(cfg, powers, n_nodes):
-    """Every WDMA integral of ``cfg``: both users' outages and rates over
+    """Every mirrored WDMA integral of ``cfg``: both users' rates over
     ``powers``, and the rate ceiling."""
     wdma_rate_ceiling.cache_clear()
     values = [wdma_rate_ceiling(cfg, n_nodes)]
     for user in (1, 2):
-        values.append(wdma_outage(cfg, powers, n_nodes, user=user))
         values.append(wdma_avg_rate(cfg, powers, n_nodes, user=user))
     wdma_rate_ceiling.cache_clear()
     return np.hstack(values)
@@ -362,12 +491,11 @@ def _wdma_values(cfg, powers, n_nodes):
 @pytest.mark.parametrize("cfg", [UNEQUAL, omega_two(UNEQUAL)], ids=["adjacent", "offset"])
 @pytest.mark.parametrize("n_nodes", [1, 2, 3, 7, 16, 63, 64, 128])
 def test_mirrored_integrals_equal_the_full_node_evaluation_bitwise(cfg, n_nodes, monkeypatch):
-    """The WDMA integrands are even in t, so their values on the nonnegative
-    nodes mirrored onto the rest equal an evaluation on every node bit for
-    bit. The grids are separate calls: -50:110 dB takes the closed-form
-    log-moment kernel and holds outages that are 1 outright (-50 dB) or
-    saturate at some nodes only (82-96 dB); 130:250 dB takes the series and
-    280:400 dB its first term alone."""
+    """The WDMA rate integrands are even in t, so their values on the
+    nonnegative nodes mirrored onto the rest equal an evaluation on every
+    node bit for bit. The grids are separate calls: -50:110 dB takes the
+    closed-form log-moment kernel, 130:250 dB the series and 280:400 dB its
+    first term alone."""
     grids = [np.arange(-50.0, 111.0, 2.0), np.arange(130.0, 251.0, 10.0), np.arange(280.0, 401.0, 10.0)]
     forms = set()
     kernel = geometry._log1p_moments
@@ -384,7 +512,6 @@ def test_mirrored_integrals_equal_the_full_node_evaluation_bitwise(cfg, n_nodes,
         patch.setattr(wdma, "_integrate_even", integrate_rows)
         full = [_wdma_values(cfg, p, n_nodes) for p in powers]
     assert forms == {"one term", "series", "closed"}
-    assert (mirrored[0] == 1.0).any()
     for got, expected in zip(mirrored, full):
         assert got.tobytes() == expected.tobytes()
 
