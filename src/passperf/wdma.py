@@ -59,7 +59,7 @@ def _integrate_even(f, rows, n_nodes: int) -> np.ndarray:
 def _crossings(gth: float, b_noise, model: ReducedModel) -> np.ndarray:
     """The x-offsets s in [0, X/2] where the cap g (gamma_th - 1 + e) / (1 - e)
     on the squared y-separation (e = gamma_th b_noise g, g = s^2 + h^2)
-    crosses lo^2, peak^2 and hi^2, in order on a leading axis.
+    crosses lo^2, peak^2 and hi^2, in order: a row each, a column per b_noise.
 
     Where it is positive the cap grows with g, so each crossing is the
     positive root of A g^2 + B g - C with A = gamma_th b_noise,
@@ -68,13 +68,14 @@ def _crossings(gth: float, b_noise, model: ReducedModel) -> np.ndarray:
     noise it is k^2 / (gamma_th - 1) bit for bit. The cap diverges as e
     nears 1, past the crossing of hi^2.
     """
-    c = np.square([model.support_lo, model.peak, model.support_hi]).reshape((3,) + (1,) * np.ndim(b_noise))
+    c = np.square([[model.support_lo], [model.peak], [model.support_hi]])
     ac = c * gth * b_noise  # from c first: 0, not 0 * inf, where k = 0
     b = gth - 1.0 + ac
     root = np.hypot(b, 2.0 * np.sqrt(ac))
     rising = b > 0.0
     # root - min(b, 0) is root - b where it is taken, and never inf - inf
-    g = np.where(rising, 2.0 * c, root - np.minimum(b, 0.0)) / np.where(rising, b + root, 2.0 * gth * b_noise)
+    numerator = np.where(rising, 2.0 * c, root - np.minimum(b, 0.0))
+    g = numerator / np.where(rising, b + root, 2.0 * gth * b_noise)
     crossings = np.minimum(np.sqrt(np.maximum(g - model.pa_height_sq, 0.0)), 0.5 * model.region_x)
     return np.maximum.accumulate(crossings)  # in order, however they round
 
@@ -256,16 +257,15 @@ def _squares(s1: float, s2: float, k: float, a: float, h_sq: float) -> float:
     ) / root_a
 
 
-@lru_cache(maxsize=128)
 def _outage_floor(gth: float, model: ReducedModel) -> float:
-    """:func:`wdma_outage_floor` of ``gth`` on ``model``; cached for ``wdma_outage``'s clamp."""
+    """:func:`wdma_outage_floor` of the threshold ``gth`` on ``model``."""
     a = gth - 1.0
     if a <= 0.0:
         return 0.0
     h_sq, half = model.pa_height_sq, 0.5 * model.region_x
     total = _segment_sum(
-        lambda u, v, k: _squares(u, v, k, a, h_sq),
-        *_crossings(gth, 0.0, model).tolist(), half, model.support_lo, model.support_hi, model.half_width,
+        lambda u, v, k: _squares(u, v, k, a, h_sq), *_crossings(gth, 0.0, model)[:, 0].tolist(),
+        half, model.support_lo, model.support_hi, model.half_width,
     )
     return min(max(total / half, 0.0), 1.0)
 
