@@ -172,22 +172,23 @@ def noma_rate_far(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int =
     1-D array).
 
     The average over the y-separation is closed-form for both region
-    layouts; the outer average over the squared x-offset uses the Chebyshev
-    rule, with powers on the leading axis and nodes on the last. Where the
-    rate meets its ceiling or zero, rounding can leave it an ulp outside;
-    the value is clamped to [0, ceiling] there.
+    layouts; the outer average over the squared x-offset m uses the
+    Chebyshev rule in tau = ln(1 + m/h^2), so that m + h^2 = h^2 e^tau is
+    the step dm/dtau, with powers on the leading axis and nodes on the last.
+    Where the rate meets its ceiling or zero, rounding can leave it an ulp
+    outside; the value is clamped to [0, ceiling] there.
     """
-    n2, h_sq, dx = model.noise_w_ue2, model.pa_height_sq, model.region_x
-    # m = half (t + 1) maps the nodes onto the x-offset interval [0, (dx/2)^2]
-    half = 0.5 * model.centre_sq
+    h_sq = model.pa_height_sq
+    half_span = 0.5 * math.log1p(model.centre_sq / h_sq)
 
     def delta(t, block):
-        # E[ln(beta + k2 + n2 U^2) - ln(beta + n2 U^2)] given the x-offset m
-        k1 = (model.eta_m2 * cfg.noma_alpha_near * block)[:, None]
-        k2 = (model.eta_m2 * cfg.noma_alpha_far * block)[:, None]
-        beta = k1 + n2 * (h_sq + (half * t + half))
-        upper = expected_log_excess(beta + k2, n2, model)
-        return np.log1p(k2 / beta) + upper - expected_log_excess(beta, n2, model)
+        # E[ln(beta + k2 + U^2) - ln(beta + U^2)] given m, times m + h^2
+        snr = (model.eta_m2 * block / model.noise_w_ue2)[:, None]  # no noise x h^2 to underflow
+        k1, k2 = cfg.noma_alpha_near * snr, cfg.noma_alpha_far * snr
+        g = h_sq * np.exp(half_span * t + half_span)  # m + h^2
+        beta = k1 + g
+        upper = expected_log_excess(beta + k2, 1.0, model)
+        return (np.log1p(k2 / beta) + upper - expected_log_excess(beta, 1.0, model)) * g
 
-    integral = half * integrate_rows(delta, powers, n_nodes)
-    return np.clip(4.0 / (dx * dx * _LN2) * integral, 0.0, noma_rate_far_ceiling(cfg))
+    integral = half_span * integrate_rows(delta, powers, n_nodes)
+    return np.clip(integral / (model.centre_sq * _LN2), 0.0, noma_rate_far_ceiling(cfg))

@@ -491,6 +491,8 @@ def validate(
         for k, (scheme, user, metric) in enumerate(table.keys):
             value, est_value, est_error = analytic[k][j], mc_value[k][j], mc_std_error[k][j]
             tolerance = cell_tolerance(metric, value, est_error, sigma_tol)
+            if metric == "outage" and est_value in (0.0, 1.0):  # all trials agreed: se = 0
+                tolerance = sigma_tol * math.sqrt(value * (1.0 - value) / trials)
             cells.append(
                 ValidationCell(
                     scheme=scheme,

@@ -2,15 +2,17 @@
 
 Each user is served by a dedicated waveguide antenna pinned above it; the
 other user's antenna interferes across waveguides. Outage and rate reduce
-to one-dimensional integrals over the user's x-offset s = |x - X/2|. The
-outage and its interference-only floor are one segment sum over the
+to one-dimensional integrals over the user's x-offset s = |x - X/2|, taken
+in theta = asinh(s/h): g = s^2 + h^2 is (h cosh theta)^2, and the branch
+points at s = +-ih lie a quarter turn off the axis however long the region.
+The outage and its interference-only floor are one segment sum over the
 triangular law of the y-separation, split where the separation threshold
 crosses its support: closed-form segments for the floor, the Chebyshev rule
-on each segment for the outage. The rate's integrand is even in the rule's
-variable and is evaluated on its nonnegative nodes only; its inner average
-over the y-separation is one closed form for adjacent and offset
-sub-regions alike, and its high-SNR limit is the rate ceiling. Lengths and
-powers are in the reduced units of ``config.ReducedModel``.
+on each segment for the outage. The rate's integrand is even in theta and
+evaluated on the nonnegative nodes only; its inner average over the
+y-separation is one closed form for both layouts, and its high-SNR limit is
+the rate ceiling. Lengths and powers are in the reduced units of
+``config.ReducedModel``.
 """
 
 from __future__ import annotations
@@ -25,17 +27,6 @@ from .geometry import _segment_sum, expected_log_excess
 from .quadrature import integrate_rows
 
 _LN2 = math.log(2.0)
-
-
-def _axis_distance_sq(t, model: ReducedModel):
-    """Squared antenna-to-user distance projected on the axis plane,
-    (x - X/2)^2 + h^2, at x = X (t + 1) / 2 for the unit-interval nodes t.
-
-    The x-offset x - X/2 = X t / 2 is formed directly, without x: that
-    avoids cancellation near the centre and makes the value exactly even
-    in t, which ``_integrate_even`` relies on.
-    """
-    return (0.5 * model.region_x * np.asarray(t)) ** 2 + model.pa_height_sq
 
 
 def _integrate_even(f, rows, n_nodes: int) -> np.ndarray:
@@ -138,15 +129,20 @@ def _log_rate_coeffs(g, b_noise):
 
 
 def _rate_nats(t, model: ReducedModel, b_noise: np.ndarray):
-    """Mean of ln(1 + sinr) over the y-separation at the unit-interval nodes t,
-    one row per entry of the 1-D noise coefficients ``b_noise``.
-
-    ln(a/c) is taken as ln(1 + g/c), since a - c = g. With b_noise = 0 this
-    is the interference-only integrand of the rate ceiling.
+    """Mean of ln(1 + sinr) over the y-separation at s = h sinh(theta t) times
+    ds/dt / X, theta = asinh(X / 2h): its integral over t is the mean over x.
+    One row per entry of the 1-D noise coefficients ``b_noise``; g = s^2 + h^2
+    is the product (h cosh(theta t))^2, and ln(a/c) is ln(1 + g/c), since
+    a - c = g. With b_noise = 0 this is the interference-only integrand of
+    the rate ceiling.
     """
-    g = _axis_distance_sq(t, model)
+    h = math.sqrt(model.pa_height_sq)
+    theta = math.asinh(0.5 * model.region_x / h)
+    root_g = h * np.cosh(theta * t)
+    g = root_g * root_g
     a, b, c, d = _log_rate_coeffs(g, b_noise[:, None])
-    return np.log1p(g / c) + expected_log_excess(a, b, model) - expected_log_excess(c, d, model)
+    nats = np.log1p(g / c) + expected_log_excess(a, b, model) - expected_log_excess(c, d, model)
+    return nats * (root_g * theta / model.region_x)
 
 
 @over_powers
@@ -160,7 +156,7 @@ def wdma_avg_rate(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int =
     few ulps outside; the value is clamped to [0, ceiling] there.
     """
     b_noise = 2.0 * model.noise(user) / (model.eta_m2 * powers)
-    rate = 0.5 * _integrate_even(lambda t, rows: _rate_nats(t, model, rows), b_noise, n_nodes) / _LN2
+    rate = _integrate_even(lambda t, rows: _rate_nats(t, model, rows), b_noise, n_nodes) / _LN2
     return np.clip(rate, 0.0, wdma_rate_ceiling(cfg, n_nodes))
 
 
@@ -294,4 +290,4 @@ def wdma_rate_ceiling(cfg: SystemConfig, n_nodes: int = 64) -> float:
     """
     model = derive_constants(cfg)
     nats = _integrate_even(lambda t, rows: _rate_nats(t, model, rows), np.zeros(1), n_nodes)
-    return max(1.0, (0.5 * nats / _LN2).item())
+    return max(1.0, (nats / _LN2).item())

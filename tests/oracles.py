@@ -19,12 +19,11 @@ rows through ``csv.writer``: the route that ``write_csv`` must match byte
 for byte.
 ``DiffDistribution``, ``g_axis`` and ``outage_radii_sq`` give the separation
 law, the squared axis distance and the NOMA outage radii in metres, from
-the config fields, where the package works in reduced units. The
-``*_stacked`` rates and ``log1p_moments_masked`` keep the earlier route of
-the log-moment kernel (both log terms of a node in one stacked call, all
-three support points, N-d boolean masks), and ``expected_log_excess_stacked``
-its earlier layout (every support point of a call on one trailing axis), all
-of which the package must match bit for bit.
+the config fields, where the package works in reduced units.
+``log1p_moments_masked`` keeps the earlier split of the log-moment kernel
+(N-d boolean masks), and ``expected_log_excess_stacked`` its earlier layout
+(every support point of a call on one trailing axis), both of which the
+package must match bit for bit.
 """
 
 from __future__ import annotations
@@ -46,16 +45,13 @@ from passperf import (
 )
 from passperf.config import SPEED_OF_LIGHT_M_S
 from passperf.montecarlo import _draw
-from passperf.noma import noma_rate_far_ceiling
 from passperf.quadrature import (
     _SERIES_S,
     _SERIES_TERMS,
     _log1p_moments,
     _phi_closed,
     _phi_series,
-    integrate_rows,
 )
-from passperf.wdma import _log_rate_coeffs
 from passperf.sweep import (
     CELLS,
     CROSSOVER_LOOKAHEAD,
@@ -412,62 +408,6 @@ def expected_log_excess_stacked(a, b, dist):
     t = points * m0 - m1
     t0 = t[..., 0] if lo else 0.0
     return (t0 - 2.0 * t[..., -2] + t[..., -1]) / (w * w)
-
-
-def expected_log_excess_three_point(a, b, dist: DiffDistribution):
-    """``expected_log_excess`` through all three support points, the end
-    u = lo included also where lo = 0, on ``log1p_moments_masked``."""
-    lo, w = dist.support_lo, dist.half_width
-    ratio = np.asarray(b, dtype=float) / np.asarray(a, dtype=float)
-    points = np.array([lo, lo + w, lo + 2.0 * w])
-    m0, m1 = log1p_moments_masked(points, ratio[..., None])
-    t = points * m0 - m1
-    return (t[..., 0] - 2.0 * t[..., 1] + t[..., 2]) / (w * w)
-
-
-def _wdma_rate_nats_stacked(t, cfg: SystemConfig, b_noise: np.ndarray):
-    # the squared axis distance from the x-offset X t / 2, as the package
-    # forms it; evaluated here on all N nodes, where the package mirrors
-    g = (0.5 * cfg.region_x_m * np.asarray(t)) ** 2 + cfg.pa_height_m * cfg.pa_height_m
-    a, b, c, d = _log_rate_coeffs(g, b_noise[:, None])
-    stacked = expected_log_excess_three_point(
-        np.stack([a, c]), np.stack([b, d]), diff_distribution(cfg)
-    )
-    return np.log1p(g / c) + stacked[0] - stacked[1]
-
-
-def wdma_rate_ceiling_stacked(cfg: SystemConfig, n_nodes: int) -> float:
-    """``wdma_rate_ceiling`` on the stacked three-point route."""
-    nats = integrate_rows(lambda t, rows: _wdma_rate_nats_stacked(t, cfg, rows), np.zeros(1), n_nodes)
-    return max(1.0, (0.5 * nats / math.log(2.0)).item())
-
-
-def wdma_avg_rate_stacked(cfg: SystemConfig, powers: np.ndarray, n_nodes: int, user: int):
-    """``wdma_avg_rate`` over the 1-D ``powers`` on the stacked three-point route."""
-    dc = derive_constants(cfg)
-    b_noise = 2.0 * dc.noise(user) / (dc.eta_m2 * powers)
-    nats = integrate_rows(lambda t, rows: _wdma_rate_nats_stacked(t, cfg, rows), b_noise, n_nodes)
-    return np.clip(0.5 * nats / math.log(2.0), 0.0, wdma_rate_ceiling_stacked(cfg, n_nodes))
-
-
-def noma_rate_far_stacked(cfg: SystemConfig, powers: np.ndarray, n_nodes: int):
-    """``noma_rate_far`` over the 1-D ``powers`` on the stacked three-point route."""
-    dc = derive_constants(cfg)
-    n2 = dc.noise_w_ue2
-    dx = cfg.region_x_m
-    half = 0.5 * (0.5 * dx * (0.5 * dx))
-
-    def delta(t, block):
-        k1 = (dc.eta_m2 * cfg.noma_alpha_near * block)[:, None]
-        k2 = (dc.eta_m2 * cfg.noma_alpha_far * block)[:, None]
-        beta = k1 + n2 * (cfg.pa_height_m * cfg.pa_height_m + (half * t + half))
-        stacked = expected_log_excess_three_point(
-            np.stack([beta + k2, beta]), n2, diff_distribution(cfg)
-        )
-        return np.log1p(k2 / beta) + stacked[0] - stacked[1]
-
-    integral = half * integrate_rows(delta, powers, n_nodes)
-    return np.clip(4.0 / (dx * dx * math.log(2.0)) * integral, 0.0, noma_rate_far_ceiling(cfg))
 
 
 def sinr_trials(

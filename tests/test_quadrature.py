@@ -35,9 +35,8 @@ from oracles import (
     interval_integral,
     log1p_moments_both_forms,
     log1p_moments_masked,
-    noma_rate_far_stacked,
-    wdma_avg_rate_stacked,
-    wdma_rate_ceiling_stacked,
+    noma_rate_far_quad2d,
+    wdma_rate_quad2d,
 )
 
 
@@ -128,6 +127,8 @@ DOUBLING_CONFIGS = {
     "default": SystemConfig(),
     "omega_two": omega_two(),
     "split": SystemConfig(noma_alpha_near=0.2, noma_alpha_far=0.8),
+    "long_300": SystemConfig(region_x_m=300.0),
+    "long_1000": SystemConfig(region_x_m=1000.0),
 }
 
 
@@ -289,11 +290,13 @@ def test_log_moment_kernel_equals_masked_split_bitwise(shape, data):
 
 @st.composite
 def _layouts(draw):
-    """Configs with adjacent (offset 0) and dispersed sub-regions."""
+    """Configs with adjacent (offset 0) and dispersed sub-regions, and regions
+    from under one to 10^3 antenna heights long, log-uniformly."""
     alpha_near = draw(st.floats(0.05, 0.3))
+    pa_height_m = draw(st.floats(1.5, 6.0))
     return SystemConfig(
-        pa_height_m=draw(st.floats(1.5, 6.0)),
-        region_x_m=draw(st.floats(4.0, 20.0)),
+        pa_height_m=pa_height_m,
+        region_x_m=pa_height_m * 10.0 ** draw(st.floats(-0.5, 3.0)),
         region_y_m=draw(st.floats(3.0, 30.0)),
         region_y_offset_m=draw(st.just(0.0) | st.floats(0.5, 15.0)),
         noma_alpha_near=alpha_near,
@@ -304,33 +307,56 @@ def _layouts(draw):
 _WIDE_DB = np.arange(-50.0, 401.0, 5.0).tolist()
 
 
-@given(
-    cfg=_layouts(),
-    snrs_db=st.lists(st.floats(-50.0, 400.0), min_size=1, max_size=80),
-    n_nodes=st.sampled_from([16, 64]),
-)
-@example(cfg=SystemConfig(), snrs_db=_WIDE_DB, n_nodes=64)
-@example(cfg=omega_two(), snrs_db=_WIDE_DB, n_nodes=64)
-@example(  # a rate that rounds below zero, which the package clamps to 0
+@given(cfg=_layouts(), snrs_db=st.lists(st.floats(-50.0, 400.0), min_size=1, max_size=80))
+@example(cfg=SystemConfig(), snrs_db=_WIDE_DB)
+@example(cfg=omega_two(), snrs_db=_WIDE_DB)
+@example(  # a short region far off the axis, at low SNR
     cfg=SystemConfig(pa_height_m=2.0, region_x_m=4.0, region_y_m=3.0, region_y_offset_m=9.5,
                      noma_alpha_near=0.0625, noma_alpha_far=0.9375),
     snrs_db=[-49.0],
-    n_nodes=16,
 )
 @settings(max_examples=25, deadline=None)
-def test_rates_equal_the_stacked_three_point_route_bitwise(cfg, snrs_db, n_nodes):
+def test_near_rate_equals_the_masked_kernel_route_bitwise(cfg, snrs_db):
+    # the log-moment kernel's index-list split gives the N-d masked split's bits
     powers = np.array(snr_db_to_power_w(cfg, snrs_db))
-    ceiling = np.float64(wdma_rate_ceiling(cfg, n_nodes))
-    assert ceiling.tobytes() == np.float64(wdma_rate_ceiling_stacked(cfg, n_nodes)).tobytes()
-    for user in (1, 2):
-        rate = wdma_avg_rate(cfg, powers, n_nodes, user=user)
-        assert rate.tobytes() == wdma_avg_rate_stacked(cfg, powers, n_nodes, user).tobytes()
-    far = noma_rate_far(cfg, powers, n_nodes)
-    assert far.tobytes() == noma_rate_far_stacked(cfg, powers, n_nodes).tobytes()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(noma, "_log1p_moments", log1p_moments_masked)
         masked_near = noma_rate_near(cfg, powers)
     assert noma_rate_near(cfg, powers).tobytes() == masked_near.tobytes()
+
+
+@given(cfg=_layouts(), snrs_db=st.lists(st.floats(60.0, 400.0), min_size=1, max_size=20))
+@example(cfg=SystemConfig(region_x_m=1000.0, pa_height_m=1.0), snrs_db=_WIDE_DB[22:])
+@example(cfg=omega_two(SystemConfig(region_x_m=1000.0, pa_height_m=1.0)), snrs_db=_WIDE_DB[22:])
+@settings(max_examples=25, deadline=None)
+def test_rates_on_long_regions_converge_at_the_default_order(cfg, snrs_db):
+    # N = 64 against N = 2048 in the x-variables s = h sinh(theta t) and
+    # tau = ln(1 + m / h^2), however many antenna heights the region spans:
+    # 1e-10 relative from 60 dB and 1e-12 from 100 dB, or 2e-12 bits/s/Hz.
+    # The absolute term covers tiny rates: the WDMA rate at X = 10^3 h
+    # converges to about 1e-12 bits/s/Hz at N = 64 (2e-11 relative at
+    # 100 dB with h = 6 m), and the log terms' rounding sets the far-user
+    # gap near 60 dB.
+    powers = np.array(snr_db_to_power_w(cfg, snrs_db))
+    rtol = np.where(np.array(snrs_db) >= 100.0, 1e-12, 1e-10)
+    for metric in (
+        lambda n: wdma_avg_rate(cfg, powers, n, user=1),
+        lambda n: wdma_avg_rate(cfg, powers, n, user=2),
+        lambda n: noma_rate_far(cfg, powers, n),
+        lambda n: np.full(len(powers), wdma_rate_ceiling(cfg, n)),
+    ):
+        coarse, fine = metric(64), metric(2048)
+        assert np.all(np.abs(coarse - fine) <= np.maximum(rtol * np.abs(fine), 2e-12)), (coarse, fine)
+
+
+@pytest.mark.parametrize("offset", [0.0, 10.0])
+@pytest.mark.parametrize("region_x_m", [300.0, 1000.0])
+def test_rates_on_long_regions_match_the_scipy_oracles(region_x_m, offset):
+    cfg = SystemConfig(region_x_m=region_x_m, region_y_m=10.0, region_y_offset_m=offset)
+    for snr_db in (80.0, 120.0):
+        power = snr_db_to_power_w(cfg, snr_db)
+        assert wdma_avg_rate(cfg, power) == pytest.approx(wdma_rate_quad2d(cfg, power), rel=1e-11)
+        assert noma_rate_far(cfg, power) == pytest.approx(noma_rate_far_quad2d(cfg, power), rel=1e-11)
 
 
 def test_j_functions_broadcast_over_arrays():

@@ -313,6 +313,27 @@ def test_corrupted_analytic_value_fails_cell():
     assert abs(corrupted - cell.mc_value) > band
 
 
+def test_validate_passes_on_a_long_region():
+    # 300 m is 100 antenna heights: the rate quadratures stay exact there
+    report = validate(replace(CFG, region_x_m=300.0), snr_grid(SweepSpec(60.0, 160.0, 10.0)),
+                      trials=100_000, seed=12345)
+    assert report.passed, [cell for cell in report.cells if not cell.passed]
+
+
+def test_validate_bands_a_unanimous_outage_estimate_by_the_analytic_value(monkeypatch):
+    # at 80 dB on a 300 m region every trial leaves the far user in outage;
+    # the analytic outage is 1 - 3.8e-8, not 1, and still passes
+    cfg, key = replace(CFG, region_x_m=300.0), ("noma", 2, "outage")
+    cell = validate(cfg, [80.0], trials=200_000, seed=12345).cells[list(sweep.CELLS).index(key)]
+    assert (cell.mc_value, cell.mc_std_error) == (1.0, 0.0)
+    assert 0.0 < 1.0 - cell.analytic < 1e-7 and cell.passed
+    assert cell.tolerance == pytest.approx(3.0 * math.sqrt(cell.analytic * (1.0 - cell.analytic) / 200_000))
+    # a value a binomial count of 200 000 trials rules out still fails
+    monkeypatch.setitem(sweep.CELLS, key, sweep.Cell(lambda c, p, n: np.full(len(p), 0.99), None))
+    corrupted = validate(cfg, [80.0], trials=200_000, seed=12345).cells[list(sweep.CELLS).index(key)]
+    assert corrupted.mc_value == 1.0 and not corrupted.passed
+
+
 def test_rate_tolerance_includes_relative_band():
     assert cell_tolerance("rate", 10.0, 0.001, 3.0) == pytest.approx(0.1)
     assert cell_tolerance("rate", 10.0, 1.0, 3.0) == pytest.approx(3.0)
