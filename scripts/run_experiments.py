@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from passperf import ConfigError, SystemConfig, SweepSpec, find_crossover, run_sweep, write_csv
-from passperf.cli import _nodes_flag
+from passperf.cli import _nodes_flag, _simulation_flags
 from passperf.sweep import omega_one, omega_two
 
 # SweepSpec field -> the flag that sets it, so that errors name the flag
@@ -40,8 +40,7 @@ def write_result(tag, table, outdir):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="output directory")
-    parser.add_argument("--trials", type=int, default=SweepSpec.mc_trials)
-    parser.add_argument("--seed", type=int, default=SweepSpec.mc_seed)
+    _simulation_flags(parser)
     _nodes_flag(parser)
     parser.add_argument("--start", type=float, default=SweepSpec.snr_db_start)
     parser.add_argument("--stop", type=float, default=SweepSpec.snr_db_stop)

@@ -153,15 +153,17 @@ def _cmd_validate(args) -> int:
     report = validate(
         cfg, snr_grid(spec), args.trials, args.seed, sigma_tol=args.sigma_tol, n_nodes=args.nodes
     )
+    table = report.table
     with _output(args) as out:
-        for cell in report.cells:
-            status = "PASS" if cell.passed else "FAIL"
-            print(
-                f"{status} snr={cell.snr_db:g} scheme={cell.scheme} user={cell.user} "
-                f"metric={cell.metric} analytic={cell.analytic:.6g} "
-                f"mc={cell.mc_value:.6g} se={cell.mc_std_error:.3g}",
-                file=out,
-            )
+        for j, snr_db in enumerate(table.grid.tolist()):
+            for k, (scheme, user, metric) in enumerate(table.keys):
+                status = "PASS" if report.within[k, j] else "FAIL"
+                print(
+                    f"{status} snr={snr_db:g} scheme={scheme} user={user} "
+                    f"metric={metric} analytic={table.analytic[k, j]:.6g} "
+                    f"mc={table.mc_value[k, j]:.6g} se={table.mc_std_error[k, j]:.3g}",
+                    file=out,
+                )
         print(report.summary(), file=out)
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED
 

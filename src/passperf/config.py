@@ -160,7 +160,9 @@ def derive_constants(cfg: SystemConfig) -> ReducedModel:
     eta = _normal(
         "carrier_freq_hz",
         "a path-gain factor eta in m^2",
-        lambda: SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * cfg.carrier_freq_hz**2),
+        # f * f, not f ** 2, so that scaling f by 2**j scales eta by 4**-j exactly
+        lambda: SPEED_OF_LIGHT_M_S**2
+        / (16.0 * math.pi**2 * (cfg.carrier_freq_hz * cfg.carrier_freq_hz)),
     )
     noise = [
         _normal(name, "a noise power in W", lambda: dbm_to_watts(getattr(cfg, name)))

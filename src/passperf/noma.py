@@ -78,20 +78,18 @@ def _over_threshold(cfg: SystemConfig, model: ReducedModel, share, powers, noise
 @over_powers
 def noma_outage_near(cfg: SystemConfig, model: ReducedModel, powers):
     """Closed-form outage probability of the near user at transmit power
-    ``power_w`` (a scalar or a 1-D array); exactly zero from the zero-outage
-    power on, and where the outage radius sqrt(c1) covers the whole region."""
+    ``power_w`` (a scalar or a 1-D array), (1 - 2 sqrt(c1) / X)^2; exactly
+    zero from the zero-outage power on, and where the outage radius sqrt(c1)
+    covers the whole region."""
     near, _ = _zero_outage_powers(cfg, model)
     c1 = (
         _over_threshold(cfg, model, cfg.noma_alpha_near, powers, model.noise_w_ue1)
         - model.pa_height_sq
     )
-    dx = model.region_x
-    # exact cases are masks, the last applied taking precedence; the clamped
-    # radius keeps the masked-out cells (c1 outside (0, m4)) free of invalid math
+    # centre_sq is the correctly rounded (X/2)^2, whose square root is X/2
+    # exactly, so the square is exactly 0 and 1 at the ends of the clamp
     inside = np.minimum(np.maximum(c1, 0.0), model.centre_sq)
-    value = 1.0 - 4.0 * np.sqrt(inside) / dx + 4.0 * inside / (dx * dx)
-    value = np.where(c1 >= model.centre_sq, 0.0, np.minimum(np.maximum(value, 0.0), 1.0))
-    value = np.where(c1 <= 0.0, 1.0, value)
+    value = (1.0 - 2.0 * np.sqrt(inside) / model.region_x) ** 2
     return np.where(powers >= near, 0.0, value)
 
 

@@ -3,7 +3,9 @@
 A sweep produces a columnar table: the SNR grid, and per (scheme, user,
 metric) its analytic values, its constant asymptote (outage floor or rate
 ceiling) and optional simulation estimates. ``write_csv`` emits it in long
-format, one line per grid point x scheme x user x metric.
+format, one line per grid point x scheme x user x metric. ``validate``
+evaluates every cell of ``CELLS`` with simulation columns into the same
+table, and bands each key's row by ``cell_tolerance``.
 """
 
 from __future__ import annotations
@@ -428,42 +430,42 @@ def find_crossover(
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class ValidationCell:
-    scheme: str
-    user: int
-    metric: str
-    snr_db: float
-    analytic: float
-    mc_value: float
-    mc_std_error: float
-    tolerance: float
-    passed: bool
+class ValidationReport(NamedTuple):
+    """What :func:`validate` found: the :class:`SweepTable` it evaluated,
+    simulation columns included, and two arrays shaped like
+    ``table.analytic``: each cell's acceptance band (:func:`cell_tolerance`)
+    and whether the analytic value lies within it."""
 
-
-@dataclass
-class ValidationReport:
-    cells: list
+    table: SweepTable
+    tolerance: np.ndarray  # (len(table.keys), len(table.grid))
+    within: np.ndarray  # bool, (len(table.keys), len(table.grid))
     sigma_tol: float
 
     @property
     def passed(self) -> bool:
-        return all(cell.passed for cell in self.cells)
+        return bool(self.within.all())
 
     def summary(self) -> str:
-        n_fail = sum(not cell.passed for cell in self.cells)
+        n_fail = self.within.size - int(np.count_nonzero(self.within))
         return (
-            f"{len(self.cells) - n_fail}/{len(self.cells)} cells within "
+            f"{self.within.size - n_fail}/{self.within.size} cells within "
             f"{self.sigma_tol} sigma ({'PASS' if n_fail == 0 else f'{n_fail} FAIL'})"
         )
 
 
-def cell_tolerance(metric: str, analytic: float, mc_std_error: float, sigma_tol: float) -> float:
-    """Acceptance band: sigma_tol standard errors, widened to 1% relative for rates."""
-    band = sigma_tol * mc_std_error
+def cell_tolerance(metric: str, analytic, mc_value, mc_std_error, sigma_tol: float, trials: int):
+    """Acceptance band of one key's cells, elementwise over its values
+    (scalars or arrays): ``sigma_tol`` standard errors of the simulation
+    estimate, widened to 1% relative for rates. An outage estimate of
+    exactly 0 or 1 (every trial agreed) has a standard error of 0; it takes
+    the binomial standard error at the analytic value,
+    sqrt(a (1 - a) / trials), instead; an analytic value outside [0, 1]
+    gets a zero band there."""
     if metric == "rate":
-        band = max(band, 0.01 * abs(analytic))
-    return band
+        return np.maximum(sigma_tol * mc_std_error, 0.01 * np.abs(analytic))
+    unanimous = (mc_value == 0.0) | (mc_value == 1.0)
+    binomial = np.sqrt(np.maximum(analytic * (1.0 - analytic), 0.0) / trials)
+    return sigma_tol * np.where(unanimous, binomial, mc_std_error)
 
 
 def validate(
@@ -482,31 +484,12 @@ def validate(
     if not (math.isfinite(sigma_tol) and sigma_tol > 0.0):
         raise ConfigError(f"sigma_tol must be finite and > 0, got {sigma_tol!r}")
     table = _cells(cfg, grid_db, tuple(CELLS), (None,) * len(CELLS), n_nodes, (trials, seed))
-    # Python floats, one per (key, SNR), as the report prints them
-    analytic, mc_value, mc_std_error = (
-        column.tolist() for column in (table.analytic, table.mc_value, table.mc_std_error)
+    rows = zip(table.keys, table.analytic, table.mc_value, table.mc_std_error)
+    tolerance = np.array(
+        [cell_tolerance(metric, *row, sigma_tol, trials) for (_, _, metric), *row in rows]
     )
-    cells = []
-    for j, snr_db in enumerate(table.grid.tolist()):
-        for k, (scheme, user, metric) in enumerate(table.keys):
-            value, est_value, est_error = analytic[k][j], mc_value[k][j], mc_std_error[k][j]
-            tolerance = cell_tolerance(metric, value, est_error, sigma_tol)
-            if metric == "outage" and est_value in (0.0, 1.0):  # all trials agreed: se = 0
-                tolerance = sigma_tol * math.sqrt(value * (1.0 - value) / trials)
-            cells.append(
-                ValidationCell(
-                    scheme=scheme,
-                    user=user,
-                    metric=metric,
-                    snr_db=snr_db,
-                    analytic=value,
-                    mc_value=est_value,
-                    mc_std_error=est_error,
-                    tolerance=tolerance,
-                    passed=abs(value - est_value) <= tolerance,
-                )
-            )
-    return ValidationReport(cells=cells, sigma_tol=sigma_tol)
+    within = np.abs(table.analytic - table.mc_value) <= tolerance
+    return ValidationReport(table, tolerance, within, sigma_tol)
 
 
 def omega_one(cfg: SystemConfig | None = None) -> SystemConfig:

@@ -109,7 +109,7 @@ def outage_radii_sq(cfg: SystemConfig, power_w):
     fields: the near user is out when its squared distance exceeds c1 + h^2,
     the far user when it exceeds c2 + h^2. The arithmetic is the package's,
     in metres, so that the values agree to the last bit."""
-    eta = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * cfg.carrier_freq_hz**2)
+    eta = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * (cfg.carrier_freq_hz * cfg.carrier_freq_hz))
     dbm = (cfg.noise_power_dbm_ue1, cfg.noise_power_dbm_ue2)
     n1, n2 = (10.0 ** ((value - 30.0) / 10.0) for value in dbm)
     gth, h_sq = cfg.outage_threshold, cfg.pa_height_m * cfg.pa_height_m

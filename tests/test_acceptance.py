@@ -62,11 +62,13 @@ def test_criterion_1_analytic_mc_equivalence():
     started = time.time()
     report = validate(DEFAULTS, GRID_10, trials=MC_TRIALS, seed=MC_SEED, sigma_tol=3.0, n_nodes=64)
     elapsed = time.time() - started
-    assert len(report.cells) == 10 * 2 * 2 * 2
-    for cell in report.cells:
-        assert cell.passed, (
-            f"{cell.scheme} user {cell.user} {cell.metric} at {cell.snr_db:.2f} dB: "
-            f"analytic {cell.analytic} vs mc {cell.mc_value} +- {cell.mc_std_error}"
+    table = report.table
+    assert report.within.shape == (2 * 2 * 2, 10)
+    for k, j in zip(*np.nonzero(~report.within)):
+        (scheme, user, metric), snr_db = table.keys[k], table.grid[j]
+        pytest.fail(
+            f"{scheme} user {user} {metric} at {snr_db:.2f} dB: analytic {table.analytic[k, j]} "
+            f"vs mc {table.mc_value[k, j]} +- {table.mc_std_error[k, j]}"
         )
     assert elapsed < 120.0
     _report(

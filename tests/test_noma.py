@@ -154,6 +154,28 @@ def test_near_outage_continuity_at_branch_edges():
     assert noma_outage_near(CFG, power_for_c1(m4 - 1e-10)) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_near_outage_keeps_its_relative_accuracy_near_zero():
+    # expanded, (1 - 2 sqrt(c1)/X)^2 cancels O(1) terms down to the outage:
+    # 1 - 4 sqrt(c1)/X + 4 c1/X^2 was 5e-4 relative off at an outage of 4.6e-13
+    mpmath = pytest.importorskip("mpmath")
+    dc = derive_constants(CFG)
+    half_x = 0.5 * CFG.region_x_m
+    with mpmath.workdps(50):
+        for target in (10.0 ** -np.arange(7, 16)).tolist():
+            c1_target = ((1.0 - math.sqrt(target)) * half_x) ** 2
+            power = (
+                CFG.outage_threshold
+                * dc.noise_w_ue1
+                * (c1_target + CFG.pa_height_m**2)
+                / (dc.eta_m2 * CFG.noma_alpha_near)
+            )
+            # the 50-digit value from the same float c1 as the package's
+            c1 = mpmath.mpf(outage_radii_sq(CFG, power)[0])
+            exact = (1 - mpmath.sqrt(c1) / half_x) ** 2
+            assert 0.5 * target < exact < 2.0 * target
+            assert abs(noma_outage_near(CFG, power) - exact) <= 1e-8 * exact, target
+
+
 @pytest.mark.parametrize("snr_db", [90.0, 93.0, 95.0, 96.5, 97.0])
 def test_near_outage_matches_monte_carlo(snr_db):
     power = power_at(snr_db)

@@ -121,16 +121,14 @@ def test_validate_evaluates_both_wdma_users_at_unequal_noise_powers(monkeypatch)
     report = validate(cfg, grid, trials=200, seed=1, sigma_tol=1e9)
     assert calls == {key: [len(grid)] for key in CELLS}
     by_snr = dict(zip(grid, grid_powers(cfg, 90.0, 150.0, 30.0)))
-    for cell in report.cells:
-        key = (cell.scheme, cell.user, cell.metric)
-        assert cell.analytic == analytic(key, cfg, by_snr[cell.snr_db])
+    table = report.table
+    assert table.grid.tolist() == grid
+    for key, row in zip(table.keys, table.analytic):
+        for snr_db, value in zip(grid, row.tolist()):
+            assert value == analytic(key, cfg, by_snr[snr_db])
     # user 2's noise is 10 dB above the SNR reference, so its rate is lower
-    rates = {
-        (cell.user, cell.snr_db): cell.analytic
-        for cell in report.cells
-        if (cell.scheme, cell.metric) == ("wdma", "rate")
-    }
-    assert rates[(2, 120.0)] < rates[(1, 120.0)]
+    rates = dict(zip(table.keys, table.analytic[:, grid.index(120.0)].tolist()))
+    assert rates[("wdma", 2, "rate")] < rates[("wdma", 1, "rate")]
 
 
 # (metric, extra arguments): the metrics that build (powers x nodes) arrays

@@ -63,6 +63,8 @@ def configs(draw):
 @given(cfg=configs(), n_nodes=st.sampled_from([16, 64]))
 @example(cfg=SystemConfig(), n_nodes=64)
 @example(cfg=omega_two(), n_nodes=64)
+# a frequency whose square the C library's pow rounds an ulp off f * f
+@example(cfg=SystemConfig(carrier_freq_hz=29028228895.251686), n_nodes=16)
 @settings(max_examples=15, deadline=None)
 def test_cells_are_bitwise_invariant_under_power_of_two_scaling(cfg, n_nodes):
     powers = np.array(snr_db_to_power_w(cfg, GRID_DB))

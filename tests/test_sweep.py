@@ -296,8 +296,10 @@ def test_csv_output_is_reproducible():
 def test_validate_small_grid_passes():
     report = validate(CFG, [95.0, 110.0, 130.0], trials=20_000, seed=12345, sigma_tol=3.0)
     assert report.passed
-    assert len(report.cells) == 3 * 8
-    assert "PASS" in report.summary()
+    assert report.table.keys == tuple(sweep.CELLS)
+    assert report.table.grid.tolist() == [95.0, 110.0, 130.0]
+    assert report.tolerance.shape == report.within.shape == report.table.analytic.shape == (8, 3)
+    assert "24/24 cells" in report.summary() and "PASS" in report.summary()
 
 
 def test_validate_rejects_zero_trials():
@@ -307,37 +309,84 @@ def test_validate_rejects_zero_trials():
 
 def test_corrupted_analytic_value_fails_cell():
     report = validate(CFG, [110.0], trials=20_000, seed=12345, sigma_tol=3.0)
-    cell = report.cells[0]
-    corrupted = cell.analytic + 0.1
-    band = cell_tolerance(cell.metric, corrupted, cell.mc_std_error, 3.0)
-    assert abs(corrupted - cell.mc_value) > band
+    table, metric = report.table, report.table.keys[0][2]
+    corrupted = table.analytic[0, 0] + 0.1
+    band = cell_tolerance(
+        metric, corrupted, table.mc_value[0, 0], table.mc_std_error[0, 0], 3.0, 20_000
+    )
+    assert abs(corrupted - table.mc_value[0, 0]) > band
+
+
+def _failures(report):
+    table = report.table
+    return [(table.keys[k], table.grid[j]) for k, j in zip(*np.nonzero(~report.within))]
 
 
 def test_validate_passes_on_a_long_region():
     # 300 m is 100 antenna heights: the rate quadratures stay exact there
     report = validate(replace(CFG, region_x_m=300.0), snr_grid(SweepSpec(60.0, 160.0, 10.0)),
                       trials=100_000, seed=12345)
-    assert report.passed, [cell for cell in report.cells if not cell.passed]
+    assert report.passed, _failures(report)
 
 
 def test_validate_bands_a_unanimous_outage_estimate_by_the_analytic_value(monkeypatch):
     # at 80 dB on a 300 m region every trial leaves the far user in outage;
     # the analytic outage is 1 - 3.8e-8, not 1, and still passes
     cfg, key = replace(CFG, region_x_m=300.0), ("noma", 2, "outage")
-    cell = validate(cfg, [80.0], trials=200_000, seed=12345).cells[list(sweep.CELLS).index(key)]
-    assert (cell.mc_value, cell.mc_std_error) == (1.0, 0.0)
-    assert 0.0 < 1.0 - cell.analytic < 1e-7 and cell.passed
-    assert cell.tolerance == pytest.approx(3.0 * math.sqrt(cell.analytic * (1.0 - cell.analytic) / 200_000))
+    k = list(sweep.CELLS).index(key)
+    report = validate(cfg, [80.0], trials=200_000, seed=12345)
+    analytic = report.table.analytic[k, 0]
+    assert (report.table.mc_value[k, 0], report.table.mc_std_error[k, 0]) == (1.0, 0.0)
+    assert 0.0 < 1.0 - analytic < 1e-7 and report.within[k, 0]
+    assert report.tolerance[k, 0] == pytest.approx(
+        3.0 * math.sqrt(analytic * (1.0 - analytic) / 200_000)
+    )
     # a value a binomial count of 200 000 trials rules out still fails
     monkeypatch.setitem(sweep.CELLS, key, sweep.Cell(lambda c, p, n: np.full(len(p), 0.99), None))
-    corrupted = validate(cfg, [80.0], trials=200_000, seed=12345).cells[list(sweep.CELLS).index(key)]
-    assert corrupted.mc_value == 1.0 and not corrupted.passed
+    corrupted = validate(cfg, [80.0], trials=200_000, seed=12345)
+    assert corrupted.table.mc_value[k, 0] == 1.0 and not corrupted.within[k, 0]
+    assert _failures(corrupted) == [(key, 80.0)]
+
+
+def test_validate_bands_every_row_by_cell_tolerance():
+    # unanimous outage estimates occur at 80 dB on a 300 m region
+    trials = 100_000
+    report = validate(replace(CFG, region_x_m=300.0), [80.0, 120.0], trials=trials, seed=12345)
+    table = report.table
+    outages = [k for k, key in enumerate(table.keys) if key[2] == "outage"]
+    assert np.isin(table.mc_value[outages, 0], (0.0, 1.0)).any()
+    for k, (_, _, metric) in enumerate(table.keys):
+        row = (table.analytic[k], table.mc_value[k], table.mc_std_error[k])
+        band = cell_tolerance(metric, *row, 3.0, trials)
+        assert report.tolerance[k].tobytes() == band.tobytes(), table.keys[k]
+    distance = np.abs(table.analytic - table.mc_value)
+    assert np.array_equal(report.within, distance <= report.tolerance)
 
 
 def test_rate_tolerance_includes_relative_band():
-    assert cell_tolerance("rate", 10.0, 0.001, 3.0) == pytest.approx(0.1)
-    assert cell_tolerance("rate", 10.0, 1.0, 3.0) == pytest.approx(3.0)
-    assert cell_tolerance("outage", 10.0, 0.001, 3.0) == pytest.approx(0.003)
+    assert cell_tolerance("rate", 10.0, 10.05, 0.001, 3.0, 1000) == pytest.approx(0.1)
+    assert cell_tolerance("rate", 10.0, 12.0, 1.0, 3.0, 1000) == pytest.approx(3.0)
+    assert cell_tolerance("outage", 10.0, 0.5, 0.001, 3.0, 1000) == pytest.approx(0.003)
+
+
+def test_cell_tolerance_takes_one_band_per_kind_of_cell():
+    trials = 10_000
+    binomial = 3.0 * math.sqrt(0.2 * 0.8 / trials)
+    # an outage estimate of exactly 0 or 1: the binomial band at the analytic value
+    assert cell_tolerance("outage", 0.2, 0.0, 0.0, 3.0, trials) == pytest.approx(binomial)
+    assert cell_tolerance("outage", 0.2, 1.0, 0.0, 3.0, trials) == pytest.approx(binomial)
+    # ... which is zero, not invalid, for an analytic value outside [0, 1]
+    assert cell_tolerance("outage", 1.5, 1.0, 0.0, 3.0, trials) == 0.0
+    # an interior estimate: 3 sigma, however far the analytic value is
+    assert cell_tolerance("outage", 0.2, 0.5, 0.005, 3.0, trials) == pytest.approx(0.015)
+    # a rate: the 1% floor over a smaller 3 sigma band
+    assert cell_tolerance("rate", 2.0, 2.01, 1e-4, 3.0, trials) == pytest.approx(0.02)
+    # a row takes each cell's band
+    row = cell_tolerance(
+        "outage", np.array([0.2, 0.2, 0.2]), np.array([0.0, 0.5, 1.0]),
+        np.array([0.0, 0.005, 0.0]), 3.0, trials,
+    )
+    assert row.tolist() == pytest.approx([binomial, 0.015, binomial])
 
 
 def test_crossover_requires_bracket_and_metric():
