@@ -10,8 +10,7 @@ from .config import (
     power_w_to_snr_db,
     snr_db_to_power_w,
 )
-from .geometry import Placement, sample_placements
-from .montecarlo import MetricEstimate, mc_cell_estimates, sinr
+from .montecarlo import Placement, mc_cell_estimates, sample_placements, sinr
 from .noma import (
     noma_outage_far,
     noma_outage_near,

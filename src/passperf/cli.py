@@ -15,13 +15,11 @@ import functools
 import sys
 
 from .config import SystemConfig, load_config, power_w_to_snr_db, snr_db_to_power_w
-from .montecarlo import mc_cell_estimates
+from .montecarlo import METRICS, SCHEMES, mc_cell_estimates
 from .noma import noma_rate_far_ceiling, noma_zero_outage_thresholds
 from .quadrature import IntegrationError
 from .sweep import (
     CROSSOVER_METRICS,
-    METRICS,
-    SCHEMES,
     NumericalError,
     SweepSpec,
     find_crossover,
@@ -205,11 +203,11 @@ def _cmd_asymptote(args) -> int:
 def _cmd_mc(args) -> int:
     cfg = _load(args)
     power_w = snr_db_to_power_w(cfg, args.snr_db)
-    cell = (args.scheme, args.user)
-    est = mc_cell_estimates(args.trials, args.seed, [cell], cfg, [power_w])[cell][args.metric][0]
+    key = (args.scheme, args.user, args.metric)
+    value, std_error = mc_cell_estimates(args.trials, args.seed, [key], cfg, [power_w])
     with _output(args) as out:
         print("value,std_error,trials", file=out)
-        print(f"{est.value!r},{est.std_error!r},{est.trials}", file=out)
+        print(f"{value[0, 0].item()!r},{std_error[0, 0].item()!r},{args.trials}", file=out)
     return EXIT_OK
 
 

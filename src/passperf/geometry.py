@@ -1,58 +1,23 @@
-"""User placement sampling and the exact distributions of derived quantities.
+"""Analytic kernels of the geometry both access schemes share.
 
-Both access schemes share the same geometry: user x-coordinates are uniform
-along the service region, y-coordinates are uniform in two disjoint
-sub-regions on either side of the waveguide axis. The y-separation of the
-two users follows a triangular law, which gives the closed-form
-log-expectation over it and the segment sum of an outage quadratic in a
-radius, shared by the WDMA outage, its floor and the NOMA far-user outage.
-They read the law from ``dist``, a ``config.ReducedModel`` in the analytic
-metrics: its ``half_width`` (the sub-region depth) and ``support_lo`` (twice
-the offset from the axis), in reduced units, and return NumPy values of
-their inputs' broadcast shape, 0-d for scalar inputs. Placements are drawn
-in batches, one array entry per trial.
+User x-coordinates are uniform along the service region, y-coordinates are
+uniform in two disjoint sub-regions on either side of the waveguide axis.
+The y-separation of the two users follows a triangular law, which gives the
+closed-form log-expectation over it and the segment sum of an outage
+quadratic in a radius, shared by the WDMA outage, its floor and the NOMA
+far-user outage. They read the law from ``dist``, a ``config.ReducedModel``
+in the analytic metrics: its ``half_width`` (the sub-region depth) and
+``support_lo`` (twice the offset from the axis), in reduced units, and
+return NumPy values of their inputs' broadcast shape, 0-d for scalar
+inputs. Placements are drawn by ``montecarlo``, which imports nothing from
+here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import SystemConfig
 from .quadrature import _log1p_moments
-
-
-@dataclass
-class Placement:
-    """One drop of the two users, served by either scheme.
-
-    Under WDMA the antenna serving user i sits at (region_x_m / 2, y_ue_i,
-    pa_height_m). Under NOMA the near user is the one whose x is nearer the
-    region centre, and one antenna at (region_x_m / 2, y_near, pa_height_m)
-    serves both users. Antennas are never stored because they are pinned to
-    the users. Fields are equally shaped arrays, one entry per trial.
-    """
-
-    x_ue1: np.ndarray
-    x_ue2: np.ndarray
-    y_ue1: np.ndarray
-    y_ue2: np.ndarray
-
-
-def sample_placements(cfg: SystemConfig, rng: np.random.Generator, size: int) -> Placement:
-    """Draw ``size`` uniform placements of both users.
-
-    Consumes exactly four uniforms per trial in the fixed order
-    (x_ue1, x_ue2, y_ue1, y_ue2), which keeps counter-based trial
-    partitioning reproducible.
-    """
-    u = rng.random((int(size), 4))
-    x1 = cfg.region_x_m * u[:, 0]
-    x2 = cfg.region_x_m * u[:, 1]
-    y1 = cfg.region_y_offset_m + cfg.region_y_m * u[:, 2]
-    y2 = -(cfg.region_y_offset_m + cfg.region_y_m * u[:, 3])
-    return Placement(x1, x2, y1, y2)
 
 
 def _segment_sum(squares, b1, b2, b3, b4, k_rising, k_falling, w):

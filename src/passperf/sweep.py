@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Callable, NamedTuple
@@ -21,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import ConfigError, SystemConfig, derive_constants, snr_db_to_power_w
-from .montecarlo import SCHEMES, mc_cell_estimates
+from .montecarlo import METRICS, SCHEMES, _check_trials_and_seed, mc_cell_estimates
 from .noma import (
     noma_outage_far,
     noma_outage_near,
@@ -32,7 +31,6 @@ from .noma import (
 )
 from .wdma import wdma_avg_rate, wdma_outage, wdma_outage_floor, wdma_rate_ceiling
 
-METRICS = ("outage", "rate")
 CSV_HEADER = ("snr_db", "scheme", "user", "metric", "analytic", "asymptote", "mc_value", "mc_std_error")
 
 
@@ -127,14 +125,7 @@ class SweepSpec:
                 raise ConfigError(f"{name} contains unknown entries: {unknown}")
             if len(set(entries)) != len(entries):
                 raise ConfigError(f"{name} contains duplicate entries: {list(entries)}")
-        for name in ("mc_trials", "mc_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.mc_trials < 1:
-            raise ConfigError(f"mc_trials must be >= 1, got {self.mc_trials!r}")
-        if not 0 <= self.mc_seed < 2**64:
-            raise ConfigError(f"mc_seed must be an unsigned 64-bit integer, got {self.mc_seed!r}")
+        _check_trials_and_seed(self.mc_trials, self.mc_seed, ("mc_trials", "mc_seed"))
 
 
 class SweepTable(NamedTuple):
@@ -204,19 +195,15 @@ def _cells(cfg, grid_db, keys, asymptotes, n_nodes, mc=None) -> SweepTable:
     ``keys`` gets one call over the whole grid (:func:`_cell_values`); the
     metrics that build (powers x nodes) arrays evaluate their integrands in
     blocks of powers (``quadrature.integrate_rows``). With ``mc`` = (trials,
-    seed) one ``mc_cell_estimates`` call covers every (scheme, user) over
-    the whole grid, so each trial block is drawn once per run and WDMA and
-    NOMA estimates are paired on the same drops.
+    seed) one ``mc_cell_estimates`` call covers every key over the whole
+    grid, so each trial block is drawn once per run and WDMA and NOMA
+    estimates are paired on the same drops.
     """
     grid = [float(snr_db) for snr_db in grid_db]
     powers = snr_db_to_power_w(cfg, grid)
     mc_value = mc_std_error = None
     if mc is not None:
-        cells = list(dict.fromkeys((scheme, user) for scheme, user, _ in keys))
-        estimates = mc_cell_estimates(*mc, cells, cfg, powers)
-        columns = [estimates[scheme, user][metric] for scheme, user, metric in keys]
-        mc_value = np.array([[est.value for est in column] for column in columns])
-        mc_std_error = np.array([[est.std_error for est in column] for column in columns])
+        mc_value, mc_std_error = mc_cell_estimates(*mc, keys, cfg, powers)
     values = _cell_values(cfg, keys, np.array(powers), n_nodes)
     analytic = np.array([values[key] for key in keys])
     return SweepTable(np.array(grid), tuple(keys), analytic, tuple(asymptotes), mc_value, mc_std_error)
@@ -476,13 +463,17 @@ def validate(
     sigma_tol: float = 3.0,
     n_nodes: int = 64,
 ) -> ValidationReport:
-    """Check every analytic cell against its simulation estimate.
+    """Check every analytic cell against its simulation estimate at each SNR
+    of ``grid_db``, which must hold at least one.
 
     ``trials`` and ``seed`` are checked by ``mc_cell_estimates``, which runs
     before any analytic cell is evaluated.
     """
     if not (math.isfinite(sigma_tol) and sigma_tol > 0.0):
         raise ConfigError(f"sigma_tol must be finite and > 0, got {sigma_tol!r}")
+    grid_db = list(grid_db)
+    if not grid_db:
+        raise ConfigError("grid_db must hold at least one SNR")
     table = _cells(cfg, grid_db, tuple(CELLS), (None,) * len(CELLS), n_nodes, (trials, seed))
     rows = zip(table.keys, table.analytic, table.mc_value, table.mc_std_error)
     tolerance = np.array(

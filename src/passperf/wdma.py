@@ -52,22 +52,30 @@ def _crossings(gth: float, b_noise, model: ReducedModel) -> np.ndarray:
     on the squared y-separation (e = gamma_th b_noise g, g = s^2 + h^2)
     crosses lo^2, peak^2 and hi^2, in order: a row each, a column per b_noise.
 
-    Where it is positive the cap grows with g, so each crossing is the
-    positive root of A g^2 + B g - C with A = gamma_th b_noise,
-    B = gamma_th - 1 + k^2 A and C = k^2: 2C / (B + sqrt(B^2 + 4AC)) where
-    B > 0, else (sqrt(B^2 + 4AC) - B) / (2A), so neither cancels; with no
-    noise it is k^2 / (gamma_th - 1) bit for bit. The cap diverges as e
-    nears 1, past the crossing of hi^2.
+    Where it is positive the cap grows with g, so each crossing's s^2 is the
+    larger root t of A t^2 + B t + C, with A = gamma_th b_noise,
+    B = gamma_th - 1 + (k^2 + 2 h^2) A and C = (gamma_th - 1) h^2 - k^2 +
+    A h^2 (h^2 + k^2), its noiseless part the exact ``_residual``: -2C / (B + D)
+    where B > 0, else (D - B) / (2A), with D^2 = (B - 2 A h^2)^2 + 4 A k^2.
+    So neither form cancels, no rounded g = t + h^2 loses t to h^2, and with
+    no noise it is -C / (gamma_th - 1) bit for bit. A C >= 0 puts the
+    crossing at s = 0. The cap diverges as e nears 1, past the crossing of hi^2.
     """
-    c = np.square([[model.support_lo], [model.peak], [model.support_hi]])
+    h_sq = model.pa_height_sq
+    k = [model.support_lo, model.peak, model.support_hi]
+    c = np.square(np.array(k)[:, None])
+    residual = np.array([[_residual(0.0, k_i, gth - 1.0, h_sq)] for k_i in k])
+    a = gth * b_noise
     ac = c * gth * b_noise  # from c first: 0, not 0 * inf, where k = 0
-    b = gth - 1.0 + ac
-    root = np.hypot(b, 2.0 * np.sqrt(ac))
+    root = np.hypot(gth - 1.0 + ac, 2.0 * np.sqrt(ac))
+    b = gth - 1.0 + ac + 2.0 * a * h_sq
+    # a C >= 0, +inf where it overflows, puts the crossing at s = 0
+    constant = np.minimum(residual + a * h_sq * (h_sq + c), 0.0)
     rising = b > 0.0
     # root - min(b, 0) is root - b where it is taken, and never inf - inf
-    numerator = np.where(rising, 2.0 * c, root - np.minimum(b, 0.0))
-    g = numerator / np.where(rising, b + root, 2.0 * gth * b_noise)
-    crossings = np.minimum(np.sqrt(np.maximum(g - model.pa_height_sq, 0.0)), 0.5 * model.region_x)
+    numerator = np.where(rising, -2.0 * constant, root - np.minimum(b, 0.0))
+    t = numerator / np.where(rising, b + root, 2.0 * a)
+    crossings = np.minimum(np.sqrt(np.maximum(t, 0.0)), 0.5 * model.region_x)
     return np.maximum.accumulate(crossings)  # in order, however they round
 
 

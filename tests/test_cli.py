@@ -261,9 +261,11 @@ def test_mc_subcommand(capsys):
         ]
     )
     assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    value = float(lines[1].split(",")[0])
-    assert 0.0 <= value <= 1.0
+    # the estimate's and its standard error's reprs, and the trial count
+    assert capsys.readouterr().out.splitlines() == [
+        "value,std_error,trials",
+        "0.0859,0.00280216327147438,10000",
+    ]
 
 
 @pytest.mark.parametrize("sigma_tol", ["nan", "-1"])

@@ -5,7 +5,6 @@ import pytest
 
 from passperf import (
     ConfigError,
-    MetricEstimate,
     SweepSpec,
     SystemConfig,
     mc_cell_estimates,
@@ -15,7 +14,7 @@ from passperf import (
     snr_db_to_power_w,
 )
 from passperf import montecarlo
-from passperf.montecarlo import TRIAL_BLOCK
+from passperf.montecarlo import METRICS, TRIAL_BLOCK
 from passperf.sweep import snr_grid, validate
 
 from oracles import sinr_trials
@@ -23,58 +22,68 @@ from oracles import sinr_trials
 CFG = SystemConfig()
 POWER = snr_db_to_power_w(CFG, 100.0)
 LN2 = math.log(2.0)
+PAIRS = (("wdma", 1), ("wdma", 2), ("noma", 1), ("noma", 2))
+KEYS = tuple((scheme, user, metric) for scheme, user in PAIRS for metric in METRICS)
 
 
-def estimate(trials, seed, scheme, user, powers=(POWER,), cfg=CFG):
-    """A one-cell estimate: ``{"outage": [...], "rate": [...]}``, one per power."""
-    return mc_cell_estimates(trials, seed, [(scheme, user)], cfg, powers)[(scheme, user)]
+def estimate(trials, seed, scheme, user, metric, powers=(POWER,), cfg=CFG):
+    """One key's estimates and standard errors: two arrays, one entry per power."""
+    value, std_error = mc_cell_estimates(trials, seed, [(scheme, user, metric)], cfg, powers)
+    return value[0], std_error[0]
+
+
+def bits(arrays) -> list:
+    """The bytes of each array, which compare equal only bit for bit."""
+    return [array.tobytes() for array in arrays]
 
 
 def test_spec_validation():
     with pytest.raises(ConfigError, match="trials"):
-        estimate(0, 1, "wdma", 1)
+        estimate(0, 1, "wdma", 1, "rate")
     with pytest.raises(ConfigError, match="seed"):
-        estimate(10, -1, "wdma", 1)
+        estimate(10, -1, "wdma", 1, "rate")
     with pytest.raises(ConfigError, match="scheme"):
-        estimate(10, 1, "tdma", 1)
+        estimate(10, 1, "tdma", 1, "rate")
     with pytest.raises(ConfigError, match="user"):
-        estimate(10, 1, "noma", 3)
+        estimate(10, 1, "noma", 3, "rate")
+    with pytest.raises(ConfigError, match="metric"):
+        estimate(10, 1, "noma", 1, "ber")
     for trials in (True, 2.5, 10.0):
         with pytest.raises(ConfigError, match="trials"):
-            estimate(trials, 1, "wdma", 1)
+            estimate(trials, 1, "wdma", 1, "rate")
     for seed in (1.5, True, "1"):
         with pytest.raises(ConfigError, match="seed"):
-            estimate(10, seed, "wdma", 1)
-    assert estimate(np.int64(10), np.uint64(2**63), "wdma", 1)["outage"][0].trials == 10
-    with pytest.raises(ValueError, match="std_error"):
-        MetricEstimate(0.5, -1.0, 10)
+            estimate(10, seed, "wdma", 1, "rate")
+    value, std_error = mc_cell_estimates(np.int64(10), np.uint64(2**63), KEYS, CFG, [POWER, 2.0 * POWER])
+    assert value.shape == std_error.shape == (len(KEYS), 2)
+    assert value.dtype == std_error.dtype == np.float64
 
 
 def test_impossible_outage_event_is_exactly_zero():
     # SINR is strictly positive, so a vanishing threshold is never hit
     cfg = SystemConfig(outage_threshold=1e-300)
-    est = estimate(20_000, 5, "wdma", 1, cfg=cfg)["outage"][0]
-    assert est.value == 0.0
-    assert est.std_error == 0.0
+    value, std_error = estimate(20_000, 5, "wdma", 1, "outage", cfg=cfg)
+    assert value[0] == 0.0
+    assert std_error[0] == 0.0
 
 
 def test_certain_outage_at_vanishing_power():
-    est = estimate(20_000, 5, "wdma", 1, [1e-300])["outage"][0]
-    assert est.value == 1.0
+    value, _ = estimate(20_000, 5, "wdma", 1, "outage", [1e-300])
+    assert value[0] == 1.0
 
 
 def test_rate_vanishes_with_power():
-    est = estimate(20_000, 5, "noma", 1, [1e-300])["rate"][0]
-    assert est.value == pytest.approx(0.0, abs=1e-15)
+    value, _ = estimate(20_000, 5, "noma", 1, "rate", [1e-300])
+    assert value[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_same_seed_is_bitwise_identical():
-    a = estimate(50_000, 123, "noma", 2)["outage"][0]
-    b = estimate(50_000, 123, "noma", 2)["outage"][0]
-    assert a == b
-    c = estimate(50_000, 123, "wdma", 2)["rate"][0]
-    d = estimate(50_000, 123, "wdma", 2)["rate"][0]
-    assert c == d
+    a = estimate(50_000, 123, "noma", 2, "outage")
+    b = estimate(50_000, 123, "noma", 2, "outage")
+    assert bits(a) == bits(b)
+    c = estimate(50_000, 123, "wdma", 2, "rate")
+    d = estimate(50_000, 123, "wdma", 2, "rate")
+    assert bits(c) == bits(d)
 
 
 def test_trials_are_addressable_by_index():
@@ -106,43 +115,38 @@ def test_partitioned_reduction_matches_sequential():
         total_sq += s2
     mean = total / trials
     variance = max(0.0, (total_sq - trials * mean**2) / (trials - 1))
-    reference = estimate(trials, 42, "wdma", 1)["rate"][0]
-    assert mean == reference.value
-    assert math.sqrt(variance / trials) == reference.std_error
+    value, std_error = estimate(trials, 42, "wdma", 1, "rate")
+    assert mean == value[0]
+    assert math.sqrt(variance / trials) == std_error[0]
 
     counts = 0
     for start, count in blocks:
         gamma = sinr_trials("wdma", 1, CFG, POWER, 42, start, count)
         counts += int(np.count_nonzero(gamma <= CFG.outage_threshold))
-    assert counts / trials == estimate(trials, 42, "wdma", 1)["outage"][0].value
+    assert counts / trials == estimate(trials, 42, "wdma", 1, "outage")[0][0]
 
 
 @pytest.mark.parametrize("power", [1e-300, 1e-12, 1.0, 1e30])
 def test_estimates_finite_over_extreme_powers(power):
-    for scheme, user in (("wdma", 1), ("wdma", 2), ("noma", 1), ("noma", 2)):
-        out = estimate(5_000, 9, scheme, user, [power])["outage"][0]
-        rate = estimate(5_000, 9, scheme, user, [power])["rate"][0]
-        assert math.isfinite(out.value) and math.isfinite(out.std_error)
-        assert math.isfinite(rate.value) and math.isfinite(rate.std_error)
-        assert 0.0 <= out.value <= 1.0
+    value, std_error = mc_cell_estimates(5_000, 9, KEYS, CFG, [power])
+    assert np.isfinite(value).all() and np.isfinite(std_error).all()
+    outages = [k for k, (_, _, metric) in enumerate(KEYS) if metric == "outage"]
+    assert ((0.0 <= value[outages]) & (value[outages] <= 1.0)).all()
 
 
 def test_std_error_scales_with_trials():
     # doubling the trial count shrinks the standard error by about sqrt(2)
     ratios = []
     for seed in range(10):
-        small = estimate(20_000, seed, "wdma", 1)["rate"][0]
-        large = estimate(40_000, seed, "wdma", 1)["rate"][0]
-        ratios.append(large.std_error / small.std_error)
+        small = estimate(20_000, seed, "wdma", 1, "rate")[1][0]
+        large = estimate(40_000, seed, "wdma", 1, "rate")[1][0]
+        ratios.append(large / small)
     assert np.mean(ratios) == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
 
 
 def test_outage_std_error_is_binomial():
-    est = estimate(50_000, 3, "noma", 2)["outage"][0]
-    assert est.std_error == pytest.approx(
-        math.sqrt(est.value * (1 - est.value) / est.trials), rel=1e-12
-    )
-    assert est.trials == 50_000
+    [value], [std_error] = estimate(50_000, 3, "noma", 2, "outage")
+    assert std_error == pytest.approx(math.sqrt(value * (1 - value) / 50_000), rel=1e-12)
 
 
 def test_noma_mc_respects_ordering_every_trial():
@@ -154,19 +158,16 @@ def test_noma_mc_respects_ordering_every_trial():
     assert np.all(gamma_far < cap)
 
 
-PAIRS = (("wdma", 1), ("wdma", 2), ("noma", 1), ("noma", 2))
-
-
 @pytest.mark.parametrize("scheme,user", PAIRS)
 def test_grid_estimates_equal_one_power_calls(scheme, user):
     # each power's sums are folded in block order whatever powers share the call
     grid = snr_grid(SweepSpec(snr_db_start=90.0, snr_db_stop=150.0, snr_db_step=2.0))
     powers = [1e-300, 1e-12, 1.0, 1e30] + snr_db_to_power_w(CFG, grid)
-    together = estimate(37_777, 2024, scheme, user, powers)
+    keys = [(scheme, user, metric) for metric in METRICS]
+    together = mc_cell_estimates(37_777, 2024, keys, CFG, powers)
     for i, power in enumerate(powers):
-        alone = estimate(37_777, 2024, scheme, user, [power])
-        assert together["outage"][i] == alone["outage"][0]
-        assert together["rate"][i] == alone["rate"][0]
+        alone = mc_cell_estimates(37_777, 2024, keys, CFG, [power])
+        assert bits(column[:, i] for column in together) == bits(column[:, 0] for column in alone)
 
 
 THREE_BLOCKS = 2 * TRIAL_BLOCK + 1
@@ -203,21 +204,23 @@ def test_validate_draws_each_block_once_per_run(draws):
 
 
 def test_users_sharing_a_draw_match_one_user_calls():
+    # keys shuffled and repeated: row k is keys[k]'s estimate, bit for bit
     powers = snr_db_to_power_w(CFG, (90.0, 110.0, 130.0))
-    together = montecarlo.mc_cell_estimates(THREE_BLOCKS, 11, PAIRS, CFG, powers)
-    for scheme, user in PAIRS:
-        alone = estimate(THREE_BLOCKS, 11, scheme, user, powers)
-        assert together[(scheme, user)] == alone
+    keys = [KEYS[i] for i in (5, 0, 7, 2, 2, 6, 1, 4, 3, 5, 0)]
+    value, std_error = montecarlo.mc_cell_estimates(THREE_BLOCKS, 11, keys, CFG, powers)
+    for k, key in enumerate(keys):
+        alone = estimate(THREE_BLOCKS, 11, *key, powers)
+        assert bits((value[k], std_error[k])) == bits(alone)
 
 
 def test_scheme_estimates_validate_through_spec():
     with pytest.raises(ValueError, match="trials"):
-        montecarlo.mc_cell_estimates(2.5, 1, PAIRS, CFG, [POWER])
+        montecarlo.mc_cell_estimates(2.5, 1, KEYS, CFG, [POWER])
     with pytest.raises(ValueError, match="scheme"):
-        montecarlo.mc_cell_estimates(10, 1, (("wdma", 1), ("tdma", 1)), CFG, [POWER])
+        montecarlo.mc_cell_estimates(10, 1, (("wdma", 1, "rate"), ("tdma", 1, "rate")), CFG, [POWER])
     with pytest.raises(ValueError, match="user"):
-        montecarlo.mc_cell_estimates(10, 1, (("noma", 1), ("noma", 3)), CFG, [POWER])
-    with pytest.raises(ValueError, match="cells"):
+        montecarlo.mc_cell_estimates(10, 1, (("noma", 1, "rate"), ("noma", 3, "rate")), CFG, [POWER])
+    with pytest.raises(ValueError, match="keys"):
         montecarlo.mc_cell_estimates(10, 1, (), CFG, [POWER])
 
 
@@ -233,4 +236,4 @@ def test_sinr_checks_the_cell_like_the_estimator():
 
 def test_estimates_reject_non_positive_power():
     with pytest.raises(ValueError, match="power_w"):
-        estimate(10, 1, "wdma", 1, [1.0, 0.0])
+        estimate(10, 1, "wdma", 1, "rate", [1.0, 0.0])

@@ -180,8 +180,8 @@ def test_near_outage_keeps_its_relative_accuracy_near_zero():
 def test_near_outage_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = noma_outage_near(CFG, power)
-    est = mc_cell_estimates(100_000, 12345, [("noma", 1)], CFG, [power])[("noma", 1)]["outage"][0]
-    assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-9
+    [[value]], [[std_error]] = mc_cell_estimates(100_000, 12345, [("noma", 1, "outage")], CFG, [power])
+    assert abs(analytic - value) <= 3 * max(std_error, 1e-12) + 1e-9
 
 
 def _mp_outages(cfg, power_w, mp):
@@ -272,8 +272,8 @@ def test_far_outage_threshold_bracketing():
 def test_far_outage_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = noma_outage_far(CFG, power)
-    est = mc_cell_estimates(100_000, 12345, [("noma", 2)], CFG, [power])[("noma", 2)]["outage"][0]
-    assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-9
+    [[value]], [[std_error]] = mc_cell_estimates(100_000, 12345, [("noma", 2, "outage")], CFG, [power])
+    assert abs(analytic - value) <= 3 * max(std_error, 1e-12) + 1e-9
 
 
 def test_far_outage_matches_dense_trapezoid():
@@ -438,8 +438,8 @@ def test_far_rate_zero_power_limit():
 def test_far_rate_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = noma_rate_far(CFG, power)
-    est = mc_cell_estimates(100_000, 12345, [("noma", 2)], CFG, [power])[("noma", 2)]["rate"][0]
-    assert abs(analytic - est.value) <= max(3 * est.std_error, 0.01 * analytic)
+    [[value]], [[std_error]] = mc_cell_estimates(100_000, 12345, [("noma", 2, "rate")], CFG, [power])
+    assert abs(analytic - value) <= max(3 * std_error, 0.01 * analytic)
 
 
 def test_far_rate_matches_nested_quadrature():
@@ -495,11 +495,11 @@ def test_offset_region_far_user_against_monte_carlo():
     for snr_db in (98.0, 100.5):
         power = power_at(snr_db, cfg)
         analytic = noma_outage_far(cfg, power)
-        est = mc_cell_estimates(100_000, 17, [("noma", 2)], cfg, [power])[("noma", 2)]["outage"][0]
-        assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12) + 1e-4
+        [[value]], [[std_error]] = mc_cell_estimates(100_000, 17, [("noma", 2, "outage")], cfg, [power])
+        assert abs(analytic - value) <= 3 * max(std_error, 1e-12) + 1e-4
         rate = noma_rate_far(cfg, power)
-        rate_est = mc_cell_estimates(100_000, 17, [("noma", 2)], cfg, [power])[("noma", 2)]["rate"][0]
-        assert abs(rate - rate_est.value) <= max(3 * rate_est.std_error, 0.01 * rate)
+        [[value]], [[std_error]] = mc_cell_estimates(100_000, 17, [("noma", 2, "rate")], cfg, [power])
+        assert abs(rate - value) <= max(3 * std_error, 0.01 * rate)
 
 
 def test_monotone_in_power():

@@ -243,7 +243,7 @@ def test_breakpoints_and_estimates_reject_bad_powers(power):
     with pytest.raises(ValueError, match="power_w"):
         noma_outage_far(CFG, power)
     with pytest.raises(ValueError, match="power_w"):
-        mc_cell_estimates(10, 1, [("noma", 2)], CFG, [1.0, power])
+        mc_cell_estimates(10, 1, [("noma", 2, "rate")], CFG, [1.0, power])
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 4000.0, -4000.0])

@@ -307,6 +307,12 @@ def test_validate_rejects_zero_trials():
         validate(CFG, [100.0], trials=0, seed=1)
 
 
+def test_validate_rejects_an_empty_grid():
+    # no cell to check is not a pass
+    with pytest.raises(ConfigError, match="grid_db"):
+        validate(CFG, [], trials=100, seed=1)
+
+
 def test_corrupted_analytic_value_fails_cell():
     report = validate(CFG, [110.0], trials=20_000, seed=12345, sigma_tol=3.0)
     table, metric = report.table, report.table.keys[0][2]

@@ -106,16 +106,16 @@ def test_outage_limits_in_threshold():
 def test_outage_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = wdma_outage(CFG, power)
-    est = mc_cell_estimates(100_000, 12345, [("wdma", 1)], CFG, [power])[("wdma", 1)]["outage"][0]
-    assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12)
+    [[value]], [[std_error]] = mc_cell_estimates(100_000, 12345, [("wdma", 1, "outage")], CFG, [power])
+    assert abs(analytic - value) <= 3 * max(std_error, 1e-12)
 
 
 @pytest.mark.parametrize("snr_db", [90.0, 105.0, 120.0, 135.0, 150.0])
 def test_rate_matches_monte_carlo(snr_db):
     power = power_at(snr_db)
     analytic = wdma_avg_rate(CFG, power)
-    est = mc_cell_estimates(100_000, 12345, [("wdma", 1)], CFG, [power])[("wdma", 1)]["rate"][0]
-    assert abs(analytic - est.value) <= max(3 * est.std_error, 0.01 * analytic)
+    [[value]], [[std_error]] = mc_cell_estimates(100_000, 12345, [("wdma", 1, "rate")], CFG, [power])
+    assert abs(analytic - value) <= max(3 * std_error, 0.01 * analytic)
 
 
 def test_rate_vanishes_with_power():
@@ -206,13 +206,13 @@ def test_offset_region_metrics_match_monte_carlo():
     for snr_db in (84.0, 86.0, 88.0):
         power = power_at(snr_db, cfg)
         analytic = wdma_outage(cfg, power)
-        est = mc_cell_estimates(100_000, 99, [("wdma", 1)], cfg, [power])[("wdma", 1)]["outage"][0]
-        assert abs(analytic - est.value) <= 3 * max(est.std_error, 1e-12)
+        [[value]], [[std_error]] = mc_cell_estimates(100_000, 99, [("wdma", 1, "outage")], cfg, [power])
+        assert abs(analytic - value) <= 3 * max(std_error, 1e-12)
     for snr_db in (90.0, 105.0, 120.0):
         power = power_at(snr_db, cfg)
         rate = wdma_avg_rate(cfg, power)
-        rate_est = mc_cell_estimates(100_000, 99, [("wdma", 1)], cfg, [power])[("wdma", 1)]["rate"][0]
-        assert abs(rate - rate_est.value) <= max(3 * rate_est.std_error, 0.01 * rate)
+        [[value]], [[std_error]] = mc_cell_estimates(100_000, 99, [("wdma", 1, "rate")], cfg, [power])
+        assert abs(rate - value) <= max(3 * std_error, 0.01 * rate)
 
 
 def test_rejects_non_positive_power():
@@ -245,7 +245,10 @@ KINKED_FLOOR_CONFIGS = {
 #   edge, by 1e-4 relative, for a floor of 5.1e-13 that a rounded residual
 #   a (s^2 + h^2) - k^2 misses by 1.1e-12 relative;
 # - wide_angle: an offset 1/200 of the depth and a low antenna, whose lower
-#   segment spans 4.6 in the hyperbolic angle (the closed-form shapes).
+#   segment spans 4.6 in the hyperbolic angle (the closed-form shapes);
+# - short_region: a region 0.14 antenna heights long whose lo crossing lies
+#   113 ulps inside its edge, where s = sqrt(g - h^2) put it 29 ulps low and
+#   the floor 1.75e-2 relative off.
 FLOOR_EXAMPLES = {
     **KINKED_FLOOR_CONFIGS,
     "omega_one": omega_one(),
@@ -257,6 +260,15 @@ FLOOR_EXAMPLES = {
     "wide_angle": SystemConfig(
         pa_height_m=0.01, region_x_m=50.0, region_y_m=20.0, region_y_offset_m=0.1, outage_threshold=2.0
     ),
+    "short_region": SystemConfig(
+        pa_height_m=1.0, region_x_m=0.13834903518738811, region_y_m=1.0, region_y_offset_m=1.0,
+        outage_threshold=4.980950697544387,
+    ),
+}
+# Floor examples that still miss the 1e-13 bound, with the reason
+FLOOR_MISSES = {
+    "short_region": "ROADMAP item 4: the floor is 9.7e-8 relative off, the cube of its lo "
+    "crossing's half-ulp rounding 113 ulps inside the region edge",
 }
 
 
@@ -316,9 +328,49 @@ def _assert_floor_matches_reference(cfg):
     assert abs(floor - reference) <= 1e-13 * reference, (floor, reference)
 
 
-@pytest.mark.parametrize("cfg", FLOOR_EXAMPLES.values(), ids=FLOOR_EXAMPLES.keys())
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(cfg, id=name, marks=[pytest.mark.xfail(strict=True, reason=FLOOR_MISSES[name])]
+                     if name in FLOOR_MISSES else [])
+        for name, cfg in FLOOR_EXAMPLES.items()
+    ],
+)
 def test_floor_examples_match_a_40_digit_mpmath_reference(cfg):
     _assert_floor_matches_reference(cfg)
+
+
+def _mp_crossings(gth, b_noise, model, mp):
+    """The crossings of ``wdma._crossings`` at 40 digits: the x-offsets
+    sqrt(g - h^2), capped at X/2, of the positive roots g of gamma_th b g^2
+    + (gamma_th - 1 + k^2 gamma_th b) g - k^2 for k = lo, peak, hi. It takes
+    the reduced model's doubles and ``b_noise`` as exact."""
+    with mp.workdps(40):
+        gth, b, h_sq = mp.mpf(gth), mp.mpf(b_noise), mp.mpf(model.pa_height_sq)
+        crossings = []
+        for k in (model.support_lo, model.peak, model.support_hi):
+            k_sq, a = mp.mpf(k) ** 2, gth * b
+            linear = gth - 1 + k_sq * a
+            g = k_sq / linear if a == 0 else (mp.sqrt(linear**2 + 4 * a * k_sq) - linear) / (2 * a)
+            crossings.append(min(mp.sqrt(max(g - h_sq, 0)), mp.mpf(model.region_x) / 2))
+        return crossings
+
+
+@pytest.mark.parametrize("name", FLOOR_EXAMPLES)
+def test_crossings_are_within_two_ulps_of_a_40_digit_reference(name):
+    # noiseless (for thresholds above one) and with noise that puts e, at the
+    # region edge, from 1e-12 up to 0.9: the rounded root and the rounding of
+    # its constant term leave at most two ulps
+    mp = pytest.importorskip("mpmath").mp
+    cfg = FLOOR_EXAMPLES[name]
+    model, gth = derive_constants(cfg), cfg.outage_threshold
+    edge_g = model.pa_height_sq + (0.5 * model.region_x) ** 2
+    b_noise = np.array([0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9]) / (gth * edge_g)
+    b_noise = b_noise[1:] if gth <= 1.0 else b_noise
+    crossings = wdma._crossings(gth, b_noise, model)
+    for column, b in enumerate(b_noise.tolist()):
+        for crossing, reference in zip(crossings[:, column].tolist(), _mp_crossings(gth, b, model, mp)):
+            assert abs(crossing - reference) <= 2.0 * np.spacing(float(reference)), (b, crossing, reference)
 
 
 @given(cfg=floor_configs())
