@@ -48,7 +48,8 @@ def _quadrature_order(text: str) -> int:
 
 def _nodes_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--nodes", type=_quadrature_order, default=64, help="quadrature order (default 64)"
+        "--nodes", type=_quadrature_order, default=64,
+        help="quadrature order of the WDMA outage, the WDMA rate and its ceiling (default 64)",
     )
 
 

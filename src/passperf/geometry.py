@@ -3,10 +3,11 @@
 User x-coordinates are uniform along the service region, y-coordinates are
 uniform in two disjoint sub-regions on either side of the waveguide axis.
 The y-separation of the two users follows a triangular law, which gives the
-closed-form log-expectation over it and the segment sum of an outage
-quadratic in a radius, shared by the WDMA outage, its floor and the NOMA
-far-user outage. They read the law from ``dist``, a ``config.ReducedModel``
-in the analytic metrics: its ``half_width`` (the sub-region depth) and
+closed-form log-expectations over it (the WDMA rate's log excess and the
+NOMA far-user rate's log ratio) and the segment sum of an outage quadratic
+in a radius, shared by the WDMA outage, its floor and the NOMA far-user
+outage. They read the law from ``dist``, a ``config.ReducedModel`` in the
+analytic metrics: its ``half_width`` (the sub-region depth) and
 ``support_lo`` (twice the offset from the axis), in reduced units, and
 return NumPy values of their inputs' broadcast shape, 0-d for scalar
 inputs. Placements are drawn by ``montecarlo``, which imports nothing from
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import _log1p_moments
+from .config import _NORMAL_MIN
+from .quadrature import _log1p_moments, chebyshev_rule
 
 
 def _segment_sum(squares, b1, b2, b3, b4, k_rising, k_falling, w):
@@ -60,3 +62,169 @@ def expected_log_excess(a, b, dist):
     t -= m1
     t0 = t[0] if lo else 0.0
     return (t0 - 2.0 * t[-2] + t[-1]) / (w * w)
+
+
+# ``expected_log1p_ratio`` averages over the separation by the Chebyshev rule
+# of _NARROW_NODES nodes on each half of its support from lo = _NARROW w on.
+# Below, its closed form's second difference cancels under (6 w / w)^2 / 2 =
+# 18 of T's digits; from there on, the log's branch points (at +-i sqrt(a)
+# or nearer the origin) lie at least 2 lo / w + 1 >= 9 half-lengths of a half
+# support from its centre, so the rule's error falls as (9 + sqrt(80))^-N,
+# under 1e-19 at 16 nodes.
+_NARROW = 4.0
+_NARROW_NODES = 16
+
+
+def _narrow_mean(a, d, dist, weighted):
+    """``expected_log1p_ratio`` by the rule on each half of the support: the
+    density is (1 + sigma) / (2 w) on the rising half at lo + w (1 + sigma) / 2
+    and (1 - sigma) / (2 w) on the falling half, w further on."""
+    lo, w = dist.support_lo, dist.half_width
+    rule = chebyshev_rule(_NARROW_NODES)
+    offsets = 0.5 * w * (1.0 + rule.nodes)
+    t = np.concatenate([lo + offsets, lo + w + offsets])
+    rising, falling = rule.weights * (1.0 + rule.nodes), rule.weights * (1.0 - rule.nodes)
+    weights = 0.25 * np.concatenate([rising, falling])
+    level = a + (t * t).reshape(t.shape + (1,) * max(a.ndim, np.ndim(d)))
+    g = np.log1p(d / level)
+    if weighted:
+        g *= level
+    return np.tensordot(weights, g, axes=1)
+
+
+def _log1p_over(x):
+    """ln(1 + x) / x for x >= 0, in place on a fresh array; 1 where x
+    underflows to 0."""
+    x = np.maximum(x, _NORMAL_MIN)
+    return np.divide(np.log1p(x), x, out=x)
+
+
+def _series(x, terms):
+    """sum_{k=1}^{terms} (-x)^(k-1) / (2k + 1) by Horner, highest term first:
+    the tail of arctan(v) / v in x = v^2, and with x = -u^2 that of
+    atanh(u) / u."""
+    total = np.full_like(x, 1.0 / (2 * terms + 1))
+    for k in range(terms - 1, 0, -1):
+        total *= -x
+        total += 1.0 / (2 * k + 1)
+    return total
+
+
+def _log1p_deficit(x):
+    """1 - ln(1 + x) / x for x >= 0, without cancellation at small x: with
+    u = x / (2 + x) it is u - u^2 (1 - u) sum_{k>=1} u^(2k-2) / (2k + 1),
+    from ln(1 + x) = 2 atanh(u); below x = 1/2, u^2 <= 1/25 and 11 terms
+    reach rounding, and from there on the direct form loses under a digit."""
+    x = np.asarray(x, dtype=float)
+    u = np.minimum(x, 0.5)
+    u /= 2.0 + u
+    small = u - u * u * (1.0 - u) * _series(-(u * u), 11)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x < 0.5, small, 1.0 - np.log1p(x) / x)
+
+
+def _atan_deficit(y):
+    """y - arctan(y) for y >= 0, without cancellation at small y. Two
+    half-angle steps, y - arctan(y) = y^3 / (1 + c)^2 + 2 (v - arctan(v))
+    with c = sqrt(1 + y^2) and v = y / (1 + c), take y below 1 to v under
+    tan(pi / 16) < 0.2, where 13 terms of v^3 / 3 - v^5 / 5 + ... reach
+    rounding; from y = 1 on the direct form loses under a digit."""
+    y = np.asarray(y, dtype=float)
+    v = np.minimum(y, 1.0)
+    head, scale = np.zeros_like(v), 1.0
+    for _ in range(2):
+        c = np.sqrt(1.0 + v * v) + 1.0
+        head += scale * (v * v * v) / (c * c)
+        v = v / c
+        scale *= 2.0
+    small = head + scale * (v * v * v) * _series(v * v, 13)
+    return np.where(y < 1.0, small, y - np.arctan(y))
+
+
+def expected_log1p_ratio(a, d, dist, weighted: bool = False):
+    """E[ln(1 + d / (a + U^2))] for the y-separation U ~ ``dist``, or with
+    ``weighted`` E[(a + U^2) ln(1 + d / (a + U^2))]; a > 0, d >= 0.
+
+    Like ``expected_log_excess`` the mean is the second difference of
+    T(p) = int_0^p (p - t) g(t) dt over the support points, here of
+    g = ln(1 + d / (a + t^2)) itself, which is positive: no difference of
+    two logarithms is formed, so the mean keeps its relative accuracy when
+    d is tiny against a + U^2 (low SNR) and when it is huge. With b = a + d,
+    q = p^2 and L = ln(1 + d / (a + q)), T = p I0 - I1 in the moments
+    I0 and I1 of g:
+    - p I0 = q L + 2 p D, where D = int_0^p d t^2 / ((a + t^2)(b + t^2)) dt
+      = (rb - ra) arctan(p / rb) - ra arctan(p (rb - ra) / (ra rb + q)),
+      ra = sqrt(a), rb = sqrt(b) and rb - ra = d / (ra + rb);
+    - 2 I1 = q (L + r_b - r_z), with q r_b = d ln(1 + q / b) and
+      q r_z = a ln(1 + z), z = d q / (a (b + q)); r_b >= r_z.
+    Every logarithm is a log1p of a ratio of positive terms, and T >= p I0 / 2
+    since g decreases. r_b and r_z are taken as d / b and d / (b + q) times
+    ln(1 + x) / x, D as p times a difference of arctan(y) / y ratios near 1,
+    and T over w^2 as a multiple of (p / w)^2, so that no product of small
+    squares underflows where the sub-regions are tiny against the antenna
+    height or a is near the top of its range. The weighted mean adds the t^2
+    moment to a T: T2 = p M2 - M3, with M2 and M3 the t^2 and t^3 moments of g,
+    3 p M2 = q^2 L + 2 p (d rb e(p / rb) - a D) and
+    4 M3 = q (q L + d k(q / b) - a (r_b - r_z)), where e(y) = y - arctan(y)
+    and k(x) = 1 - ln(1 + x) / x are taken without cancellation
+    (``_atan_deficit``, ``_log1p_deficit``): both are small where q << b.
+    What still cancels where q << a is the small part of a T + T2. ``a``
+    broadcasts against ``d``; the support points go on a leading axis, one
+    array call per operation.
+
+    The second difference cancels about (hi / w)^2 / 2 of T's digits, so
+    sub-regions narrow against their gap to the axis (lo >= ``_NARROW`` w)
+    take ``_narrow_mean`` instead.
+    """
+    lo, w = dist.support_lo, dist.half_width
+    a = np.asarray(a, dtype=float)
+    if lo >= _NARROW * w:
+        return _narrow_mean(a, d, dist, weighted)
+    points = np.array([lo, lo + w, lo + 2.0 * w] if lo else [w, 2.0 * w])
+    shape = points.shape + (1,) * max(a.ndim, np.ndim(d))
+    p = points.reshape(shape)
+    q = p * p
+    scaled = (points / w).reshape(shape)  # p / w
+    scaled_sq = scaled * scaled
+    b = a + d
+    ra, rb = np.sqrt(a), np.sqrt(b)
+    gap = d / (ra + rb)
+    ratio_b = p / rb
+    log = a + q
+    log = np.log1p(np.divide(d, log, out=log), out=log)
+    # in place from here on, on arrays of the points' shape. D / p is gap / rb
+    # times arctan(y) / y at y = p / rb less the same at y = x, x = p gap /
+    # (ra rb + q), times ra rb / (ra rb + q): ratios near 1, so that nothing
+    # falls to a subnormal where a is near the top of its range
+    rab = ra * rb
+    den = rab + q
+    swing = p * gap
+    swing /= den
+    swing = np.maximum(swing, _NORMAL_MIN, out=swing)
+    swing = np.divide(np.arctan(swing), swing, out=swing)
+    swing *= rab
+    swing /= den
+    per_p = np.arctan(ratio_b)
+    per_p /= ratio_b
+    per_p -= swing
+    per_p *= gap / rb  # D / p
+    over_bq = b + q
+    over_bq = np.divide(d, over_bq, out=over_bq)
+    r_z = _log1p_over(over_bq * (q / a))
+    r_z *= over_bq
+    r_b = _log1p_over(q / b)
+    r_b *= d / b
+    t = log - r_b
+    t += r_z
+    t += 4.0 * per_p
+    t *= 0.5 * scaled_sq
+    if weighted:
+        t *= a
+        y = d * _log1p_deficit(q / b) - a * (r_b - r_z)
+        moment = q * log
+        moment -= 3.0 * y
+        moment += 8.0 * (d * (_atan_deficit(ratio_b) / ratio_b) - a * per_p)
+        moment *= scaled_sq / 12.0
+        t += moment
+    t0 = t[0] if lo else 0.0
+    return t0 - 2.0 * t[-2] + t[-1]

@@ -5,8 +5,11 @@ superposition coding. The near user cancels the far user's signal before
 decoding; the far user decodes under the near user's interference, which
 caps its SINR at alpha_far / alpha_near. The far user's outage and its
 average over the y-separation are closed forms for adjacent and offset
-sub-regions alike. Lengths and powers are in the reduced units of
-``config.ReducedModel``.
+sub-regions alike. Its rate averages the x-offset exactly: the rate is an
+integral over the interference level of a positive log-ratio mean, taken
+by a fixed Chebyshev rule over short spans of levels and in closed form
+over long ones, so no metric here reads a node count. Lengths and powers
+are in the reduced units of ``config.ReducedModel``.
 """
 
 from __future__ import annotations
@@ -16,10 +19,19 @@ import math
 import numpy as np
 
 from .config import _NORMAL_MIN, ReducedModel, SystemConfig, derive_constants, over_powers
-from .geometry import _segment_sum, expected_log_excess
+from .geometry import _segment_sum, expected_log1p_ratio
 from .quadrature import _log1p_moments, integrate_rows
 
 _LN2 = math.log(2.0)
+# ``noma_rate_far`` integrates over the interference level by the Chebyshev
+# rule of _LEVEL_NODES nodes while the far share's SNR coefficient is below
+# _LONG_LEVELS times k1 + h^2 + lo^2, the smallest interference plus distance
+# term, and in closed form from there on. Both are fixed: with them the rule
+# reaches rounding (its interval is at most ln(1 + _LONG_LEVELS) long), and
+# the closed form cancels no more than about 1 + hi^2 / (_LONG_LEVELS
+# (h^2 + lo^2)) units in the last place.
+_LONG_LEVELS = 20.0
+_LEVEL_NODES = 24
 
 
 def _zero_outage_powers(cfg: SystemConfig, model: ReducedModel):
@@ -164,29 +176,62 @@ def noma_rate_far_ceiling(cfg: SystemConfig) -> float:
 
 
 @over_powers
-def noma_rate_far(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int = 64):
+def noma_rate_far(cfg: SystemConfig, model: ReducedModel, powers):
     """Average rate of the far user in bits/s/Hz (at most
     ``noma_rate_far_ceiling``) at transmit power ``power_w`` (a scalar or a
     1-D array).
 
-    The average over the y-separation is closed-form for both region
-    layouts; the outer average over the squared x-offset m uses the
-    Chebyshev rule in tau = ln(1 + m/h^2), so that m + h^2 = h^2 e^tau is
-    the step dm/dtau, with powers on the leading axis and nodes on the last.
+    With k1 and k2 the SNR coefficients of the near and far shares and the
+    far user's squared x-offset m uniform on [0, C], C = (X/2)^2, the log
+    ln(1 + k2 / (k1 + h^2 + m + U^2)) is the integral of 1 / (c + h^2 + m +
+    U^2) over the interference level c from k1 to k1 + k2, so its mean over
+    m is exactly
+
+        R ln 2 = (1 / C) int_{a1}^{a2} F(b) db,  F(b) = E[ln(1 + C / (b + U^2))],
+
+    with a1 = k1 + h^2 and a2 = a1 + k2: an integral of a positive function
+    (``geometry.expected_log1p_ratio``), so nothing cancels at low SNR.
+    - Below k2 = ``_LONG_LEVELS`` (a1 + lo^2), lo the smallest separation,
+      the integral takes the Chebyshev rule of ``_LEVEL_NODES`` nodes in
+      v = ln(b + lo^2). F is singular only at b <= -lo^2, so F is analytic
+      in the strip |Im v| < pi, and the interval is at most
+      ln(1 + _LONG_LEVELS) = 3.04 long: the rule reaches rounding.
+    - From there on, the closed form. The antiderivative of
+      ln(1 + C / (b + u)) is (x + C) ln(x + C) - x ln(x) at x = b + u, so
+      R ln 2 = E[ln(1 + k2 / (a1 + C + U^2))] + (H(a2) - H(a1)) / C, with
+      H(a) = E[(a + U^2) ln(1 + C / (a + U^2))]. Both terms are positive;
+      the difference of H rounds to about eps (1 + U^2 / k2) relative,
+      which the threshold keeps near eps unless the largest separation is
+      many antenna heights.
     Where the rate meets its ceiling or zero, rounding can leave it an ulp
     outside; the value is clamped to [0, ceiling] there.
     """
-    h_sq = model.pa_height_sq
-    half_span = 0.5 * math.log1p(model.centre_sq / h_sq)
+    centre_sq, lo_sq = model.centre_sq, model.support_lo * model.support_lo
+    snr = model.eta_m2 * powers / model.noise_w_ue2  # no noise x h^2 to underflow
+    k1, k2 = cfg.noma_alpha_near * snr, cfg.noma_alpha_far * snr
+    a1 = k1 + model.pa_height_sq
+    base = a1 + lo_sq
+    half_span = 0.5 * np.log1p(k2 / base)
+    long = k2 >= _LONG_LEVELS * base
+    nats = np.empty_like(powers)
 
-    def delta(t, block):
-        # E[ln(beta + k2 + U^2) - ln(beta + U^2)] given m, times m + h^2
-        snr = (model.eta_m2 * block / model.noise_w_ue2)[:, None]  # no noise x h^2 to underflow
-        k1, k2 = cfg.noma_alpha_near * snr, cfg.noma_alpha_far * snr
-        g = h_sq * np.exp(half_span * t + half_span)  # m + h^2
-        beta = k1 + g
-        upper = expected_log_excess(beta + k2, 1.0, model)
-        return (np.log1p(k2 / beta) + upper - expected_log_excess(beta, 1.0, model)) * g
+    def level_mean(t, rows):
+        # F(b) (b + lo^2) / C at b + lo^2 = (a1 + lo^2) e^v, v = half_span (t + 1):
+        # the integrand in v; b = a1 + (a1 + lo^2)(e^v - 1) keeps a1 where a1 << lo^2
+        b = base[rows, None] * np.expm1(half_span[rows, None] * (t + 1.0))
+        b += a1[rows, None]
+        mean = expected_log1p_ratio(b, centre_sq, model)
+        mean /= centre_sq
+        mean *= b + lo_sq
+        return mean
 
-    integral = half_span * integrate_rows(delta, powers, n_nodes)
-    return np.clip(integral / (model.centre_sq * _LN2), 0.0, noma_rate_far_ceiling(cfg))
+    short = np.flatnonzero(~long)
+    if short.size:
+        nats[short] = half_span[short] * integrate_rows(level_mean, short, _LEVEL_NODES)
+    if long.any():
+        low, span = a1[long], k2[long]
+        levels = np.stack([low, low + span])
+        lower, upper = expected_log1p_ratio(levels, centre_sq, model, weighted=True)
+        head = expected_log1p_ratio(low + centre_sq, span, model)
+        nats[long] = head + (upper - lower) / centre_sq
+    return np.clip(nats / _LN2, 0.0, noma_rate_far_ceiling(cfg))

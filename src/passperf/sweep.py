@@ -68,7 +68,7 @@ CELLS = {
         lambda c, n: 1.0 if noma_zero_outage_thresholds(c)[1] is None else 0.0,
     ),
     ("noma", 2, "rate"): Cell(
-        lambda c, p, n: noma_rate_far(c, p, n), lambda c, n: noma_rate_far_ceiling(c)
+        lambda c, p, n: noma_rate_far(c, p), lambda c, n: noma_rate_far_ceiling(c)
     ),
 }
 # Sweeps always omit WDMA user 2 (validate and the metric functions report

@@ -20,6 +20,8 @@ for byte.
 ``DiffDistribution``, ``g_axis`` and ``outage_radii_sq`` give the separation
 law, the squared axis distance and the NOMA outage radii in metres, from
 the config fields, where the package works in reduced units.
+``mp_far_rate`` is the NOMA far user's rate at a stated mpmath precision,
+from the config fields and its exact average over the squared x-offset.
 ``log1p_moments_masked`` keeps the earlier split of the log-moment kernel
 (N-d boolean masks), and ``expected_log_excess_stacked`` its earlier layout
 (every support point of a call on one trailing axis), both of which the
@@ -290,6 +292,73 @@ def noma_rate_far_quad2d(cfg: SystemConfig, power_w: float) -> float:
 
     value, _ = quad(inner, 0.0, m4, limit=200, epsabs=1e-12, epsrel=1e-11)
     return 4.0 / dx**2 * value
+
+
+def mp_far_rate(cfg: SystemConfig, power_w: float, dps: int = 40):
+    """The far user's NOMA rate in bits/s/Hz as an mpmath number with
+    ``dps`` correct digits, in metres from the config fields.
+
+    Its SINR is k2 / (k1 + h^2 + m + U^2), with k = eta * share * power /
+    noise_ue2. The squared x-offset m is uniform on [0, C], C = (X/2)^2,
+    and ln(1 + k2 / (a1 + m + u)) integrates over m in closed form: with
+    Lambda(x) = (x + C) ln(x + C) - x ln(x), a1 = k1 + h^2 and a2 = a1 + k2,
+    the rate is E[Lambda(a2 + U^2) - Lambda(a1 + U^2)] / (C ln 2). The mean
+    over the triangular separation takes ``mp.quad`` on either side of its
+    peak, split at the square roots of a1, a2, a1 + C and a2 + C and
+    geometrically below them (``_splits``). The difference of Lambda
+    values cancels up to ~log10 of its terms over k2 C digits, which the
+    working precision adds to ``dps``.
+    """
+    import mpmath
+
+    mp = mpmath.mp
+
+    def model():
+        # k1 + k2, C, h^2, and the separation's support lo, w, hi
+        eta = (mp.mpf(SPEED_OF_LIGHT_M_S) / mp.mpf(cfg.carrier_freq_hz)) ** 2 / (16 * mp.pi**2)
+        noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue2) - 30) / 10)
+        lo, w = 2 * mp.mpf(cfg.region_y_offset_m), mp.mpf(cfg.region_y_m)
+        return (eta * mp.mpf(power_w) / noise, (mp.mpf(cfg.region_x_m) / 2) ** 2,
+                mp.mpf(cfg.pa_height_m) ** 2, lo, w, lo + 2 * w)
+
+    with mpmath.workdps(dps):
+        snr, c, h_sq, _, _, hi = model()
+        top = snr + h_sq + c + hi * hi
+        lost = mp.log10(top * top * (1 + abs(mp.log(top))) / (snr * mp.mpf(cfg.noma_alpha_far) * c))
+    with mpmath.workdps(dps + max(0, int(mp.ceil(lost)))):
+        snr, c, h_sq, lo, w, hi = model()
+        a1 = mp.mpf(cfg.noma_alpha_near) * snr + h_sq
+        a2 = a1 + mp.mpf(cfg.noma_alpha_far) * snr
+        peak = lo + w
+
+        def lam(x):
+            return (x + c) * mp.log(x + c) - x * mp.log(x)
+
+        def excess(u):
+            return lam(a2 + u * u) - lam(a1 + u * u)
+
+        # the integrand varies on the scales sqrt(a) of its branch points
+        # +-i sqrt(a), which can lie decades below the sub-region depth
+        scales = sorted({mp.sqrt(a) for a in (a1, a1 + c, a2, a2 + c)})
+        rise = mp.quad(lambda u: (u - lo) * excess(u), _splits(lo, peak, scales))
+        fall = mp.quad(lambda u: (hi - u) * excess(u), _splits(peak, hi, scales))
+        rate = (rise + fall) / (w * w) / (c * mp.log(2))
+    with mpmath.workdps(dps):
+        return +rate
+
+
+def _splits(lo, hi, scales):
+    """[lo, ..., hi] split at the ``scales`` inside (lo, hi). Where the
+    smallest scale is far below hi - lo, also at lo + (hi - lo) / 2^k down
+    to a quarter of it, so that ``mp.quad`` sees each octave of the
+    integrand's 1/u-like tail on its own."""
+    points = {x for x in scales if lo < x < hi}
+    step, floor = hi - lo, min(scales) / 4
+    if step > 64 * floor:
+        while step > floor:
+            step /= 2
+            points.add(lo + step)
+    return [lo, *sorted(points), hi]
 
 
 def interval_integral(f, a: float, b: float, n_nodes: int) -> float:

@@ -107,6 +107,8 @@ def _check_sweep(out):
             assert 0.0 <= row.analytic <= 1.0, row
         else:
             assert row.analytic >= 0.0, row
+        if (row.scheme, row.user, row.metric) == ("noma", 2, "rate"):
+            assert row.analytic <= row.asymptote, row
 
 
 def _check_crossover(out):
@@ -117,7 +119,7 @@ def _check_crossover(out):
 
 COMMANDS = [
     (["asymptote"], _check_asymptote),
-    (["sweep", "--start", "-50", "--stop", "400", "--step", "50"], _check_sweep),
+    (["sweep", "--asymptotes", "--start", "-50", "--stop", "400", "--step", "50"], _check_sweep),
     (["crossover"], _check_crossover),
     (["validate", "--trials", "100"], None),
 ]

@@ -26,6 +26,7 @@ from passperf.sweep import omega_two
 from oracles import (
     diff_distribution,
     far_outage_trapezoid,
+    mp_far_rate,
     near_pdf,
     noma_outage_far_nested,
     noma_rate_far_quad2d,
@@ -450,6 +451,69 @@ def test_far_rate_matches_nested_quadrature():
         assert noma_rate_far(cfg, power) == pytest.approx(
             noma_rate_far_quad2d(cfg, power), rel=1e-6
         )
+
+
+_EVERY_SNR_DB = [-50.0, -20.0, 20.0, 60.0, 100.0, 160.0, 400.0]
+
+
+@pytest.mark.parametrize(
+    "overrides, snrs_db",
+    [
+        # the rate integrates a positive log ratio over the interference
+        # level, so it keeps its relative accuracy at low SNR, where it is
+        # ~1e-14
+        ({}, _EVERY_SNR_DB),
+        ({"region_y_m": 10.0, "region_y_offset_m": 10.0}, _EVERY_SNR_DB),
+        # sub-regions narrow against their offset: the separation mean takes
+        # its rule, where the closed form's second difference would cancel
+        ({"region_y_m": 1.0, "region_y_offset_m": 50.0}, [-50.0, 60.0, 150.0]),
+        # far shares beyond 20 times the near share: the closed-form
+        # interference integral, on a region 333 antenna heights long
+        ({"region_x_m": 1000.0, "noma_alpha_near": 1e-4, "noma_alpha_far": 1 - 1e-4},
+         [70.0, 88.0, 94.0, 200.0]),
+        # there C >> k1 + h^2, where p - rb arctan(p / rb) and the log1p
+        # deficit would cancel if formed directly
+        ({"pa_height_m": 1.4, "region_x_m": 2939.0, "region_y_m": 2.8, "region_y_offset_m": 0.23,
+          "noma_alpha_near": 1e-8, "noma_alpha_far": 1 - 1e-8}, [78.0, 90.0]),
+        # and separations up to 60 antenna heights
+        ({"pa_height_m": 1.5, "region_y_m": 30.0, "region_y_offset_m": 15.0,
+          "noma_alpha_near": 1e-4, "noma_alpha_far": 1 - 1e-4}, [80.0, 120.0]),
+        # SNR coefficients near 1e209 in reduced units: p (rb - ra) /
+        # (ra rb + q), formed directly, is subnormal there
+        ({"carrier_freq_hz": 2.2424637011999602e36, "pa_height_m": 7.271534072513419e-154,
+          "region_x_m": 1.5545916903527123e-143, "region_y_m": 1.541962003575878e-150,
+          "noise_power_dbm_ue2": 325.0026343623912, "noma_alpha_near": 1.1153128404227371e-26,
+          "noma_alpha_far": 1.0}, [235.0, 240.0]),
+    ],
+    ids=["default", "omega_two", "narrow", "long_split", "long_offset_split", "wide_offset_split",
+         "huge_snr_coefficient"],
+)
+def test_far_rate_matches_a_40_digit_evaluation(overrides, snrs_db):
+    pytest.importorskip("mpmath")
+    cfg = SystemConfig(**overrides)
+    powers = snr_db_to_power_w(cfg, snrs_db)
+    for power, value in zip(powers, noma_rate_far(cfg, np.array(powers)).tolist()):
+        reference = mp_far_rate(cfg, power)
+        assert abs(value - reference) <= 1e-12 * reference, (power, value, reference)
+
+
+def test_far_rate_keeps_its_value_where_the_squared_lengths_are_tiny():
+    # a 1e150 m antenna: the region's squared lengths and the SNR
+    # coefficients are ~1e-298 in reduced units, and the rate ~1e-297. The
+    # region and the far share's SNR coefficient k2 are so small against h^2
+    # that the rate is k2 / ((k1 + h^2) ln 2) to ~1e-296 relative.
+    mpmath = pytest.importorskip("mpmath")
+    cfg = SystemConfig(pa_height_m=1e150)
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        eta = (mp.mpf(SPEED_OF_LIGHT_M_S) / cfg.carrier_freq_hz) ** 2 / (16 * mp.pi**2)
+        noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue2) - 30) / 10)
+        for snr_db in (90.0, 150.0, 400.0):
+            power = power_at(snr_db, cfg)
+            k1, k2 = (eta * mp.mpf(share) * mp.mpf(power) / noise
+                      for share in (cfg.noma_alpha_near, cfg.noma_alpha_far))
+            reference = k2 / ((k1 + mp.mpf(cfg.pa_height_m) ** 2) * mp.log(2))
+            assert abs(noma_rate_far(cfg, power) - reference) <= 1e-12 * reference
 
 
 def test_delta_log_gap_nonnegative_over_offsets():

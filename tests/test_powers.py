@@ -131,8 +131,9 @@ def test_validate_evaluates_both_wdma_users_at_unequal_noise_powers(monkeypatch)
     assert rates[("wdma", 2, "rate")] < rates[("wdma", 1, "rate")]
 
 
-# (metric, extra arguments): the metrics that build (powers x nodes) arrays
-BLOCKED = [(wdma_outage, (64, 2)), (wdma_avg_rate, (64, 1)), (noma_rate_far, (64,))]
+# (metric, extra arguments): the metrics that build (powers x nodes) arrays;
+# the far-user rate's rule has a fixed order, and takes no node count
+BLOCKED = [(wdma_outage, (64, 2)), (wdma_avg_rate, (64, 1)), (noma_rate_far, ())]
 BLOCKED_IDS = [m.__name__ for m, _ in BLOCKED]
 # tracemalloc peak of one call over 4096 powers; these measure 0.44-1.21 MB
 # in blocks of ROW_BLOCK = 64 rows and 9.3-55 MB in one block of every power

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -16,9 +17,11 @@ from passperf import (
     noma_rate_near,
     snr_db_to_power_w,
     wdma_avg_rate,
+    wdma_outage,
     wdma_rate_ceiling,
 )
 from passperf import noma
+from passperf.cli import main
 from passperf.geometry import expected_log_excess
 from passperf.quadrature import (
     _ONE_TERM_S,
@@ -85,7 +88,7 @@ def test_rejects_orders_that_are_not_integers_of_at_least_one(n_nodes):
 
 def test_metrics_name_a_bad_node_count():
     with pytest.raises(ValueError, match="n_nodes"):
-        noma_rate_far(SystemConfig(), 1.0, 2.5)
+        wdma_outage(SystemConfig(), 1.0, 2.5)
     with pytest.raises(ValueError, match="n_nodes"):
         wdma_avg_rate(SystemConfig(), 1.0, True)
 
@@ -139,11 +142,32 @@ def test_doubling_nodes_moves_smooth_metrics_by_rounding_only(name):
     cfg = DOUBLING_CONFIGS[name]
     grid = np.arange(90.0, 151.0, 1.0)
     powers = np.array(snr_db_to_power_w(cfg, grid))
-    for metric in (wdma_avg_rate, noma_rate_far):
-        coarse, fine = metric(cfg, powers, 64), metric(cfg, powers, 128)
-        assert np.allclose(coarse, fine, rtol=1e-12, atol=0.0), metric.__name__
+    coarse, fine = wdma_avg_rate(cfg, powers, 64), wdma_avg_rate(cfg, powers, 128)
+    assert np.allclose(coarse, fine, rtol=1e-12, atol=0.0)
     ceiling = wdma_rate_ceiling(cfg, 128)
     assert wdma_rate_ceiling(cfg, 64) == pytest.approx(ceiling, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"region_y_m": 10.0, "region_y_offset_m": 10.0}],
+                         ids=["default", "omega_two"])
+def test_nodes_flag_does_not_reach_the_noma_cells(overrides, tmp_path):
+    # --nodes sets the order of the WDMA outage, the WDMA rate and its
+    # ceiling; every NOMA cell, the far-user rate included, has a fixed method
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(overrides), encoding="utf-8")
+    lines = {}
+    for nodes in ("16", "64"):
+        out = tmp_path / f"sweep_{nodes}.csv"
+        argv = ["sweep", "--config", str(config), "--nodes", nodes, "--asymptotes",
+                "--start", "-50", "--stop", "400", "--step", "5", "--out", str(out)]
+        assert main(argv) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        lines[nodes] = {
+            scheme: [row for row in rows if f",{scheme}," in row] for scheme in ("noma", "wdma")
+        }
+    assert len(lines["64"]["noma"]) == 91 * 4
+    assert lines["16"]["noma"] == lines["64"]["noma"]
+    assert lines["16"]["wdma"] != lines["64"]["wdma"]
 
 
 def test_non_finite_integrand_reports_node():
@@ -330,19 +354,16 @@ def test_near_rate_equals_the_masked_kernel_route_bitwise(cfg, snrs_db):
 @example(cfg=omega_two(SystemConfig(region_x_m=1000.0, pa_height_m=1.0)), snrs_db=_WIDE_DB[22:])
 @settings(max_examples=25, deadline=None)
 def test_rates_on_long_regions_converge_at_the_default_order(cfg, snrs_db):
-    # N = 64 against N = 2048 in the x-variables s = h sinh(theta t) and
-    # tau = ln(1 + m / h^2), however many antenna heights the region spans:
-    # 1e-10 relative from 60 dB and 1e-12 from 100 dB, or 2e-12 bits/s/Hz.
-    # The absolute term covers tiny rates: the WDMA rate at X = 10^3 h
-    # converges to about 1e-12 bits/s/Hz at N = 64 (2e-11 relative at
-    # 100 dB with h = 6 m), and the log terms' rounding sets the far-user
-    # gap near 60 dB.
+    # N = 64 against N = 2048 in the x-variable s = h sinh(theta t), however
+    # many antenna heights the region spans: 1e-10 relative from 60 dB and
+    # 1e-12 from 100 dB, or 2e-12 bits/s/Hz. The absolute term covers tiny
+    # rates: the WDMA rate at X = 10^3 h converges to about 1e-12 bits/s/Hz
+    # at N = 64 (2e-11 relative at 100 dB with h = 6 m).
     powers = np.array(snr_db_to_power_w(cfg, snrs_db))
     rtol = np.where(np.array(snrs_db) >= 100.0, 1e-12, 1e-10)
     for metric in (
         lambda n: wdma_avg_rate(cfg, powers, n, user=1),
         lambda n: wdma_avg_rate(cfg, powers, n, user=2),
-        lambda n: noma_rate_far(cfg, powers, n),
         lambda n: np.full(len(powers), wdma_rate_ceiling(cfg, n)),
     ):
         coarse, fine = metric(64), metric(2048)
