@@ -153,14 +153,16 @@ def _cmd_validate(args) -> int:
         cfg, snr_grid(spec), args.trials, args.seed, sigma_tol=args.sigma_tol, n_nodes=args.nodes
     )
     table = report.table
+    z_scores = report.z_scores
     with _output(args) as out:
         for j, snr_db in enumerate(table.grid.tolist()):
             for k, (scheme, user, metric) in enumerate(table.keys):
-                status = "PASS" if report.within[k, j] else "FAIL"
+                passed = report.within[k, j]
                 print(
-                    f"{status} snr={snr_db:g} scheme={scheme} user={user} "
+                    f"{'PASS' if passed else 'FAIL'} snr={snr_db:g} scheme={scheme} user={user} "
                     f"metric={metric} analytic={table.analytic[k, j]:.6g} "
-                    f"mc={table.mc_value[k, j]:.6g} se={table.mc_std_error[k, j]:.3g}",
+                    f"mc={table.mc_value[k, j]:.6g} se={table.mc_std_error[k, j]:.3g}"
+                    f"{'' if passed else f' z={z_scores[k, j]:.3g}'}",
                     file=out,
                 )
         print(report.summary(), file=out)

@@ -205,18 +205,64 @@ def snr_db_to_power_w(cfg: SystemConfig, snr_db):
     return powers[0] if scalar else powers
 
 
-def check_powers(power_w) -> np.ndarray:
-    """``power_w`` as a float array of at most one dimension.
+def check_powers(power_w):
+    """``power_w`` as a float array of at most one dimension, with its
+    smallest and largest entries (None for an empty array).
 
-    Raises ValueError naming ``power_w`` unless every entry is finite and > 0.
+    Raises ValueError naming ``power_w``, and its first bad entry, unless
+    every entry is finite and > 0. The test reads the two extremes only: a
+    NaN entry makes both NaN, and every other entry lies between them. The
+    elementwise test is made only on the error path.
     """
     powers = np.asarray(power_w, dtype=float)
     if powers.ndim > 1:
         raise ValueError(f"power_w must be a scalar or a 1-D array, got shape {powers.shape}")
-    bad = ~(np.isfinite(powers) & (powers > 0.0))
-    if bad.any():
+    if not powers.size:
+        return powers, None, None
+    low, high = powers.min(), powers.max()
+    if not (low > 0.0 and high < math.inf):
+        bad = ~(np.isfinite(powers) & (powers > 0.0))
         raise ValueError(f"power_w must be finite and > 0, got {powers[bad][0].item()!r}")
-    return powers
+    return powers, low, high
+
+
+# A saturating metric takes its high-SNR limit at every row where an
+# a-priori bound puts |value - limit| at most SATURATION_TOL times the
+# limit: under half an ulp of it, so the row rounds to the limit anyway.
+SATURATION_TOL = 2.0**-54
+
+
+def saturation_power(noise_per_power: float, scale: float) -> float:
+    """The reduced power p_sat = ``noise_per_power`` * ``scale`` from which a
+    metric takes its limit, for a bound on |value - limit| that falls as
+    ``noise_per_power`` / P: ``scale`` is the power at which the bound
+    reaches SATURATION_TOL times the limit, per unit of ``noise_per_power``.
+
+    inf, so that no row saturates, where either factor or the product is
+    not a finite normal float: an underflowed threshold would admit rows
+    that the bound does not.
+    """
+    p_sat = noise_per_power * scale
+    # a factor of inf makes the product inf
+    return p_sat if _NORMAL_MIN <= min(noise_per_power, scale, p_sat) and p_sat < math.inf else math.inf
+
+
+def saturated(values_of, powers: np.ndarray, p_sat: float, limit: float) -> np.ndarray:
+    """``values_of(powers)`` with ``limit`` put in at every power at or above
+    ``p_sat``.
+
+    Only the powers below ``p_sat`` reach ``values_of``, in their order; the
+    metrics' values depend each on its own row only, so those rows are the
+    same bit for bit as in a call over every power. A call with no power at
+    or above ``p_sat`` builds no mask.
+    """
+    if not (powers.size and powers.max() >= p_sat):
+        return values_of(powers)
+    values = np.full(powers.shape, limit)
+    below = np.flatnonzero(powers < p_sat)
+    if below.size:
+        values[below] = values_of(powers[below])
+    return values
 
 
 def over_powers(metric):
@@ -229,31 +275,41 @@ def over_powers(metric):
     2**+-1000: each noise power over eta times the reduced power (the noise
     coefficient of a unit reduced squared distance) must be at most 2**1000,
     and times the squared antenna height, the smallest squared distance, at
-    least 2**-1000. Float overflow and division by zero in the metric give
-    inf, which its saturation masks handle. A scalar power gives a Python
-    float (CSV cells are written with ``repr``), an array gives one value
-    per power. The metric gets every power in one call; the metrics that
-    build (powers x nodes) arrays split them into blocks where those arrays
-    are built, in ``quadrature.integrate_rows``.
+    least 2**-1000. Both tests are monotone in the power, also as rounded,
+    so they are made at the smallest and the largest power only, and
+    elementwise only on the error path, to name the first power out of
+    range. Float overflow and division by zero in the metric give inf,
+    which the metric's own masks handle. A scalar power gives a Python float
+    (CSV cells are written with ``repr``), an array gives one value per
+    power. The metric gets every power in one call; the metrics that build
+    (powers x nodes) arrays split them into blocks where those arrays are
+    built, in ``quadrature.integrate_rows``. A metric with a high-SNR limit
+    puts that limit in at its saturated powers through :func:`saturated`.
     """
 
     @functools.wraps(metric)
     def evaluate(cfg, power_w, *args, **kwargs):
-        powers = check_powers(power_w)
+        powers, low, high = check_powers(power_w)
         model = derive_constants(cfg)
         flat = np.atleast_1d(powers)
-        noises = (model.noise_w_ue1, model.noise_w_ue2)
+        quiet, loud = sorted((model.noise_w_ue1, model.noise_w_ue2))
+        scale = -2 * model.scale_exp
+
+        def in_range(gain):
+            return ((quiet / gain * model.pa_height_sq >= 1.0 / _REDUCED_RANGE)
+                    & (loud / gain <= _REDUCED_RANGE))
+
         with np.errstate(over="ignore", divide="ignore"):
-            reduced = np.ldexp(flat, -2 * model.scale_exp)
-            gain = model.eta_m2 * reduced
-            bad = ~((min(noises) / gain * model.pa_height_sq >= 1.0 / _REDUCED_RANGE)
-                    & (max(noises) / gain <= _REDUCED_RANGE))
-            if bad.any():
-                raise ValueError(
-                    f"power_w={flat[bad][0].item()!r} W gives an SNR out of range with "
-                    f"carrier_freq_hz, the noise powers and the lengths of this config"
-                )
-            values = metric(cfg, model, reduced, *args, **kwargs)
+            if powers.size:
+                # eta times the reduced powers, as Python floats: a zero gain is out of range
+                weak, strong = (model.eta_m2 * math.ldexp(p, scale) for p in (low, high))
+                if not (weak > 0.0 and in_range(weak) and in_range(strong)):
+                    bad = ~in_range(model.eta_m2 * np.ldexp(flat, scale))
+                    raise ValueError(
+                        f"power_w={flat[bad][0].item()!r} W gives an SNR out of range with "
+                        f"carrier_freq_hz, the noise powers and the lengths of this config"
+                    )
+            values = metric(cfg, model, np.ldexp(flat, scale), *args, **kwargs)
         return float(values[0]) if powers.ndim == 0 else values
 
     return evaluate

@@ -177,7 +177,7 @@ def mc_cell_estimates(trials: int, seed: int, keys, cfg: SystemConfig, powers) -
         _check_cell(scheme, user)
         if metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
-    powers = check_powers(list(powers)).tolist()
+    powers = check_powers(list(powers))[0].tolist()
     dc = derive_constants(cfg)
     gth = cfg.outage_threshold
     # per (scheme, user): outage hits, rate sum and rate sum of squares, one per power

@@ -18,7 +18,16 @@ import math
 
 import numpy as np
 
-from .config import _NORMAL_MIN, ReducedModel, SystemConfig, derive_constants, over_powers
+from .config import (
+    _NORMAL_MIN,
+    SATURATION_TOL,
+    ReducedModel,
+    SystemConfig,
+    derive_constants,
+    over_powers,
+    saturated,
+    saturation_power,
+)
 from .geometry import _segment_sum, expected_log1p_ratio
 from .quadrature import _log1p_moments, integrate_rows
 
@@ -205,7 +214,25 @@ def noma_rate_far(cfg: SystemConfig, model: ReducedModel, powers):
       many antenna heights.
     Where the rate meets its ceiling or zero, rounding can leave it an ulp
     outside; the value is clamped to [0, ceiling] there.
+
+    With D = h^2 + m + U^2 <= v_max = (X/2)^2 + h^2 + hi^2, the log is
+    ln(1 + alpha_far / (alpha_near + D / snr)), snr = k2 / alpha_far:
+    convex and decreasing in D / snr, so it falls short of the ceiling by at
+    most (v_max / snr) alpha_far / (alpha_near (alpha_near + alpha_far)).
+    From the power where that over ln 2 is SATURATION_TOL times the ceiling
+    on, the rate is the ceiling.
     """
+    ceiling = noma_rate_far_ceiling(cfg)
+    a_near, a_far = cfg.noma_alpha_near, cfg.noma_alpha_far
+    hi = model.support_hi
+    v_max = model.centre_sq + model.pa_height_sq + hi * hi
+    snr_sat = v_max * a_far / (a_near * (a_near + a_far) * _LN2 * SATURATION_TOL * ceiling)
+    p_sat = saturation_power(model.noise_w_ue2 / model.eta_m2, snr_sat)
+    return saturated(lambda p: _far_rate(cfg, model, p, ceiling), powers, p_sat, ceiling)
+
+
+def _far_rate(cfg: SystemConfig, model: ReducedModel, powers, ceiling: float):
+    """``noma_rate_far`` at the reduced ``powers``, before saturation."""
     centre_sq, lo_sq = model.centre_sq, model.support_lo * model.support_lo
     snr = model.eta_m2 * powers / model.noise_w_ue2  # no noise x h^2 to underflow
     k1, k2 = cfg.noma_alpha_near * snr, cfg.noma_alpha_far * snr
@@ -234,4 +261,4 @@ def noma_rate_far(cfg: SystemConfig, model: ReducedModel, powers):
         lower, upper = expected_log1p_ratio(levels, centre_sq, model, weighted=True)
         head = expected_log1p_ratio(low + centre_sq, span, model)
         nats[long] = head + (upper - lower) / centre_sq
-    return np.clip(nats / _LN2, 0.0, noma_rate_far_ceiling(cfg))
+    return np.clip(nats / _LN2, 0.0, ceiling)

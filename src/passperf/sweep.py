@@ -432,6 +432,15 @@ class ValidationReport(NamedTuple):
     def passed(self) -> bool:
         return bool(self.within.all())
 
+    @property
+    def z_scores(self) -> np.ndarray:
+        """(analytic - mc_value) / mc_std_error per cell, shaped like
+        ``tolerance``: +-inf where the standard error is 0 and the values
+        differ, NaN where they agree."""
+        table = self.table
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (table.analytic - table.mc_value) / table.mc_std_error
+
     def summary(self) -> str:
         n_fail = self.within.size - int(np.count_nonzero(self.within))
         return (

@@ -22,7 +22,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ReducedModel, SystemConfig, derive_constants, over_powers
+from .config import (
+    SATURATION_TOL,
+    ReducedModel,
+    SystemConfig,
+    derive_constants,
+    over_powers,
+    saturated,
+    saturation_power,
+)
 from .geometry import _segment_sum, expected_log_excess
 from .quadrature import integrate_rows
 
@@ -79,12 +87,34 @@ def _crossings(gth: float, b_noise, model: ReducedModel) -> np.ndarray:
     return np.maximum.accumulate(crossings)  # in order, however they round
 
 
+def _outage_saturation(gth: float, noise_per_power: float, model: ReducedModel):
+    """(p_sat, floor): the reduced power from which ``wdma_outage`` is its
+    floor to within SATURATION_TOL relative, and the floor.
+
+    With b = ``noise_per_power`` / P and e = gamma_th b g <= 1/2 at the
+    largest squared distance g_max = h^2 + (X/2)^2, the cap r^2 exceeds its
+    noiseless value r0^2 = g (gamma_th - 1) by gamma_th^2 b g^2 / (1 - e),
+    so r - r0 <= (r^2 - r0^2) / (2 r0). The triangular density is at most
+    1/w, so the outage less the floor is at most
+    gamma_th^2 b g_max^(3/2) / (w sqrt(gamma_th - 1)). No row saturates where
+    gamma_th <= 1 or the floor is 0.
+    """
+    floor = _outage_floor(gth, model)
+    if not (gth > 1.0 and floor > 0.0):
+        return math.inf, floor
+    g_max = model.pa_height_sq + model.centre_sq
+    bound = gth * math.sqrt(g_max) / (model.half_width * math.sqrt(gth - 1.0))
+    scale = gth * g_max * max(bound / (SATURATION_TOL * floor), 2.0)
+    return saturation_power(noise_per_power, scale), floor
+
+
 @over_powers
 def wdma_outage(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int = 64, user: int = 1):
     """Outage probability of ``user`` at transmit power ``power_w`` (a scalar
     or a 1-D array): the floor's segment sum, with the separation threshold
     r(s) the square root of the cap of ``_crossings``; exactly 1 where the
     cap saturates at s = 0, and clamped to [floor, 1] against rounding.
+    From the power of ``_outage_saturation`` on, it is the floor.
 
     Each segment integral of (r - k)^2 takes ``n_nodes`` Chebyshev nodes in
     zeta, with s = h sinh(theta) and theta = pole tanh(zeta): the sinh moves
@@ -93,8 +123,17 @@ def wdma_outage(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int = 6
     that of s = 1, beyond every reduced length, and past the last crossing
     however it rounds) to infinity, however near the segment they lie.
     """
-    gth, hi, h = cfg.outage_threshold, model.support_hi, math.sqrt(model.pa_height_sq)
-    b_noise = 2.0 * model.noise(user) / (model.eta_m2 * powers)
+    gth = cfg.outage_threshold
+    noise = 2.0 * model.noise(user)
+    p_sat, floor = _outage_saturation(gth, noise / model.eta_m2, model)
+    return saturated(
+        lambda p: _outage(gth, noise / (model.eta_m2 * p), model, n_nodes, floor), powers, p_sat, floor
+    )
+
+
+def _outage(gth: float, b_noise, model: ReducedModel, n_nodes: int, floor: float):
+    """``wdma_outage`` at the noise coefficients ``b_noise``, before saturation."""
+    hi, h = model.support_hi, math.sqrt(model.pa_height_sq)
     crossings = _crossings(gth, b_noise, model)
     a = gth * b_noise  # e / g
     pole = np.arcsinh(np.minimum(np.sqrt(np.maximum(1.0 / a - h * h, 0.0)), 1.0) / h)
@@ -122,7 +161,7 @@ def wdma_outage(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int = 6
 
     half = 0.5 * model.region_x
     total = _segment_sum(squares, *crossings, half, model.support_lo, hi, model.half_width)
-    return np.clip(total / half, _outage_floor(gth, model), 1.0)
+    return np.clip(total / half, floor, 1.0)
 
 
 def _log_rate_coeffs(g, b_noise):
@@ -162,10 +201,24 @@ def wdma_avg_rate(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int =
     layouts; the outer x-average uses the Chebyshev rule. Where the rate
     meets its ceiling or zero, rounding in the two averages can leave it a
     few ulps outside; the value is clamped to [0, ceiling] there.
+
+    With b = b_noise, ln(1 + sinr) = ln(1/v + 1/g + b) - ln(1/v + b) at
+    v = g + U^2 is convex and decreasing in b, so it falls short of its
+    ceiling's b = 0 value by at most b v^2 / (g + v) < b v_max, v_max =
+    (X/2)^2 + h^2 + hi^2. From the power where b v_max / ln 2 is
+    SATURATION_TOL times the ceiling on, the rate is the ceiling.
     """
-    b_noise = 2.0 * model.noise(user) / (model.eta_m2 * powers)
-    rate = _integrate_even(lambda t, rows: _rate_nats(t, model, rows), b_noise, n_nodes) / _LN2
-    return np.clip(rate, 0.0, wdma_rate_ceiling(cfg, n_nodes))
+    ceiling = wdma_rate_ceiling(cfg, n_nodes)
+    noise, hi = 2.0 * model.noise(user), model.support_hi
+    v_max = model.centre_sq + model.pa_height_sq + hi * hi
+    p_sat = saturation_power(noise / model.eta_m2, v_max / (SATURATION_TOL * _LN2 * ceiling))
+
+    def rate(powers):
+        b_noise = noise / (model.eta_m2 * powers)
+        nats = _integrate_even(lambda t, rows: _rate_nats(t, model, rows), b_noise, n_nodes)
+        return np.clip(nats / _LN2, 0.0, ceiling)
+
+    return saturated(rate, powers, p_sat, ceiling)
 
 
 # Taylor coefficients of delta**m, odd m from 39 down to 3, of the four

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from passperf import sweep
+from passperf import SystemConfig, sweep
 from passperf.cli import build_parser, main
 from passperf.quadrature import IntegrationError
 from passperf.sweep import CSV_HEADER, read_csv
@@ -340,3 +340,26 @@ def test_one_parser_serves_a_sequence_of_calls(monkeypatch, capsys):
     for argv, result in zip(REUSE_SEQUENCE, results):
         fresh = fresh_run(argv)
         assert result == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_validate_fail_lines_end_with_the_z_score(tmp_path, capsys):
+    # a band of 1e-6 standard errors fails every outage cell whose estimate
+    # is not exactly its analytic value; rates keep their 1% band
+    out = tmp_path / "validate.txt"
+    argv = ["validate", "--start", "90", "--stop", "100", "--step", "10", "--trials", "2000",
+            "--sigma-tol", "1e-6", "--out", str(out)]
+    assert main(argv) == 1
+    report = sweep.validate(SystemConfig(), [90.0, 100.0], 2000, 12345, sigma_tol=1e-6)
+    lines = out.read_text(encoding="utf-8").splitlines()[:-1]
+    expected = []
+    for j in range(2):
+        for k in range(len(report.table.keys)):
+            z = report.z_scores[k, j]
+            expected.append(None if report.within[k, j] else f" z={z:.3g}")
+    assert expected.count(None) < len(expected)
+    for line, tail in zip(lines, expected, strict=True):
+        if tail is None:
+            assert line.startswith("PASS ") and " z=" not in line
+        else:
+            assert line.startswith("FAIL ") and line.endswith(tail)
+            assert float(line.rsplit("z=", 1)[1]) != 0.0

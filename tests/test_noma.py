@@ -409,6 +409,20 @@ def test_near_rate_matches_a_40_digit_evaluation_from_40_db(cfg):
             assert abs(mpmath.mpf(value) - reference) <= 1e-11 * reference
 
 
+# ROADMAP item 17: below 40 dB the ratio form cancels. On the default config
+# it is 1.4e-2 relative off at -50 dB, 4.9e-6 at -20 dB, 2.7e-8 at 0 dB and
+# 1.8e-10 at 30 dB.
+@pytest.mark.xfail(strict=True, reason="item 17: the near rate's ratio form cancels below 40 dB "
+                   "(1.4e-2 relative off at -50 dB)")
+@pytest.mark.parametrize("snr_db", [-50.0, -20.0, 0.0, 30.0])
+def test_near_rate_matches_a_40_digit_evaluation_below_40_db(snr_db):
+    mpmath = pytest.importorskip("mpmath")
+    power = power_at(snr_db, CFG)
+    with mpmath.workdps(40):
+        reference = _mp_near_rate(CFG, power, mpmath.mp)
+        assert abs(mpmath.mpf(noma_rate_near(CFG, power)) - reference) <= 1e-11 * reference
+
+
 def test_near_rate_full_multiplexing_gain():
     dc = derive_constants(CFG)
     power = 1e6 * dc.noise_w_ue1 * CFG.pa_height_m**2 / dc.eta_m2
