@@ -3,15 +3,16 @@
 User x-coordinates are uniform along the service region, y-coordinates are
 uniform in two disjoint sub-regions on either side of the waveguide axis.
 The y-separation of the two users follows a triangular law, which gives the
-closed-form log-expectations over it (the WDMA rate's log excess and the
-NOMA far-user rate's log ratio) and the segment sum of an outage quadratic
-in a radius, shared by the WDMA outage, its floor and the NOMA far-user
-outage. They read the law from ``dist``, a ``config.ReducedModel`` in the
-analytic metrics: its ``half_width`` (the sub-region depth) and
-``support_lo`` (twice the offset from the axis), in reduced units, and
-return NumPy values of their inputs' broadcast shape, 0-d for scalar
-inputs. Placements are drawn by ``montecarlo``, which imports nothing from
-here.
+closed-form log-expectations over it (the WDMA rate ceiling's log excess,
+and the log ratio of the average rates, whose positive kernel
+``_hat_moment`` also gives the NOMA near-user rate at one point) and the
+segment sum of an outage quadratic in a radius, shared by the WDMA outage,
+its floor and the NOMA far-user outage. They read the law from ``dist``, a
+``config.ReducedModel`` in the analytic metrics: its ``half_width`` (the
+sub-region depth) and ``support_lo`` (twice the offset from the axis), in
+reduced units, and return NumPy values of their inputs' broadcast shape,
+0-d for scalar inputs. Placements are drawn by ``montecarlo``, which
+imports nothing from here.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ def expected_log_excess(a, b, dist):
     mean is the second difference (T(lo) - 2 T(lo + w) + T(lo + 2w)) / w^2
     of T(p) = int_0^p (p - t) ln(1 + (b/a) t^2) dt; with zero offset this is
     the adjacent-region closed form, and the end lo = 0, where T is exactly
-    +0.0, is not evaluated. ln(a) is left out because it dwarfs the rest at
-    high SNR. ``a`` and ``b`` broadcast against each other.
+    +0.0, is not evaluated. ln(a) is left out, so that the excess keeps its
+    relative accuracy when b/a is tiny. ``a`` and ``b`` broadcast against
+    each other.
 
     T is taken at the support points lo (if nonzero), lo + w and lo + 2w
     in one ``_log1p_moments`` call, with the points on a leading axis, so
@@ -141,17 +143,15 @@ def _atan_deficit(y):
     return np.where(y < 1.0, small, y - np.arctan(y))
 
 
-def expected_log1p_ratio(a, d, dist, weighted: bool = False):
-    """E[ln(1 + d / (a + U^2))] for the y-separation U ~ ``dist``, or with
-    ``weighted`` E[(a + U^2) ln(1 + d / (a + U^2))]; a > 0, d >= 0.
+def _hat_moment(p, a, d, scale, weighted: bool = False):
+    """T(p) / scale^2 for T(p) = int_0^p (p - t) g(t) dt with
+    g = ln(1 + d / (a + t^2)), or with ``weighted`` a T + T2, T2 the same
+    integral of t^2 g; p >= 0, a > 0 and d >= 0 broadcast against each other.
 
-    Like ``expected_log_excess`` the mean is the second difference of
-    T(p) = int_0^p (p - t) g(t) dt over the support points, here of
-    g = ln(1 + d / (a + t^2)) itself, which is positive: no difference of
-    two logarithms is formed, so the mean keeps its relative accuracy when
-    d is tiny against a + U^2 (low SNR) and when it is huge. With b = a + d,
-    q = p^2 and L = ln(1 + d / (a + q)), T = p I0 - I1 in the moments
-    I0 and I1 of g:
+    g is positive, so no difference of two logarithms is formed, and T keeps
+    its relative accuracy when d is tiny against a + t^2 (low SNR) and when
+    it is huge. With b = a + d, q = p^2 and L = ln(1 + d / (a + q)),
+    T = p I0 - I1 in the moments I0 and I1 of g:
     - p I0 = q L + 2 p D, where D = int_0^p d t^2 / ((a + t^2)(b + t^2)) dt
       = (rb - ra) arctan(p / rb) - ra arctan(p (rb - ra) / (ra rb + q)),
       ra = sqrt(a), rb = sqrt(b) and rb - ra = d / (ra + rb);
@@ -160,40 +160,30 @@ def expected_log1p_ratio(a, d, dist, weighted: bool = False):
     Every logarithm is a log1p of a ratio of positive terms, and T >= p I0 / 2
     since g decreases. r_b and r_z are taken as d / b and d / (b + q) times
     ln(1 + x) / x, D as p times a difference of arctan(y) / y ratios near 1,
-    and T over w^2 as a multiple of (p / w)^2, so that no product of small
-    squares underflows where the sub-regions are tiny against the antenna
-    height or a is near the top of its range. The weighted mean adds the t^2
-    moment to a T: T2 = p M2 - M3, with M2 and M3 the t^2 and t^3 moments of g,
+    and T over scale^2 as a multiple of (p / scale)^2, so that no product of
+    small squares underflows where p is tiny against the antenna height or
+    a is near the top of its range. The weighted T2 = p M2 - M3, with M2 and
+    M3 the t^2 and t^3 moments of g,
     3 p M2 = q^2 L + 2 p (d rb e(p / rb) - a D) and
     4 M3 = q (q L + d k(q / b) - a (r_b - r_z)), where e(y) = y - arctan(y)
     and k(x) = 1 - ln(1 + x) / x are taken without cancellation
     (``_atan_deficit``, ``_log1p_deficit``): both are small where q << b.
-    What still cancels where q << a is the small part of a T + T2. ``a``
-    broadcasts against ``d``; the support points go on a leading axis, one
-    array call per operation.
-
-    The second difference cancels about (hi / w)^2 / 2 of T's digits, so
-    sub-regions narrow against their gap to the axis (lo >= ``_NARROW`` w)
-    take ``_narrow_mean`` instead.
+    What still cancels where q << a is the small part of a T + T2.
     """
-    lo, w = dist.support_lo, dist.half_width
-    a = np.asarray(a, dtype=float)
-    if lo >= _NARROW * w:
-        return _narrow_mean(a, d, dist, weighted)
-    points = np.array([lo, lo + w, lo + 2.0 * w] if lo else [w, 2.0 * w])
-    shape = points.shape + (1,) * max(a.ndim, np.ndim(d))
-    p = points.reshape(shape)
-    q = p * p
-    scaled = (points / w).reshape(shape)  # p / w
-    scaled_sq = scaled * scaled
     b = a + d
+    # a scalar a (the near rate's h^2) takes d's shape, so that the log
+    # formed in place below holds the whole broadcast shape
+    a = np.broadcast_to(a, np.shape(b))
+    q = p * p
+    scaled = p / scale
+    scaled_sq = scaled * scaled
     ra, rb = np.sqrt(a), np.sqrt(b)
     gap = d / (ra + rb)
     ratio_b = p / rb
     log = a + q
     log = np.log1p(np.divide(d, log, out=log), out=log)
-    # in place from here on, on arrays of the points' shape. D / p is gap / rb
-    # times arctan(y) / y at y = p / rb less the same at y = x, x = p gap /
+    # in place from here on, on arrays of the broadcast shape. D / p is gap /
+    # rb times arctan(y) / y at y = p / rb less the same at y = x, x = p gap /
     # (ra rb + q), times ra rb / (ra rb + q): ratios near 1, so that nothing
     # falls to a subnormal where a is near the top of its range
     rab = ra * rb
@@ -226,5 +216,29 @@ def expected_log1p_ratio(a, d, dist, weighted: bool = False):
         moment += 8.0 * (d * (_atan_deficit(ratio_b) / ratio_b) - a * per_p)
         moment *= scaled_sq / 12.0
         t += moment
+    return t
+
+
+def expected_log1p_ratio(a, d, dist, weighted: bool = False):
+    """E[ln(1 + d / (a + U^2))] for the y-separation U ~ ``dist``, or with
+    ``weighted`` E[(a + U^2) ln(1 + d / (a + U^2))]; a > 0, d >= 0.
+
+    Like ``expected_log_excess`` the mean is the second difference of T(p)
+    over the support points, here of the positive ``_hat_moment``, so the
+    mean keeps its relative accuracy at low SNR and at high. ``a``
+    broadcasts against ``d``; the support points go on a leading axis, one
+    array call per operation.
+
+    The second difference cancels about (hi / w)^2 / 2 of T's digits, so
+    sub-regions narrow against their gap to the axis (lo >= ``_NARROW`` w)
+    take ``_narrow_mean`` instead.
+    """
+    lo, w = dist.support_lo, dist.half_width
+    a = np.asarray(a, dtype=float)
+    if lo >= _NARROW * w:
+        return _narrow_mean(a, d, dist, weighted)
+    points = np.array([lo, lo + w, lo + 2.0 * w] if lo else [w, 2.0 * w])
+    p = points.reshape(points.shape + (1,) * max(a.ndim, np.ndim(d)))
+    t = _hat_moment(p, a, d, w, weighted)
     t0 = t[0] if lo else 0.0
     return t0 - 2.0 * t[-2] + t[-1]

@@ -5,11 +5,13 @@ superposition coding. The near user cancels the far user's signal before
 decoding; the far user decodes under the near user's interference, which
 caps its SINR at alpha_far / alpha_near. The far user's outage and its
 average over the y-separation are closed forms for adjacent and offset
-sub-regions alike. Its rate averages the x-offset exactly: the rate is an
-integral over the interference level of a positive log-ratio mean, taken
-by a fixed Chebyshev rule over short spans of levels and in closed form
-over long ones, so no metric here reads a node count. Lengths and powers
-are in the reduced units of ``config.ReducedModel``.
+sub-regions alike. Both rates average positive logarithms, so they keep
+their relative accuracy at low SNR. The near user's is a closed form. The
+far user's averages the x-offset exactly: it is an integral over the
+interference level of a positive log-ratio mean, taken by a fixed
+Chebyshev rule over short spans of levels and in closed form over long
+ones, so no metric here reads a node count. Lengths and powers are in the
+reduced units of ``config.ReducedModel``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .config import (
     saturated,
     saturation_power,
 )
-from .geometry import _segment_sum, expected_log1p_ratio
-from .quadrature import _log1p_moments, integrate_rows
+from .geometry import _hat_moment, _segment_sum, expected_log1p_ratio
+from .quadrature import integrate_rows
 
 _LN2 = math.log(2.0)
 # ``noma_rate_far`` integrates over the interference level by the Chebyshev
@@ -162,19 +164,14 @@ def noma_rate_near(cfg: SystemConfig, model: ReducedModel, powers):
     power ``power_w`` (a scalar or a 1-D array).
 
     With c = X/2 and the near user's x-offset t of density (2/c)(1 - t/c),
-    the mean of ln(1 + k / (h^2 + t^2)) is ln(1 + k/h^2) plus
-    2 phi0(s) - phi1(s) at s_k = c^2 / (h^2 + k), minus the same at
-    s_0 = c^2 / h^2 (``quadrature._log1p_moments``): ratios only, no
-    logarithm of a length and no division by X^2.
+    the mean of ln(1 + k / (h^2 + t^2)) is 2 T(c) / c^2 with
+    T(c) = int_0^c (c - t) ln(1 + k / (h^2 + t^2)) dt, the positive
+    ``geometry._hat_moment`` at the single point c: no difference of
+    logarithms, so the rate keeps its relative accuracy at low SNR.
     """
-    h_sq, centre_sq = model.pa_height_sq, model.centre_sq
     k = model.eta_m2 * cfg.noma_alpha_near * powers / model.noise_w_ue1
-    # _log1p_moments(1, s) is (phi0(s), phi1(s) / 2); s_0 comes last, in
-    # the same call as the s_k
-    phi0, half_phi1 = _log1p_moments(1.0, centre_sq / np.append(h_sq + k, h_sq))
-    nats = np.log1p(k / h_sq) + 2.0 * (phi0[:-1] - phi0[-1]) - 2.0 * (half_phi1[:-1] - half_phi1[-1])
-    # at low SNR the terms cancel, and rounding can leave a tiny rate below zero
-    return np.maximum(nats, 0.0) / _LN2
+    centre = 0.5 * model.region_x
+    return 2.0 * _hat_moment(centre, model.pa_height_sq, k, centre) / _LN2
 
 
 def noma_rate_far_ceiling(cfg: SystemConfig) -> float:

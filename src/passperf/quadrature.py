@@ -13,22 +13,14 @@ pointwise bounds between integrands over to their integrals.
 many integrands at once, one row each, ``ROW_BLOCK`` rows per integrand
 call; a single integral is a one-row call.
 
-``_log1p_moments`` is the one log kernel of every average rate: it
-integrates ln(1 + r t^2) and t ln(1 + r t^2) from 0 in a form without
-cancellation, so that it stays accurate when r is tiny (high SNR) as well as
-large. A caller that needs ln(a + b t^2) takes r = b/a and adds ln(a) times
-the plain moment. On the arrays of a sweep block the kernel's cost is
-largely per call, so callers make few: ``geometry.expected_log_excess``
-takes all its support points in one call, on a leading axis against the
-whole contiguous array of r, and ``noma.noma_rate_near`` adds its constant
-s_0 to the call of its s_k. Each call picks its form from one reduction
-over s = r u^2: the closed form, the 8-term series, or, where every s is
-below 2**-53, the series' first term alone, which gives the same bits as
-all eight (see ``_ONE_TERM_S``). Only a call that mixes s on both sides of
-``_SERIES_S`` splits its elements by index, which is why the two log terms
-of a WDMA rate, whose s lie far apart, stay separate calls.
-The closed forms and the series work in place on arrays of their own and
-never write their inputs.
+``_log1p_moments`` integrates ln(1 + r t^2) and t ln(1 + r t^2) from 0 in a
+form without cancellation, so that it stays accurate when s = r u^2 is
+tiny as well as large: the closed form where s is at least ``_SERIES_S``
+and an 8-term series below, chosen per element. Its one caller is the WDMA
+rate ceiling's mean over the y-separation (``geometry.expected_log_excess``);
+the average rates go through the positive log-ratio kernel
+``geometry._hat_moment``. The closed forms and the series work in place on
+arrays of their own and never write their inputs.
 """
 
 from __future__ import annotations
@@ -118,16 +110,6 @@ def integrate_rows(f, rows, n_nodes: int) -> np.ndarray:
 # truncated where the next term falls under 1e-17 relative.
 _SERIES_S = 1e-2
 _SERIES_TERMS = 8
-# Below _ONE_TERM_S the series is s c_1 bit for bit. Horner's last step
-# rounds c_1 + p_2, where |p_2| <= s |c_2| (1 + eps) because the terms
-# alternate (Higham, Accuracy and Stability of Numerical Algorithms,
-# ch. 5, for Horner's rounding), and that sum rounds to c_1 exactly
-# while |p_2| is under half the float spacing below c_1: 2**-55 for both
-# c_1 = 1/3 (phi0) and c_1 = 1/2 (phi1, a power of two, whose spacing
-# below is the smaller one). With |c_2| = 1/10 and 1/6 that holds for s
-# under 10 * 2**-55 and 6 * 2**-55 (1.67e-16); 2**-53 = 4 * 2**-55 keeps
-# a margin, and 2**-52 does not: s = 2e-16 moves phi1 by an ulp.
-_ONE_TERM_S = 2.0**-53
 # Series coefficients of phi0 and phi1 (below), highest power first:
 # (-1)^(n+1) / (n (2n + 1)) and (-1)^(n+1) / (n (n + 1)).
 _PHI0_SERIES = tuple((-1.0) ** (n + 1) / (n * (2 * n + 1)) for n in range(_SERIES_TERMS, 0, -1))
@@ -173,32 +155,16 @@ def _log1p_moments(u, r):
     With s = r u^2 these are u phi0(s) and (u^2 / 2) phi1(s), where
     phi0(s) = ln(1 + s) - 2 (1 - arctan(sqrt(s)) / sqrt(s)) and
     phi1(s) = ((1 + s) ln(1 + s) - s) / s; both vanish at s = 0. Arguments
-    broadcast against each other. Each element goes through only the form
-    its s needs: the closed form at s >= _SERIES_S, the series below, and
-    its first term where every s of the call is under _ONE_TERM_S.
+    broadcast against each other. Each element takes the closed form at
+    s >= _SERIES_S (a NaN s too) and the series below.
     """
     u = np.asarray(u, dtype=float)
     s = np.asarray(r, dtype=float) * u**2
-    # one reduction picks the form of most calls; a NaN s fails both tests
-    # and, like every s >= _SERIES_S, takes the closed form
-    top = s.max(initial=-np.inf)
-    if top < _ONE_TERM_S:
-        phi0, phi1 = s * _PHI0_SERIES[-1], s * _PHI1_SERIES[-1]
-    elif top < _SERIES_S:
-        phi0, phi1 = _phi_series(s)
-    else:
-        small = s < _SERIES_S
-        if not small.any():
-            phi0, phi1 = _phi_closed(s)
-        else:
-            # index lists into the raveled array: cheaper than four N-d boolean indexings
-            flat, mask = s.ravel(), small.ravel()
-            closed, series = np.flatnonzero(~mask), np.flatnonzero(mask)
-            phi0, phi1 = np.empty_like(flat), np.empty_like(flat)
-            phi0[closed], phi1[closed] = _phi_closed(flat[closed])
-            phi0[series], phi1[series] = _phi_series(flat[series])
-            phi0, phi1 = phi0.reshape(s.shape), phi1.reshape(s.shape)
-    # phi0 and phi1 are fresh and of the broadcast shape
+    small = s < _SERIES_S
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = _phi_closed(s)
+    series = _phi_series(np.where(small, s, 0.0))
+    phi0, phi1 = (np.where(small, part, whole) for part, whole in zip(series, closed))
     phi0 *= u
     phi1 *= 0.5 * u**2
     return phi0, phi1

@@ -9,10 +9,10 @@ The outage and its interference-only floor are one segment sum over the
 triangular law of the y-separation, split where the separation threshold
 crosses its support: closed-form segments for the floor, the Chebyshev rule
 on each segment for the outage. The rate's integrand is even in theta and
-evaluated on the nonnegative nodes only; its inner average over the
-y-separation is one closed form for both layouts, and its high-SNR limit is
-the rate ceiling. Lengths and powers are in the reduced units of
-``config.ReducedModel``.
+evaluated on the nonnegative nodes only. Its log is split into two positive
+terms, the second averaged over the y-separation by the positive log-ratio
+mean of ``geometry``, so the rate keeps its relative accuracy at low SNR.
+Lengths and powers are in the reduced units of ``config.ReducedModel``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .config import (
     saturated,
     saturation_power,
 )
-from .geometry import _segment_sum, expected_log_excess
+from .geometry import _segment_sum, expected_log1p_ratio, expected_log_excess
 from .quadrature import integrate_rows
 
 _LN2 = math.log(2.0)
@@ -164,32 +164,19 @@ def _outage(gth: float, b_noise, model: ReducedModel, n_nodes: int, floor: float
     return np.clip(total / half, floor, 1.0)
 
 
-def _log_rate_coeffs(g, b_noise):
-    """Quadratic coefficients of the instantaneous rate's log arguments.
-
-    log2(1 + sinr) = (1/ln 2) ln((a + b u^2) / (c + d u^2)) with u the
-    y-separation and g the squared axis distance.
-    """
-    d = b_noise * g
-    noise_sq = b_noise * g**2
-    return 2.0 * g + noise_sq, 1.0 + d, g + noise_sq, d
-
-
-def _rate_nats(t, model: ReducedModel, b_noise: np.ndarray):
-    """Mean of ln(1 + sinr) over the y-separation at s = h sinh(theta t) times
-    ds/dt / X, theta = asinh(X / 2h): its integral over t is the mean over x.
-    One row per entry of the 1-D noise coefficients ``b_noise``; g = s^2 + h^2
-    is the product (h cosh(theta t))^2, and ln(a/c) is ln(1 + g/c), since
-    a - c = g. With b_noise = 0 this is the interference-only integrand of
-    the rate ceiling.
-    """
+def _over_x(inner, rows, model: ReducedModel, n_nodes: int) -> np.ndarray:
+    """The mean over the x-offset s of ``inner(g, rows)``, g = s^2 + h^2, one
+    row per entry of the 1-D ``rows``: s = h sinh(theta t) with theta =
+    asinh(X / 2h), so the mean is the integral over t of the integrand times
+    ds/dt / X, and g is the product (h cosh(theta t))^2, a (1, nodes) row."""
     h = math.sqrt(model.pa_height_sq)
     theta = math.asinh(0.5 * model.region_x / h)
-    root_g = h * np.cosh(theta * t)
-    g = root_g * root_g
-    a, b, c, d = _log_rate_coeffs(g, b_noise[:, None])
-    nats = np.log1p(g / c) + expected_log_excess(a, b, model) - expected_log_excess(c, d, model)
-    return nats * (root_g * theta / model.region_x)
+
+    def integrand(t, block):
+        root_g = h * np.cosh(theta * t[None, :])
+        return inner(root_g * root_g, block) * (root_g * theta / model.region_x)
+
+    return _integrate_even(integrand, rows, n_nodes)
 
 
 @over_powers
@@ -197,10 +184,18 @@ def wdma_avg_rate(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int =
     """Average achievable rate of ``user`` in bits/s/Hz at transmit power
     ``power_w`` (a scalar or a 1-D array).
 
-    The inner average over the y-separation is closed-form for both region
-    layouts; the outer x-average uses the Chebyshev rule. Where the rate
-    meets its ceiling or zero, rounding in the two averages can leave it a
-    few ulps outside; the value is clamped to [0, ceiling] there.
+    With the noise coefficient N = b_noise and g = s^2 + h^2, the SINR is
+    (1/g) / (1/(g + U^2) + N), and exactly
+
+        ln(1 + sinr) = ln(1 + 1/(N g)) - ln(1 + delta / (g' + U^2)),
+        delta = 1 / (N (1 + N g)),  g' = g (2 + N g) / (1 + N g),
+
+    two positive terms, the second averaged over the y-separation by
+    ``expected_log1p_ratio``. Nothing cancels where the rate is tiny; at
+    high SNR both terms grow like ln(1/N), and their difference keeps about
+    eps ln(1/(N g)) absolute. The outer x-average uses the Chebyshev rule.
+    Where the rate meets its ceiling or zero, rounding can leave it a few
+    ulps outside; the value is clamped to [0, ceiling] there.
 
     With b = b_noise, ln(1 + sinr) = ln(1/v + 1/g + b) - ln(1/v + b) at
     v = g + U^2 is convex and decreasing in b, so it falls short of its
@@ -213,10 +208,17 @@ def wdma_avg_rate(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int =
     v_max = model.centre_sq + model.pa_height_sq + hi * hi
     p_sat = saturation_power(noise / model.eta_m2, v_max / (SATURATION_TOL * _LN2 * ceiling))
 
+    def nats(g, b_noise):
+        # ln(1 + 1/(N g)) less the mean of ln(1 + delta / (g' + U^2))
+        n = b_noise[:, None]
+        n_g = n * g
+        plus = 1.0 + n_g
+        mean = expected_log1p_ratio(g * (1.0 + plus) / plus, 1.0 / (n * plus), model)
+        return np.log1p(1.0 / n_g) - mean
+
     def rate(powers):
         b_noise = noise / (model.eta_m2 * powers)
-        nats = _integrate_even(lambda t, rows: _rate_nats(t, model, rows), b_noise, n_nodes)
-        return np.clip(nats / _LN2, 0.0, ceiling)
+        return np.clip(_over_x(nats, b_noise, model, n_nodes) / _LN2, 0.0, ceiling)
 
     return saturated(rate, powers, p_sat, ceiling)
 
@@ -346,9 +348,15 @@ def wdma_rate_ceiling(cfg: SystemConfig, n_nodes: int = 64) -> float:
     SINR never falls below one; where the region is so long that the SINR
     is one almost everywhere, rounding is kept from leaving it below).
 
-    Cached per (config, order): it does not depend on power, and every
-    ``wdma_avg_rate`` call caps its value at it.
+    Without noise the first term of ``wdma_avg_rate``'s split is infinite,
+    so the ceiling averages ln((2g + U^2) / g) = ln 2 + ln(1 + U^2 / (2g))
+    instead, the second term by ``expected_log_excess``, which is accurate
+    when U^2 / (2g) is tiny. Cached per (config, order): it does not depend
+    on power, and every ``wdma_avg_rate`` call caps its value at it.
     """
     model = derive_constants(cfg)
-    nats = _integrate_even(lambda t, rows: _rate_nats(t, model, rows), np.zeros(1), n_nodes)
-    return max(1.0, (nats / _LN2).item())
+
+    def nats(g, rows):
+        return _LN2 + expected_log_excess(2.0 * g, 1.0, model)
+
+    return max(1.0, (_over_x(nats, np.zeros(1), model, n_nodes) / _LN2).item())

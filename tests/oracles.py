@@ -22,10 +22,12 @@ law, the squared axis distance and the NOMA outage radii in metres, from
 the config fields, where the package works in reduced units.
 ``mp_far_rate`` is the NOMA far user's rate at a stated mpmath precision,
 from the config fields and its exact average over the squared x-offset.
-``log1p_moments_masked`` keeps the earlier split of the log-moment kernel
-(N-d boolean masks), and ``expected_log_excess_stacked`` its earlier layout
-(every support point of a call on one trailing axis), both of which the
-package must match bit for bit.
+``near_rate_series`` is the NOMA near user's rate to two terms of its
+low-SNR expansion, with a bound on the rest, from the config fields.
+``log1p_moments_both_forms`` keeps an earlier arrangement of the log-moment
+kernel, and ``expected_log_excess_stacked`` its earlier layout (every
+support point of a call on one trailing axis), both of which the package
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -47,13 +49,7 @@ from passperf import (
 )
 from passperf.config import SPEED_OF_LIGHT_M_S
 from passperf.montecarlo import _draw
-from passperf.quadrature import (
-    _SERIES_S,
-    _SERIES_TERMS,
-    _log1p_moments,
-    _phi_closed,
-    _phi_series,
-)
+from passperf.quadrature import _SERIES_S, _SERIES_TERMS, _log1p_moments
 from passperf.sweep import (
     CELLS,
     CROSSOVER_LOOKAHEAD,
@@ -347,6 +343,42 @@ def mp_far_rate(cfg: SystemConfig, power_w: float, dps: int = 40):
         return +rate
 
 
+def near_rate_series(cfg: SystemConfig, power_w: float, dps: int = 30):
+    """The near user's average rate in bits/s/Hz to two terms in its SNR
+    coefficient k = eta alpha_near P / sigma_1^2, and a bound on the rest:
+    ``(rate, remainder)`` as floats, from the config fields in mpmath.
+
+    With D = h^2 + t^2 and the near user's x-offset t of density
+    (2/c)(1 - t/c) on [0, c], c = X/2, ln(1 + k/D) = k/D - k^2/(2 D^2) +
+    k^3/(3 D^3) - ... alternates with falling terms while k < h^2 <= D, so
+    its mean is R ln 2 = k c1 - k^2 c2 to within k^3 E[1/D^3] / 3
+    <= k^3 E[1/D] / (3 h^4), with c1 = E[1/D] and c2 = E[1/D^2] / 2. Over
+    the density,
+    - E[1/D] = (2/c) (arctan(c/h) / h - ln(1 + c^2/h^2) / (2c)), from
+      int dt / (h^2 + t^2) = arctan(t/h) / h and
+      int t dt / (h^2 + t^2) = ln(h^2 + t^2) / 2;
+    - E[1/D^2] = arctan(c/h) / (c h^3): int_0^c dt / D^2 =
+      c / (2 h^2 (h^2 + c^2)) + arctan(c/h) / (2 h^3) and
+      int_0^c t dt / D^2 = c^2 / (2 h^2 (h^2 + c^2)), whose (1/c) multiple
+      cancels the first part exactly.
+    The two terms of E[1/D] cancel about (c/h)^2 of their digits on regions
+    short against the antenna height, which the working precision covers.
+    """
+    import mpmath
+
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        eta = (mp.mpf(SPEED_OF_LIGHT_M_S) / cfg.carrier_freq_hz) ** 2 / (16 * mp.pi**2)
+        noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue1) - 30) / 10)
+        k = eta * mp.mpf(cfg.noma_alpha_near) * mp.mpf(power_w) / noise
+        h, c = mp.mpf(cfg.pa_height_m), mp.mpf(cfg.region_x_m) / 2
+        mean_1 = 2 / c * (mp.atan(c / h) / h - mp.log1p((c / h) ** 2) / (2 * c))
+        mean_2 = mp.atan(c / h) / (c * h**3)
+        rate = (k * mean_1 - k * k * mean_2 / 2) / mp.log(2)
+        remainder = k**3 * mean_1 / (3 * h**4 * mp.log(2))
+        return float(rate), float(remainder)
+
+
 def _splits(lo, hi, scales):
     """[lo, ..., hi] split at the ``scales`` inside (lo, hi). Where the
     smallest scale is far below hi - lo, also at lo + (hi - lo) / 2^k down
@@ -444,24 +476,6 @@ def log1p_moments_both_forms(u, r):
             series = s_small * (coef + series)
         phi0 = np.where(small, series[..., 0], phi0)
         phi1 = np.where(small, series[..., 1], phi1)
-    return u * phi0, 0.5 * u**2 * phi1
-
-
-def log1p_moments_masked(u, r):
-    """The log-moment kernel with a mixed closed/series array split by N-d
-    boolean masks, four indexings per call; a bitwise reference for the
-    index-list split of ``_log1p_moments``."""
-    u = np.asarray(u, dtype=float)
-    s = np.asarray(r, dtype=float) * u**2
-    small = s < _SERIES_S
-    if not small.any():
-        phi0, phi1 = _phi_closed(s)
-    elif small.all():
-        phi0, phi1 = _phi_series(s)
-    else:
-        phi0, phi1 = np.empty_like(s), np.empty_like(s)
-        phi0[~small], phi1[~small] = _phi_closed(s[~small])
-        phi0[small], phi1[small] = _phi_series(s[small])
     return u * phi0, 0.5 * u**2 * phi1
 
 

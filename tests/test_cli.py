@@ -87,6 +87,17 @@ def test_validate_exit_codes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_validate_passes_at_low_snr_on_sub_regions_narrow_against_their_offset(tmp_path, capsys):
+    # at -50 dB the rates are ~1e-13 and their simulation standard errors
+    # ~1e-16, so every rate must keep its relative accuracy to pass
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps({"region_y_m": 1.0, "region_y_offset_m": 50.0}))
+    code = main(["validate", "--config", str(config), "--start", "-50", "--stop", "-20", "--step", "10"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "FAIL" not in out
+
+
 def test_config_file_flow(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"outage_threshold": 2.0}))

@@ -384,43 +384,51 @@ def _mp_near_rate(cfg, power_w, mp):
     """The near user's average rate at the working precision of ``mp``, in
     metres from the config fields: the mean of log2(1 + k / (h^2 + t^2))
     over its x-offset t from the centre, of density (2/c)(1 - t/c) on [0, c]
-    with c = region_x_m / 2."""
+    with c = region_x_m / 2, split at t = h where the region is longer."""
     eta = (mp.mpf(SPEED_OF_LIGHT_M_S) / cfg.carrier_freq_hz) ** 2 / (16 * mp.pi**2)
     noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue1) - 30) / 10)
     k = eta * mp.mpf(cfg.noma_alpha_near) * mp.mpf(power_w) / noise
-    h_sq, c = mp.mpf(cfg.pa_height_m) ** 2, mp.mpf(cfg.region_x_m) / 2
-    return mp.quad(lambda t: mp.log(1 + k / (h_sq + t * t), 2) * 2 / c * (1 - t / c), [0, c])
+    h, c = mp.mpf(cfg.pa_height_m), mp.mpf(cfg.region_x_m) / 2
+    points = [0, h, c] if h < c else [0, c]
+    return mp.quad(lambda t: mp.log(1 + k / (h * h + t * t), 2) * 2 / c * (1 - t / c), points)
 
 
 @pytest.mark.parametrize(
-    "cfg",
-    [CFG, replace(CFG, noma_alpha_near=0.2, noma_alpha_far=0.8), omega_two()],
-    ids=["default", "split", "omega_two"],
+    "overrides",
+    [{}, {"noma_alpha_near": 0.2, "noma_alpha_far": 0.8},
+     {"region_y_m": 10.0, "region_y_offset_m": 10.0}, {"region_x_m": 1000.0},
+     {"region_y_m": 1.0, "region_y_offset_m": 50.0}],
+    ids=["default", "split", "omega_two", "long_1000", "narrow"],
 )
-def test_near_rate_matches_a_40_digit_evaluation_from_40_db(cfg):
-    # the ratio form log1p(k/h^2) + 2 (phi0(s_k) - phi0(s_0)) - (phi1(s_k) -
-    # phi1(s_0)) cancels below 40 dB, where the rate itself is tiny
+def test_near_rate_matches_a_40_digit_evaluation_from_minus_50_db(overrides):
+    # the rate is the positive kernel's T at one point, so it keeps its
+    # relative accuracy where it is tiny (4.4e-14 bits/s/Hz at -50 dB on the
+    # default config)
     mpmath = pytest.importorskip("mpmath")
-    snrs_db = np.arange(40.0, 401.0, 10.0)
+    cfg = SystemConfig(**overrides)
+    snrs_db = np.arange(-50.0, 401.0, 10.0)
     powers = np.array([power_at(snr_db, cfg) for snr_db in snrs_db])
     with mpmath.workdps(40):
         for power, value in zip(powers.tolist(), noma_rate_near(cfg, powers).tolist()):
             reference = _mp_near_rate(cfg, power, mpmath.mp)
-            assert abs(mpmath.mpf(value) - reference) <= 1e-11 * reference
+            assert abs(mpmath.mpf(value) - reference) <= 1e-12 * reference, (power, value)
 
 
-# ROADMAP item 17: below 40 dB the ratio form cancels. On the default config
-# it is 1.4e-2 relative off at -50 dB, 4.9e-6 at -20 dB, 2.7e-8 at 0 dB and
-# 1.8e-10 at 30 dB.
-@pytest.mark.xfail(strict=True, reason="item 17: the near rate's ratio form cancels below 40 dB "
-                   "(1.4e-2 relative off at -50 dB)")
-@pytest.mark.parametrize("snr_db", [-50.0, -20.0, 0.0, 30.0])
-def test_near_rate_matches_a_40_digit_evaluation_below_40_db(snr_db):
+def test_near_rate_keeps_its_value_on_a_region_1e150_m_long():
+    # c = X/2 is ~1e150 antenna heights: the rate is
+    # (2/c) int_0^inf ln(1 + k / (h^2 + t^2)) dt = (2 pi / c)(sqrt(h^2 + k) - h)
+    # less terms of relative order h / c and sqrt(k) / c, ~1e-150, over ln 2
     mpmath = pytest.importorskip("mpmath")
-    power = power_at(snr_db, CFG)
-    with mpmath.workdps(40):
-        reference = _mp_near_rate(CFG, power, mpmath.mp)
-        assert abs(mpmath.mpf(noma_rate_near(CFG, power)) - reference) <= 1e-11 * reference
+    cfg = SystemConfig(region_x_m=1e150)
+    mp = mpmath.mp
+    power = power_at(90.0, cfg)
+    with mpmath.workdps(30):
+        eta = (mp.mpf(SPEED_OF_LIGHT_M_S) / cfg.carrier_freq_hz) ** 2 / (16 * mp.pi**2)
+        noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue1) - 30) / 10)
+        k = eta * mp.mpf(cfg.noma_alpha_near) * mp.mpf(power) / noise
+        h, c = mp.mpf(cfg.pa_height_m), mp.mpf(cfg.region_x_m) / 2
+        reference = 2 * mp.pi / c * k / (mp.sqrt(h * h + k) + h) / mp.log(2)
+        assert abs(noma_rate_near(cfg, power) - reference) <= 1e-12 * reference
 
 
 def test_near_rate_full_multiplexing_gain():

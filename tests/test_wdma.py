@@ -18,11 +18,10 @@ from passperf import (
     wdma_outage_floor,
     wdma_rate_ceiling,
 )
-from passperf import geometry, wdma
+from passperf import wdma
 from passperf.config import SPEED_OF_LIGHT_M_S
-from passperf.quadrature import _ONE_TERM_S, _SERIES_S, integrate_rows
+from passperf.quadrature import integrate_rows
 from passperf.sweep import omega_one, omega_two
-from passperf.wdma import _log_rate_coeffs
 
 from oracles import (
     g_axis,
@@ -84,9 +83,13 @@ def test_instantaneous_rate_log_form_identity():
     p = sample_placements(CFG, np.random.default_rng(2), size=100)
     sinr_ue1 = sinr("wdma", 1, CFG, power, p)
     u = np.abs(p.y_ue1 - p.y_ue2)
-    a, b, c, d = _log_rate_coeffs(g_axis(p.x_ue1, CFG), b_noise)
-    log_form = np.log((a + b * u**2) / (c + d * u**2)) / math.log(2)
-    assert log_form == pytest.approx(np.log2(1 + sinr_ue1), abs=1e-10)
+    # the rate's two positive logs: ln(1 + sinr) = ln(1 + 1/(b g)) -
+    # ln(1 + delta/(g' + u^2)), delta = 1/(b (1 + b g)), g' = g (2 + b g)/(1 + b g)
+    g = g_axis(p.x_ue1, CFG)
+    plus = 1.0 + b_noise * g
+    delta, g_prime = 1.0 / (b_noise * plus), g * (1.0 + plus) / plus
+    log_form = (np.log1p(1.0 / (b_noise * g)) - np.log1p(delta / (g_prime + u**2))) / math.log(2)
+    assert log_form == pytest.approx(np.log2(1 + sinr_ue1), rel=1e-13, abs=0)
 
 
 def test_outage_saturates_to_one_at_vanishing_power():
@@ -545,25 +548,13 @@ def _wdma_values(cfg, powers, n_nodes):
 def test_mirrored_integrals_equal_the_full_node_evaluation_bitwise(cfg, n_nodes, monkeypatch):
     """The WDMA rate integrands are even in t, so their values on the
     nonnegative nodes mirrored onto the rest equal an evaluation on every
-    node bit for bit. The grids are separate calls: -50:110 dB takes the
-    closed-form log-moment kernel, 130:250 dB the series and 280:400 dB its
-    first term alone."""
+    node bit for bit, at low, middle and high SNR and for the ceiling."""
     grids = [np.arange(-50.0, 111.0, 2.0), np.arange(130.0, 251.0, 10.0), np.arange(280.0, 401.0, 10.0)]
-    forms = set()
-    kernel = geometry._log1p_moments
-
-    def recording(u, r):
-        top = (np.asarray(r) * np.asarray(u) ** 2).max()
-        forms.add("one term" if top < _ONE_TERM_S else "series" if top < _SERIES_S else "closed")
-        return kernel(u, r)
-
-    monkeypatch.setattr(geometry, "_log1p_moments", recording)
     powers = [np.array(power_at(grid, cfg)) for grid in grids]
     mirrored = [_wdma_values(cfg, p, n_nodes) for p in powers]
     with monkeypatch.context() as patch:
         patch.setattr(wdma, "_integrate_even", integrate_rows)
         full = [_wdma_values(cfg, p, n_nodes) for p in powers]
-    assert forms == {"one term", "series", "closed"}
     for got, expected in zip(mirrored, full):
         assert got.tobytes() == expected.tobytes()
 
@@ -571,6 +562,9 @@ def test_mirrored_integrals_equal_the_full_node_evaluation_bitwise(cfg, n_nodes,
 # wdma_avg_rate of user 1 to 25 digits, per config and transmit SNR in dB
 MP_WDMA_RATES = {
     "default": {
+        -50.0: "3.597120463373036922851407e-13",
+        -20.0: "3.597120462789920644542868e-10",
+        20.0: "0.000003597114626387244717496284",
         60.0: "0.03540055139605127972220701",
         90.0: "3.528874460421518338667069",
         120.0: "4.578064454962609951623581",
@@ -578,17 +572,31 @@ MP_WDMA_RATES = {
         200.0: "4.579922491459360929782021",
     },
     "omega_two": {
+        -50.0: "3.59712046337308754961339e-13",
+        -20.0: "3.597120462840547406506731e-10",
+        20.0: "0.00000359711513265289664803416",
         60.0: "0.03544928564407529620886969",
         90.0: "4.112413271106738933220446",
         120.0: "5.854335182745352780387514",
         150.0: "5.857971444924578276174346",
         200.0: "5.857975089885624565827039",
     },
+    # sub-regions narrow against their offset: the separation mean takes its rule
+    "narrow": {
+        -50.0: "3.597120463373101370592199e-13",
+        -20.0: "3.597120462854368385311378e-10",
+        20.0: "0.000003597115270862278845727226",
+        60.0: "0.03546271333159968604562953",
+        90.0: "4.536805201001502581015639",
+        120.0: "9.29541140018115239730258",
+        150.0: "9.335355837675845595538631",
+        200.0: "9.335396382906441056322135",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(MP_WDMA_RATES))
-def test_rate_matches_a_25_digit_mpmath_value_at_high_snr(name):
+def test_rate_matches_a_25_digit_mpmath_value(name):
     """Within 1e-13 relative of ``MP_WDMA_RATES``, 25-digit values that
     mpmath 1.3.0 generated at 40 digits, without passperf, as a nested
     ``mp.quad``: the outer one over t in [0, 1] with the x-offset X t / 2
@@ -597,8 +605,11 @@ def test_rate_matches_a_25_digit_mpmath_value_at_high_snr(name):
     log1p(sinr) with sinr = (1/g) / (1/(g + u^2) + 2 sigma^2 / (eta P));
     eta, sigma^2 and P are formed in mpmath from the config fields and the
     SNR, and the result is divided by ln 2. Rerun at 55 digits, the default
-    at 120 dB and omega_two at 200 dB gave the same 25 digits."""
-    cfg = {"default": CFG, "omega_two": omega_two()}[name]
+    at 120 dB and omega_two at 200 dB gave the same 25 digits. The rate is
+    the mean of positive terms, so it keeps this accuracy at -50 dB, where
+    it is ~4e-13."""
+    narrow = SystemConfig(region_y_m=1.0, region_y_offset_m=50.0)
+    cfg = {"default": CFG, "omega_two": omega_two(), "narrow": narrow}[name]
     recorded = MP_WDMA_RATES[name]
     rates = wdma_avg_rate(cfg, power_at(list(recorded), cfg))
     for rate, reference in zip(rates.tolist(), recorded.values()):
