@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--step", type=float, default=10.0)
     p_val.add_argument("--sigma-tol", type=float, default=3.0, help="allowed standard errors")
 
-    p_cross = sub.add_parser("crossover", help="bisect for a scheme crossover SNR")
+    p_cross = sub.add_parser("crossover", help="search for a scheme crossover SNR")
     _common_flags(p_cross)
     _nodes_flag(p_cross)
     p_cross.add_argument("--metric", choices=CROSSOVER_METRICS, default="rate_sum")

@@ -301,8 +301,9 @@ def over_powers(metric):
 
         with np.errstate(over="ignore", divide="ignore"):
             if powers.size:
-                # eta times the reduced powers, as Python floats: a zero gain is out of range
-                weak, strong = (model.eta_m2 * math.ldexp(p, scale) for p in (low, high))
+                # eta times the reduced powers, as Python floats: a zero gain is out of
+                # range, and so is one that overflows (to inf in np.ldexp, which does not raise)
+                weak, strong = (model.eta_m2 * np.ldexp([low, high], scale)).tolist()
                 if not (weak > 0.0 and in_range(weak) and in_range(strong)):
                     bad = ~in_range(model.eta_m2 * np.ldexp(flat, scale))
                     raise ValueError(

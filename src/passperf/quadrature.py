@@ -34,9 +34,9 @@ import numpy as np
 # Most rows per integrand call of ``integrate_rows``. It keeps the
 # (rows x nodes) arrays of one call small (under 1.3 MB traced for 4096
 # powers), and the first call of ``sweep.find_crossover`` (the two bracket
-# ends and the 15 midpoints of its four look-ahead bisection levels) still
-# fits in one block. On the 451 powers of -50:400:1 dB, 64 rows are faster
-# than 17 and than one block for all three blocked metrics.
+# ends and the 15 evenly spaced points between them) still fits in one
+# block. On the 451 powers of -50:400:1 dB, 64 rows are faster than 17 and
+# than one block for all three blocked metrics.
 ROW_BLOCK = 64
 
 

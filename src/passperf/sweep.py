@@ -301,7 +301,7 @@ def read_csv(fileobj) -> list:
     return rows
 
 
-# Crossover metric -> (cells added, cells subtracted), summed in this order.
+# Crossover metric -> (cells added, cells subtracted).
 CROSSOVER_METRICS = {
     "rate_sum": (
         (("noma", 1, "rate"), ("noma", 2, "rate")),
@@ -309,35 +309,8 @@ CROSSOVER_METRICS = {
     ),
     "outage_ue": ((("noma", 2, "outage"),), (("wdma", 1, "outage"),)),
 }
-# find_crossover bisects until its bracket is at most this wide, in dB.
+# find_crossover narrows its bracket until it is at most this wide, in dB.
 CROSSOVER_TOL_DB = 0.01
-# Each array call of find_crossover covers at least every midpoint of this
-# many bisection levels.
-CROSSOVER_LOOKAHEAD = 4
-
-
-def _midpoints(lo: float, hi: float, levels: int) -> list:
-    """Every midpoint that bisecting [lo, hi] can read in its next
-    ``levels`` levels, in the loop's own arithmetic; none for a bracket at
-    most ``CROSSOVER_TOL_DB`` wide, where the loop stops."""
-    if levels == 0 or not hi - lo > CROSSOVER_TOL_DB:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
-
-
-def _path(lo: float, hi: float, root: float) -> list:
-    """The midpoints that bisecting [lo, hi] reads, in the loop's own
-    arithmetic, if the difference changes sign at ``root``."""
-    path = []
-    while hi - lo > CROSSOVER_TOL_DB:
-        mid = 0.5 * (lo + hi)
-        path.append(mid)
-        if root < mid:
-            hi = mid
-        else:
-            lo = mid
-    return path
 
 
 def find_crossover(
@@ -346,25 +319,25 @@ def find_crossover(
     bracket_db: tuple,
     n_nodes: int = 64,
 ) -> float | None:
-    """Bisect for the SNR where the scheme difference changes sign.
+    """The SNR where the scheme difference changes sign.
 
     ``rate_sum`` compares the NOMA sum rate against the WDMA sum rate (both
     users each); ``outage_ue`` compares the NOMA far-user outage against the
     WDMA user-1 outage. Returns the midpoint of a final bracket at most
-    ``CROSSOVER_TOL_DB`` wide, or None when the difference has one sign over
-    the whole bracket.
+    ``CROSSOVER_TOL_DB`` wide across which the difference changes sign, so
+    within ``CROSSOVER_TOL_DB / 2`` of a root; None when the ends of
+    ``bracket_db`` do not have strictly opposite signs.
 
-    The search is a plain bisection replayed against a cache. The first
-    array call per cell (:func:`_cell_values`) evaluates the two bracket ends
-    and every midpoint of the first ``CROSSOVER_LOOKAHEAD`` levels. Whenever
-    the bisection then needs a midpoint it has not evaluated, one more call
-    evaluates every midpoint of its next ``CROSSOVER_LOOKAHEAD`` levels
-    together with the path it would follow to the secant root of its current
-    bracket, skipping SNRs already evaluated. So it makes no more calls than
-    the look-ahead tree alone, and usually fewer. Array calls equal scalar
-    calls bitwise, so the result is exactly the plain bisection's midpoint. A
-    non-finite difference raises :class:`NumericalError` only at an SNR the
-    bisection reads.
+    Each step is one array call per cell (:func:`_cell_values`). The first
+    evaluates the bracket ends and 15 evenly spaced points between them
+    (only the ends if the bracket is at most ``CROSSOVER_TOL_DB`` wide),
+    and brackets the lowest interval whose far end has the high end's sign;
+    an exact zero counts with the low end. Each later call evaluates the
+    secant root r of the current bracket and the points r +- 2^k
+    ``CROSSOVER_TOL_DB`` / 4 inside it, and the first of them with the high
+    end's sign closes the new bracket. So a bracket at least halves per
+    call and usually ends within a few calls. A non-finite difference at any
+    evaluated SNR raises :class:`NumericalError`.
     """
     if metric not in CROSSOVER_METRICS:
         raise ConfigError(f"metric must be one of {tuple(CROSSOVER_METRICS)}, got {metric!r}")
@@ -374,47 +347,37 @@ def find_crossover(
     if not hi > lo:
         raise ConfigError(f"bracket width must be > 0, got {bracket_db!r}")
     added, subtracted = CROSSOVER_METRICS[metric]
-    differences = {}  # snr_db -> difference at every SNR evaluated so far
 
-    def evaluate(grid_db: list) -> None:
+    def differences(grid_db: list) -> list:
         powers = np.array(snr_db_to_power_w(cfg, grid_db))
         values = _cell_values(cfg, added + subtracted, powers, n_nodes)
-        value = np.zeros(len(grid_db))
-        for key in added:
-            value = value + values[key]
-        for key in subtracted:
-            value = value - values[key]
-        differences.update(zip(grid_db, value.tolist()))
+        value = sum(values[key] for key in added) - sum(values[key] for key in subtracted)
+        bad = np.flatnonzero(~np.isfinite(value))
+        if bad.size:
+            raise NumericalError(f"{metric} difference not finite at {grid_db[bad[0]]} dB")
+        return value.tolist()
 
-    def sign(snr_db: float) -> int:
-        value = differences[snr_db]
-        if not math.isfinite(value):
-            raise NumericalError(f"{metric} difference not finite at {snr_db} dB")
-        return (value > 0.0) - (value < 0.0)
-
+    grid = [lo, hi] if hi - lo <= CROSSOVER_TOL_DB else np.linspace(lo, hi, 17).tolist()
+    values = differences(grid)
     # A crossover needs strictly opposite signs at the bracket ends. An
     # exactly zero difference (e.g. both outage probabilities saturated at
     # one on a low-SNR plateau) carries no sign information and yields None;
     # pick a bracket whose ends sit outside such plateaus.
-    evaluate([lo, hi, *_midpoints(lo, hi, CROSSOVER_LOOKAHEAD)])
-    s_lo = sign(lo)
-    s_hi = sign(hi)
-    if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
+    s_hi = (values[-1] > 0.0) - (values[-1] < 0.0)
+    if s_hi == 0 or s_hi * values[0] >= 0.0:
         return None
-    while hi - lo > CROSSOVER_TOL_DB:
-        mid = 0.5 * (lo + hi)
-        if mid not in differences:
-            # lo and hi were read, so their differences are finite, and the
-            # one at hi has sign s_hi while the one at lo has not
-            d_lo, d_hi = differences[lo], differences[hi]
-            root = lo + (hi - lo) * (d_lo / (d_lo - d_hi))
-            grid = [*_midpoints(lo, hi, CROSSOVER_LOOKAHEAD), *_path(lo, hi, root)]
-            evaluate([snr_db for snr_db in dict.fromkeys(grid) if snr_db not in differences])
-        if sign(mid) == s_hi:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    while True:
+        i = next(i for i, value in enumerate(values) if s_hi * value > 0.0)
+        (a, b), (fa, fb) = grid[i - 1 : i + 1], values[i - 1 : i + 1]
+        if b - a <= CROSSOVER_TOL_DB:
+            return 0.5 * (a + b)
+        root = a + (b - a) * (fa / (fa - fb))
+        window, step = {root}, 0.25 * CROSSOVER_TOL_DB
+        while step < b - a:
+            window.update((root - step, root + step))
+            step *= 2.0
+        window = sorted(snr_db for snr_db in window if a < snr_db < b)
+        grid, values = [a, *window, b], [fa, *differences(window), fb]
 
 
 class ValidationReport(NamedTuple):

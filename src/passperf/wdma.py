@@ -87,9 +87,9 @@ def _crossings(gth: float, b_noise, model: ReducedModel) -> np.ndarray:
     return np.maximum.accumulate(crossings)  # in order, however they round
 
 
-def _outage_saturation(gth: float, noise_per_power: float, model: ReducedModel):
-    """(p_sat, floor): the reduced power from which ``wdma_outage`` is its
-    floor to within SATURATION_TOL relative, and the floor.
+def _outage_saturation(gth: float, noise_per_power: float, model: ReducedModel, floor: float):
+    """The reduced power from which ``wdma_outage`` is its ``floor`` to
+    within SATURATION_TOL relative.
 
     With b = ``noise_per_power`` / P and e = gamma_th b g <= 1/2 at the
     largest squared distance g_max = h^2 + (X/2)^2, the cap r^2 exceeds its
@@ -99,13 +99,12 @@ def _outage_saturation(gth: float, noise_per_power: float, model: ReducedModel):
     gamma_th^2 b g_max^(3/2) / (w sqrt(gamma_th - 1)). No row saturates where
     gamma_th <= 1 or the floor is 0.
     """
-    floor = _outage_floor(gth, model)
     if not (gth > 1.0 and floor > 0.0):
-        return math.inf, floor
+        return math.inf
     g_max = model.pa_height_sq + model.centre_sq
     bound = gth * math.sqrt(g_max) / (model.half_width * math.sqrt(gth - 1.0))
     scale = gth * g_max * max(bound / (SATURATION_TOL * floor), 2.0)
-    return saturation_power(noise_per_power, scale), floor
+    return saturation_power(noise_per_power, scale)
 
 
 @over_powers
@@ -123,9 +122,9 @@ def wdma_outage(cfg: SystemConfig, model: ReducedModel, powers, n_nodes: int = 6
     that of s = 1, beyond every reduced length, and past the last crossing
     however it rounds) to infinity, however near the segment they lie.
     """
-    gth = cfg.outage_threshold
+    gth, floor = cfg.outage_threshold, wdma_outage_floor(cfg)
     noise = 2.0 * model.noise(user)
-    p_sat, floor = _outage_saturation(gth, noise / model.eta_m2, model)
+    p_sat = _outage_saturation(gth, noise / model.eta_m2, model, floor)
     return saturated(
         lambda p: _outage(gth, noise / (model.eta_m2 * p), model, n_nodes, floor), powers, p_sat, floor
     )
@@ -329,6 +328,7 @@ def _outage_floor(gth: float, model: ReducedModel) -> float:
     return min(max(total / half, 0.0), 1.0)
 
 
+@lru_cache(maxsize=128)
 def wdma_outage_floor(cfg: SystemConfig) -> float:
     """High-SNR outage limit: the interference-only outage averaged over x,
     in closed form.
@@ -338,6 +338,8 @@ def wdma_outage_floor(cfg: SystemConfig) -> float:
     separation CDF is quadratic in r on each half of its support. So the
     average over s in [0, X/2] is a sum of segment integrals, split at the
     noiseless ``_crossings``. A threshold gamma_th <= 1 gives exactly 0.
+    Cached per config: it does not depend on power, and every
+    ``wdma_outage`` call clamps to it and saturates at it.
     """
     return _outage_floor(cfg.outage_threshold, derive_constants(cfg))
 

@@ -9,10 +9,12 @@ formula with the closed forms they check. The densities of the separation
 and of the near and far users' x-coordinates, and the CDF of the near
 user's squared x-offset, are the reference laws those routes and the
 sampling tests use, with the CDFs of the separation and of its square.
-``sinr_trials`` addresses the simulator's per-trial SINRs by trial index. ``bisect_crossover`` is the plain scalar bisection
-that ``find_crossover`` must reproduce exactly, and ``lookahead_crossover``
-the earlier array search (the look-ahead tree alone, every cell called
-once per array call) whose call count it must not exceed.
+``sinr_trials`` addresses the simulator's per-trial SINRs by trial index.
+``bisect_crossover`` is a plain scalar bisection with the end rule of
+``find_crossover``, run to any tolerance: to 1e-9 dB it gives the root that
+the grid-and-secant search of ``find_crossover`` must land within
+``CROSSOVER_TOL_DB / 2`` of, and it raises ``NumericalError`` at a
+non-finite difference at any SNR it reads, as the search does.
 ``table_rows`` expands a sweep table into one ``SweepRow`` per line, the
 earlier row route of ``run_sweep``, and ``csv_writer_text`` writes such
 rows through ``csv.writer``: the route that ``write_csv`` must match byte
@@ -52,13 +54,11 @@ from passperf.montecarlo import _draw
 from passperf.quadrature import _SERIES_S, _SERIES_TERMS, _log1p_moments
 from passperf.sweep import (
     CELLS,
-    CROSSOVER_LOOKAHEAD,
     CROSSOVER_METRICS,
     CROSSOVER_TOL_DB,
     CSV_HEADER,
     NumericalError,
     SweepRow,
-    _midpoints,
 )
 
 
@@ -504,12 +504,17 @@ def sinr_trials(
     return sinr(scheme, user, cfg, power_w, _draw(cfg, seed, start, count))
 
 
-def bisect_crossover(cfg: SystemConfig, metric: str, bracket_db: tuple, n_nodes: int = 64):
+def bisect_crossover(
+    cfg: SystemConfig, metric: str, bracket_db: tuple, n_nodes: int = 64,
+    tol_db: float = CROSSOVER_TOL_DB,
+):
     """Bisection for the SNR where the ``metric`` difference changes sign,
     one scalar call per cell at each SNR it reads: the ends, then one
-    midpoint per level until the bracket is at most ``CROSSOVER_TOL_DB``
-    wide. None unless the ends have strictly opposite signs; NumericalError
-    at the first non-finite difference read.
+    midpoint per level until the bracket is at most ``tol_db`` wide; a
+    midpoint with the high end's sign replaces the high end, any other
+    (an exact zero included) the low end. None unless the ends have
+    strictly opposite signs; NumericalError at the first non-finite
+    difference read.
     """
     lo, hi = float(bracket_db[0]), float(bracket_db[1])
     added, subtracted = CROSSOVER_METRICS[metric]
@@ -529,60 +534,13 @@ def bisect_crossover(cfg: SystemConfig, metric: str, bracket_db: tuple, n_nodes:
     s_hi = sign(hi)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         return None
-    while hi - lo > CROSSOVER_TOL_DB:
+    while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
         if sign(mid) == s_hi:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def lookahead_crossover(cfg: SystemConfig, metric: str, bracket_db: tuple, n_nodes: int = 64):
-    """The bisection of ``bisect_crossover`` replayed against a cache that
-    array calls fill: the ends with the first ``CROSSOVER_LOOKAHEAD`` levels
-    of midpoints, then, at each midpoint not yet evaluated, the next
-    ``CROSSOVER_LOOKAHEAD`` levels below the current bracket. Every cell of
-    the metric, WDMA user 2 included, is called once per array call.
-
-    Returns (crossover SNR or None, array calls per cell).
-    """
-    lo, hi = float(bracket_db[0]), float(bracket_db[1])
-    added, subtracted = CROSSOVER_METRICS[metric]
-    differences = {}
-    calls = 0
-
-    def evaluate(grid_db: list) -> None:
-        nonlocal calls
-        calls += 1
-        powers = np.array(snr_db_to_power_w(cfg, grid_db))
-        value = np.zeros(len(grid_db))
-        for key in added:
-            value = value + CELLS[key].value(cfg, powers, n_nodes)
-        for key in subtracted:
-            value = value - CELLS[key].value(cfg, powers, n_nodes)
-        differences.update(zip(grid_db, value.tolist()))
-
-    def sign(snr_db: float) -> int:
-        value = differences[snr_db]
-        if not math.isfinite(value):
-            raise NumericalError(f"{metric} difference not finite at {snr_db} dB")
-        return (value > 0.0) - (value < 0.0)
-
-    evaluate([lo, hi, *_midpoints(lo, hi, CROSSOVER_LOOKAHEAD)])
-    s_lo = sign(lo)
-    s_hi = sign(hi)
-    if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
-        return None, calls
-    while hi - lo > CROSSOVER_TOL_DB:
-        mid = 0.5 * (lo + hi)
-        if mid not in differences:
-            evaluate(_midpoints(lo, hi, CROSSOVER_LOOKAHEAD))
-        if sign(mid) == s_hi:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), calls
 
 
 def table_rows(table) -> list:

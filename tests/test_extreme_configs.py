@@ -134,6 +134,11 @@ COMMANDS = [
                "noise_power_dbm_ue1": -2318.0, "noise_power_dbm_ue2": 0.0,
                "outage_threshold": 1e-89, "noma_alpha_near": 1e-98, "noma_alpha_far": 1.0}
 )
+@example(  # the reduced power of the sweep's 400 dB overflows the float range
+    overrides={"carrier_freq_hz": 1.0, "pa_height_m": 1e-136, "region_x_m": 1e-136,
+               "region_y_m": 1e-136, "noise_power_dbm_ue1": 0.0, "noise_power_dbm_ue2": 0.0,
+               "outage_threshold": 1.0, "noma_alpha_near": 0.1, "noma_alpha_far": 0.9}
+)
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )

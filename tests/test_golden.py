@@ -78,10 +78,10 @@ def test_sweep_reproduces_recorded_mc_columns(recorded, tmp_path):
 # (metric, bracket low end in dB, config) -> recorded crossover SNR; every
 # bracket ends at 160 dB
 GOLDEN_CROSSOVER = {
-    ("rate_sum", "60", "default"): "101.5313720703125",
-    ("rate_sum", "60", "split"): "99.7552490234375",
-    ("rate_sum", "60", "omega_two"): "108.5382080078125",
-    ("outage_ue", "90", "default"): "99.9932861328125",
+    ("rate_sum", "60", "default"): "101.52464721594811",
+    ("rate_sum", "60", "split"): "99.75825783154795",
+    ("rate_sum", "60", "omega_two"): "108.53577317987668",
+    ("outage_ue", "90", "default"): "99.99484799185205",
     ("outage_ue", "90", "split"): "",
     ("outage_ue", "90", "omega_two"): "",
 }

@@ -387,8 +387,34 @@ def test_floor_calls_no_quadrature(monkeypatch):
         raise AssertionError("the outage floor reached integrate_rows")
 
     monkeypatch.setattr(wdma, "integrate_rows", unreachable)
+    wdma_outage_floor.cache_clear()
     for cfg in FLOOR_EXAMPLES.values():
         assert 0.0 <= wdma_outage_floor(cfg) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "cfg", [CFG, omega_two(SystemConfig(noise_power_dbm_ue2=-80.0))], ids=["default", "offset-unequal"]
+)
+def test_outage_floor_is_evaluated_once_per_config(cfg, monkeypatch):
+    """Repeated outage and floor calls on one config evaluate the floor's
+    closed form once, and give the values of calls that each evaluate it,
+    bit for bit: below, near and at saturation, for both users."""
+    powers = np.array(power_at([90.0, 110.0, 250.0, 400.0], cfg))
+    calls = [(p, user) for user in (1, 2) for p in (powers, *powers)]
+    expected = []
+    for power, user in calls:
+        wdma_outage_floor.cache_clear()
+        expected.append(wdma_outage(cfg, power, user=user))
+    wdma_outage_floor.cache_clear()
+    expected.append(wdma_outage_floor(cfg))
+    evaluated = []
+    original = wdma._outage_floor
+    monkeypatch.setattr(wdma, "_outage_floor", lambda *args: evaluated.append(args) or original(*args))
+    wdma_outage_floor.cache_clear()
+    got = [wdma_outage(cfg, power, user=user) for power, user in calls]
+    got += [wdma_outage_floor(cfg) for _ in range(3)]
+    assert len(evaluated) == 1
+    assert np.hstack(got).tobytes() == np.hstack(expected + expected[-1:] * 2).tobytes()
 
 
 def _mp_outage(cfg, power_w, mp):
