@@ -332,11 +332,13 @@ def find_crossover(
     evaluates the bracket ends and 15 evenly spaced points between them
     (only the ends if the bracket is at most ``CROSSOVER_TOL_DB`` wide),
     and brackets the lowest interval whose far end has the high end's sign;
-    an exact zero counts with the low end. Each later call evaluates the
-    secant root r of the current bracket and the points r +- 2^k
-    ``CROSSOVER_TOL_DB`` / 4 inside it, and the first of them with the high
-    end's sign closes the new bracket. So a bracket at least halves per
-    call and usually ends within a few calls. A non-finite difference at any
+    an exact zero counts with the low end. Each later call evaluates 15
+    evenly spaced points of the current bracket, its secant root r and the
+    points r +- 2^k ``CROSSOVER_TOL_DB`` / 4 closer to r than that spacing,
+    and the first of them with the high end's sign closes the new bracket.
+    So a bracket shrinks at least 16-fold per call, and a bracket W dB wide
+    takes at most 1 + ceil(log16(W / (16 ``CROSSOVER_TOL_DB``))) calls (4
+    for 100 dB); the secant often saves one. A non-finite difference at any
     evaluated SNR raises :class:`NumericalError`.
     """
     if metric not in CROSSOVER_METRICS:
@@ -372,8 +374,8 @@ def find_crossover(
         if b - a <= CROSSOVER_TOL_DB:
             return 0.5 * (a + b)
         root = a + (b - a) * (fa / (fa - fb))
-        window, step = {root}, 0.25 * CROSSOVER_TOL_DB
-        while step < b - a:
+        window, step = {root, *np.linspace(a, b, 17)[1:-1].tolist()}, 0.25 * CROSSOVER_TOL_DB
+        while step < (b - a) / 16.0:
             window.update((root - step, root + step))
             step *= 2.0
         window = sorted(snr_db for snr_db in window if a < snr_db < b)

@@ -76,12 +76,14 @@ def test_sweep_reproduces_recorded_mc_columns(recorded, tmp_path):
 
 
 # (metric, bracket low end in dB, config) -> recorded crossover SNR; every
-# bracket ends at 160 dB
+# bracket ends at 160 dB. Each SNR is the midpoint of the search's final
+# bracket, whose ends depend on secant roots of the cell values, so a change
+# in the last bit of any rate or outage cell can change its string.
 GOLDEN_CROSSOVER = {
     ("rate_sum", "60", "default"): "101.52464721594811",
     ("rate_sum", "60", "split"): "99.75825783154795",
-    ("rate_sum", "60", "omega_two"): "108.53577317987668",
-    ("outage_ue", "90", "default"): "99.99484799185205",
+    ("rate_sum", "60", "omega_two"): "108.5370004698771",
+    ("outage_ue", "90", "default"): "99.99450095775155",
     ("outage_ue", "90", "split"): "",
     ("outage_ue", "90", "omega_two"): "",
 }
