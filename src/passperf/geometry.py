@@ -2,17 +2,20 @@
 
 User x-coordinates are uniform along the service region, y-coordinates are
 uniform in two disjoint sub-regions on either side of the waveguide axis.
-The y-separation of the two users follows a triangular law, which gives the
-closed-form log-expectations over it (the WDMA rate ceiling's log excess,
-and the log ratio of the average rates, whose positive kernel
-``_hat_moment`` also gives the NOMA near-user rate at one point) and the
-segment sum of an outage quadratic in a radius, shared by the WDMA outage,
-its floor and the NOMA far-user outage. They read the law from ``dist``, a
-``config.ReducedModel`` in the analytic metrics: its ``half_width`` (the
-sub-region depth) and ``support_lo`` (twice the offset from the axis), in
-reduced units, and return NumPy values of their inputs' broadcast shape,
-0-d for scalar inputs. Placements are drawn by ``montecarlo``, which
-imports nothing from here.
+The y-separation of the two users follows a triangular law. One driver,
+``_triangular_mean``, takes both log-expectations over it from a hat
+moment, or by a fixed rule where the sub-regions are narrow against their
+offset: the WDMA rate ceiling's log excess, from the log moments
+``_log1p_moments``, and the log ratio of the average rates, from the
+positive kernel ``_hat_moment``, which also gives the NOMA near-user rate
+at one point. The law also gives the segment sum of an outage quadratic in
+a radius, shared by the WDMA outage, its floor and the NOMA far-user
+outage. The kernels read the law from ``dist``, a ``config.ReducedModel``
+in the analytic metrics: its ``half_width`` (the sub-region depth) and
+``support_lo`` (twice the offset from the axis), in reduced units, and
+return NumPy values of their inputs' broadcast shape, 0-d for scalar
+inputs. Placements are drawn by ``montecarlo``, which imports nothing from
+here.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import _NORMAL_MIN
-from .quadrature import _log1p_moments, chebyshev_rule
+from .quadrature import chebyshev_rule
 
 
 def _segment_sum(squares, b1, b2, b3, b4, k_rising, k_falling, w):
@@ -39,59 +42,43 @@ def _segment_sum(squares, b1, b2, b3, b4, k_rising, k_falling, w):
     )
 
 
-def expected_log_excess(a, b, dist):
-    """E[ln(a + b U^2)] - ln(a) for the y-separation U ~ ``dist``; a > 0, b >= 0.
-
-    The triangular density is linear on each half of its support, so the
-    mean is the second difference (T(lo) - 2 T(lo + w) + T(lo + 2w)) / w^2
-    of T(p) = int_0^p (p - t) ln(1 + (b/a) t^2) dt; with zero offset this is
-    the adjacent-region closed form, and the end lo = 0, where T is exactly
-    +0.0, is not evaluated. ln(a) is left out, so that the excess keeps its
-    relative accuracy when b/a is tiny. ``a`` and ``b`` broadcast against
-    each other.
-
-    T is taken at the support points lo (if nonzero), lo + w and lo + 2w
-    in one ``_log1p_moments`` call, with the points on a leading axis, so
-    that each point's slice is the whole contiguous ratio b/a and every
-    inner loop runs over it; T = p m0 - m1 from the two moments.
-    """
-    lo, w = dist.support_lo, dist.half_width
-    ratio = np.asarray(b, dtype=float) / np.asarray(a, dtype=float)
-    points = np.array([lo, lo + w, lo + 2.0 * w] if lo else [w, 2.0 * w])
-    points = points.reshape(points.shape + (1,) * ratio.ndim)
-    t, m1 = _log1p_moments(points, ratio)
-    t *= points
-    t -= m1
-    t0 = t[0] if lo else 0.0
-    return (t0 - 2.0 * t[-2] + t[-1]) / (w * w)
-
-
-# ``expected_log1p_ratio`` averages over the separation by the Chebyshev rule
-# of _NARROW_NODES nodes on each half of its support from lo = _NARROW w on.
-# Below, its closed form's second difference cancels under (6 w / w)^2 / 2 =
-# 18 of T's digits; from there on, the log's branch points (at +-i sqrt(a)
-# or nearer the origin) lie at least 2 lo / w + 1 >= 9 half-lengths of a half
+# The triangular mean takes the Chebyshev rule of _NARROW_NODES nodes on each
+# half of the support from lo = _NARROW w on. The second difference of T
+# cancels about (hi / w)^2 / 2 of T's digits, under (6 w / w)^2 / 2 = 18
+# below that; from there on, the branch points of every integrand here lie
+# on the imaginary axis, at least 2 lo / w + 1 >= 9 half-lengths of a half
 # support from its centre, so the rule's error falls as (9 + sqrt(80))^-N,
 # under 1e-19 at 16 nodes.
 _NARROW = 4.0
 _NARROW_NODES = 16
 
 
-def _narrow_mean(a, d, dist, weighted):
-    """``expected_log1p_ratio`` by the rule on each half of the support: the
-    density is (1 + sigma) / (2 w) on the rising half at lo + w (1 + sigma) / 2
-    and (1 - sigma) / (2 w) on the falling half, w further on."""
+def _triangular_mean(g, hat, dist, ndim):
+    """E[g(U)] for the y-separation U ~ ``dist``.
+
+    The triangular density is linear on each half of its support, so the
+    mean is the second difference T(lo) - 2 T(lo + w) + T(lo + 2w) of the
+    hat moment T(p) = int_0^p (p - t) g(t) dt over w^2; ``hat(p)`` gives
+    T(p) / w^2. With zero offset the end lo = 0, where T is exactly +0.0,
+    is not evaluated. Sub-regions narrow against their gap to the axis
+    (lo >= ``_NARROW`` w) take the rule on each half instead: the density is
+    (1 + sigma) / (2 w) on the rising half at lo + w (1 + sigma) / 2 and
+    (1 - sigma) / (2 w) on the falling half, w further on, and ``g(t)``
+    gives the integrand. Either way the separations go on a leading axis
+    ahead of the ``ndim`` axes of the operands, one array call per operation.
+    """
     lo, w = dist.support_lo, dist.half_width
-    rule = chebyshev_rule(_NARROW_NODES)
-    offsets = 0.5 * w * (1.0 + rule.nodes)
-    t = np.concatenate([lo + offsets, lo + w + offsets])
-    rising, falling = rule.weights * (1.0 + rule.nodes), rule.weights * (1.0 - rule.nodes)
-    weights = 0.25 * np.concatenate([rising, falling])
-    level = a + (t * t).reshape(t.shape + (1,) * max(a.ndim, np.ndim(d)))
-    g = np.log1p(d / level)
-    if weighted:
-        g *= level
-    return np.tensordot(weights, g, axes=1)
+    if lo >= _NARROW * w:
+        rule = chebyshev_rule(_NARROW_NODES)
+        offsets = 0.5 * w * (1.0 + rule.nodes)
+        t = np.concatenate([lo + offsets, lo + w + offsets])
+        rising, falling = rule.weights * (1.0 + rule.nodes), rule.weights * (1.0 - rule.nodes)
+        weights = 0.25 * np.concatenate([rising, falling])
+        return np.tensordot(weights, g(t.reshape(t.shape + (1,) * ndim)), axes=1)
+    points = np.array([lo, lo + w, lo + 2.0 * w] if lo else [w, 2.0 * w])
+    t = hat(points.reshape(points.shape + (1,) * ndim))
+    t0 = t[0] if lo else 0.0
+    return t0 - 2.0 * t[-2] + t[-1]
 
 
 def _log1p_over(x):
@@ -125,22 +112,25 @@ def _log1p_deficit(x):
         return np.where(x < 0.5, small, 1.0 - np.log1p(x) / x)
 
 
-def _atan_deficit(y):
-    """y - arctan(y) for y >= 0, without cancellation at small y. Two
-    half-angle steps, y - arctan(y) = y^3 / (1 + c)^2 + 2 (v - arctan(v))
-    with c = sqrt(1 + y^2) and v = y / (1 + c), take y below 1 to v under
-    tan(pi / 16) < 0.2, where 13 terms of v^3 / 3 - v^5 / 5 + ... reach
-    rounding; from y = 1 on the direct form loses under a digit."""
-    y = np.asarray(y, dtype=float)
-    v = np.minimum(y, 1.0)
-    head, scale = np.zeros_like(v), 1.0
+def _atan_deficit(x):
+    """1 - arctan(y) / y for x = y^2 >= 0, without cancellation at small y and
+    without forming y^3. Two half-angle steps, 1 - arctan(y) / y =
+    v^2 + (2 / c) (1 - arctan(v) / v) with c = 1 + sqrt(1 + y^2) and
+    v = y / c, take y below 1 to v under tan(pi / 16) < 0.2, where 13 terms
+    of v^2 / 3 - v^4 / 5 + ... reach rounding; from y = 1 on the direct form
+    loses under a digit. c is taken as 2 + e, e = y^2 / c, and v^2 as
+    (y^2 / 4) / (1 + e + e^2 / 4), so that no rounded c is squared."""
+    x = np.asarray(x, dtype=float)
+    v_sq = np.minimum(x, 1.0)
+    head, scale = 0.0, 1.0
     for _ in range(2):
-        c = np.sqrt(1.0 + v * v) + 1.0
-        head += scale * (v * v * v) / (c * c)
-        v = v / c
-        scale *= 2.0
-    small = head + scale * (v * v * v) * _series(v * v, 13)
-    return np.where(y < 1.0, small, y - np.arctan(y))
+        e = v_sq / (np.sqrt(1.0 + v_sq) + 1.0)
+        v_sq = 0.25 * v_sq / (1.0 + e * (1.0 + 0.25 * e))
+        head += scale * v_sq
+        scale = scale * (2.0 / (2.0 + e))
+    small = head + scale * v_sq * _series(v_sq, 13)
+    y = np.sqrt(np.maximum(x, 1.0))
+    return np.where(x < 1.0, small, 1.0 - np.arctan(y) / y)
 
 
 def _hat_moment(p, a, d, scale, weighted: bool = False):
@@ -164,10 +154,11 @@ def _hat_moment(p, a, d, scale, weighted: bool = False):
     small squares underflows where p is tiny against the antenna height or
     a is near the top of its range. The weighted T2 = p M2 - M3, with M2 and
     M3 the t^2 and t^3 moments of g,
-    3 p M2 = q^2 L + 2 p (d rb e(p / rb) - a D) and
-    4 M3 = q (q L + d k(q / b) - a (r_b - r_z)), where e(y) = y - arctan(y)
-    and k(x) = 1 - ln(1 + x) / x are taken without cancellation
-    (``_atan_deficit``, ``_log1p_deficit``): both are small where q << b.
+    3 p M2 = q^2 L + 2 q (d e(p / rb) - a D / p) and
+    4 M3 = q (q L + d k(q / b) - a (r_b - r_z)), where
+    e(y) = 1 - arctan(y) / y and k(x) = 1 - ln(1 + x) / x are taken without
+    cancellation (``_atan_deficit``, ``_log1p_deficit``): both are small
+    where q << b.
     What still cancels where q << a is the small part of a T + T2.
     """
     b = a + d
@@ -202,7 +193,8 @@ def _hat_moment(p, a, d, scale, weighted: bool = False):
     over_bq = np.divide(d, over_bq, out=over_bq)
     r_z = _log1p_over(over_bq * (q / a))
     r_z *= over_bq
-    r_b = _log1p_over(q / b)
+    q_b = q / b
+    r_b = _log1p_over(q_b)
     r_b *= d / b
     t = log - r_b
     t += r_z
@@ -210,10 +202,10 @@ def _hat_moment(p, a, d, scale, weighted: bool = False):
     t *= 0.5 * scaled_sq
     if weighted:
         t *= a
-        y = d * _log1p_deficit(q / b) - a * (r_b - r_z)
+        y = d * _log1p_deficit(q_b) - a * (r_b - r_z)
         moment = q * log
         moment -= 3.0 * y
-        moment += 8.0 * (d * (_atan_deficit(ratio_b) / ratio_b) - a * per_p)
+        moment += 8.0 * (d * _atan_deficit(q_b) - a * per_p)
         moment *= scaled_sq / 12.0
         t += moment
     return t
@@ -221,24 +213,62 @@ def _hat_moment(p, a, d, scale, weighted: bool = False):
 
 def expected_log1p_ratio(a, d, dist, weighted: bool = False):
     """E[ln(1 + d / (a + U^2))] for the y-separation U ~ ``dist``, or with
-    ``weighted`` E[(a + U^2) ln(1 + d / (a + U^2))]; a > 0, d >= 0.
-
-    Like ``expected_log_excess`` the mean is the second difference of T(p)
-    over the support points, here of the positive ``_hat_moment``, so the
-    mean keeps its relative accuracy at low SNR and at high. ``a``
-    broadcasts against ``d``; the support points go on a leading axis, one
-    array call per operation.
-
-    The second difference cancels about (hi / w)^2 / 2 of T's digits, so
-    sub-regions narrow against their gap to the axis (lo >= ``_NARROW`` w)
-    take ``_narrow_mean`` instead.
+    ``weighted`` E[(a + U^2) ln(1 + d / (a + U^2))]; a > 0, d >= 0, ``a``
+    broadcast against ``d``. The ``_triangular_mean`` of the positive
+    ``_hat_moment``, so the mean keeps its relative accuracy at low SNR and
+    at high.
     """
-    lo, w = dist.support_lo, dist.half_width
     a = np.asarray(a, dtype=float)
-    if lo >= _NARROW * w:
-        return _narrow_mean(a, d, dist, weighted)
-    points = np.array([lo, lo + w, lo + 2.0 * w] if lo else [w, 2.0 * w])
-    p = points.reshape(points.shape + (1,) * max(a.ndim, np.ndim(d)))
-    t = _hat_moment(p, a, d, w, weighted)
-    t0 = t[0] if lo else 0.0
-    return t0 - 2.0 * t[-2] + t[-1]
+
+    def g(t):
+        level = a + t * t
+        value = np.log1p(d / level)
+        if weighted:
+            value *= level
+        return value
+
+    def hat(p):
+        return _hat_moment(p, a, d, dist.half_width, weighted)
+
+    return _triangular_mean(g, hat, dist, max(a.ndim, np.ndim(d)))
+
+
+def _log1p_moments(u, r):
+    """int_0^u ln(1 + r t^2) dt and int_0^u t ln(1 + r t^2) dt for u, r >= 0,
+    broadcast against each other.
+
+    With s = r u^2 these are u phi0(s) and (u^2 / 2) phi1(s), where
+    phi0(s) = ln(1 + s) - 2 (1 - arctan(sqrt(s)) / sqrt(s)) and
+    phi1(s) = ln(1 + s) - (1 - ln(1 + s) / s). Both brackets come from the
+    deficit helpers, which keep them accurate where s is tiny, so each form
+    holds at every s and both moments vanish at s = 0.
+    """
+    u = np.asarray(u, dtype=float)
+    s = np.asarray(r, dtype=float) * (u * u)
+    log = np.log1p(s)
+    m0 = log - 2.0 * _atan_deficit(s)
+    m0 *= u
+    m1 = log - _log1p_deficit(s)
+    m1 *= 0.5 * (u * u)
+    return m0, m1
+
+
+def expected_log_excess(a, b, dist):
+    """E[ln(a + b U^2)] - ln(a) for the y-separation U ~ ``dist``; a > 0,
+    b >= 0, broadcast against each other. ln(a) is left out, so that the
+    excess keeps its relative accuracy when b/a is tiny.
+
+    The ``_triangular_mean`` of ln(1 + (b/a) t^2), whose hat moment is
+    T = p m0 - m1 in the two ``_log1p_moments``.
+    """
+    ratio = np.asarray(b, dtype=float) / np.asarray(a, dtype=float)
+    scale_sq = dist.half_width**2
+
+    def hat(p):
+        t, m1 = _log1p_moments(p, ratio)
+        t *= p
+        t -= m1
+        t /= scale_sq
+        return t
+
+    return _triangular_mean(lambda t: np.log1p(ratio * (t * t)), hat, dist, ratio.ndim)

@@ -26,10 +26,8 @@ the config fields, where the package works in reduced units.
 from the config fields and its exact average over the squared x-offset.
 ``near_rate_series`` is the NOMA near user's rate to two terms of its
 low-SNR expansion, with a bound on the rest, from the config fields.
-``log1p_moments_both_forms`` keeps an earlier arrangement of the log-moment
-kernel, and ``expected_log_excess_stacked`` its earlier layout (every
-support point of a call on one trailing axis), both of which the package
-must match bit for bit.
+``mp_rate_ceiling`` is the WDMA rate ceiling at a stated mpmath precision,
+from the config fields by a nested ``mp.quad``.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from passperf import (
 )
 from passperf.config import SPEED_OF_LIGHT_M_S
 from passperf.montecarlo import _draw
-from passperf.quadrature import _SERIES_S, _SERIES_TERMS, _log1p_moments
 from passperf.sweep import (
     CELLS,
     CROSSOVER_METRICS,
@@ -343,6 +340,37 @@ def mp_far_rate(cfg: SystemConfig, power_w: float, dps: int = 40):
         return +rate
 
 
+def mp_rate_ceiling(cfg: SystemConfig, dps: int = 30):
+    """The WDMA rate ceiling in bits/s/Hz as an mpmath number with ``dps``
+    digits, in metres from the config fields.
+
+    Without noise the SINR is (g + u^2) / g, g = s^2 + h^2, so the ceiling
+    is 1 + E[ln(1 + U^2 / (2g))] / ln 2 over the x-offset s, uniform on
+    [0, X/2], and the triangular separation U on [lo, lo + 2w],
+    lo = 2 * offset and w the sub-region depth. A nested ``mp.quad``: the
+    outer over s, split at h, 4h, 16h and 64h inside (0, X/2), where the
+    integrand varies on the scale h of its branch points s = +-ih, the
+    inner on either side of the separation's peak.
+    """
+    import mpmath
+
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        h = mp.mpf(cfg.pa_height_m)
+        half = mp.mpf(cfg.region_x_m) / 2
+        lo, w = 2 * mp.mpf(cfg.region_y_offset_m), mp.mpf(cfg.region_y_m)
+        peak, hi = lo + w, lo + 2 * w
+
+        def excess(s):
+            two_g = 2 * (s * s + h * h)
+            rise = mp.quad(lambda u: (u - lo) * mp.log1p(u * u / two_g), [lo, peak])
+            fall = mp.quad(lambda u: (hi - u) * mp.log1p(u * u / two_g), [peak, hi])
+            return (rise + fall) / (w * w)
+
+        mean = mp.quad(excess, [mp.mpf(0), *(k * h for k in (1, 4, 16, 64) if k * h < half), half])
+        return 1 + mean / half / mp.log(2)
+
+
 def near_rate_series(cfg: SystemConfig, power_w: float, dps: int = 30):
     """The near user's average rate in bits/s/Hz to two terms in its SNR
     coefficient k = eta alpha_near P / sigma_1^2, and a bound on the rest:
@@ -443,54 +471,6 @@ def noma_outage_far_nested(cfg: SystemConfig, power_w: float, n_nodes: int) -> f
 
     value = 4.0 / cfg.region_x_m**2 * interval_integral(conditional, 0.0, m4, n_nodes)
     return min(max(value, 0.0), 1.0)
-
-
-# Series coefficients of phi0 and phi1 side by side, highest power first.
-_SERIES_PAIRS = np.array(
-    [
-        [(-1.0) ** (n + 1) / (n * (2 * n + 1)), (-1.0) ** (n + 1) / (n * (n + 1))]
-        for n in range(_SERIES_TERMS, 0, -1)
-    ]
-)
-
-
-def log1p_moments_both_forms(u, r):
-    """The package's earlier log-moment kernel, kept as a bitwise reference.
-
-    Evaluates the closed forms of phi0 and phi1 at every element (with s
-    replaced by 1 where it is small) and the series for both at once over a
-    trailing axis of two coefficients, then selects per element.
-    """
-    u = np.asarray(u, dtype=float)
-    s = np.asarray(r, dtype=float) * u**2
-    small = s < _SERIES_S
-    s_big = np.where(small, 1.0, s)
-    log = np.log1p(s_big)
-    root = np.sqrt(s_big)
-    phi0 = log - 2.0 * (1.0 - np.arctan(root) / root)
-    phi1 = ((1.0 + s_big) * log - s_big) / s_big
-    if np.any(small):
-        s_small = np.where(small, s, 0.0)[..., None]
-        series = 0.0
-        for coef in _SERIES_PAIRS:
-            series = s_small * (coef + series)
-        phi0 = np.where(small, series[..., 0], phi0)
-        phi1 = np.where(small, series[..., 1], phi1)
-    return u * phi0, 0.5 * u**2 * phi1
-
-
-def expected_log_excess_stacked(a, b, dist):
-    """``expected_log_excess`` with its support points on a short trailing
-    axis: one ``_log1p_moments`` call for all of them, the end lo = 0 left
-    out as in the package. ``dist`` is any law with ``support_lo`` and
-    ``half_width`` (a ``DiffDistribution`` or a ``ReducedModel``)."""
-    lo, w = dist.support_lo, dist.half_width
-    ratio = np.asarray(b, dtype=float) / np.asarray(a, dtype=float)
-    points = np.array([lo, lo + w, lo + 2.0 * w] if lo else [w, 2.0 * w])
-    m0, m1 = _log1p_moments(points, ratio[..., None])
-    t = points * m0 - m1
-    t0 = t[..., 0] if lo else 0.0
-    return (t0 - 2.0 * t[..., -2] + t[..., -1]) / (w * w)
 
 
 def sinr_trials(

@@ -30,7 +30,7 @@ from passperf import (
     wdma_outage_floor,
     wdma_rate_ceiling,
 )
-from passperf.quadrature import _log1p_moments
+from passperf.geometry import _log1p_moments
 from passperf.sweep import find_crossover, omega_one, omega_two
 
 from oracles import (

@@ -3,9 +3,8 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 from scipy.stats import kstest
 
@@ -16,14 +15,13 @@ from passperf import (
     sample_placements,
 )
 from passperf.geometry import expected_log_excess
-from passperf.quadrature import _SERIES_S, integrate_rows
+from passperf.quadrature import integrate_rows
 
 from oracles import (
     DiffDistribution,
     diff_cdf,
     diff_distribution,
     diff_pdf,
-    expected_log_excess_stacked,
     far_pdf,
     g_axis,
     near_coord_cdf_g,
@@ -196,55 +194,28 @@ def test_expected_log_excess_matches_numeric_integration(offset):
     assert out[1] == expected_log_excess(2.0, 0.5, dist)
 
 
-@st.composite
-def _log_excess_cases(draw):
-    """(a, b, dist): the adjacent or the offset layout; a and b each a
-    Python float or a 0-d, 1-D or 2-D array; b/a zero, at, below and above
-    the switch to the series at each support point, and far on either side."""
-    dist = DiffDistribution(
-        half_width=draw(st.floats(0.5, 30.0)), offset=draw(st.just(0.0) | st.floats(0.25, 15.0))
-    )
-    points = [u for u in (dist.support_lo, dist.peak, dist.support_hi) if u]
-    switch = [_SERIES_S / (u * u) * f for u in points for f in (0.5, 1.0, 2.0)]
-
-    def operand(elements):
-        shape = draw(st.sampled_from([None, (), (4,), (3, 4)]))
-        return draw(elements) if shape is None else draw(arrays(float, shape, elements=elements))
-
-    a = operand(st.just(1.0) | st.floats(1e-3, 1e3))
-    b = operand(st.just(0.0) | st.sampled_from(switch) | st.floats(1e-300, 1e4))
-    return a, b, dist
-
-
-# with w = 7 the series ends at b/a = 0.01/49 at the peak and 0.01/196 at the
-# top (adjacent), or at 0.01/36, 0.01/169 and 0.01/400 (offset 3): each row
-# mixes closed-form and series elements
-_STRADDLING = np.array([[0.0, 1e-6, 1e-4, 1e-3], [3e-5, 5e-5, 2e-4, 0.5], [1e-5, 4e-5, 6e-4, 1e2]])
-
-
-@given(case=_log_excess_cases())
-@example(case=(np.ones((3, 4)), _STRADDLING, DiffDistribution(half_width=7.0, offset=0.0)))
-@example(case=(np.ones((3, 4)), _STRADDLING, DiffDistribution(half_width=7.0, offset=3.0)))
-@example(case=(np.array([1.0, 2.0]), 0.0, DiffDistribution(half_width=7.0, offset=0.0)))
-@example(case=(np.array([1.0, 2.0]), 0.0, DiffDistribution(half_width=7.0, offset=3.0)))
-@example(case=(np.array(2.0), np.array(1e-4), DiffDistribution(half_width=7.0, offset=3.0)))
-@example(case=(2.0, 1e-4, DiffDistribution(half_width=7.0, offset=0.0)))
-@settings(max_examples=150, deadline=None)
-def test_expected_log_excess_equals_the_stacked_layout_bitwise(case):
-    # the support points on a leading axis give the bits of the points on
-    # a trailing axis
-    a, b, dist = case
-    got, want = expected_log_excess(a, b, dist), expected_log_excess_stacked(a, b, dist)
-    assert np.shape(got) == np.shape(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+def test_expected_log_excess_on_a_narrow_offset_matches_mpmath():
+    # sub-regions 1 deep, 100 from each other (lo >= _NARROW w): the mean
+    # takes the rule on each half of the support, where the second
+    # difference of T would cancel about (102 / 1)^2 / 2 = 5202-fold
+    mp = pytest.importorskip("mpmath").mp
+    dist = DiffDistribution(half_width=1.0, offset=50.0)
+    lo, peak, hi = dist.support_lo, dist.peak, dist.support_hi
+    for ratio in (1e-30, 1e-12, 1e-5, 1e-2, 0.7, 1e4):
+        with mp.workdps(50):
+            r = mp.mpf(ratio)
+            rise = mp.quad(lambda u: (u - lo) * mp.log1p(r * u * u), [lo, peak])
+            fall = mp.quad(lambda u: (hi - u) * mp.log1p(r * u * u), [peak, hi])
+            want = float(rise + fall)
+        assert abs(expected_log_excess(1.0, ratio, dist) - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("offset", [0.0, 3.0])
 def test_expected_log_excess_on_a_stacked_axis_equals_its_slices_bitwise(offset):
     # operands stacked on a leading axis give each slice the bits of its own
-    # call, although the stacked call takes another form of the log-moment
-    # kernel than each slice alone: with w = 7 the slices' ratios take only
-    # its first term, only the series, only the closed form, and a mix
+    # call: with w = 7 the slices' ratios put s = r u^2 at the support points
+    # below 2^-53, below the deficit helpers' switches, above them, and all
+    # of these
     dist = DiffDistribution(half_width=7.0, offset=offset)
     rng = np.random.default_rng(3)
     ranges = [(-300.0, -19.0), (-15.0, -6.0), (-2.0, 4.0), (-300.0, 4.0)]
@@ -263,9 +234,9 @@ def test_expected_log_excess_on_a_stacked_axis_equals_its_slices_bitwise(offset)
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("rows", [[1e-25, 1e-24, 1e-23], [1e-25, 1e-5, 1.0]], ids=["tiny", "mixed"])
 def test_a_non_finite_ratio_ends_in_an_error_naming_its_node(offset, bad, rows):
-    # a NaN or inf ratio beside ratios of one form or of several gives a
-    # non-finite integrand at its node; inf takes inf - inf in the closed
-    # form, which numpy reports as an invalid operation
+    # a NaN or inf ratio beside tiny ratios or ratios of every size gives a
+    # non-finite integrand at its node; inf takes inf / inf in 1 - ln(1 + s)
+    # / s, which numpy reports as an invalid operation
     dist = DiffDistribution(half_width=7.0, offset=offset)
     nodes = chebyshev_rule(16).nodes
 

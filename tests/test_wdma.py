@@ -25,6 +25,7 @@ from passperf.sweep import omega_one, omega_two
 
 from oracles import (
     g_axis,
+    mp_rate_ceiling,
     random_config,
     random_offset_config,
     wdma_rate_nested,
@@ -640,3 +641,38 @@ def test_rate_matches_a_25_digit_mpmath_value(name):
     rates = wdma_avg_rate(cfg, power_at(list(recorded), cfg))
     for rate, reference in zip(rates.tolist(), recorded.values()):
         assert abs(rate - float(reference)) <= 1e-13 * float(reference)
+
+
+# wdma_rate_ceiling to 25 digits, per config: ``oracles.mp_rate_ceiling`` at
+# 30 digits, which gave the same 25 digits at 40 (2-5 s per config at 30)
+NARROW_OFFSET = SystemConfig(region_y_m=1.0, region_y_offset_m=50.0)
+CEILING_CONFIGS = {
+    "default": CFG,
+    "omega_two": omega_two(),
+    "long_300": SystemConfig(region_x_m=300.0),
+    "narrow": NARROW_OFFSET,
+}
+MP_RATE_CEILINGS = {
+    "default": "4.579922491477960257073518",
+    "omega_two": "5.857975089922074591842996",
+    "long_300": "1.333797151867852221957374",
+    "narrow": "9.335396383311903134081259",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MP_RATE_CEILINGS))
+def test_rate_ceiling_matches_a_30_digit_mpmath_value(name):
+    # on the narrow offset the separation mean takes its rule: the second
+    # difference of T would cancel about (102 / 1)^2 / 2 = 5202-fold there
+    reference = float(MP_RATE_CEILINGS[name])
+    assert abs(wdma_rate_ceiling(CEILING_CONFIGS[name]) - reference) <= 1e-15 * reference
+
+
+def test_rate_ceiling_on_a_narrow_offset_does_not_move_with_the_order():
+    coarse, fine = wdma_rate_ceiling(NARROW_OFFSET, 64), wdma_rate_ceiling(NARROW_OFFSET, 128)
+    assert abs(coarse - fine) <= 1e-15 * fine
+
+
+def test_rate_ceiling_oracle_reproduces_its_recorded_value():
+    mpmath = pytest.importorskip("mpmath")
+    assert mpmath.nstr(mp_rate_ceiling(NARROW_OFFSET), 25) == MP_RATE_CEILINGS["narrow"]
