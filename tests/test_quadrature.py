@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
 
 from passperf import (
@@ -20,8 +21,15 @@ from passperf import (
     wdma_rate_ceiling,
 )
 from passperf.cli import main
-from passperf.config import SPEED_OF_LIGHT_M_S
-from passperf.geometry import _hat_moment, _log1p_moments, expected_log_excess
+from passperf.config import _NORMAL_MIN, SPEED_OF_LIGHT_M_S
+from passperf.geometry import (
+    _atan_deficit,
+    _hat_moment,
+    _log1p_deficit,
+    _log1p_moments,
+    expected_log1p_ratio,
+    expected_log_excess,
+)
 from passperf.quadrature import integrate_rows
 from passperf.sweep import omega_two
 
@@ -186,14 +194,29 @@ def test_j_vanish_at_zero_and_are_continuous_as_b_vanishes():
         assert m1 == pytest.approx(r * u**4 / 4 * (1 - s / 3), rel=2 * s**2 + 1e-13, abs=0)
 
 
-def _mp_phi(s, mp):
-    """phi0(s) and phi1(s) as floats, at 40 digits plus the -log10(s) digits
-    that 1 - arctan(sqrt(s)) / sqrt(s) and 1 - ln(1 + s) / s lose where s
-    is small."""
-    with mp.workdps(40 + max(0, int(-math.log10(s)))):
-        s = mp.mpf(s)
+def _mp_moments(u, r, mp):
+    """u phi0(s) and (u^2 / 2) phi1(s) at s = r u^2, formed exactly in
+    mpmath from the floats u and r, as floats: at 40 digits plus the
+    -log10(s) digits that 1 - arctan(sqrt(s)) / sqrt(s) and 1 - ln(1 + s) / s
+    lose where s is small."""
+    if u == 0.0 or r == 0.0:
+        return 0.0, 0.0
+    with mp.workdps(40 + max(0, -int(math.log10(r) + 2.0 * math.log10(u)))):
+        u, s = mp.mpf(u), mp.mpf(r) * mp.mpf(u) ** 2
         y, log = mp.sqrt(s), mp.log1p(s)
-        return float(log - 2 * (1 - mp.atan(y) / y)), float(log - (1 - log / s))
+        return float(u * (log - 2 * (1 - mp.atan(y) / y))), float(u * u / 2 * (log - (1 - log / s)))
+
+
+def _assert_moments_match_mpmath(u, r, mp):
+    # 2e-15 relative, taken at least at the least normal number: where a
+    # moment is subnormal it has no relative accuracy to keep
+    m0, m1 = _log1p_moments(u, r)
+    assert np.shape(m0) == np.shape(m1) == np.broadcast_shapes(np.shape(u), np.shape(r))
+    u, r = np.broadcast_arrays(u, r)
+    want = np.array([_mp_moments(x, y, mp) for x, y in zip(u.ravel().tolist(), r.ravel().tolist())])
+    for got, col in ((m0, want[:, 0]), (m1, want[:, 1])):
+        got = np.ravel(got)
+        assert np.all(np.abs(got - col) <= 2e-15 * np.maximum(col, _NORMAL_MIN)), (u, r, got, col)
 
 
 def test_log_moments_at_one_match_mpmath_within_2e_15():
@@ -205,9 +228,56 @@ def test_log_moments_at_one_match_mpmath_within_2e_15():
     dense = [centre * np.linspace(0.9, 1.1, 201) for centre in (1e-2, 0.5, 1.0)]
     s = np.concatenate([np.logspace(-300.0, 300.0, 1201), *dense, np.nextafter([0.5, 1.0], 0.0)])
     m0, m1 = _log1p_moments(1.0, s)
-    want = np.array([_mp_phi(x, mp) for x in s.tolist()])
+    want = np.array([_mp_moments(1.0, x, mp) for x in s.tolist()])
     assert np.all(np.abs(m0 - want[:, 0]) <= 2e-15 * want[:, 0])
-    assert np.all(np.abs(2.0 * m1 - want[:, 1]) <= 2e-15 * want[:, 1])
+    assert np.all(np.abs(m1 - want[:, 1]) <= 2e-15 * want[:, 1])
+
+
+@pytest.mark.parametrize(
+    "u, r",
+    [
+        (0.0, 0.3),  # u = 0
+        (2.0, 0.0),  # s = 0
+        (1.0, 1e-2),  # s at and either side of 1e-2, where a series once took over
+        (1.0, np.nextafter(1e-2, 0.0)),
+        (1.0, np.nextafter(1e-2, 1.0)),
+        (3.0, 1e-14),
+        (3.0, 40.0),
+        (1.0, 5e-324),  # the least subnormal
+        (1.0, 2.0**-53),
+        (1.0, 2e-16),  # where phi1's first term s / 2 alone is an ulp off
+    ],
+)
+def test_log_moments_match_mpmath_on_scalars(u, r):
+    _assert_moments_match_mpmath(u, r, pytest.importorskip("mpmath").mp)
+
+
+@given(
+    shape=array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_log_moments_match_mpmath_on_drawn_shapes(shape, data):
+    # u and r of one shape, a scalar u, and three points broadcast against r
+    mp = pytest.importorskip("mpmath").mp
+    edges = st.sampled_from([0.0, 1e-2, 0.5, 1.0, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)])
+    u = data.draw(arrays(float, shape, elements=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 30.0)))
+    r = data.draw(arrays(float, shape, elements=edges | st.floats(1e-300, 1e-3) | st.floats(1e-3, 1e4)))
+    for args in [(u, r), (1.0, r), (np.array([0.0, 1.0, 3.0]), r[..., None])]:
+        _assert_moments_match_mpmath(*args, mp)
+
+
+def test_log_moment_kernel_keeps_its_nan_handling():
+    # a NaN s gives NaN moments, alone or beside s on either side of the
+    # deficit helpers' switches, and leaves the moments beside it as they
+    # are without it
+    nan = math.nan
+    for r in (nan, [nan, 1e-20], [nan, 1e-5], [nan, 5.0], [1e-20, 1e-5, nan, 0.7, 5.0]):
+        r = np.array(r)
+        for got, want in zip(_log1p_moments(1.0, r), _log1p_moments(1.0, r[~np.isnan(r)])):
+            assert np.shape(got) == np.shape(r)
+            assert np.all(np.isnan(got[np.isnan(r)]))
+            assert np.array_equal(got[~np.isnan(r)], want)
 
 
 def test_j0_zero_curvature_limit():
@@ -373,6 +443,19 @@ def _kernel_calls():
         ("_hat_moment", _hat_moment, (1.5, 2.0, b, 1.5)),
         ("_hat_moment", _hat_moment, (points[:, None], a, b, 3.0, True)),
     ]
+    # the deficit helpers on either side of their switches at 1/2 and 1, and
+    # the triangular mean of both kernels on a narrow offset (lo = 60 >= 4 w)
+    s = _read_only([0.0, 5e-324, 1e-20, 0.25, 0.5, 1.0, 40.0, 1e300])
+    for name, kernel in (("_atan_deficit", _atan_deficit), ("_log1p_deficit", _log1p_deficit)):
+        calls += [(name, kernel, (s,)), (name, kernel, (np.float64(0.7),)), (name, kernel, (empty,))]
+    for offset in (0.0, 3.0, 30.0):
+        dist = DiffDistribution(half_width=7.0, offset=offset)
+        calls += [
+            ("expected_log1p_ratio", expected_log1p_ratio, (a, b, dist)),
+            ("expected_log1p_ratio", expected_log1p_ratio, (a, b, dist, True)),
+        ]
+    narrow = DiffDistribution(half_width=7.0, offset=30.0)
+    calls.append(("expected_log_excess", expected_log_excess, (a, b, narrow)))
     return calls
 
 
