@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import _NORMAL_MIN
-from .quadrature import chebyshev_rule
+from .quadrature import _row_dots, chebyshev_rule
 
 
 def _segment_sum(squares, b1, b2, b3, b4, k_rising, k_falling, w):
@@ -64,8 +64,11 @@ def _triangular_mean(g, hat, dist, ndim):
     (lo >= ``_NARROW`` w) take the rule on each half instead: the density is
     (1 + sigma) / (2 w) on the rising half at lo + w (1 + sigma) / 2 and
     (1 - sigma) / (2 w) on the falling half, w further on, and ``g(t)``
-    gives the integrand. Either way the separations go on a leading axis
-    ahead of the ``ndim`` axes of the operands, one array call per operation.
+    gives the integrand, whose sums over the separations are the stacked
+    1-D dots of ``integrate_rows``, so that an element of an array call has
+    the bits of its own scalar call. Either way the separations go on a
+    leading axis ahead of the ``ndim`` axes of the operands, one array call
+    per operation.
     """
     lo, w = dist.support_lo, dist.half_width
     if lo >= _NARROW * w:
@@ -74,7 +77,8 @@ def _triangular_mean(g, hat, dist, ndim):
         t = np.concatenate([lo + offsets, lo + w + offsets])
         rising, falling = rule.weights * (1.0 + rule.nodes), rule.weights * (1.0 - rule.nodes)
         weights = 0.25 * np.concatenate([rising, falling])
-        return np.tensordot(weights, g(t.reshape(t.shape + (1,) * ndim)), axes=1)
+        values = g(t.reshape(t.shape + (1,) * ndim))
+        return _row_dots(np.ascontiguousarray(np.moveaxis(values, 0, -1)), weights)
     points = np.array([lo, lo + w, lo + 2.0 * w] if lo else [w, 2.0 * w])
     t = hat(points.reshape(points.shape + (1,) * ndim))
     t0 = t[0] if lo else 0.0
@@ -133,10 +137,10 @@ def _atan_deficit(x):
     return np.where(x < 1.0, small, 1.0 - np.arctan(y) / y)
 
 
-def _hat_moment(p, a, d, scale, weighted: bool = False):
+def _hat_moment(p, a, d, scale):
     """T(p) / scale^2 for T(p) = int_0^p (p - t) g(t) dt with
-    g = ln(1 + d / (a + t^2)), or with ``weighted`` a T + T2, T2 the same
-    integral of t^2 g; p >= 0, a > 0 and d >= 0 broadcast against each other.
+    g = ln(1 + d / (a + t^2)); p >= 0, a > 0 and d >= 0 broadcast against
+    each other.
 
     g is positive, so no difference of two logarithms is formed, and T keeps
     its relative accuracy when d is tiny against a + t^2 (low SNR) and when
@@ -152,14 +156,7 @@ def _hat_moment(p, a, d, scale, weighted: bool = False):
     ln(1 + x) / x, D as p times a difference of arctan(y) / y ratios near 1,
     and T over scale^2 as a multiple of (p / scale)^2, so that no product of
     small squares underflows where p is tiny against the antenna height or
-    a is near the top of its range. The weighted T2 = p M2 - M3, with M2 and
-    M3 the t^2 and t^3 moments of g,
-    3 p M2 = q^2 L + 2 q (d e(p / rb) - a D / p) and
-    4 M3 = q (q L + d k(q / b) - a (r_b - r_z)), where
-    e(y) = 1 - arctan(y) / y and k(x) = 1 - ln(1 + x) / x are taken without
-    cancellation (``_atan_deficit``, ``_log1p_deficit``): both are small
-    where q << b.
-    What still cancels where q << a is the small part of a T + T2.
+    a is near the top of its range.
     """
     b = a + d
     # a scalar a (the near rate's h^2) takes d's shape, so that the log
@@ -193,44 +190,29 @@ def _hat_moment(p, a, d, scale, weighted: bool = False):
     over_bq = np.divide(d, over_bq, out=over_bq)
     r_z = _log1p_over(over_bq * (q / a))
     r_z *= over_bq
-    q_b = q / b
-    r_b = _log1p_over(q_b)
+    r_b = _log1p_over(q / b)
     r_b *= d / b
     t = log - r_b
     t += r_z
     t += 4.0 * per_p
     t *= 0.5 * scaled_sq
-    if weighted:
-        t *= a
-        y = d * _log1p_deficit(q_b) - a * (r_b - r_z)
-        moment = q * log
-        moment -= 3.0 * y
-        moment += 8.0 * (d * _atan_deficit(q_b) - a * per_p)
-        moment *= scaled_sq / 12.0
-        t += moment
     return t
 
 
-def expected_log1p_ratio(a, d, dist, weighted: bool = False):
-    """E[ln(1 + d / (a + U^2))] for the y-separation U ~ ``dist``, or with
-    ``weighted`` E[(a + U^2) ln(1 + d / (a + U^2))]; a > 0, d >= 0, ``a``
-    broadcast against ``d``. The ``_triangular_mean`` of the positive
-    ``_hat_moment``, so the mean keeps its relative accuracy at low SNR and
-    at high.
+def expected_log1p_ratio(a, d, dist):
+    """E[ln(1 + d / (a + U^2))] for the y-separation U ~ ``dist``; a > 0,
+    d >= 0, ``a`` broadcast against ``d``. The ``_triangular_mean`` of the
+    positive ``_hat_moment``, so the mean keeps its relative accuracy at low
+    SNR and at high.
     """
     a = np.asarray(a, dtype=float)
 
-    def g(t):
-        level = a + t * t
-        value = np.log1p(d / level)
-        if weighted:
-            value *= level
-        return value
-
     def hat(p):
-        return _hat_moment(p, a, d, dist.half_width, weighted)
+        return _hat_moment(p, a, d, dist.half_width)
 
-    return _triangular_mean(g, hat, dist, max(a.ndim, np.ndim(d)))
+    return _triangular_mean(
+        lambda t: np.log1p(d / (a + t * t)), hat, dist, max(a.ndim, np.ndim(d))
+    )
 
 
 def _log1p_moments(u, r):

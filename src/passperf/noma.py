@@ -9,9 +9,9 @@ sub-regions alike. Both rates average positive logarithms, so they keep
 their relative accuracy at low SNR. The near user's is a closed form. The
 far user's averages the x-offset exactly: it is an integral over the
 interference level of a positive log-ratio mean, taken by a fixed
-Chebyshev rule over short spans of levels and in closed form over long
-ones, so no metric here reads a node count. Lengths and powers are in the
-reduced units of ``config.ReducedModel``.
+Chebyshev rule on pieces of bounded length in the log of the level, so no
+metric here reads a node count. Lengths and powers are in the reduced
+units of ``config.ReducedModel``.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ from .geometry import _hat_moment, _segment_sum, expected_log1p_ratio
 from .quadrature import integrate_rows
 
 _LN2 = math.log(2.0)
-# ``noma_rate_far`` integrates over the interference level by the Chebyshev
-# rule of _LEVEL_NODES nodes while the far share's SNR coefficient is below
-# _LONG_LEVELS times k1 + h^2 + lo^2, the smallest interference plus distance
-# term, and in closed form from there on. Both are fixed: with them the rule
-# reaches rounding (its interval is at most ln(1 + _LONG_LEVELS) long), and
-# the closed form cancels no more than about 1 + hi^2 / (_LONG_LEVELS
-# (h^2 + lo^2)) units in the last place.
+# ``noma_rate_far`` integrates over the log of the interference level on
+# equal pieces at most ln(1 + _LONG_LEVELS) long, by the Chebyshev rule of
+# _LEVEL_NODES nodes on each. Both are fixed: with them the rule reaches
+# rounding. A power whose far-share SNR coefficient is below _LONG_LEVELS
+# times k1 + h^2 + lo^2, the smallest interference plus distance term, takes
+# one piece: every power does where alpha_far <= _LONG_LEVELS alpha_near.
 _LONG_LEVELS = 20.0
 _LEVEL_NODES = 24
 
@@ -197,18 +196,12 @@ def noma_rate_far(cfg: SystemConfig, model: ReducedModel, powers):
 
     with a1 = k1 + h^2 and a2 = a1 + k2: an integral of a positive function
     (``geometry.expected_log1p_ratio``), so nothing cancels at low SNR.
-    - Below k2 = ``_LONG_LEVELS`` (a1 + lo^2), lo the smallest separation,
-      the integral takes the Chebyshev rule of ``_LEVEL_NODES`` nodes in
-      v = ln(b + lo^2). F is singular only at b <= -lo^2, so F is analytic
-      in the strip |Im v| < pi, and the interval is at most
-      ln(1 + _LONG_LEVELS) = 3.04 long: the rule reaches rounding.
-    - From there on, the closed form. The antiderivative of
-      ln(1 + C / (b + u)) is (x + C) ln(x + C) - x ln(x) at x = b + u, so
-      R ln 2 = E[ln(1 + k2 / (a1 + C + U^2))] + (H(a2) - H(a1)) / C, with
-      H(a) = E[(a + U^2) ln(1 + C / (a + U^2))]. Both terms are positive;
-      the difference of H rounds to about eps (1 + U^2 / k2) relative,
-      which the threshold keeps near eps unless the largest separation is
-      many antenna heights.
+    The integral is taken in v = ln(b + lo^2), lo the smallest separation,
+    over [0, ln(1 + k2 / (a1 + lo^2))] split into the fewest equal pieces at
+    most ln(1 + ``_LONG_LEVELS``) = 3.04 long, by the Chebyshev rule of
+    ``_LEVEL_NODES`` nodes on each. F is singular only at b <= -lo^2, so
+    the integrand is analytic in the strip |Im v| < pi, and on every piece
+    the rule reaches rounding.
     Where the rate meets its ceiling or zero, rounding can leave it an ulp
     outside; the value is clamped to [0, ceiling] there.
 
@@ -235,27 +228,25 @@ def _far_rate(cfg: SystemConfig, model: ReducedModel, powers, ceiling: float):
     k1, k2 = cfg.noma_alpha_near * snr, cfg.noma_alpha_far * snr
     a1 = k1 + model.pa_height_sq
     base = a1 + lo_sq
-    half_span = 0.5 * np.log1p(k2 / base)
-    long = k2 >= _LONG_LEVELS * base
-    nats = np.empty_like(powers)
+    span = np.log1p(k2 / base)
+    # span > 0 at every power that over_powers accepts: each takes a piece
+    counts = np.ceil(span / np.log1p(_LONG_LEVELS)).astype(np.intp)
+    first = np.cumsum(counts) - counts  # each power's first piece
+    # per piece: its half-length h, and 2 j + 1 for the j-th piece of its
+    # power, which spans v from 2 j h to 2 (j + 1) h
+    half_span = np.repeat(0.5 * span / counts, counts)
+    start = 1.0 + 2.0 * (np.arange(half_span.size) - np.repeat(first, counts))
+    a1, base = np.repeat(a1, counts), np.repeat(base, counts)
 
     def level_mean(t, rows):
-        # F(b) (b + lo^2) / C at b + lo^2 = (a1 + lo^2) e^v, v = half_span (t + 1):
+        # F(b) (b + lo^2) / C at b + lo^2 = (a1 + lo^2) e^v, v = h (t + 2 j + 1):
         # the integrand in v; b = a1 + (a1 + lo^2)(e^v - 1) keeps a1 where a1 << lo^2
-        b = base[rows, None] * np.expm1(half_span[rows, None] * (t + 1.0))
+        b = base[rows, None] * np.expm1(half_span[rows, None] * (t + start[rows, None]))
         b += a1[rows, None]
         mean = expected_log1p_ratio(b, centre_sq, model)
         mean /= centre_sq
         mean *= b + lo_sq
         return mean
 
-    short = np.flatnonzero(~long)
-    if short.size:
-        nats[short] = half_span[short] * integrate_rows(level_mean, short, _LEVEL_NODES)
-    if long.any():
-        low, span = a1[long], k2[long]
-        levels = np.stack([low, low + span])
-        lower, upper = expected_log1p_ratio(levels, centre_sq, model, weighted=True)
-        head = expected_log1p_ratio(low + centre_sq, span, model)
-        nats[long] = head + (upper - lower) / centre_sq
-    return np.clip(nats / _LN2, 0.0, ceiling)
+    pieces = half_span * integrate_rows(level_mean, np.arange(half_span.size), _LEVEL_NODES)
+    return np.clip(np.add.reduceat(pieces, first) / _LN2, 0.0, ceiling)

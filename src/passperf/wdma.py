@@ -43,7 +43,7 @@ def _integrate_even(f, rows, n_nodes: int) -> np.ndarray:
 
     The rule's nodes are exactly antisymmetric (``chebyshev_rule``), so the
     values on the first (N + 1) // 2 nodes mirrored onto the rest are the
-    full-node values bit for bit, and the weighted sum over all N nodes is
+    full-node values bit for bit, and the rule's sum over all N nodes is
     unchanged.
     """
 

@@ -14,7 +14,7 @@ from passperf import (
     chebyshev_rule,
     sample_placements,
 )
-from passperf.geometry import expected_log_excess
+from passperf.geometry import expected_log1p_ratio, expected_log_excess
 from passperf.quadrature import integrate_rows
 
 from oracles import (
@@ -208,6 +208,12 @@ def test_expected_log_excess_on_a_narrow_offset_matches_mpmath():
             fall = mp.quad(lambda u: (hi - u) * mp.log1p(r * u * u), [peak, hi])
             want = float(rise + fall)
         assert abs(expected_log_excess(1.0, ratio, dist) - want) <= 1e-15 * want
+    # the rule's sums are stacked 1-D dots: an element of an array call has
+    # the bits of its own scalar call (a 2-D matrix-vector product did not)
+    dist = DiffDistribution(half_width=7.0, offset=20.0)
+    for kernel in (expected_log_excess, expected_log1p_ratio):
+        out = kernel(np.array([1.0, 2.0]), 0.5, dist)
+        assert out[1] == kernel(2.0, 0.5, dist)
 
 
 @pytest.mark.parametrize("offset", [0.0, 3.0])

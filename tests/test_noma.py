@@ -476,6 +476,9 @@ def test_far_rate_matches_nested_quadrature():
 
 
 _EVERY_SNR_DB = [-50.0, -20.0, 20.0, 60.0, 100.0, 160.0, 400.0]
+# sub-regions 600 antenna heights deep, with a far share near 1000 times the
+# near share: the level integral takes up to three pieces
+_DEEP = {"pa_height_m": 0.5, "region_y_m": 300.0, "noma_alpha_near": 1e-3, "noma_alpha_far": 0.999}
 
 
 @pytest.mark.parametrize(
@@ -489,26 +492,27 @@ _EVERY_SNR_DB = [-50.0, -20.0, 20.0, 60.0, 100.0, 160.0, 400.0]
         # sub-regions narrow against their offset: the separation mean takes
         # its rule, where the closed form's second difference would cancel
         ({"region_y_m": 1.0, "region_y_offset_m": 50.0}, [-50.0, 60.0, 150.0]),
-        # far shares beyond 20 times the near share: the closed-form
-        # interference integral, on a region 333 antenna heights long
+        # far shares beyond 20 times the near share: the level integral
+        # takes up to four pieces, on a region 333 antenna heights long
         ({"region_x_m": 1000.0, "noma_alpha_near": 1e-4, "noma_alpha_far": 1 - 1e-4},
          [70.0, 88.0, 94.0, 200.0]),
-        # there C >> k1 + h^2, where p - rb arctan(p / rb) and the log1p
-        # deficit would cancel if formed directly
+        # a far share 10^8 times the near share on a region 2100 antenna
+        # heights long: C >> k1 + h^2 on the lowest levels
         ({"pa_height_m": 1.4, "region_x_m": 2939.0, "region_y_m": 2.8, "region_y_offset_m": 0.23,
           "noma_alpha_near": 1e-8, "noma_alpha_far": 1 - 1e-8}, [78.0, 90.0]),
         # and separations up to 60 antenna heights
         ({"pa_height_m": 1.5, "region_y_m": 30.0, "region_y_offset_m": 15.0,
           "noma_alpha_near": 1e-4, "noma_alpha_far": 1 - 1e-4}, [80.0, 120.0]),
-        # SNR coefficients near 1e209 in reduced units: p (rb - ra) /
-        # (ra rb + q), formed directly, is subnormal there
+        # SNR coefficients near 1e209 in reduced units, over 20 pieces: p (rb
+        # - ra) / (ra rb + q), formed directly, is subnormal there
         ({"carrier_freq_hz": 2.2424637011999602e36, "pa_height_m": 7.271534072513419e-154,
           "region_x_m": 1.5545916903527123e-143, "region_y_m": 1.541962003575878e-150,
           "noise_power_dbm_ue2": 325.0026343623912, "noma_alpha_near": 1.1153128404227371e-26,
           "noma_alpha_far": 1.0}, [235.0, 240.0]),
+        (_DEEP, [20.0, 120.0, 160.0]),
     ],
     ids=["default", "omega_two", "narrow", "long_split", "long_offset_split", "wide_offset_split",
-         "huge_snr_coefficient"],
+         "huge_snr_coefficient", "deep"],
 )
 def test_far_rate_matches_a_40_digit_evaluation(overrides, snrs_db):
     pytest.importorskip("mpmath")
@@ -517,6 +521,36 @@ def test_far_rate_matches_a_40_digit_evaluation(overrides, snrs_db):
     for power, value in zip(powers, noma_rate_far(cfg, np.array(powers)).tolist()):
         reference = mp_far_rate(cfg, power)
         assert abs(value - reference) <= 1e-12 * reference, (power, value, reference)
+
+
+def test_far_rate_on_sub_regions_many_antenna_heights_deep_is_within_1e_14():
+    # a closed-form antiderivative of the level integral lost digits here
+    # (8.4e-13 relative off at 74 dB); the rule on each piece does not
+    pytest.importorskip("mpmath")
+    cfg = SystemConfig(**_DEEP)
+    power = power_at(74.0, cfg)
+    reference = mp_far_rate(cfg, power)
+    assert abs(noma_rate_far(cfg, power) - reference) <= 1e-14 * reference
+
+
+def _piece_boundary_w(cfg, pieces):
+    """The power in W where the far rate's level integral on the adjacent
+    sub-regions of ``cfg`` goes from ``pieces`` to ``pieces + 1`` pieces:
+    where k2 / (k1 + h^2) = 21^pieces - 1."""
+    model = derive_constants(cfg)
+    ratio = 21.0**pieces - 1.0
+    snr = ratio * cfg.pa_height_m**2 / (cfg.noma_alpha_far - ratio * cfg.noma_alpha_near)
+    return snr * model.noise_w_ue2 / model.eta_m2
+
+
+@pytest.mark.parametrize("pieces", [1, 2])
+def test_far_rate_keeps_its_accuracy_on_either_side_of_a_piece_boundary(pieces):
+    pytest.importorskip("mpmath")
+    cfg = SystemConfig(noma_alpha_near=1e-4, noma_alpha_far=1 - 1e-4)
+    boundary = _piece_boundary_w(cfg, pieces)
+    for power in (boundary * (1.0 - 1e-6), boundary * (1.0 + 1e-6)):
+        reference = mp_far_rate(cfg, power)
+        assert abs(noma_rate_far(cfg, power) - reference) <= 1e-14 * reference, power
 
 
 def test_far_rate_keeps_its_value_where_the_squared_lengths_are_tiny():

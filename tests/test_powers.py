@@ -32,6 +32,9 @@ from passperf.sweep import CELLS, SWEEP_USERS, Cell, omega_two
 
 CFG = SystemConfig()
 SPLIT = SystemConfig(noma_alpha_near=0.2, noma_alpha_far=0.8)
+# a far share near 10^4 times the near share: from 84 dB on, the far rate of
+# one power sums the level integral over two to four pieces
+FAR_SHARE = SystemConfig(noma_alpha_near=1e-4, noma_alpha_far=1 - 1e-4)
 CELL_IDS = ["-".join(map(str, cell)) for cell in CELLS]
 
 
@@ -44,7 +47,9 @@ def grid_powers(cfg, start, stop, step):
     return snr_db_to_power_w(cfg, grid)
 
 
-@pytest.mark.parametrize("cfg", [CFG, omega_two(), SPLIT], ids=["default", "omega_two", "split"])
+@pytest.mark.parametrize(
+    "cfg", [CFG, omega_two(), SPLIT, FAR_SHARE], ids=["default", "omega_two", "split", "far_share"]
+)
 @pytest.mark.parametrize("cell", CELLS, ids=CELL_IDS)
 def test_grid_call_equals_scalar_calls(cfg, cell):
     # -50:400 dB spans saturated, short-circuit and high-SNR cells

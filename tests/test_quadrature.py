@@ -437,12 +437,10 @@ def _kernel_calls():
     for offset in (0.0, 3.0):
         dist = DiffDistribution(half_width=7.0, offset=offset)
         calls.append(("expected_log_excess", expected_log_excess, (a, tiny_r[:3], dist)))
-    # the positive kernel of the rates, with a broadcast against d and points
-    # on a leading axis, as the near rate and ``expected_log1p_ratio`` call it
-    calls += [
-        ("_hat_moment", _hat_moment, (1.5, 2.0, b, 1.5)),
-        ("_hat_moment", _hat_moment, (points[:, None], a, b, 3.0, True)),
-    ]
+    # the positive kernel of the rates, with a broadcast against d, as the
+    # near rate calls it; ``expected_log1p_ratio`` below puts points on a
+    # leading axis
+    calls.append(("_hat_moment", _hat_moment, (1.5, 2.0, b, 1.5)))
     # the deficit helpers on either side of their switches at 1/2 and 1, and
     # the triangular mean of both kernels on a narrow offset (lo = 60 >= 4 w)
     s = _read_only([0.0, 5e-324, 1e-20, 0.25, 0.5, 1.0, 40.0, 1e300])
@@ -450,10 +448,7 @@ def _kernel_calls():
         calls += [(name, kernel, (s,)), (name, kernel, (np.float64(0.7),)), (name, kernel, (empty,))]
     for offset in (0.0, 3.0, 30.0):
         dist = DiffDistribution(half_width=7.0, offset=offset)
-        calls += [
-            ("expected_log1p_ratio", expected_log1p_ratio, (a, b, dist)),
-            ("expected_log1p_ratio", expected_log1p_ratio, (a, b, dist, True)),
-        ]
+        calls.append(("expected_log1p_ratio", expected_log1p_ratio, (a, b, dist)))
     narrow = DiffDistribution(half_width=7.0, offset=30.0)
     calls.append(("expected_log_excess", expected_log_excess, (a, b, narrow)))
     return calls
