@@ -87,23 +87,44 @@ def _crossings(gth: float, b_noise, model: ReducedModel) -> np.ndarray:
     return np.maximum.accumulate(crossings)  # in order, however they round
 
 
+@lru_cache(maxsize=128)
 def _outage_saturation(gth: float, noise_per_power: float, model: ReducedModel, floor: float):
     """The reduced power from which ``wdma_outage`` is its ``floor`` to
-    within SATURATION_TOL relative.
+    within SATURATION_TOL relative: the lower of two bounds' thresholds.
 
-    With b = ``noise_per_power`` / P and e = gamma_th b g <= 1/2 at the
-    largest squared distance g_max = h^2 + (X/2)^2, the cap r^2 exceeds its
-    noiseless value r0^2 = g (gamma_th - 1) by gamma_th^2 b g^2 / (1 - e),
-    so r - r0 <= (r^2 - r0^2) / (2 r0). The triangular density is at most
-    1/w, so the outage less the floor is at most
-    gamma_th^2 b g_max^(3/2) / (w sqrt(gamma_th - 1)). No row saturates where
-    gamma_th <= 1 or the floor is 0.
+    With b = ``noise_per_power`` / P and e = gamma_th b g, the cap r^2
+    exceeds its noiseless value r0^2 = g (gamma_th - 1) by
+    gamma_th^2 b g^2 / (1 - e). Both bounds fall as 1/P:
+
+    - where e <= 1/2 at the largest squared distance g_max = h^2 + (X/2)^2,
+      r - r0 <= (r^2 - r0^2) / (2 r0), and the triangular density is at most
+      1/w, so the outage less the floor is at most
+      gamma_th^2 b g_max^(3/2) / (w sqrt(gamma_th - 1));
+    - the density is also at most rho / w^2 on both halves, so the CDF
+      grows from r0 to r by at most (r^2 - r0^2) / (2 w^2), and only the
+      x-offsets below the noiseless crossing s3 of hi add to the excess,
+      where e <= e3 = gamma_th b (s3^2 + h^2). So the excess is at most
+      b K / (1 - e3), K = gamma_th^2 int_0^s3 g^2 ds / (X w^2), which is
+      at most SATURATION_TOL times the floor where
+      b K / (SATURATION_TOL floor) + e3 <= 1.
+
+    No row saturates where gamma_th <= 1 or the floor is 0. Cached: the
+    threshold depends on the power only through ``noise_per_power``.
     """
     if not (gth > 1.0 and floor > 0.0):
         return math.inf
-    g_max = model.pa_height_sq + model.centre_sq
-    bound = gth * math.sqrt(g_max) / (model.half_width * math.sqrt(gth - 1.0))
-    scale = gth * g_max * max(bound / (SATURATION_TOL * floor), 2.0)
+    h_sq, w = model.pa_height_sq, model.half_width
+    g_max = h_sq + model.centre_sq
+    bound = gth * math.sqrt(g_max) / (w * math.sqrt(gth - 1.0))
+    s3 = _crossings(gth, 0.0, model)[2, 0].item()
+    g3 = s3 * s3 + h_sq
+    # int_0^s3 g^2 ds = s3 g3^2 (a^2 / 5 + 2 a c / 3 + c^2), a = s3^2 / g3, c = h^2 / g3
+    a, c = s3 * s3 / g3, h_sq / g3
+    # K's factors in falling order: no partial product underflows unless K does
+    factors = (gth, gth, s3 / model.region_x, g3 / w, g3 / w, a * a / 5.0 + 2.0 * a * c / 3.0 + c * c)
+    reach = math.prod(sorted(factors, reverse=True))
+    scale = min(gth * g_max * max(bound / floor / SATURATION_TOL, 2.0),
+                reach / floor / SATURATION_TOL + gth * g3)
     return saturation_power(noise_per_power, scale)
 
 

@@ -1,14 +1,27 @@
 """Independent numerical oracles shared across test modules.
 
-Most of these deliberately avoid the package's quadrature and antiderivative
-code: brute-force trapezoid grids and adaptive scipy quadrature recompute
-every quantity from raw definitions so closed forms are checked against a
-second route. The nested Chebyshev routes instead integrate the separation
-density numerically with the package's own rule, a route that shares no
-formula with the closed forms they check. The densities of the separation
-and of the near and far users' x-coordinates, and the CDF of the near
-user's squared x-offset, are the reference laws those routes and the
-sampling tests use, with the CDFs of the separation and of its square.
+This module holds the suite's one high-precision reference of each metric
+and limit, in mpmath from the ``SystemConfig`` fields in metres (one
+``mp_model``), with the float power that the package receives taken as
+exact. ``mp_wdma_outage``, whose zero-noise case (``power_w = inf``) is the
+outage floor, and ``mp_cap_root`` are read by ``test_wdma``'s floor, outage
+and crossing tests. ``mp_wdma_rate``, whose zero-noise case is the rate
+ceiling, generated ``test_wdma.MP_WDMA_RATES`` and reproduces
+``MP_RATE_CEILINGS``. ``mp_noma_outages``, ``mp_near_rate`` and
+``mp_far_rate`` are read by ``test_noma``, ``mp_far_rate`` and
+``near_rate_series`` (two terms of the near rate's low-SNR expansion, with
+a bound on the rest) by ``test_quadrature``.
+
+Two float oracles recompute quantities from raw definitions for the
+acceptance suite: ``far_outage_trapezoid`` by dense trapezoid grids, and
+``wdma_rate_quad2d`` by nested adaptive scipy quadrature, which
+``test_wdma`` and ``test_quadrature`` also read. The densities of the
+separation and of the near and far users' x-coordinates, and the CDF of the
+near user's squared x-offset, are the reference laws of the sampling tests,
+with the CDFs of the separation and of its square.
+``DiffDistribution``, ``g_axis`` and ``outage_radii_sq`` give the separation
+law, the squared axis distance and the NOMA outage radii in metres, from
+the config fields, where the package works in reduced units.
 ``sinr_trials`` addresses the simulator's per-trial SINRs by trial index.
 ``bisect_crossover`` is a plain scalar bisection with the end rule of
 ``find_crossover``, run to any tolerance: to 1e-9 dB it gives the root that
@@ -19,15 +32,6 @@ non-finite difference at any SNR it reads, as the search does.
 earlier row route of ``run_sweep``, and ``csv_writer_text`` writes such
 rows through ``csv.writer``: the route that ``write_csv`` must match byte
 for byte.
-``DiffDistribution``, ``g_axis`` and ``outage_radii_sq`` give the separation
-law, the squared axis distance and the NOMA outage radii in metres, from
-the config fields, where the package works in reduced units.
-``mp_far_rate`` is the NOMA far user's rate at a stated mpmath precision,
-from the config fields and its exact average over the squared x-offset.
-``near_rate_series`` is the NOMA near user's rate to two terms of its
-low-SNR expansion, with a bound on the rest, from the config fields.
-``mp_rate_ceiling`` is the WDMA rate ceiling at a stated mpmath precision,
-from the config fields by a nested ``mp.quad``.
 """
 
 from __future__ import annotations
@@ -35,14 +39,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
 from passperf import (
     SystemConfig,
-    chebyshev_rule,
     derive_constants,
     sinr,
     snr_db_to_power_w,
@@ -263,33 +268,211 @@ def wdma_rate_quad2d(cfg: SystemConfig, power_w: float, user: int = 1) -> float:
     return value / dx
 
 
-def noma_rate_far_quad2d(cfg: SystemConfig, power_w: float) -> float:
-    """Far-user rate by nested adaptive quadrature from the SINR definition."""
-    dc = derive_constants(cfg)
-    k1 = dc.eta_m2 * cfg.noma_alpha_near * power_w
-    k2 = dc.eta_m2 * cfg.noma_alpha_far * power_w
-    n2 = dc.noise_w_ue2
-    w = cfg.region_y_m
-    lo = 2.0 * cfg.region_y_offset_m
-    dx = cfg.region_x_m
-    h_sq = cfg.pa_height_m**2
-    m4 = (0.5 * dx) ** 2
+MpModel = namedtuple("MpModel", "eta noise h_sq half lo w peak hi")
 
-    def inner(m: float) -> float:
-        def f(a: float) -> float:
-            sinr = k2 / (k1 + n2 * (h_sq + m + a * a))
-            return math.log2(1.0 + sinr) * _triangular_density(a, lo, w)
 
-        value, _ = quad(f, lo, lo + 2.0 * w, points=[lo + w], limit=200, epsabs=1e-13, epsrel=1e-12)
-        return value
+def mp_model(cfg: SystemConfig) -> MpModel:
+    """``cfg`` in mpmath at the working precision: the path-gain factor
+    eta = (c / f)^2 / (16 pi^2) in m^2, both users' noise powers in W, h^2,
+    X/2, and the separation's support lo, its half-width w, peak and hi."""
+    import mpmath
 
-    value, _ = quad(inner, 0.0, m4, limit=200, epsabs=1e-12, epsrel=1e-11)
-    return 4.0 / dx**2 * value
+    return _mp_model(cfg, mpmath.mp.prec)
+
+
+@lru_cache(maxsize=64)
+def _mp_model(cfg: SystemConfig, prec: int) -> MpModel:
+    import mpmath
+
+    mp = mpmath.mp
+    with mpmath.workprec(prec):
+        eta = (mp.mpf(SPEED_OF_LIGHT_M_S) / mp.mpf(cfg.carrier_freq_hz)) ** 2 / (16 * mp.pi**2)
+        dbm = (cfg.noise_power_dbm_ue1, cfg.noise_power_dbm_ue2)
+        noise = tuple(mp.mpf(10) ** ((mp.mpf(value) - 30) / 10) for value in dbm)
+        lo, w = 2 * mp.mpf(cfg.region_y_offset_m), mp.mpf(cfg.region_y_m)
+        h_sq, half = mp.mpf(cfg.pa_height_m) ** 2, mp.mpf(cfg.region_x_m) / 2
+        return MpModel(eta, noise, h_sq, half, lo, w, lo + w, lo + 2 * w)
+
+
+def mp_cap_root(gth, a, k_sq):
+    """The squared distance g at which the WDMA outage's cap
+    g (gamma_th - 1 + a g) / (1 - a g) on the squared separation reaches
+    ``k_sq``, with a = gamma_th b: the positive root of
+    a g^2 + (gamma_th - 1 + a k^2) g - k^2, in a form that does not cancel;
+    inf where the cap never reaches it (a = 0 and gamma_th <= 1)."""
+    import mpmath
+
+    linear = gth - 1 + a * k_sq
+    root = mpmath.sqrt(linear * linear + 4 * a * k_sq)
+    if linear > 0:
+        return 2 * k_sq / (linear + root)
+    return (root - linear) / (2 * a) if a else mpmath.inf
+
+
+def mp_wdma_outage(cfg: SystemConfig, power_w: float, user: int = 1, dps: int = 40):
+    """The WDMA outage of ``user`` as an mpmath number with ``dps`` digits;
+    at ``power_w`` = inf, without noise, the outage floor.
+
+    ``mp.quad`` over the x-offset s in [0, X/2] of the triangular CDF at the
+    separation threshold r(s) = sqrt(g (gamma_th - 1 + e) / (1 - e)), with
+    g = s^2 + h^2, e = gamma_th b g and b = 2 sigma^2 / (eta P), and of 1
+    where e >= 1. It is split where r crosses lo, the peak and hi, at the
+    roots of ``mp_cap_root``.
+    """
+    import mpmath
+
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        m = mp_model(cfg)
+        gth = mp.mpf(cfg.outage_threshold)
+        a = gth * 2 * m.noise[user - 1] / (m.eta * mp.mpf(power_w))  # e / g
+
+        def outage(s):
+            g = s * s + m.h_sq
+            if a * g >= 1:
+                return mp.mpf(1)
+            r = mp.sqrt(max(g * (gth - 1 + a * g) / (1 - a * g), 0))
+            if r <= m.lo:
+                return mp.mpf(0)
+            if r <= m.peak:
+                return (r - m.lo) ** 2 / (2 * m.w * m.w)
+            return 1 - (m.hi - r) ** 2 / (2 * m.w * m.w) if r <= m.hi else mp.mpf(1)
+
+        offsets = (mp_cap_root(gth, a, k * k) - m.h_sq for k in (m.lo, m.peak, m.hi))
+        breaks = {mp.mpf(0), m.half, *(mp.sqrt(t) for t in offsets if 0 < t < m.half**2)}
+        return mp.quad(outage, sorted(breaks)) / m.half
+
+
+def _mp_hat_log1p(p, r):
+    """int_0^p (p - t) ln(1 + r t^2) dt = p^2 phi(y), y = p sqrt(r), with
+    phi(y) = ln(1 + y^2) (y^2 - 1) / (2 y^2) - 3/2 + 2 arctan(y) / y. phi
+    cancels to y^2 / 12 as y falls, so it takes -2 log10(y) more digits."""
+    import mpmath
+
+    mp = mpmath.mp
+    if not (p and r):
+        return mp.mpf(0)
+    with mpmath.extradps(5 + max(0, int(-mp.log10(r * p * p)))):
+        y_sq = r * p * p
+        y = mp.sqrt(y_sq)
+        return p * p * (mp.log1p(y_sq) * (y_sq - 1) / (2 * y_sq) - mp.mpf(3) / 2 + 2 * mp.atan(y) / y)
+
+
+def _mp_log_mean(r, m: MpModel):
+    """E[ln(1 + r U^2)] over the triangular law of the separation U: the
+    second difference of ``_mp_hat_log1p`` over lo, the peak and hi, over
+    w^2."""
+    hat = [_mp_hat_log1p(p, r) for p in (m.lo, m.peak, m.hi)]
+    return (hat[0] - 2 * hat[1] + hat[2]) / (m.w * m.w)
+
+
+def mp_wdma_rate(cfg: SystemConfig, power_w: float, user: int = 1, dps: int = 40):
+    """The WDMA rate of ``user`` in bits/s/Hz as an mpmath number with
+    ``dps`` digits; at ``power_w`` = inf, without noise, the rate ceiling.
+
+    With the noise coefficient N = 2 sigma^2 / (eta P) and g = s^2 + h^2,
+    1 + sinr = (A1 + B1 u^2) / (A2 + B2 u^2), with A1 = g (2 + N g),
+    B1 = 1 + N g, A2 = g (1 + N g) and B2 = N g. So the separation mean of
+    ln(1 + sinr) is ln(A1 / A2) + E[ln(1 + r1 U^2)] - E[ln(1 + r2 U^2)],
+    r = B / A, each mean in closed form (``_mp_log_mean``). Where the rate is
+    small its terms cancel about log10(1 + N g) digits, and the second
+    differences 2 log10(hi / w), which the integrand's precision adds. One
+    ``mp.quad`` over the x-offset s in [0, X/2], split at h, 4h, 16h and 64h
+    inside it, where the integrand varies on the scale h of its branch
+    points s = +-ih.
+    """
+    import mpmath
+
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        m = mp_model(cfg)
+        n = 2 * m.noise[user - 1] / (m.eta * mp.mpf(power_w))
+        lost = int(mp.log10(1 + n * (m.h_sq + m.half**2)) + 2 * mp.log10(m.hi / m.w))
+
+        def nats(s):
+            with mpmath.extradps(10 + lost):
+                g = s * s + m.h_sq
+                n_g = n * g
+                return (mp.log((2 + n_g) / (1 + n_g)) + _mp_log_mean((1 + n_g) / (g * (2 + n_g)), m)
+                        - _mp_log_mean(n / (1 + n_g), m))
+
+        h = mp.sqrt(m.h_sq)
+        splits = [mp.mpf(0), *(k * h for k in (1, 4, 16, 64) if k * h < m.half), m.half]
+        return mp.quad(nats, splits) / m.half / mp.log(2)
+
+
+def mp_noma_outages(cfg: SystemConfig, power_w: float, radii=None, dps: int = 50):
+    """Both NOMA outages (near, far) as mpmath numbers with ``dps`` digits,
+    at the outage radii (c1, c2) of ``outage_radii_sq``: formed in mpmath at
+    ``power_w``, or the floats ``radii`` taken as exact, so that only the
+    rounding of the closed forms is measured.
+
+    The near user's x-offset t has the density 2 (c - t) / c^2 on [0, c],
+    c = X/2, so its outage P(t^2 > c1) is (1 - sqrt(c1) / c)^2. The far
+    user's squared x-offset m is uniform on [0, c^2], and it is out where
+    U > r = sqrt(c2 - m), or m >= c2. In r, dm = 2 r dr, so each piece of the
+    triangular law's tail integrates as a polynomial in r, a route apart from
+    the package's antiderivative in m.
+    """
+    import mpmath
+
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        m = mp_model(cfg)
+        if radii is None:
+            gth = mp.mpf(cfg.outage_threshold)
+            k1, k2 = (m.eta * mp.mpf(share) * mp.mpf(power_w)
+                      for share in (cfg.noma_alpha_near, cfg.noma_alpha_far))
+            radii = (k1 / (gth * m.noise[0]) - m.h_sq, (k2 / gth - k1) / m.noise[1] - m.h_sq)
+        c1, c2 = (mp.mpf(c) for c in radii)
+        c_sq = m.half**2
+        near = (1 - mp.sqrt(min(max(c1, 0), c_sq)) / m.half) ** 2
+
+        def squares(k, u, v):  # int_u^v 2 r (r - k)^2 dr
+            return sum(sign * (r**4 / 2 - 4 * k * r**3 / 3 + k * k * r * r) for sign, r in ((1, v), (-1, u)))
+
+        pieces = (
+            (0, m.lo, lambda u, v: v * v - u * u),
+            (m.lo, m.peak, lambda u, v: v * v - u * u - squares(m.lo, u, v) / (2 * m.w * m.w)),
+            (m.peak, m.hi, lambda u, v: squares(m.hi, u, v) / (2 * m.w * m.w)),
+        )
+        top, bottom = mp.sqrt(max(c2, 0)), mp.sqrt(max(c2 - c_sq, 0))
+        total = c_sq - min(max(c2, 0), c_sq)
+        for a, b, piece in pieces:
+            if max(a, bottom) < min(b, top):
+                total += piece(max(a, bottom), min(b, top))
+        return near, total / c_sq
+
+
+def mp_near_rate(cfg: SystemConfig, power_w: float, dps: int = 40):
+    """The NOMA near user's rate in bits/s/Hz as an mpmath number with
+    ``dps`` digits.
+
+    Its x-offset t has the density 2 (c - t) / c^2 on [0, c], c = X/2, so
+    with k = eta alpha_near P / sigma_1^2 and A = h^2 + k the rate is
+    (2 / c^2) int_0^c (c - t) ln((A + t^2) / (h^2 + t^2)) dt / ln 2 =
+    (ln(A / h^2) + 2 (phi(c / sqrt(A)) - phi(c / h))) / ln 2, with the phi
+    of ``_mp_hat_log1p``. The terms cancel about log10(1 + h^2 / k) digits
+    where the rate is small, and log10(1 + c / h) on regions long against
+    the antenna height, where the rate tends to 2 pi (sqrt(A) - h) / (c ln 2).
+    """
+    import mpmath
+
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        m = mp_model(cfg)
+        k = m.eta * mp.mpf(cfg.noma_alpha_near) * mp.mpf(power_w) / m.noise[0]
+        lost = int(mp.log10(1 + m.h_sq / k) + mp.log10(1 + m.half / mp.sqrt(m.h_sq)))
+        with mpmath.extradps(10 + lost):
+            a = m.h_sq + k
+            hats = _mp_hat_log1p(m.half, 1 / a) - _mp_hat_log1p(m.half, 1 / m.h_sq)
+            rate = (mp.log(a / m.h_sq) + 2 * hats / m.half**2) / mp.log(2)
+        return +rate
 
 
 def mp_far_rate(cfg: SystemConfig, power_w: float, dps: int = 40):
     """The far user's NOMA rate in bits/s/Hz as an mpmath number with
-    ``dps`` correct digits, in metres from the config fields.
+    ``dps`` correct digits.
 
     Its SINR is k2 / (k1 + h^2 + m + U^2), with k = eta * share * power /
     noise_ue2. The squared x-offset m is uniform on [0, C], C = (X/2)^2,
@@ -305,24 +488,16 @@ def mp_far_rate(cfg: SystemConfig, power_w: float, dps: int = 40):
     import mpmath
 
     mp = mpmath.mp
-
-    def model():
-        # k1 + k2, C, h^2, and the separation's support lo, w, hi
-        eta = (mp.mpf(SPEED_OF_LIGHT_M_S) / mp.mpf(cfg.carrier_freq_hz)) ** 2 / (16 * mp.pi**2)
-        noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue2) - 30) / 10)
-        lo, w = 2 * mp.mpf(cfg.region_y_offset_m), mp.mpf(cfg.region_y_m)
-        return (eta * mp.mpf(power_w) / noise, (mp.mpf(cfg.region_x_m) / 2) ** 2,
-                mp.mpf(cfg.pa_height_m) ** 2, lo, w, lo + 2 * w)
-
     with mpmath.workdps(dps):
-        snr, c, h_sq, _, _, hi = model()
-        top = snr + h_sq + c + hi * hi
+        m = mp_model(cfg)
+        snr, c = m.eta * mp.mpf(power_w) / m.noise[1], m.half**2
+        top = snr + m.h_sq + c + m.hi * m.hi
         lost = mp.log10(top * top * (1 + abs(mp.log(top))) / (snr * mp.mpf(cfg.noma_alpha_far) * c))
     with mpmath.workdps(dps + max(0, int(mp.ceil(lost)))):
-        snr, c, h_sq, lo, w, hi = model()
-        a1 = mp.mpf(cfg.noma_alpha_near) * snr + h_sq
+        m = mp_model(cfg)
+        snr, c = m.eta * mp.mpf(power_w) / m.noise[1], m.half**2
+        a1 = mp.mpf(cfg.noma_alpha_near) * snr + m.h_sq
         a2 = a1 + mp.mpf(cfg.noma_alpha_far) * snr
-        peak = lo + w
 
         def lam(x):
             return (x + c) * mp.log(x + c) - x * mp.log(x)
@@ -333,42 +508,11 @@ def mp_far_rate(cfg: SystemConfig, power_w: float, dps: int = 40):
         # the integrand varies on the scales sqrt(a) of its branch points
         # +-i sqrt(a), which can lie decades below the sub-region depth
         scales = sorted({mp.sqrt(a) for a in (a1, a1 + c, a2, a2 + c)})
-        rise = mp.quad(lambda u: (u - lo) * excess(u), _splits(lo, peak, scales))
-        fall = mp.quad(lambda u: (hi - u) * excess(u), _splits(peak, hi, scales))
-        rate = (rise + fall) / (w * w) / (c * mp.log(2))
+        rise = mp.quad(lambda u: (u - m.lo) * excess(u), _splits(m.lo, m.peak, scales))
+        fall = mp.quad(lambda u: (m.hi - u) * excess(u), _splits(m.peak, m.hi, scales))
+        rate = (rise + fall) / (m.w * m.w) / (c * mp.log(2))
     with mpmath.workdps(dps):
         return +rate
-
-
-def mp_rate_ceiling(cfg: SystemConfig, dps: int = 30):
-    """The WDMA rate ceiling in bits/s/Hz as an mpmath number with ``dps``
-    digits, in metres from the config fields.
-
-    Without noise the SINR is (g + u^2) / g, g = s^2 + h^2, so the ceiling
-    is 1 + E[ln(1 + U^2 / (2g))] / ln 2 over the x-offset s, uniform on
-    [0, X/2], and the triangular separation U on [lo, lo + 2w],
-    lo = 2 * offset and w the sub-region depth. A nested ``mp.quad``: the
-    outer over s, split at h, 4h, 16h and 64h inside (0, X/2), where the
-    integrand varies on the scale h of its branch points s = +-ih, the
-    inner on either side of the separation's peak.
-    """
-    import mpmath
-
-    mp = mpmath.mp
-    with mpmath.workdps(dps):
-        h = mp.mpf(cfg.pa_height_m)
-        half = mp.mpf(cfg.region_x_m) / 2
-        lo, w = 2 * mp.mpf(cfg.region_y_offset_m), mp.mpf(cfg.region_y_m)
-        peak, hi = lo + w, lo + 2 * w
-
-        def excess(s):
-            two_g = 2 * (s * s + h * h)
-            rise = mp.quad(lambda u: (u - lo) * mp.log1p(u * u / two_g), [lo, peak])
-            fall = mp.quad(lambda u: (hi - u) * mp.log1p(u * u / two_g), [peak, hi])
-            return (rise + fall) / (w * w)
-
-        mean = mp.quad(excess, [mp.mpf(0), *(k * h for k in (1, 4, 16, 64) if k * h < half), half])
-        return 1 + mean / half / mp.log(2)
 
 
 def near_rate_series(cfg: SystemConfig, power_w: float, dps: int = 30):
@@ -396,10 +540,9 @@ def near_rate_series(cfg: SystemConfig, power_w: float, dps: int = 30):
 
     mp = mpmath.mp
     with mpmath.workdps(dps):
-        eta = (mp.mpf(SPEED_OF_LIGHT_M_S) / cfg.carrier_freq_hz) ** 2 / (16 * mp.pi**2)
-        noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue1) - 30) / 10)
-        k = eta * mp.mpf(cfg.noma_alpha_near) * mp.mpf(power_w) / noise
-        h, c = mp.mpf(cfg.pa_height_m), mp.mpf(cfg.region_x_m) / 2
+        m = mp_model(cfg)
+        k = m.eta * mp.mpf(cfg.noma_alpha_near) * mp.mpf(power_w) / m.noise[0]
+        h, c = mp.sqrt(m.h_sq), m.half
         mean_1 = 2 / c * (mp.atan(c / h) / h - mp.log1p((c / h) ** 2) / (2 * c))
         mean_2 = mp.atan(c / h) / (c * h**3)
         rate = (k * mean_1 - k * k * mean_2 / 2) / mp.log(2)
@@ -419,58 +562,6 @@ def _splits(lo, hi, scales):
             step /= 2
             points.add(lo + step)
     return [lo, *sorted(points), hi]
-
-
-def interval_integral(f, a: float, b: float, n_nodes: int) -> float:
-    """int_a^b f(x) dx by the Chebyshev rule through the affine map onto [-1, 1]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    rule = chebyshev_rule(n_nodes)
-    vals = np.broadcast_to(f(half * rule.nodes + mid), rule.nodes.shape)
-    return half * float(rule.weights @ vals)
-
-
-def wdma_rate_nested(cfg: SystemConfig, power_w: float, n_nodes: int, user: int = 1) -> float:
-    """WDMA rate by nested Chebyshev quadrature over the translated separation density."""
-    dc = derive_constants(cfg)
-    b_noise = 2.0 * dc.noise(user) / (dc.eta_m2 * power_w)
-    dist = diff_distribution(cfg)
-    half = 0.5 * cfg.region_x_m
-
-    def inner(x):
-        g = g_axis(x, cfg)
-        a = 2.0 * g + b_noise * g**2
-        b = 1.0 + b_noise * g
-        c = g + b_noise * g**2
-        d = b_noise * g
-
-        def f(u):
-            u = np.asarray(u)
-            return np.log((a + b * u**2) / (c + d * u**2)) * diff_pdf(u, dist)
-
-        # split at the density peak where the triangular kink sits
-        return interval_integral(f, dist.support_lo, dist.peak, n_nodes) + interval_integral(
-            f, dist.peak, dist.support_hi, n_nodes
-        )
-
-    rule = chebyshev_rule(n_nodes)
-    outer = np.asarray([inner(xi) for xi in half * (rule.nodes + 1.0)])
-    return 0.5 * float(rule.weights @ outer) / math.log(2.0)
-
-
-def noma_outage_far_nested(cfg: SystemConfig, power_w: float, n_nodes: int) -> float:
-    """Far-user outage by integrating the conditional tail over the squared x-offset."""
-    _, c2 = outage_radii_sq(cfg, power_w)
-    dist = diff_distribution(cfg)
-    m4 = (0.5 * cfg.region_x_m) ** 2
-
-    def conditional(m):
-        m = np.asarray(m)
-        radius = np.sqrt(np.clip(c2 - m, 0.0, None))
-        return 1.0 - diff_cdf(radius, dist)
-
-    value = 4.0 / cfg.region_x_m**2 * interval_integral(conditional, 0.0, m4, n_nodes)
-    return min(max(value, 0.0), 1.0)
 
 
 def sinr_trials(

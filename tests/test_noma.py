@@ -20,16 +20,15 @@ from passperf import (
     snr_db_to_power_w,
 )
 from passperf.geometry import expected_log_excess
-from passperf.config import SPEED_OF_LIGHT_M_S
 from passperf.sweep import omega_two
 
 from oracles import (
     diff_distribution,
-    far_outage_trapezoid,
     mp_far_rate,
+    mp_model,
+    mp_near_rate,
+    mp_noma_outages,
     near_pdf,
-    noma_outage_far_nested,
-    noma_rate_far_quad2d,
     outage_radii_sq,
     random_config,
     random_offset_config,
@@ -158,23 +157,21 @@ def test_near_outage_continuity_at_branch_edges():
 def test_near_outage_keeps_its_relative_accuracy_near_zero():
     # expanded, (1 - 2 sqrt(c1)/X)^2 cancels O(1) terms down to the outage:
     # 1 - 4 sqrt(c1)/X + 4 c1/X^2 was 5e-4 relative off at an outage of 4.6e-13
-    mpmath = pytest.importorskip("mpmath")
+    pytest.importorskip("mpmath")
     dc = derive_constants(CFG)
     half_x = 0.5 * CFG.region_x_m
-    with mpmath.workdps(50):
-        for target in (10.0 ** -np.arange(7, 16)).tolist():
-            c1_target = ((1.0 - math.sqrt(target)) * half_x) ** 2
-            power = (
-                CFG.outage_threshold
-                * dc.noise_w_ue1
-                * (c1_target + CFG.pa_height_m**2)
-                / (dc.eta_m2 * CFG.noma_alpha_near)
-            )
-            # the 50-digit value from the same float c1 as the package's
-            c1 = mpmath.mpf(outage_radii_sq(CFG, power)[0])
-            exact = (1 - mpmath.sqrt(c1) / half_x) ** 2
-            assert 0.5 * target < exact < 2.0 * target
-            assert abs(noma_outage_near(CFG, power) - exact) <= 1e-8 * exact, target
+    for target in (10.0 ** -np.arange(7, 16)).tolist():
+        c1_target = ((1.0 - math.sqrt(target)) * half_x) ** 2
+        power = (
+            CFG.outage_threshold
+            * dc.noise_w_ue1
+            * (c1_target + CFG.pa_height_m**2)
+            / (dc.eta_m2 * CFG.noma_alpha_near)
+        )
+        # the 50-digit value from the same float c1 as the package's
+        exact, _ = mp_noma_outages(CFG, power, radii=outage_radii_sq(CFG, power))
+        assert 0.5 * target < exact < 2.0 * target
+        assert abs(noma_outage_near(CFG, power) - exact) <= 1e-8 * exact, target
 
 
 @pytest.mark.parametrize("snr_db", [90.0, 93.0, 95.0, 96.5, 97.0])
@@ -183,38 +180,6 @@ def test_near_outage_matches_monte_carlo(snr_db):
     analytic = noma_outage_near(CFG, power)
     [[value]], [[std_error]] = mc_cell_estimates(100_000, 12345, [("noma", 1, "outage")], CFG, [power])
     assert abs(analytic - value) <= 3 * max(std_error, 1e-12) + 1e-9
-
-
-def _mp_outages(cfg, power_w, mp):
-    """Both NOMA outage closed forms at the working precision of ``mp``. They
-    start from float c1 and c2 at ``power_w``, computed in metres from the
-    config fields, so only the rounding of the closed forms themselves is
-    measured."""
-    c1, c2 = (mp.mpf(c) for c in outage_radii_sq(cfg, power_w))
-    dx, w, lo = mp.mpf(cfg.region_x_m), mp.mpf(cfg.region_y_m), 2 * mp.mpf(cfg.region_y_offset_m)
-    hi, peak, m4 = lo + 2 * w, lo + w, (dx / 2) ** 2
-    if c1 <= 0:
-        near = mp.mpf(1)
-    elif c1 >= m4:
-        near = mp.mpf(0)
-    else:
-        near = 1 - 4 * mp.sqrt(c1) / dx + 4 * c1 / dx**2
-    if c2 <= lo**2:
-        return near, mp.mpf(1)
-    if c2 >= m4 + hi**2:
-        return near, mp.mpf(0)
-    m1, m2, m3 = (min(max(c2 - b**2, 0), m4) for b in (hi, peak, lo))
-
-    def radial(m, centre):
-        return c2 * m - m**2 / 2 + 4 * centre / 3 * (c2 - m) ** mp.mpf(1.5) + centre**2 * m
-
-    total = (
-        (radial(m2, hi) - radial(m1, hi)) / (2 * w**2)
-        + (m3 - m2)
-        - (radial(m3, lo) - radial(m2, lo)) / (2 * w**2)
-        + (m4 - m3)
-    )
-    return near, min(max(4 / dx**2 * total, 0), 1)
 
 
 def test_outage_closed_forms_round_within_bounds_of_a_50_digit_evaluation():
@@ -229,28 +194,28 @@ def test_outage_closed_forms_round_within_bounds_of_a_50_digit_evaluation():
     drawn = [random_config(rng) if i % 2 == 0 else random_offset_config(rng) for i in range(8)]
 
     def max_error(cfg, metric, zero_w, user):
+        # from the same float radii as the package's
         powers = np.geomspace(1e-3, 1.0, 400) * zero_w
-        return max(
-            abs(float(mpmath.mpf(value) - _mp_outages(cfg, power, mpmath.mp)[user - 1]))
-            for power, value in zip(powers.tolist(), metric(cfg, powers).tolist())
-        )
+        references = (mp_noma_outages(cfg, power, radii=outage_radii_sq(cfg, power))[user - 1]
+                      for power in powers.tolist())
+        return max(abs(float(mpmath.mpf(value) - reference))
+                   for value, reference in zip(metric(cfg, powers).tolist(), references))
 
-    with mpmath.workdps(50):
-        for index, cfg in enumerate(named + drawn):
-            near_w, far_w = noma_zero_outage_thresholds(cfg)
-            assert max_error(cfg, noma_outage_near, near_w, 1) <= 4e-15
-            if far_w is None:
-                continue
-            far_error = max_error(cfg, noma_outage_far, far_w, 2)
-            if index < len(named):
-                assert far_error <= 5e-13
-            # near full coverage the far closed form cancels terms as large
-            # as (2/3) hi (m4 + hi^2)^1.5 / (w^2 m4); its rounding error
-            # scales with them, not with the outage
-            hi = 2.0 * (cfg.region_y_offset_m + cfg.region_y_m)
-            m4 = (0.5 * cfg.region_x_m) ** 2
-            largest_term = 2.0 / 3.0 * hi * (m4 + hi**2) ** 1.5 / (cfg.region_y_m**2 * m4)
-            assert far_error <= 4.0 * np.finfo(float).eps * largest_term
+    for index, cfg in enumerate(named + drawn):
+        near_w, far_w = noma_zero_outage_thresholds(cfg)
+        assert max_error(cfg, noma_outage_near, near_w, 1) <= 4e-15
+        if far_w is None:
+            continue
+        far_error = max_error(cfg, noma_outage_far, far_w, 2)
+        if index < len(named):
+            assert far_error <= 5e-13
+        # near full coverage the far closed form cancels terms as large
+        # as (2/3) hi (m4 + hi^2)^1.5 / (w^2 m4); its rounding error
+        # scales with them, not with the outage
+        hi = 2.0 * (cfg.region_y_offset_m + cfg.region_y_m)
+        m4 = (0.5 * cfg.region_x_m) ** 2
+        largest_term = 2.0 / 3.0 * hi * (m4 + hi**2) ** 1.5 / (cfg.region_y_m**2 * m4)
+        assert far_error <= 4.0 * np.finfo(float).eps * largest_term
 
 
 def test_far_outage_certain_when_threshold_exceeds_power_split_cap():
@@ -277,26 +242,27 @@ def test_far_outage_matches_monte_carlo(snr_db):
     assert abs(analytic - value) <= 3 * max(std_error, 1e-12) + 1e-9
 
 
-def test_far_outage_matches_dense_trapezoid():
-    rng = np.random.default_rng(31)
-    for _ in range(5):
+@pytest.mark.parametrize("seed, draws", [(31, 5), (32, 10)])
+def test_far_outage_matches_mpmath_on_drawn_configs(seed, draws):
+    # within 4e-14 on these draws: the closed form cancels terms near full coverage
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
         cfg = random_config(rng)
         _, far_w = noma_zero_outage_thresholds(cfg)
         assert far_w is not None
         power = rng.uniform(0.1, 0.95) * far_w
-        assert noma_outage_far(cfg, power) == pytest.approx(
-            far_outage_trapezoid(cfg, power), abs=1e-6
-        )
+        assert abs(noma_outage_far(cfg, power) - mp_noma_outages(cfg, power)[1]) <= 1e-12
 
 
-def test_offset_layout_far_user_matches_oracles():
+def test_offset_layout_far_user_matches_mpmath():
+    pytest.importorskip("mpmath")
     rng = np.random.default_rng(43)
     for _ in range(6):
         cfg = random_offset_config(rng)
         power = snr_db_to_power_w(CFG, rng.uniform(85.0, 160.0))
-        assert noma_rate_far(cfg, power) == pytest.approx(
-            noma_rate_far_quad2d(cfg, power), rel=5e-9, abs=1e-12
-        )
+        reference = mp_far_rate(cfg, power)
+        assert abs(noma_rate_far(cfg, power) - reference) <= 1e-12 * reference
         # place the outage radius inside the range where the outage moves
         lo = 2.0 * cfg.region_y_offset_m
         hi = lo + 2.0 * cfg.region_y_m
@@ -310,19 +276,7 @@ def test_offset_layout_far_user_matches_oracles():
         if kappa <= 0.0:
             continue
         power = (c2 + cfg.pa_height_m**2) / kappa
-        assert noma_outage_far(cfg, power) == pytest.approx(
-            far_outage_trapezoid(cfg, power), abs=1e-6
-        )
-
-
-def test_far_outage_closed_form_equals_quadrature_path():
-    rng = np.random.default_rng(32)
-    for _ in range(10):
-        cfg = random_config(rng)
-        _, far_w = noma_zero_outage_thresholds(cfg)
-        power = rng.uniform(0.1, 0.95) * far_w
-        closed = noma_outage_far(cfg, power)
-        assert noma_outage_far_nested(cfg, power, 64) == pytest.approx(closed, abs=2e-7)
+        assert abs(noma_outage_far(cfg, power) - mp_noma_outages(cfg, power)[1]) <= 1e-12
 
 
 def test_far_outage_continuous_across_breakpoint_activations():
@@ -380,19 +334,6 @@ def test_near_rate_keeps_full_precision_at_high_snr():
         assert noma_rate_near(cfg, power) == pytest.approx(oracle, rel=1e-12)
 
 
-def _mp_near_rate(cfg, power_w, mp):
-    """The near user's average rate at the working precision of ``mp``, in
-    metres from the config fields: the mean of log2(1 + k / (h^2 + t^2))
-    over its x-offset t from the centre, of density (2/c)(1 - t/c) on [0, c]
-    with c = region_x_m / 2, split at t = h where the region is longer."""
-    eta = (mp.mpf(SPEED_OF_LIGHT_M_S) / cfg.carrier_freq_hz) ** 2 / (16 * mp.pi**2)
-    noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue1) - 30) / 10)
-    k = eta * mp.mpf(cfg.noma_alpha_near) * mp.mpf(power_w) / noise
-    h, c = mp.mpf(cfg.pa_height_m), mp.mpf(cfg.region_x_m) / 2
-    points = [0, h, c] if h < c else [0, c]
-    return mp.quad(lambda t: mp.log(1 + k / (h * h + t * t), 2) * 2 / c * (1 - t / c), points)
-
-
 @pytest.mark.parametrize(
     "overrides",
     [{}, {"noma_alpha_near": 0.2, "noma_alpha_far": 0.8},
@@ -404,31 +345,24 @@ def test_near_rate_matches_a_40_digit_evaluation_from_minus_50_db(overrides):
     # the rate is the positive kernel's T at one point, so it keeps its
     # relative accuracy where it is tiny (4.4e-14 bits/s/Hz at -50 dB on the
     # default config)
-    mpmath = pytest.importorskip("mpmath")
+    pytest.importorskip("mpmath")
     cfg = SystemConfig(**overrides)
     snrs_db = np.arange(-50.0, 401.0, 10.0)
     powers = np.array([power_at(snr_db, cfg) for snr_db in snrs_db])
-    with mpmath.workdps(40):
-        for power, value in zip(powers.tolist(), noma_rate_near(cfg, powers).tolist()):
-            reference = _mp_near_rate(cfg, power, mpmath.mp)
-            assert abs(mpmath.mpf(value) - reference) <= 1e-12 * reference, (power, value)
+    for power, value in zip(powers.tolist(), noma_rate_near(cfg, powers).tolist()):
+        reference = mp_near_rate(cfg, power)
+        assert abs(value - reference) <= 1e-12 * reference, (power, value)
 
 
 def test_near_rate_keeps_its_value_on_a_region_1e150_m_long():
     # c = X/2 is ~1e150 antenna heights: the rate is
     # (2/c) int_0^inf ln(1 + k / (h^2 + t^2)) dt = (2 pi / c)(sqrt(h^2 + k) - h)
     # less terms of relative order h / c and sqrt(k) / c, ~1e-150, over ln 2
-    mpmath = pytest.importorskip("mpmath")
+    pytest.importorskip("mpmath")
     cfg = SystemConfig(region_x_m=1e150)
-    mp = mpmath.mp
     power = power_at(90.0, cfg)
-    with mpmath.workdps(30):
-        eta = (mp.mpf(SPEED_OF_LIGHT_M_S) / cfg.carrier_freq_hz) ** 2 / (16 * mp.pi**2)
-        noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue1) - 30) / 10)
-        k = eta * mp.mpf(cfg.noma_alpha_near) * mp.mpf(power) / noise
-        h, c = mp.mpf(cfg.pa_height_m), mp.mpf(cfg.region_x_m) / 2
-        reference = 2 * mp.pi / c * k / (mp.sqrt(h * h + k) + h) / mp.log(2)
-        assert abs(noma_rate_near(cfg, power) - reference) <= 1e-12 * reference
+    reference = mp_near_rate(cfg, power)
+    assert abs(noma_rate_near(cfg, power) - reference) <= 1e-12 * reference
 
 
 def test_near_rate_full_multiplexing_gain():
@@ -465,14 +399,14 @@ def test_far_rate_matches_monte_carlo(snr_db):
     assert abs(analytic - value) <= max(3 * std_error, 0.01 * analytic)
 
 
-def test_far_rate_matches_nested_quadrature():
+def test_far_rate_matches_mpmath_on_drawn_configs():
+    pytest.importorskip("mpmath")
     rng = np.random.default_rng(33)
     for _ in range(5):
         cfg = random_config(rng)
         power = snr_db_to_power_w(CFG, rng.uniform(90.0, 125.0))
-        assert noma_rate_far(cfg, power) == pytest.approx(
-            noma_rate_far_quad2d(cfg, power), rel=1e-6
-        )
+        reference = mp_far_rate(cfg, power)
+        assert abs(noma_rate_far(cfg, power) - reference) <= 1e-12 * reference
 
 
 _EVERY_SNR_DB = [-50.0, -20.0, 20.0, 60.0, 100.0, 160.0, 400.0]
@@ -557,18 +491,17 @@ def test_far_rate_keeps_its_value_where_the_squared_lengths_are_tiny():
     # a 1e150 m antenna: the region's squared lengths and the SNR
     # coefficients are ~1e-298 in reduced units, and the rate ~1e-297. The
     # region and the far share's SNR coefficient k2 are so small against h^2
-    # that the rate is k2 / ((k1 + h^2) ln 2) to ~1e-296 relative.
+    # that the rate is k2 / ((k1 + h^2) ln 2) to ~1e-296 relative, a limit
+    # that mp_far_rate would reach only at ~600 digits.
     mpmath = pytest.importorskip("mpmath")
     cfg = SystemConfig(pa_height_m=1e150)
-    mp = mpmath.mp
     with mpmath.workdps(30):
-        eta = (mp.mpf(SPEED_OF_LIGHT_M_S) / cfg.carrier_freq_hz) ** 2 / (16 * mp.pi**2)
-        noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue2) - 30) / 10)
+        m = mp_model(cfg)
         for snr_db in (90.0, 150.0, 400.0):
             power = power_at(snr_db, cfg)
-            k1, k2 = (eta * mp.mpf(share) * mp.mpf(power) / noise
+            k1, k2 = (m.eta * share * power / m.noise[1]
                       for share in (cfg.noma_alpha_near, cfg.noma_alpha_far))
-            reference = k2 / ((k1 + mp.mpf(cfg.pa_height_m) ** 2) * mp.log(2))
+            reference = k2 / ((k1 + m.h_sq) * mpmath.log(2))
             assert abs(noma_rate_far(cfg, power) - reference) <= 1e-12 * reference
 
 

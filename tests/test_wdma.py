@@ -25,10 +25,11 @@ from passperf.sweep import omega_one, omega_two
 
 from oracles import (
     g_axis,
-    mp_rate_ceiling,
+    mp_cap_root,
+    mp_wdma_outage,
+    mp_wdma_rate,
     random_config,
     random_offset_config,
-    wdma_rate_nested,
     wdma_rate_quad2d,
 )
 
@@ -183,22 +184,17 @@ def test_monotone_in_power_with_floor_and_ceiling_domination():
     assert ceiling - rates[-1] < ceiling - rates[0]
 
 
-def test_closed_form_equals_quadrature_path_at_zero_offset():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        cfg = random_config(rng)
-        power = snr_db_to_power_w(CFG, rng.uniform(85.0, 135.0))
-        closed = wdma_avg_rate(cfg, power)
-        quadrature = wdma_rate_nested(cfg, power, 64)
-        assert closed == pytest.approx(quadrature, rel=1e-6)
-
-
-def test_offset_layout_rate_matches_scipy_oracle():
-    rng = np.random.default_rng(41)
-    for _ in range(6):
-        cfg = random_offset_config(rng)
-        power = snr_db_to_power_w(CFG, rng.uniform(85.0, 160.0))
-        for user in (1, 2):
+@pytest.mark.parametrize(
+    "seed, draw_config, draws, snrs_db, users",
+    [(8, random_config, 10, (85.0, 135.0), (1,)), (41, random_offset_config, 6, (85.0, 160.0), (1, 2))],
+    ids=["adjacent", "offset"],
+)
+def test_rate_matches_the_scipy_oracle_on_drawn_configs(seed, draw_config, draws, snrs_db, users):
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        cfg = draw_config(rng)
+        power = snr_db_to_power_w(CFG, rng.uniform(*snrs_db))
+        for user in users:
             assert wdma_avg_rate(cfg, power, user=user) == pytest.approx(
                 wdma_rate_quad2d(cfg, power, user), rel=5e-9, abs=1e-12
             )
@@ -269,38 +265,22 @@ FLOOR_EXAMPLES = {
         outage_threshold=4.980950697544387,
     ),
 }
-# Floor examples that still miss the 1e-13 bound, with the reason
+# Floor examples that still miss the 1e-13 bound, and outage examples that
+# miss 1e-12, with the reason
 FLOOR_MISSES = {
     "short_region": "ROADMAP item 4: the floor is 9.7e-8 relative off, the cube of its lo "
     "crossing's half-ulp rounding 113 ulps inside the region edge",
 }
+OUTAGE_MISSES = {
+    "edge_crossing": "ROADMAP item 4: 1.3e-12 relative off at 200 dB, where the segment "
+    "integrand (r - lo)^2 cancels as r barely passes lo",
+}
 
 
-def _mp_floor(cfg, mp):
-    """The outage floor at 40 digits: mp.quad of the triangular CDF at the
-    separation threshold r(s) = sqrt((gamma_th - 1)(s^2 + h^2)) over the
-    x-offset s in [0, X/2], split where r crosses lo, the peak and hi. It
-    takes the reduced model's doubles as exact, so that it measures the
-    closed form and not the rounding of the reduction."""
-    model = derive_constants(cfg)
-    with mp.workdps(40):
-        a = mp.mpf(cfg.outage_threshold) - 1
-        if a <= 0:
-            return mp.mpf(0)
-        h_sq, half, w = mp.mpf(model.pa_height_sq), mp.mpf(model.region_x) / 2, mp.mpf(model.half_width)
-        lo, peak, hi = (mp.mpf(k) for k in (model.support_lo, model.peak, model.support_hi))
-
-        def outage(s):
-            r = mp.sqrt(a * (s * s + h_sq))
-            if r <= lo:
-                return mp.mpf(0)
-            if r <= peak:
-                return (r - lo) ** 2 / (2 * w * w)
-            return 1 - (hi - r) ** 2 / (2 * w * w) if r <= hi else mp.mpf(1)
-
-        roots = (mp.sqrt(k * k / a - h_sq) for k in (lo, peak, hi) if k * k / a > h_sq)
-        breaks = sorted({mp.mpf(0), half, *(s for s in roots if s < half)})
-        return mp.quad(outage, breaks) / half
+def _known_misses(names, misses):
+    """``names`` as parameters, each name in ``misses`` a strict xfail with its reason."""
+    return [pytest.param(name, id=name, marks=[pytest.mark.xfail(strict=True, reason=misses[name])]
+                         if name in misses else []) for name in names]
 
 
 @st.composite
@@ -324,40 +304,29 @@ def floor_configs(draw):
 
 
 def _assert_floor_matches_reference(cfg):
-    mp = pytest.importorskip("mpmath").mp
-    reference = _mp_floor(cfg, mp)
+    # the outage reference without noise, in metres from the config fields
+    pytest.importorskip("mpmath")
+    reference = mp_wdma_outage(cfg, math.inf)
     floor = wdma_outage_floor(cfg)
     if reference in (0, 1):  # no segment is live, and the floor is exact
         assert floor == reference
     assert abs(floor - reference) <= 1e-13 * reference, (floor, reference)
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        pytest.param(cfg, id=name, marks=[pytest.mark.xfail(strict=True, reason=FLOOR_MISSES[name])]
-                     if name in FLOOR_MISSES else [])
-        for name, cfg in FLOOR_EXAMPLES.items()
-    ],
-)
-def test_floor_examples_match_a_40_digit_mpmath_reference(cfg):
-    _assert_floor_matches_reference(cfg)
+@pytest.mark.parametrize("name", _known_misses(FLOOR_EXAMPLES, FLOOR_MISSES))
+def test_floor_examples_match_a_40_digit_mpmath_reference(name):
+    _assert_floor_matches_reference(FLOOR_EXAMPLES[name])
 
 
 def _mp_crossings(gth, b_noise, model, mp):
     """The crossings of ``wdma._crossings`` at 40 digits: the x-offsets
-    sqrt(g - h^2), capped at X/2, of the positive roots g of gamma_th b g^2
-    + (gamma_th - 1 + k^2 gamma_th b) g - k^2 for k = lo, peak, hi. It takes
-    the reduced model's doubles and ``b_noise`` as exact."""
+    sqrt(g - h^2), capped at X/2, of the roots g of ``mp_cap_root`` for
+    k = lo, peak, hi. It takes the reduced model's doubles and ``b_noise``
+    as exact."""
     with mp.workdps(40):
-        gth, b, h_sq = mp.mpf(gth), mp.mpf(b_noise), mp.mpf(model.pa_height_sq)
-        crossings = []
-        for k in (model.support_lo, model.peak, model.support_hi):
-            k_sq, a = mp.mpf(k) ** 2, gth * b
-            linear = gth - 1 + k_sq * a
-            g = k_sq / linear if a == 0 else (mp.sqrt(linear**2 + 4 * a * k_sq) - linear) / (2 * a)
-            crossings.append(min(mp.sqrt(max(g - h_sq, 0)), mp.mpf(model.region_x) / 2))
-        return crossings
+        gth, h_sq = mp.mpf(gth), mp.mpf(model.pa_height_sq)
+        return [min(mp.sqrt(max(mp_cap_root(gth, gth * mp.mpf(b_noise), mp.mpf(k) ** 2) - h_sq, 0)),
+                    mp.mpf(model.region_x) / 2) for k in (model.support_lo, model.peak, model.support_hi)]
 
 
 @pytest.mark.parametrize("name", FLOOR_EXAMPLES)
@@ -418,51 +387,11 @@ def test_outage_floor_is_evaluated_once_per_config(cfg, monkeypatch):
     assert np.hstack(got).tobytes() == np.hstack(expected + expected[-1:] * 2).tobytes()
 
 
-def _mp_outage(cfg, power_w, mp):
-    """The WDMA outage of user 1 at 40 digits, in metres from the config
-    fields: mp.quad over the x-offset s in [0, X/2] of the triangular CDF at the
-    separation threshold r(s) = sqrt(g (gamma_th - 1 + e) / (1 - e)), with
-    g = s^2 + h^2, e = gamma_th b g and b = 2 sigma^2 / (eta P), and of 1
-    where e >= 1. It is split where r crosses lo, the peak and hi, at the
-    positive roots g of gamma_th b g^2 + (gamma_th - 1 + k^2 gamma_th b) g -
-    k^2 = 0. eta and sigma^2 are formed in mpmath from the fields, and the
-    power P in watts is taken as exact."""
-    with mp.workdps(40):
-        freq = mp.mpf(cfg.carrier_freq_hz)
-        eta = mp.mpf(SPEED_OF_LIGHT_M_S) ** 2 / (16 * mp.pi**2 * freq**2)
-        noise = mp.mpf(10) ** ((mp.mpf(cfg.noise_power_dbm_ue1) - 30) / 10)
-        gth = mp.mpf(cfg.outage_threshold)
-        a = gth * 2 * noise / (eta * mp.mpf(power_w))  # e / g
-        h_sq, half, w = mp.mpf(cfg.pa_height_m) ** 2, mp.mpf(cfg.region_x_m) / 2, mp.mpf(cfg.region_y_m)
-        lo = 2 * mp.mpf(cfg.region_y_offset_m)
-        peak, hi = lo + w, lo + 2 * w
-
-        def outage(s):
-            g = s * s + h_sq
-            if a * g >= 1:
-                return mp.mpf(1)
-            r = mp.sqrt(max(g * (gth - 1 + a * g) / (1 - a * g), 0))
-            if r <= lo:
-                return mp.mpf(0)
-            if r <= peak:
-                return (r - lo) ** 2 / (2 * w * w)
-            return 1 - (hi - r) ** 2 / (2 * w * w) if r <= hi else mp.mpf(1)
-
-        breaks = {mp.mpf(0), half}
-        for k in (lo, peak, hi):
-            b = gth - 1 + k * k * a
-            root = mp.sqrt(b * b + 4 * a * k * k)
-            g = 2 * k * k / (b + root) if b > 0 else (root - b) / (2 * a)
-            if h_sq < g < h_sq + half * half:
-                breaks.add(mp.sqrt(g - h_sq))
-        return mp.quad(outage, sorted(breaks)) / half
-
-
 def _assert_outage_matches_reference(cfg, powers):
-    mp = pytest.importorskip("mpmath").mp
+    pytest.importorskip("mpmath")
     values = wdma_outage(cfg, np.array(powers))
     for power, value in zip(powers, values.tolist()):
-        reference = _mp_outage(cfg, power, mp)
+        reference = mp_wdma_outage(cfg, power)
         assert abs(value - reference) <= max(1e-12 * reference, 1e-300), (power, value, reference)
 
 
@@ -474,10 +403,11 @@ MP_OUTAGE_EXAMPLES = {
     "omega_two_threshold_40": (KINKED_FLOOR_CONFIGS["omega_two_threshold_40"], [95.0, 100.0, 110.0]),
     "far_offset": (FLOOR_EXAMPLES["far_offset"], [105.0, 120.0, 250.0]),
     "threshold_0.5": (FLOOR_EXAMPLES["threshold_0.5"], [72.0, 75.0, 78.0]),
+    "edge_crossing": (FLOOR_EXAMPLES["edge_crossing"], [200.0]),
 }
 
 
-@pytest.mark.parametrize("name", MP_OUTAGE_EXAMPLES)
+@pytest.mark.parametrize("name", _known_misses(MP_OUTAGE_EXAMPLES, OUTAGE_MISSES))
 def test_outage_examples_match_a_40_digit_mpmath_reference(name):
     cfg, snrs_db = MP_OUTAGE_EXAMPLES[name]
     _assert_outage_matches_reference(cfg, power_at(list(snrs_db), cfg))
@@ -586,72 +516,69 @@ def test_mirrored_integrals_equal_the_full_node_evaluation_bitwise(cfg, n_nodes,
         assert got.tobytes() == expected.tobytes()
 
 
-# wdma_avg_rate of user 1 to 25 digits, per config and transmit SNR in dB
+# wdma_avg_rate of user 1 to 25 digits, per config and transmit SNR in dB:
+# mpmath.nstr(oracles.mp_wdma_rate(cfg, power_at(snr_db, cfg)), 25), at 40
+# digits with mpmath 1.3.0 (0.15-0.3 s each)
 MP_WDMA_RATES = {
     "default": {
-        -50.0: "3.597120463373036922851407e-13",
-        -20.0: "3.597120462789920644542868e-10",
-        20.0: "0.000003597114626387244717496284",
-        60.0: "0.03540055139605127972220701",
-        90.0: "3.528874460421518338667069",
+        -50.0: "3.597120463373037180198124e-13",
+        -20.0: "3.597120462789920640295781e-10",
+        20.0: "0.000003597114626387244848546861",
+        60.0: "0.03540055139605127814551383",
+        90.0: "3.528874460421518352491306",
         120.0: "4.578064454962609951623581",
         150.0: "4.579920631547130389677051",
         200.0: "4.579922491459360929782021",
     },
     "omega_two": {
-        -50.0: "3.59712046337308754961339e-13",
-        -20.0: "3.597120462840547406506731e-10",
-        20.0: "0.00000359711513265289664803416",
-        60.0: "0.03544928564407529620886969",
-        90.0: "4.112413271106738933220446",
+        -50.0: "3.597120463373087806960108e-13",
+        -20.0: "3.597120462840547402259645e-10",
+        20.0: "0.000003597115132652896779084774",
+        60.0: "0.03544928564407529462784824",
+        90.0: "4.112413271106738953206822",
         120.0: "5.854335182745352780387514",
         150.0: "5.857971444924578276174346",
         200.0: "5.857975089885624565827039",
     },
     # sub-regions narrow against their offset: the separation mean takes its rule
     "narrow": {
-        -50.0: "3.597120463373101370592199e-13",
-        -20.0: "3.597120462854368385311378e-10",
-        20.0: "0.000003597115270862278845727226",
-        60.0: "0.03546271333159968604562953",
-        90.0: "4.536805201001502581015639",
+        -50.0: "3.597120463373101627938916e-13",
+        -20.0: "3.597120462854368381064292e-10",
+        20.0: "0.00000359711527086227897677785",
+        60.0: "0.03546271333159968446341008",
+        90.0: "4.536805201001502608662155",
         120.0: "9.29541140018115239730258",
         150.0: "9.335355837675845595538631",
         200.0: "9.335396382906441056322135",
     },
 }
+NARROW_OFFSET = SystemConfig(region_y_m=1.0, region_y_offset_m=50.0)
+RATE_CONFIGS = {"default": CFG, "omega_two": omega_two(), "narrow": NARROW_OFFSET}
 
 
 @pytest.mark.parametrize("name", sorted(MP_WDMA_RATES))
 def test_rate_matches_a_25_digit_mpmath_value(name):
-    """Within 1e-13 relative of ``MP_WDMA_RATES``, 25-digit values that
-    mpmath 1.3.0 generated at 40 digits, without passperf, as a nested
-    ``mp.quad``: the outer one over t in [0, 1] with the x-offset X t / 2
-    (g = (X t / 2)^2 + h^2), the inner one over the triangular law of the
-    y-separation u on [lo, lo + 2w], split at its peak lo + w, of
-    log1p(sinr) with sinr = (1/g) / (1/(g + u^2) + 2 sigma^2 / (eta P));
-    eta, sigma^2 and P are formed in mpmath from the config fields and the
-    SNR, and the result is divided by ln 2. Rerun at 55 digits, the default
-    at 120 dB and omega_two at 200 dB gave the same 25 digits. The rate is
-    the mean of positive terms, so it keeps this accuracy at -50 dB, where
-    it is ~4e-13."""
-    narrow = SystemConfig(region_y_m=1.0, region_y_offset_m=50.0)
-    cfg = {"default": CFG, "omega_two": omega_two(), "narrow": narrow}[name]
-    recorded = MP_WDMA_RATES[name]
+    """Within 1e-13 relative of ``MP_WDMA_RATES``. The rate is the mean of
+    positive terms, so it keeps this accuracy at -50 dB, where it is
+    ~4e-13."""
+    cfg, recorded = RATE_CONFIGS[name], MP_WDMA_RATES[name]
     rates = wdma_avg_rate(cfg, power_at(list(recorded), cfg))
     for rate, reference in zip(rates.tolist(), recorded.values()):
         assert abs(rate - float(reference)) <= 1e-13 * float(reference)
 
 
-# wdma_rate_ceiling to 25 digits, per config: ``oracles.mp_rate_ceiling`` at
-# 30 digits, which gave the same 25 digits at 40 (2-5 s per config at 30)
-NARROW_OFFSET = SystemConfig(region_y_m=1.0, region_y_offset_m=50.0)
-CEILING_CONFIGS = {
-    "default": CFG,
-    "omega_two": omega_two(),
-    "long_300": SystemConfig(region_x_m=300.0),
-    "narrow": NARROW_OFFSET,
-}
+def test_rate_oracle_reproduces_its_recorded_value_at_minus_50_db():
+    # one of the cheapest entries, and one whose 25 digits move with the
+    # rounding of the float power (by 7e-17 relative)
+    mpmath = pytest.importorskip("mpmath")
+    value = mp_wdma_rate(CFG, power_at(-50.0))
+    assert mpmath.nstr(value, 25) == MP_WDMA_RATES["default"][-50.0]
+
+
+# wdma_rate_ceiling to 25 digits, per config: recorded from a 30-digit nested
+# mp.quad over the x-offset and the separation, which gave the same 25
+# digits at 40; ``oracles.mp_wdma_rate`` without noise reproduces them
+CEILING_CONFIGS = {**RATE_CONFIGS, "long_300": SystemConfig(region_x_m=300.0)}
 MP_RATE_CEILINGS = {
     "default": "4.579922491477960257073518",
     "omega_two": "5.857975089922074591842996",
@@ -673,6 +600,7 @@ def test_rate_ceiling_on_a_narrow_offset_does_not_move_with_the_order():
     assert abs(coarse - fine) <= 1e-15 * fine
 
 
-def test_rate_ceiling_oracle_reproduces_its_recorded_value():
+@pytest.mark.parametrize("name", sorted(MP_RATE_CEILINGS))
+def test_rate_oracle_without_noise_reproduces_the_recorded_ceiling(name):
     mpmath = pytest.importorskip("mpmath")
-    assert mpmath.nstr(mp_rate_ceiling(NARROW_OFFSET), 25) == MP_RATE_CEILINGS["narrow"]
+    assert mpmath.nstr(mp_wdma_rate(CEILING_CONFIGS[name], math.inf), 25) == MP_RATE_CEILINGS[name]
