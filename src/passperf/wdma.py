@@ -87,7 +87,6 @@ def _crossings(gth: float, b_noise, model: ReducedModel) -> np.ndarray:
     return np.maximum.accumulate(crossings)  # in order, however they round
 
 
-@lru_cache(maxsize=128)
 def _outage_saturation(gth: float, noise_per_power: float, model: ReducedModel, floor: float):
     """The reduced power from which ``wdma_outage`` is its ``floor`` to
     within SATURATION_TOL relative: the lower of two bounds' thresholds.
@@ -108,8 +107,7 @@ def _outage_saturation(gth: float, noise_per_power: float, model: ReducedModel, 
       at most SATURATION_TOL times the floor where
       b K / (SATURATION_TOL floor) + e3 <= 1.
 
-    No row saturates where gamma_th <= 1 or the floor is 0. Cached: the
-    threshold depends on the power only through ``noise_per_power``.
+    No row saturates where gamma_th <= 1 or the floor is 0.
     """
     if not (gth > 1.0 and floor > 0.0):
         return math.inf

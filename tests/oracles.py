@@ -483,7 +483,9 @@ def mp_far_rate(cfg: SystemConfig, power_w: float, dps: int = 40):
     peak, split at the square roots of a1, a2, a1 + C and a2 + C and
     geometrically below them (``_splits``). The difference of Lambda
     values cancels up to ~log10 of its terms over k2 C digits, which the
-    working precision adds to ``dps``.
+    working precision adds to ``dps``. Where k2 and the squared lengths
+    v = m + U^2 of the region are below 10^-dps of a1, ln(1 + k2 / (a1 + v))
+    is k2 / a1 to ``dps`` digits, and so is the rate k2 / (a1 ln 2).
     """
     import mpmath
 
@@ -491,6 +493,9 @@ def mp_far_rate(cfg: SystemConfig, power_w: float, dps: int = 40):
     with mpmath.workdps(dps):
         m = mp_model(cfg)
         snr, c = m.eta * mp.mpf(power_w) / m.noise[1], m.half**2
+        a1, k2 = mp.mpf(cfg.noma_alpha_near) * snr + m.h_sq, mp.mpf(cfg.noma_alpha_far) * snr
+        if (k2 + c + m.hi * m.hi) / a1 < mp.mpf(10) ** -dps:
+            return k2 / (a1 * mp.log(2))
         top = snr + m.h_sq + c + m.hi * m.hi
         lost = mp.log10(top * top * (1 + abs(mp.log(top))) / (snr * mp.mpf(cfg.noma_alpha_far) * c))
     with mpmath.workdps(dps + max(0, int(mp.ceil(lost)))):

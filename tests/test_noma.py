@@ -25,7 +25,6 @@ from passperf.sweep import omega_two
 from oracles import (
     diff_distribution,
     mp_far_rate,
-    mp_model,
     mp_near_rate,
     mp_noma_outages,
     near_pdf,
@@ -444,9 +443,12 @@ _DEEP = {"pa_height_m": 0.5, "region_y_m": 300.0, "noma_alpha_near": 1e-3, "noma
           "noise_power_dbm_ue2": 325.0026343623912, "noma_alpha_near": 1.1153128404227371e-26,
           "noma_alpha_far": 1.0}, [235.0, 240.0]),
         (_DEEP, [20.0, 120.0, 160.0]),
+        # a 1e150 m antenna: the region's squared lengths and the SNR
+        # coefficients are ~1e-298 in reduced units, and the rate ~1e-297
+        ({"pa_height_m": 1e150}, [90.0, 150.0, 400.0]),
     ],
     ids=["default", "omega_two", "narrow", "long_split", "long_offset_split", "wide_offset_split",
-         "huge_snr_coefficient", "deep"],
+         "huge_snr_coefficient", "deep", "tall_antenna"],
 )
 def test_far_rate_matches_a_40_digit_evaluation(overrides, snrs_db):
     pytest.importorskip("mpmath")
@@ -485,24 +487,6 @@ def test_far_rate_keeps_its_accuracy_on_either_side_of_a_piece_boundary(pieces):
     for power in (boundary * (1.0 - 1e-6), boundary * (1.0 + 1e-6)):
         reference = mp_far_rate(cfg, power)
         assert abs(noma_rate_far(cfg, power) - reference) <= 1e-14 * reference, power
-
-
-def test_far_rate_keeps_its_value_where_the_squared_lengths_are_tiny():
-    # a 1e150 m antenna: the region's squared lengths and the SNR
-    # coefficients are ~1e-298 in reduced units, and the rate ~1e-297. The
-    # region and the far share's SNR coefficient k2 are so small against h^2
-    # that the rate is k2 / ((k1 + h^2) ln 2) to ~1e-296 relative, a limit
-    # that mp_far_rate would reach only at ~600 digits.
-    mpmath = pytest.importorskip("mpmath")
-    cfg = SystemConfig(pa_height_m=1e150)
-    with mpmath.workdps(30):
-        m = mp_model(cfg)
-        for snr_db in (90.0, 150.0, 400.0):
-            power = power_at(snr_db, cfg)
-            k1, k2 = (m.eta * share * power / m.noise[1]
-                      for share in (cfg.noma_alpha_near, cfg.noma_alpha_far))
-            reference = k2 / ((k1 + m.h_sq) * mpmath.log(2))
-            assert abs(noma_rate_far(cfg, power) - reference) <= 1e-12 * reference
 
 
 def test_delta_log_gap_nonnegative_over_offsets():
